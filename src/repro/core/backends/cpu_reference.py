@@ -12,7 +12,7 @@ module only supplies the scalar per-chunk compute.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -29,12 +29,18 @@ class CpuReferenceExecutor(ChunkExecutor):
 
     name = "cpu_reference"
 
+    def __init__(self):
+        self._n_active = 0
+
     def execute_chunk(
         self, ctx: KernelContext, row_start: int, row_stop: int
     ) -> Iterable[Tuple[int, np.ndarray]]:
         partial = np.zeros((ctx.grid.n_bins, ctx.n_rows, ctx.n_cols), dtype=np.float64)
-        depth_resolve_chunk_scalar(ctx, partial)
+        self._n_active += depth_resolve_chunk_scalar(ctx, partial)
         yield row_start, partial
+
+    def report_extras(self) -> Dict:
+        return {"n_active_pixels": self._n_active}
 
     def notes(self) -> List[str]:
         return ["scalar per-element loop (original CPU program)"]

@@ -60,6 +60,7 @@ class GpuSimExecutor(ChunkExecutor):
         self._d2h_bytes = 0
         self._n_launches = 0
         self._n_threads = 0
+        self._n_active = 0
 
     # ------------------------------------------------------------------ #
     def _make_device(self, config: ReconstructionConfig) -> Device:
@@ -128,6 +129,9 @@ class GpuSimExecutor(ChunkExecutor):
 
         out_buf = device.memory.allocate((grid.n_bins, chunk_rows, ctx.n_cols), np.float64)
         out_buf.fill(0.0)
+        # one-slot counter the kernel atomically bumps per active element
+        count_buf = device.memory.allocate((1,), np.int64)
+        count_buf.fill(0)
 
         # -- kernel launches -------------------------------------------------
         # The kernel reads the uploaded slab through the layout (as the CUDA
@@ -148,6 +152,7 @@ class GpuSimExecutor(ChunkExecutor):
                 launch_cfg,
                 batch_ctx,
                 out_buf.device_array(),
+                count_buf.device_array(),
                 mode=self.launch_mode,
             )
             self._n_launches += 1
@@ -157,11 +162,16 @@ class GpuSimExecutor(ChunkExecutor):
         partial = np.zeros((grid.n_bins, chunk_rows, ctx.n_cols), dtype=np.float64)
         memcpy_device_to_host(device, partial, out_buf, label="D2H:depth_resolved")
         self._d2h_bytes += int(partial.nbytes)
+        count = np.zeros(1, dtype=np.int64)
+        memcpy_device_to_host(device, count, count_buf, label="D2H:active_count")
+        self._d2h_bytes += int(count.nbytes)
+        self._n_active += int(count[0])
 
         # -- free chunk allocations ------------------------------------------
         upload.free()
         geometry_buf.free()
         out_buf.free()
+        count_buf.free()
 
         yield row_start, partial
 
@@ -176,6 +186,7 @@ class GpuSimExecutor(ChunkExecutor):
             "d2h_bytes": self._d2h_bytes,
             "n_kernel_launches": self._n_launches,
             "n_threads_launched": self._n_threads,
+            "n_active_pixels": self._n_active,
             "layout": self._layout.name,
         }
 

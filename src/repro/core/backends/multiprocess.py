@@ -102,23 +102,24 @@ def _context_from_payload(payload: dict, images: np.ndarray) -> KernelContext:
     )
 
 
-def _reconstruct_into_shared(payload: dict, in_shm, out_shm) -> None:
+def _reconstruct_into_shared(payload: dict, in_shm, out_shm) -> int:
     """Map the slabs and run the kernel; views die on return so close() is safe."""
     images = np.ndarray(tuple(payload["images_shape"]), dtype=np.float64, buffer=in_shm.buf)
     out = np.ndarray(tuple(payload["out_shape"]), dtype=np.float64, buffer=out_shm.buf)
     ctx = _context_from_payload(payload, images)
     out[...] = 0.0  # recycled slabs carry the previous band's result
-    depth_resolve_chunk_fused(ctx, out)
+    return depth_resolve_chunk_fused(ctx, out)
 
 
-def _worker_reconstruct_rows(payload: dict) -> None:
+def _worker_reconstruct_rows(payload: dict) -> int:
     """Reconstruct one band of rows in a worker process — zero-copy dispatch.
 
     The payload carries shared-memory *names and shapes*, never the arrays:
     the image slab is mapped read-only-by-convention from ``images_shm`` and
     the partial cube is written in place into ``out_shm``, so nothing
     cube-sized crosses the process boundary.  The parent's arena owns
-    ``unlink()``; the worker only closes its own mappings.
+    ``unlink()``; the worker only closes its own mappings.  Returns the
+    band's active-element count.
     """
     from repro.core.workerpool import attach_slab
 
@@ -126,19 +127,19 @@ def _worker_reconstruct_rows(payload: dict) -> None:
     try:
         out_shm = attach_slab(payload["out_shm"])
         try:
-            _reconstruct_into_shared(payload, in_shm, out_shm)
+            return _reconstruct_into_shared(payload, in_shm, out_shm)
         finally:
             out_shm.close()
     finally:
         in_shm.close()
 
 
-def _worker_reconstruct_rows_pickled(payload: dict) -> np.ndarray:
-    """Legacy dispatch: arrays pickled in, partial cube pickled back."""
+def _worker_reconstruct_rows_pickled(payload: dict) -> Tuple[np.ndarray, int]:
+    """Legacy dispatch: arrays pickled in, partial cube and active count pickled back."""
     ctx = _context_from_payload(payload, payload["images"])
     out = np.zeros((payload["grid_n_bins"], ctx.n_rows, ctx.n_cols), dtype=np.float64)
-    depth_resolve_chunk_fused(ctx, out)
-    return out
+    n_active = depth_resolve_chunk_fused(ctx, out)
+    return out, n_active
 
 
 def _dispatch_mode(requested: Optional[str]) -> str:
@@ -167,6 +168,7 @@ class MultiprocessExecutor(ChunkExecutor):
         self._max_inflight = 1
         self._n_bands = 0
         self._n_threads = 0
+        self._n_active = 0
         #: peak number of chunks simultaneously pending in the pool
         self.peak_inflight = 0
 
@@ -279,7 +281,10 @@ class MultiprocessExecutor(ChunkExecutor):
             self._cancel_pending()
             raise
         if lease is None:
-            return row_start, value
+            partial, n_active = value
+            self._n_active += n_active
+            return row_start, partial
+        self._n_active += value
         _in_shm, out_shm, out_shape = lease
         return row_start, np.ndarray(out_shape, dtype=np.float64, buffer=out_shm.buf)
 
@@ -310,7 +315,7 @@ class MultiprocessExecutor(ChunkExecutor):
         if self._pool is None:
             # in-process fall-back (n_workers == 1): no pool, no copies
             out = np.zeros((self._config.grid.n_bins, ctx.n_rows, ctx.n_cols), dtype=np.float64)
-            depth_resolve_chunk_fused(ctx, out)
+            self._n_active += depth_resolve_chunk_fused(ctx, out)
             yield row_start, out
             return
         if self._dispatch == "shm":
@@ -348,6 +353,7 @@ class MultiprocessExecutor(ChunkExecutor):
         return {
             "n_kernel_launches": self._n_bands,
             "n_threads_launched": self._n_threads,
+            "n_active_pixels": self._n_active,
         }
 
     def notes(self) -> List[str]:

@@ -46,7 +46,8 @@ from repro.core.workerpool import ThreadPool, shared_thread_pool
 
 __all__ = ["ThreadedBackend", "ThreadedExecutor"]
 
-#: A pending band: (absolute row start, future resolving to its partial cube).
+#: A pending band: (absolute row start, future resolving to the band's
+#: (partial cube, active-element count)).
 _Pending = Tuple[int, Future]
 
 
@@ -66,13 +67,17 @@ def _band_context(ctx: KernelContext, band_start: int, band_stop: int) -> Kernel
     )
 
 
-def _reconstruct_band(band_ctx: KernelContext) -> np.ndarray:
-    """Thread task: fused reconstruction of one band into a fresh partial cube."""
+def _reconstruct_band(band_ctx: KernelContext) -> Tuple[np.ndarray, int]:
+    """Thread task: fused reconstruction of one band into a fresh partial cube.
+
+    Returns the cube and the band's active-element count; the count travels
+    back through the future so no worker thread writes executor state.
+    """
     out = np.zeros(
         (band_ctx.grid.n_bins, band_ctx.n_rows, band_ctx.n_cols), dtype=np.float64
     )
-    depth_resolve_chunk_fused(band_ctx, out)
-    return out
+    n_active = depth_resolve_chunk_fused(band_ctx, out)
+    return out, n_active
 
 
 class ThreadedExecutor(ChunkExecutor):
@@ -97,6 +102,7 @@ class ThreadedExecutor(ChunkExecutor):
         self._max_inflight = 1
         self._n_bands = 0
         self._n_threads = 0
+        self._n_active = 0
         #: peak number of bands simultaneously pending in the pool
         self.peak_inflight = 0
 
@@ -137,7 +143,7 @@ class ThreadedExecutor(ChunkExecutor):
             out = np.zeros(
                 (self._config.grid.n_bins, ctx.n_rows, ctx.n_cols), dtype=np.float64
             )
-            depth_resolve_chunk_fused(ctx, out)
+            self._n_active += depth_resolve_chunk_fused(ctx, out)
             yield row_start, out
             return
         for band_start, band_stop in self._bands(ctx):
@@ -154,10 +160,12 @@ class ThreadedExecutor(ChunkExecutor):
         """Wait for one pending band; on failure cancel the rest and re-raise."""
         band_start, future = entry
         try:
-            return band_start, future.result()
+            out, n_active = future.result()
         except BaseException:
             self._cancel_pending()
             raise
+        self._n_active += n_active
+        return band_start, out
 
     def _cancel_pending(self) -> None:
         while self._pending:
@@ -178,6 +186,7 @@ class ThreadedExecutor(ChunkExecutor):
         return {
             "n_kernel_launches": self._n_bands,
             "n_threads_launched": self._n_threads,
+            "n_active_pixels": self._n_active,
         }
 
     def notes(self) -> List[str]:

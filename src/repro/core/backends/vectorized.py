@@ -34,12 +34,13 @@ class VectorizedExecutor(ChunkExecutor):
     def __init__(self):
         self._n_launches = 0
         self._n_threads = 0
+        self._n_active = 0
 
     def execute_chunk(
         self, ctx: KernelContext, row_start: int, row_stop: int
     ) -> Iterable[Tuple[int, np.ndarray]]:
         partial = np.zeros((ctx.grid.n_bins, ctx.n_rows, ctx.n_cols), dtype=np.float64)
-        depth_resolve_chunk_fused(ctx, partial)
+        self._n_active += depth_resolve_chunk_fused(ctx, partial)
         self._n_launches += 1
         self._n_threads += ctx.n_steps * ctx.n_rows * ctx.n_cols
         yield row_start, partial
@@ -48,6 +49,7 @@ class VectorizedExecutor(ChunkExecutor):
         return {
             "n_kernel_launches": self._n_launches,
             "n_threads_launched": self._n_threads,
+            "n_active_pixels": self._n_active,
         }
 
     def notes(self) -> List[str]:

@@ -84,7 +84,7 @@ def plan_worker_bands(
 ) -> List[Tuple[int, int]]:
     """Contiguous row bands for parallel dispatch, coarsened to the element floor.
 
-    Starts from one near-equal band per worker and merges bands until every
+    One near-equal band per worker, with fewer bands when needed so every
     band carries at least *min_elements_per_dispatch* ``(step, row, col)``
     elements (except when the whole problem is smaller than the floor, which
     collapses to a single band).  Guarantees: bands tile ``[0, n_rows)`` in
@@ -94,8 +94,9 @@ def plan_worker_bands(
         raise ValidationError("n_rows must be >= 1")
     n_workers = max(1, int(n_workers))
     floor_rows = granularity_floor_rows(n_cols, n_steps, min_elements_per_dispatch)
-    band_rows = max(floor_rows, -(-n_rows // n_workers))
-    n_bands = max(1, -(-n_rows // band_rows))
+    # the near-equal split below gives every band at least
+    # n_rows // n_bands rows, which this bound keeps at or above the floor
+    n_bands = max(1, min(n_workers, n_rows // floor_rows))
     # near-equal split of n_rows over n_bands (same scheme as one-band-per-
     # worker: the first n_rows % n_bands bands get one extra row)
     base, extra = divmod(n_rows, n_bands)

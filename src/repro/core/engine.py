@@ -28,14 +28,15 @@ the full histogram.  This module extracts that loop into one place:
     and draining the rest at the end.
 
 ``execute``
-    The engine loop: plan → prepare → per chunk (load slab, count active
-    elements, build context, execute) → reduce into the histogram → report.
+    The engine loop: plan → prepare → per chunk (load slab, build context,
+    execute) → reduce into the histogram → report.
 
-The engine also owns the run accounting that used to be duplicated: the
-active-element count is accumulated chunk by chunk from the slabs the run
-reads anyway (the full difference cube is never recomputed per backend), and
-every report's notes carry the plan summary so cross-backend comparisons are
-attributable to identical chunking.
+The engine also owns the run accounting that used to be duplicated: every
+report's notes carry the plan summary so cross-backend comparisons are
+attributable to identical chunking.  The active-element count is not
+recomputed here: each executor's kernel counts the elements it distributes
+while it distributes them, and the executor reports the total through
+:meth:`ChunkExecutor.report_extras` as ``n_active_pixels``.
 """
 
 from __future__ import annotations
@@ -308,7 +309,11 @@ class ChunkExecutor(abc.ABC):
         return ()
 
     def report_extras(self) -> Dict:
-        """Extra :class:`ReconstructionReport` field values (timings, bytes, ...)."""
+        """Extra :class:`ReconstructionReport` field values (timings, bytes, ...).
+
+        Every executor reports ``n_active_pixels`` here: the active elements
+        its kernel distributed over the run.
+        """
         return {}
 
     def notes(self) -> List[str]:
@@ -387,17 +392,6 @@ def build_chunk_context(
     )
 
 
-def count_active_elements_in_slab(
-    slab: np.ndarray, mask: Optional[np.ndarray], intensity_cutoff: float
-) -> int:
-    """Active ``(pixel, step)`` elements of one raw slab (mask and cutoff applied)."""
-    diffs = slab[:-1] - slab[1:]
-    active = np.abs(diffs) > intensity_cutoff
-    if mask is not None:
-        active &= mask[None, :, :]
-    return int(np.count_nonzero(active))
-
-
 def execute(
     source: ChunkSource,
     config: ReconstructionConfig,
@@ -413,7 +407,6 @@ def execute(
     _LOG.debug("engine: %s via %s, %s", source.describe(), executor.name, plan.summary())
 
     histogram = DepthHistogram(config.grid, source.n_rows, source.n_cols)
-    n_active = 0
     # prepare() acquires per-run resources (worker pools, shared-memory
     # arenas); it sits inside the try so close() runs even when it — or any
     # chunk — raises, and no pool or shm segment outlives a failed run
@@ -421,9 +414,6 @@ def execute(
         executor.prepare(source, config, plan)
         for row_start, row_stop in plan.chunks:
             slab = source.load_rows(row_start, row_stop)
-            n_active += count_active_elements_in_slab(
-                slab, source.mask_rows(row_start, row_stop), config.intensity_cutoff
-            )
             ctx = build_chunk_context(
                 source, config, row_start, row_stop, slab=slab, background=plan.background
             )
@@ -441,7 +431,6 @@ def execute(
         backend=executor.name,
         wall_time=wall,
         n_chunks=plan.n_chunks,
-        n_active_pixels=n_active,
         n_steps=source.n_steps,
         notes=[plan.summary()] + executor.notes(),
         **extras,

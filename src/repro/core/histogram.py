@@ -132,7 +132,12 @@ class DepthHistogram:
 
     # ------------------------------------------------------------------ #
     def to_result(self, metadata: Optional[dict] = None):
-        """Wrap the accumulated cube in a :class:`DepthResolvedStack`."""
+        """Hand the accumulated cube over to a :class:`DepthResolvedStack`.
+
+        The stack takes the buffer itself, not a copy — a run's output cube
+        is never held twice.  The histogram must not be used afterwards: any
+        further accumulation would write into the returned stack.
+        """
         from repro.core.result import DepthResolvedStack
 
-        return DepthResolvedStack(data=self._data.copy(), grid=self.grid, metadata=metadata or {})
+        return DepthResolvedStack(data=self._data, grid=self.grid, metadata=metadata or {})

@@ -145,7 +145,16 @@ class DepthResolvedStack:
 
 @dataclass
 class ReconstructionReport:
-    """Timing and accounting information for one reconstruction run."""
+    """Timing and accounting information for one reconstruction run.
+
+    ``n_active_pixels`` counts the run's *active elements*, as counted by the
+    backend's kernel while it distributes them: a ``(wire-step, row,
+    column)`` element is active when its pixel passes the mask, its
+    background-subtracted, edge-signed intensity difference passes the
+    cutoff (``|d| > intensity_cutoff`` and ``d != 0``, after rectification
+    in ``RECTIFIED`` mode), and its trapezoid is non-degenerate and overlaps
+    the depth grid.  Every backend reports the same count for the same run.
+    """
 
     backend: str
     wall_time: float = 0.0

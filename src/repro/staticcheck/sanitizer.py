@@ -29,6 +29,11 @@ unlocked writes are legal (construction, single-owner phases); the
 sanitizer only fires when the race is demonstrated, which keeps it free
 of false positives on loop-confined state like ``FairPriorityQueue``.
 
+Threads are told apart by a token drawn once per thread from a
+never-repeating counter, not by ``threading.get_ident()``: Python reuses an
+ident as soon as its thread exits, so short-lived threads run one after
+another would otherwise look like a single writer.
+
 Writes made during ``__init__`` are never recorded: construction
 precedes sharing, the same exemption the static rules grant.
 """
@@ -36,6 +41,7 @@ precedes sharing, the same exemption the static rules grant.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import threading
 from dataclasses import dataclass, field
@@ -67,6 +73,18 @@ _READY = "_race_sanitizer_ready"
 def enabled() -> bool:
     """``True`` when the sanitizer lane is switched on via the environment."""
     return os.environ.get(ENV_FLAG, "") == "1"
+
+
+_TOKENS = itertools.count(1)
+_THREAD = threading.local()
+
+
+def _thread_token() -> int:
+    """The calling thread's identity, unique for the life of the process."""
+    token = getattr(_THREAD, "token", None)
+    if token is None:
+        token = _THREAD.token = next(_TOKENS)
+    return token
 
 
 # --------------------------------------------------------------------------- #
@@ -106,11 +124,11 @@ class RaceRecorder:
                locked: bool) -> None:
         if locked:
             return
-        ident = threading.get_ident()
+        token = _thread_token()
         key = (class_name, field_name, instance_id)
         with self._lock:
             log = self._unlocked.setdefault(key, _WriteLog())
-            log.threads.add(ident)
+            log.threads.add(token)
             log.n_writes += 1
 
     def drain(self) -> List[RaceViolation]:
@@ -162,7 +180,7 @@ class TrackedLock:
     def acquire(self, *args, **kwargs) -> bool:
         got = self._inner.acquire(*args, **kwargs)
         if got:
-            self._owner = threading.get_ident()
+            self._owner = _thread_token()
             self._depth += 1
         return got
 
@@ -186,7 +204,7 @@ class TrackedLock:
         )
 
     def held_by_me(self) -> bool:
-        return self._owner == threading.get_ident()
+        return self._owner == _thread_token()
 
 
 class TrackedDict(dict):

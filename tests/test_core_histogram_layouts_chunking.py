@@ -1,9 +1,16 @@
 """Unit tests for the histogram accumulator, device layouts and chunk planner."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.core.chunking import ChunkPlan, estimate_chunk_device_bytes, plan_row_chunks
+from repro.core.chunking import (
+    ChunkPlan,
+    estimate_chunk_device_bytes,
+    plan_row_chunks,
+    plan_worker_bands,
+)
 from repro.core.depth_grid import DepthGrid
 from repro.core.histogram import DepthHistogram, add_pixel_intensity_at_index
 from repro.core.layouts import Flat1DLayout, Pointer3DLayout, get_layout
@@ -80,6 +87,15 @@ class TestDepthHistogram:
         result = hist.to_result({"note": "x"})
         assert result.shape == (5, 2, 2)
         assert result.metadata["note"] == "x"
+
+    def test_to_result_hands_over_the_buffer(self, grid):
+        """The output cube is handed over, never copied."""
+        hist = DepthHistogram(grid, 2, 2)
+        buffer = hist.data
+        buffer[1, 0, 1] = 3.0
+        result = hist.to_result()
+        assert np.shares_memory(result.data, buffer)
+        assert result.data[1, 0, 1] == 3.0
 
     def test_flat_index_scatter(self, grid):
         cube = np.zeros((5, 2, 2))
@@ -193,6 +209,21 @@ class TestChunkPlanning:
     def test_single_row_does_not_fit(self):
         with pytest.raises(ValidationError):
             plan_row_chunks(10, 4096, 500, 400, device_memory_bytes=1024)
+
+    def test_worker_bands_honour_the_element_floor(self):
+        # 30,000 elements per row give a 3-row floor: one 4-row band, not
+        # two 2-row bands below the floor
+        assert plan_worker_bands(4, 600, 50, 2) == [(0, 4)]
+        assert plan_worker_bands(87, 176, 48, 2) == [(0, 44), (44, 87)]
+        for n_rows, n_cols, n_steps, n_workers, floor in itertools.product(
+            (1, 3, 7, 40), (1, 5, 64), (1, 9), (1, 2, 3, 8), (1, 100, 2000)
+        ):
+            bands = plan_worker_bands(n_rows, n_cols, n_steps, n_workers, floor)
+            assert bands[0][0] == 0 and bands[-1][1] == n_rows
+            assert all(a[1] == b[0] for a, b in zip(bands, bands[1:]))
+            assert len(bands) <= n_workers
+            if len(bands) > 1:
+                assert all((stop - start) * n_cols * n_steps >= floor for start, stop in bands)
 
     def test_fixed_chunk_too_big_rejected(self):
         with pytest.raises(ValidationError):

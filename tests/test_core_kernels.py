@@ -53,21 +53,23 @@ class TestScalarVsVectorized:
         ctx, grid = context_and_grid
         out_scalar = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
         out_vector = np.zeros_like(out_scalar)
-        total_scalar = depth_resolve_chunk_scalar(ctx, out_scalar)
-        total_vector = depth_resolve_chunk_vectorized(ctx, out_vector)
+        n_active_scalar = depth_resolve_chunk_scalar(ctx, out_scalar)
+        n_active_vector = depth_resolve_chunk_vectorized(ctx, out_vector)
         np.testing.assert_allclose(out_vector, out_scalar, rtol=1e-9, atol=1e-12)
-        assert np.isclose(total_scalar, total_vector, rtol=1e-9)
+        assert n_active_scalar == n_active_vector
 
     def test_set_two_vectorized_equals_chunk(self, context_and_grid):
         ctx, grid = context_and_grid
         out_chunk = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
-        depth_resolve_chunk_vectorized(ctx, out_chunk)
+        n_active = depth_resolve_chunk_vectorized(ctx, out_chunk)
 
         out_threads = np.zeros_like(out_chunk)
+        counter = np.zeros(1, dtype=np.int64)
         cfg = LaunchConfig.for_volume((ctx.n_cols, ctx.n_rows, ctx.n_steps), block_dim=(4, 2, 4))
         ix, iy, iz = cfg.thread_indices()
-        set_two_vectorized(ix, iy, iz, ctx, out_threads)
+        set_two_vectorized(ix, iy, iz, ctx, out_threads, counter)
         np.testing.assert_allclose(out_threads, out_chunk, rtol=1e-9, atol=1e-12)
+        assert counter[0] == n_active
 
     def test_small_batches_do_not_change_result(self, context_and_grid):
         ctx, grid = context_and_grid
@@ -83,29 +85,30 @@ class TestElementBehaviour:
         ctx, grid = context_and_grid
         ctx.mask = np.zeros((ctx.n_rows, ctx.n_cols), dtype=bool)
         out = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
-        assert depth_resolve_chunk_vectorized(ctx, out) == 0.0
+        assert depth_resolve_chunk_vectorized(ctx, out) == 0
         assert out.sum() == 0.0
 
     def test_cutoff_removes_small_differences(self, context_and_grid):
         ctx, grid = context_and_grid
         ctx.intensity_cutoff = 1e12  # absurdly high
         out = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
-        assert depth_resolve_chunk_vectorized(ctx, out) == 0.0
+        assert depth_resolve_chunk_vectorized(ctx, out) == 0
 
     def test_single_element_deposit_is_conserving(self, context_and_grid):
         ctx, grid = context_and_grid
         diffs = ctx.signed_differences()
         step, row, col = np.unravel_index(np.argmax(np.abs(diffs)), diffs.shape)
         out = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
-        deposited = depth_resolve_element(ctx, int(col), int(row), int(step), out)
-        assert np.isclose(out.sum(), deposited)
+        assert depth_resolve_element(ctx, int(col), int(row), int(step), out)
+        deposited = out.sum()
+        assert deposited != 0.0
         assert abs(deposited) <= abs(diffs[step, row, col]) + 1e-9
 
     def test_total_deposit_bounded_by_total_signal(self, context_and_grid):
         ctx, grid = context_and_grid
         out = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
-        total = depth_resolve_chunk_vectorized(ctx, out)
-        assert total <= np.abs(ctx.signed_differences()).sum() + 1e-9
+        depth_resolve_chunk_vectorized(ctx, out)
+        assert out.sum() <= np.abs(ctx.signed_differences()).sum() + 1e-9
 
     def test_deposits_land_in_correct_pixel_column(self, context_and_grid):
         # each (row, col) element only ever writes to its own (row, col)

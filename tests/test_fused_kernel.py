@@ -30,6 +30,8 @@ from tests.helpers import make_tiny_stack
 
 #: Backends whose output must be bitwise identical to the scalar reference.
 EXACT_BACKENDS = ("cpu_reference", "vectorized", "multiprocess", "threaded")
+#: Every registered backend: all of them report the same active-element count.
+ALL_BACKENDS = EXACT_BACKENDS + ("gpusim",)
 
 
 def _noisy_stack(n_rows=7, n_cols=5, n_positions=17, masked=False, seed=11):
@@ -51,14 +53,13 @@ def _assert_fused_bitwise(ctx, **fused_kwargs):
     shape = (ctx.grid.n_bins, ctx.n_rows, ctx.n_cols)
     out_scalar = np.zeros(shape)
     out_fused = np.zeros(shape)
-    total_scalar = depth_resolve_chunk_scalar(ctx, out_scalar)
-    total_fused = depth_resolve_chunk_fused(ctx, out_fused, **fused_kwargs)
+    n_active_scalar = depth_resolve_chunk_scalar(ctx, out_scalar)
+    n_active_fused = depth_resolve_chunk_fused(ctx, out_fused, **fused_kwargs)
     assert np.array_equal(out_scalar, out_fused), (
         f"fused kernel diverged from scalar reference: "
         f"{np.count_nonzero(out_scalar != out_fused)} differing slot(s)"
     )
-    # the totals are reductions in different orders, so allclose not bitwise
-    assert np.isclose(total_scalar, total_fused, rtol=1e-12)
+    assert n_active_scalar == n_active_fused
     return out_scalar
 
 
@@ -111,7 +112,7 @@ class TestFusedVsScalar:
         ctx.intensity_cutoff = 1e12
         shape = (ctx.grid.n_bins, ctx.n_rows, ctx.n_cols)
         out = np.zeros(shape)
-        assert depth_resolve_chunk_fused(ctx, out) == 0.0
+        assert depth_resolve_chunk_fused(ctx, out) == 0
         assert out.sum() == 0.0
 
     def test_row_block_and_batch_do_not_change_result(self):
@@ -190,3 +191,44 @@ class TestBackendsBitwise:
         config = ReconstructionConfig(grid=grid, backend="gpusim")
         result, _report = get_backend("gpusim").reconstruct(stack, config)
         np.testing.assert_allclose(reference.data, result.data, rtol=1e-9, atol=1e-12)
+
+
+class TestActiveCountAcrossBackends:
+    """``n_active_pixels`` is counted by each backend's kernel, one definition."""
+
+    @pytest.fixture(scope="class")
+    def scan(self, tmp_path_factory):
+        stack = _noisy_stack(n_rows=6, n_cols=5, n_positions=13, masked=True)
+        path = str(tmp_path_factory.mktemp("active") / "scan.h5lite")
+        save_wire_scan(path, stack)
+        return stack, path
+
+    @pytest.mark.parametrize("mode", ["in-memory", "chunked", "streamed"])
+    def test_every_backend_reports_the_same_count(self, scan, mode):
+        from repro.core.engine import StackChunkSource, execute_backend
+        from repro.io.streaming import StreamingWireScanSource
+
+        stack, path = scan
+        config = ReconstructionConfig(
+            grid=DepthGrid.from_range(0.0, 100.0, 25),
+            subtract_background=True,
+            difference_mode=DifferenceMode.RECTIFIED,
+            n_workers=2,
+            rows_per_chunk=None if mode == "in-memory" else 2,
+        )
+        counts = {}
+        for name in ALL_BACKENDS:
+            source = (
+                StreamingWireScanSource(path) if mode == "streamed" else StackChunkSource(stack)
+            )
+            _result, report = execute_backend(source, config.with_backend(name))
+            counts[name] = report.n_active_pixels
+        shutdown_shared_pool()
+        shutdown_shared_thread_pool()
+        # ground truth: the scalar reference over the whole background-
+        # subtracted stack; the mask and the rectification leave elements out
+        ctx = build_kernel_context(stack, config)
+        out = np.zeros((config.grid.n_bins, ctx.n_rows, ctx.n_cols))
+        expected = depth_resolve_chunk_scalar(ctx, out)
+        assert 0 < expected < ctx.n_steps * ctx.n_rows * ctx.n_cols
+        assert counts == dict.fromkeys(ALL_BACKENDS, expected)

@@ -59,14 +59,20 @@ def _fresh_class():
 
 
 def _run_threads(target, n_threads=4, n_calls=200):
-    workers = [
-        threading.Thread(target=lambda: [target() for _ in range(n_calls)])
-        for _ in range(n_threads)
-    ]
+    """Call *target* n_calls times from each of n_threads overlapping threads."""
+    barrier = threading.Barrier(n_threads)
+
+    def run():
+        barrier.wait(timeout=10)  # all threads start calling together
+        for _ in range(n_calls):
+            target()
+
+    workers = [threading.Thread(target=run) for _ in range(n_threads)]
     for worker in workers:
         worker.start()
     for worker in workers:
-        worker.join()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
 
 
 # --------------------------------------------------------------------------- #
@@ -126,6 +132,18 @@ class TestInstrumentation:
         _run_threads(shared.store_racy)
         violations = drain()
         assert [v.field_name for v in violations] == ["table"]
+
+    def test_threads_run_one_after_another_are_distinct_writers(self):
+        """Exited threads' idents are reused; each thread must still count."""
+        cls = instrument_class(_fresh_class(), ("count",))
+        shared = cls()
+        for _ in range(4):
+            worker = threading.Thread(target=shared.bump_racy)
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        (violation,) = drain()
+        assert len(violation.threads) == 4
 
     def test_single_thread_unlocked_writes_are_legal(self):
         # single-owner phases (setup, teardown) are not races

@@ -134,7 +134,7 @@ class TestBandDispatch:
     def test_band_reconstruction_is_contiguous(self):
         stack = _noisy_stack()
         ctx = build_kernel_context(stack, ReconstructionConfig(grid=_grid()))
-        out = _reconstruct_band(_band_context(ctx, 1, 4))
+        out, _n_active = _reconstruct_band(_band_context(ctx, 1, 4))
         assert out.flags["C_CONTIGUOUS"]
         assert out.shape == (20, 3, stack.n_cols)
 
