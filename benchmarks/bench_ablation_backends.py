@@ -2,7 +2,7 @@
 
 Puts the paper's two contenders (scalar CPU program, CUDA-style design) next
 to two alternatives a practitioner would consider before porting to a GPU:
-host-vectorised NumPy and a multi-process row partitioning.  All four produce
+host-vectorised NumPy and row bands on a thread pool.  All four produce
 identical results (asserted in the test-suite); only the time differs.
 """
 
@@ -10,7 +10,7 @@ import pytest
 
 from _bench_utils import SeriesCollector, run_and_time
 
-BACKENDS = ("cpu_reference", "vectorized", "gpusim", "multiprocess")
+BACKENDS = ("cpu_reference", "vectorized", "gpusim", "threaded")
 
 collector = SeriesCollector("Ablation: execution backends (2.7G-scaled workload)", x_label="backend")
 
@@ -18,7 +18,7 @@ collector = SeriesCollector("Ablation: execution backends (2.7G-scaled workload)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_backend_sweep(benchmark, workload_cache, backend):
     workload = workload_cache("2.7G")
-    kwargs = {"n_workers": 2} if backend == "multiprocess" else {}
+    kwargs = {"n_workers": 2} if backend == "threaded" else {}
     seconds = benchmark.pedantic(
         run_and_time, args=(workload, backend), kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0
     )
@@ -36,5 +36,5 @@ def test_backend_report(benchmark):
     print(collector.report([
         "",
         "cpu_reference is the paper's baseline; gpusim is the paper's design;",
-        "vectorized and multiprocess are host-side alternatives the paper does not evaluate.",
+        "vectorized and threaded are host-side alternatives the paper does not evaluate.",
     ]))

@@ -1,25 +1,18 @@
-"""Experiment E6 — host-parallel scaling: dispatch, executors, fused kernels.
+"""Experiment E6 — host-parallel scaling: executors and the fused kernel.
 
 The paper's argument is that depth reconstruction is embarrassingly parallel
-across detector pixels; the ``multiprocess`` and ``threaded`` backends are
-the host-parallel ablation points for that claim.  Two suites:
+across detector pixels; the ``threaded`` backend and the ``threads`` executor
+strategy are the host-parallel ablation points for that claim.  The suite
+(BENCH_6) measures the fused single-pass kernel against the two-pass
+baseline, and a serial / threads × worker-count matrix (median + IQR, BLAS
+pinned) with the honesty gate: a parallel executor may become the
+recommended default only with ≥ 2× speedup over serial at 4 workers —
+otherwise the default stays serial and the artifact must record why.
 
-* **dispatch (BENCH_4)** — zero-copy shared-memory slabs must beat the
-  legacy deep-copy-and-pickle path wherever real dispatch happens
-  (≥ 2 workers), and a pooled ``run_many`` over several files must beat
-  per-file cold-start pools;
-* **executors (BENCH_6)** — the fused single-pass kernel against the
-  two-pass baseline, and a serial / threads / processes × worker-count
-  matrix (median + IQR, BLAS pinned) with the honesty gate: a parallel
-  executor may become the recommended default only with ≥ 2× speedup over
-  serial at 4 workers — otherwise the default stays serial and the
-  artifact must record why.
-
-The runs emit the repository's perf-trajectory artifacts (``BENCH_4.json``
-and ``BENCH_6.json`` by default; override with ``REPRO_BENCH_OUT`` /
-``REPRO_BENCH6_OUT`` and the workload with ``REPRO_PARALLEL_BENCH_SIZE``).
-CI runs both on a tiny workload and uploads the artifacts; ``repro-bench``
-is the CLI twin (``--suite dispatch|executors|all``).
+The run emits the repository's perf-trajectory artifact (``BENCH_6.json`` by
+default; override with ``REPRO_BENCH6_OUT`` and the workload with
+``REPRO_PARALLEL_BENCH_SIZE``).  CI runs it on a small workload and uploads
+the artifact; ``repro-bench`` is the CLI twin.
 """
 
 import os
@@ -29,105 +22,19 @@ import pytest
 
 from _bench_utils import SeriesCollector
 from repro.core.config import ReconstructionConfig
-from repro.core.workerpool import shutdown_shared_pool
 from repro.perf.parallel import (
     SCALING_GATE_SPEEDUP,
     format_executor_report,
-    format_parallel_report,
     run_executor_scaling,
-    run_parallel_scaling,
     write_bench_record,
 )
 
-collector = SeriesCollector("Parallel scaling: wall seconds", x_label="workers")
 executor_collector = SeriesCollector("Executor scaling: wall seconds", x_label="workers")
 
 
 def _bench_size_label() -> str:
     """Workload label: REPRO_PARALLEL_BENCH_SIZE overrides the medium default."""
     return os.environ.get("REPRO_PARALLEL_BENCH_SIZE", "24MB")
-
-
-@pytest.fixture(scope="module")
-def scaling_record(tmp_path_factory):
-    """One full harness run shared by the assertions below."""
-    record = run_parallel_scaling(
-        size_label=_bench_size_label(),
-        workers=(1, 2, 4),
-        # 6 interleaved repeats per dispatch mode: the shm-vs-pickle gate is
-        # a hard CI failure, so its minima must sit well above runner noise
-        repeats=6,
-        n_files=3,
-        work_dir=str(tmp_path_factory.mktemp("parallel_scaling")),
-    )
-    for row in record["scaling"]:
-        collector.add(str(row["n_workers"]), "shm", row["shm_s"])
-        collector.add(str(row["n_workers"]), "pickle", row["pickle_s"])
-    reuse = record["pool_reuse"]
-    collector.add("batch", "cold-start", reuse["cold_start_s"])
-    collector.add("batch", "pooled", reuse["pooled_s"])
-    path = write_bench_record(record, os.environ.get("REPRO_BENCH_OUT"))
-    print(format_parallel_report(record))
-    print(f"wrote {path}")
-    return record
-
-
-def test_shm_dispatch_beats_pickle_dispatch(scaling_record):
-    """Zero-copy slabs must beat cube pickling wherever dispatch happens.
-
-    Gated on the aggregate across the ≥ 2-worker points (every timed sample
-    pooled) so single-point scheduler noise cannot flip the verdict; the
-    per-point curve stays in the record for inspection.
-    """
-    multi = [row for row in scaling_record["scaling"] if row["n_workers"] >= 2]
-    assert multi, "no multi-worker scaling points measured"
-    shm_total = sum(row["shm_s"] for row in multi)
-    pickle_total = sum(row["pickle_s"] for row in multi)
-    assert shm_total < pickle_total, (
-        f"shm dispatch regressed: {shm_total:.4f}s vs pickle {pickle_total:.4f}s "
-        f"aggregated over {len(multi)} multi-worker point(s)"
-    )
-    assert scaling_record["checks"]["shm_beats_pickle_multiworker"]
-
-
-def test_pooled_run_many_beats_cold_start_pools(scaling_record):
-    """One persistent pool across a batch must beat a fresh pool per file."""
-    reuse = scaling_record["pool_reuse"]
-    assert reuse["pooled_s"] < reuse["cold_start_s"], (
-        f"pool reuse regressed: pooled {reuse['pooled_s']:.4f}s vs "
-        f"cold-start {reuse['cold_start_s']:.4f}s over {reuse['n_files']} files"
-    )
-    assert reuse["pooled_pool_spawns"] == 1  # the whole batch shares one pool
-    assert scaling_record["checks"]["pooled_run_many_beats_cold_start"]
-
-
-def test_dispatch_modes_identical_results(scaling_record):
-    """The dispatch modes trade speed only: results stay bitwise identical."""
-    from repro.synthetic.workloads import make_benchmark_workload
-
-    workload = make_benchmark_workload("0.5MB", seed=3)
-    config = ReconstructionConfig(
-        grid=workload.grid, backend="multiprocess", n_workers=2
-    )
-    from repro.core.backends.multiprocess import MultiprocessExecutor
-    from repro.core.engine import StackChunkSource, execute
-
-    shm_result, _ = execute(
-        StackChunkSource(workload.stack), config, MultiprocessExecutor(dispatch="shm")
-    )
-    pickle_result, _ = execute(
-        StackChunkSource(workload.stack), config, MultiprocessExecutor(dispatch="pickle")
-    )
-    assert np.array_equal(shm_result.data, pickle_result.data)
-    shutdown_shared_pool()
-
-
-def test_parallel_scaling_report(scaling_record):
-    print(collector.report([
-        "",
-        "shm/pickle compare dispatch cost on a warm pool (1 worker runs in-process);",
-        "batch compares one persistent pool against a cold pool per file.",
-    ]))
 
 
 # --------------------------------------------------------------------------- #
@@ -157,7 +64,7 @@ def test_executor_gate_honest(executor_record):
     gate = executor_record["gate"]
     if executor_record["checks"]["two_x_at_4_workers"]:
         assert gate["speedup"] >= SCALING_GATE_SPEEDUP
-        assert executor_record["default_executor"] in ("threads", "processes")
+        assert executor_record["default_executor"] == "threads"
     else:
         assert executor_record["default_executor"] == "serial"
         reason = executor_record["serial_fallback_reason"]
@@ -181,7 +88,6 @@ def test_matrix_covers_all_executors(executor_record):
     assert ("serial", 1) in cells
     for n in (1, 2, 4):
         assert ("threads", n) in cells
-        assert ("processes", n) in cells
     for row in executor_record["matrix"]:
         assert row["iqr_s"] >= 0.0
         assert len(row["samples_s"]) == executor_record["repeats"]
@@ -210,6 +116,6 @@ def test_threaded_executor_smoke(executor_record):
 def test_executor_scaling_report(executor_record):
     print(executor_collector.report([
         "",
-        "serial is the 1-worker engine loop; threads/processes run the same",
-        "fused kernel behind the executor-strategy dispatch (BLAS pinned to 1).",
+        "serial is the 1-worker engine loop; threads runs the same fused",
+        "kernel behind the executor-strategy dispatch (BLAS pinned to 1).",
     ]))

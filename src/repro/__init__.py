@@ -63,14 +63,11 @@ from repro.core import (
     backends,
     load,
     open,
-    pool,
     register_backend,
     register_op,
     session,
-    shutdown_shared_pool,
     unregister_backend,
     unregister_op,
-    WorkerPool,
 )
 
 # imported from the ops module directly (not via repro.core) so the
@@ -122,9 +119,6 @@ __all__ = [
     "BatchRunResult",
     "ResultCache",
     "CacheStats",
-    "pool",
-    "WorkerPool",
-    "shutdown_shared_pool",
     "load",
     "analysis",
     "AnalysisPipeline",

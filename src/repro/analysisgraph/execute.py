@@ -16,9 +16,9 @@ node value is memoized per ``(run key, node signature)``: re-running after a
 one-node parameter change recomputes only that node's dirty subgraph, and a
 one-file batch change recomputes only that file's nodes plus the reduces.
 
-``executor="processes"`` is deliberately unsupported: node values are
+The executor is ``"serial"``, ``"threads"`` or ``"auto"``: node values are
 in-process Python objects and the ops are NumPy-bound (they release the GIL),
-so threads are the honest strategy here.
+so the shared thread pool is the parallel strategy.
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ def _resolve_executor(
         mode = "threads" if width > 1 else "serial"
     if mode not in ("serial", "threads"):
         raise ValidationError(
-            f"analysis graphs execute with 'serial', 'threads' or 'auto', got "
-            f"{executor!r} (process executors cannot ship in-process node values)"
+            f"analysis graphs execute with 'serial', 'threads' or 'auto', got {executor!r}"
         )
     if mode == "serial":
         return "serial", 1

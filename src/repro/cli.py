@@ -32,14 +32,13 @@ Ten small tools mirror the original workflow:
 ``repro-benchmark``
     Run the paper's figure sweeps from the command line.
 ``repro-bench``
-    Run the host-parallelism scaling suite (worker-count curve, shm vs
-    pickle dispatch, pool reuse vs cold start) and write the
-    ``BENCH_<issue>.json`` perf-trajectory artifact.
+    Run the executor-scaling suite (fused kernel, serial vs threads at each
+    worker count) and write the ``BENCH_6.json`` perf-trajectory artifact.
 ``repro-serve``
     Run the reconstruction service: an asyncio HTTP daemon with a bounded
     fair priority queue, cache-first admission (single-flight collapsed),
-    per-job timeouts/retries, graceful SIGTERM drain and a ``/metrics``
-    endpoint.  See the README's *Serving* section.
+    per-job timeouts, graceful SIGTERM drain and a ``/metrics`` endpoint.
+    See the README's *Serving* section.
 ``repro-lint``
     Run the project-invariant static analysis (registry contracts, async
     purity, resource lifecycles, kernel determinism, type discipline, the
@@ -54,10 +53,11 @@ door, so the CLI exercises exactly the code path library users get.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -66,7 +66,9 @@ from repro.core.depth_grid import DepthGrid
 from repro.core.registry import available_backends, backends
 from repro.core.session import session
 from repro.geometry.wire import WireEdge
+from repro.io.h5lite import H5LiteError
 from repro.utils.logging import configure as configure_logging
+from repro.utils.validation import ValidationError
 
 __all__ = [
     "main_generate",
@@ -124,7 +126,27 @@ def _config_from_args(args: argparse.Namespace) -> ReconstructionConfig:
     )
 
 
+def _one_line_errors(main: Callable[..., int]) -> Callable[..., int]:
+    """Report the library's typed user errors as one line and exit code 2.
+
+    ``H5LiteError`` (a missing or malformed file) and ``ValidationError`` (a
+    bad argument) are the caller's to fix, so they print as ``error: …`` on
+    stderr — like argparse's own usage errors — instead of a traceback.
+    """
+
+    @functools.wraps(main)
+    def wrapper(argv: Optional[Sequence[str]] = None) -> int:
+        try:
+            return main(argv)
+        except (H5LiteError, ValidationError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+    return wrapper
+
+
 # --------------------------------------------------------------------------- #
+@_one_line_errors
 def main_generate(argv: Optional[Sequence[str]] = None) -> int:
     """Generate a synthetic wire-scan data set."""
     parser = argparse.ArgumentParser(
@@ -172,6 +194,7 @@ def main_generate(argv: Optional[Sequence[str]] = None) -> int:
 
 
 # --------------------------------------------------------------------------- #
+@_one_line_errors
 def main_reconstruct(argv: Optional[Sequence[str]] = None) -> int:
     """Reconstruct a wire-scan file."""
     parser = argparse.ArgumentParser(
@@ -209,6 +232,7 @@ def main_reconstruct(argv: Optional[Sequence[str]] = None) -> int:
 
 
 # --------------------------------------------------------------------------- #
+@_one_line_errors
 def main_batch(argv: Optional[Sequence[str]] = None) -> int:
     """Reconstruct a batch of wire-scan files on a worker pool."""
     parser = argparse.ArgumentParser(
@@ -240,6 +264,7 @@ def main_batch(argv: Optional[Sequence[str]] = None) -> int:
 
 
 # --------------------------------------------------------------------------- #
+@_one_line_errors
 def main_backends(argv: Optional[Sequence[str]] = None) -> int:
     """Introspect the backend registry."""
     parser = argparse.ArgumentParser(
@@ -313,6 +338,7 @@ def _analyze_inputs(input_token: str):
     return [input_token], False
 
 
+@_one_line_errors
 def main_analyze(argv: Optional[Sequence[str]] = None) -> int:
     """Apply analysis ops (or a DAG graph) to saved depth-resolved run files."""
     parser = argparse.ArgumentParser(
@@ -361,7 +387,6 @@ def main_analyze(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.as_graph:
         from repro.analysisgraph import graph as build_graph
-        from repro.utils.validation import ValidationError
 
         try:
             analyzer = build_graph(*[_parse_node_spec(token) for token in args.ops])
@@ -425,6 +450,7 @@ def _format_cache_stats(stats: dict) -> str:
     return "\n".join(lines)
 
 
+@_one_line_errors
 def main_cache(argv: Optional[Sequence[str]] = None) -> int:
     """Administer the content-addressed result cache."""
     parser = argparse.ArgumentParser(
@@ -504,6 +530,7 @@ def main_cache(argv: Optional[Sequence[str]] = None) -> int:
 
 
 # --------------------------------------------------------------------------- #
+@_one_line_errors
 def main_benchmark(argv: Optional[Sequence[str]] = None) -> int:
     """Run the paper's figure sweeps."""
     parser = argparse.ArgumentParser(
@@ -568,19 +595,15 @@ def main_benchmark(argv: Optional[Sequence[str]] = None) -> int:
 
 
 # --------------------------------------------------------------------------- #
+@_one_line_errors
 def main_bench(argv: Optional[Sequence[str]] = None) -> int:
-    """Run the parallel-scaling suites and emit the BENCH_<issue>.json artifacts."""
+    """Run the executor-scaling suite and emit the BENCH_6.json artifact."""
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="Measure host-parallel scaling and write the BENCH_*.json "
-                    "artifacts.  --suite dispatch covers worker counts, shm vs "
-                    "pickle dispatch and pool reuse (BENCH_4); --suite executors "
-                    "covers the fused kernel and the serial/threads/processes "
-                    "matrix with the 2x-at-4-workers gate (BENCH_6).",
+        description="Measure host-parallel scaling and write the BENCH_6.json "
+                    "artifact: the fused kernel and the serial/threads matrix "
+                    "with the 2x-at-4-workers gate.",
     )
-    parser.add_argument("--suite", choices=("dispatch", "executors", "all"),
-                        default="executors",
-                        help="which measurement suite to run (default: executors)")
     parser.add_argument("--size-label", default=None,
                         help="workload size label, e.g. '24MB' or '2.1G' "
                              "(default: the medium synthetic workload)")
@@ -588,14 +611,11 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
                         help="comma-separated worker counts for the scaling curve")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats per point")
-    parser.add_argument("--files", type=int, default=3,
-                        help="files in the pool-reuse measurement (dispatch suite)")
     parser.add_argument("--pixel-fraction", type=float, default=None,
                         help="active-pixel fraction of the workload (default 0.25)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("-o", "--output", default=None,
-                        help="artifact path (default: BENCH_<issue>.json in the "
-                             "current directory; ignored with --suite all)")
+                        help="artifact path (default: BENCH_6.json in the current directory)")
     parser.add_argument("--strict", action="store_true",
                         help="exit non-zero when a perf check fails")
     args = parser.parse_args(argv)
@@ -605,9 +625,7 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
         DEFAULT_PIXEL_FRACTION,
         DEFAULT_SIZE_LABEL,
         format_executor_report,
-        format_parallel_report,
         run_executor_scaling,
-        run_parallel_scaling,
         write_bench_record,
     )
 
@@ -617,55 +635,33 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"invalid --workers {args.workers!r}; expected e.g. '1,2,4'")
     if not workers:
         parser.error("--workers must name at least one worker count")
-    if args.output is not None and args.suite == "all":
-        parser.error("--output cannot name a single file with --suite all")
 
-    size_label = args.size_label or DEFAULT_SIZE_LABEL
-    pixel_fraction = (
-        DEFAULT_PIXEL_FRACTION if args.pixel_fraction is None else args.pixel_fraction
+    record = run_executor_scaling(
+        size_label=args.size_label or DEFAULT_SIZE_LABEL,
+        workers=workers,
+        repeats=args.repeats,
+        pixel_fraction=(
+            DEFAULT_PIXEL_FRACTION if args.pixel_fraction is None else args.pixel_fraction
+        ),
+        seed=args.seed,
     )
-
-    records = []
-    if args.suite in ("dispatch", "all"):
-        record = run_parallel_scaling(
-            size_label=size_label,
-            workers=workers,
-            repeats=args.repeats,
-            n_files=args.files,
-            pixel_fraction=pixel_fraction,
-            seed=args.seed,
-        )
-        path = write_bench_record(record, args.output)
-        print(format_parallel_report(record))
-        print(f"wrote {path}")
-        records.append(record)
-    if args.suite in ("executors", "all"):
-        record = run_executor_scaling(
-            size_label=size_label,
-            workers=workers,
-            repeats=args.repeats,
-            pixel_fraction=pixel_fraction,
-            seed=args.seed,
-        )
-        path = write_bench_record(record, args.output)
-        print(format_executor_report(record))
-        print(f"wrote {path}")
-        records.append(record)
+    path = write_bench_record(record, args.output)
+    print(format_executor_report(record))
+    print(f"wrote {path}")
 
     if args.strict:
-        for record in records:
-            checks = dict(record["checks"])
-            # the 2x gate is a measurement, not a defect: an honest serial
-            # fallback (reason recorded) is a passing outcome for --strict
-            if record["benchmark"] == "executor_scaling" and not checks["two_x_at_4_workers"]:
-                if checks["fallback_reason_recorded"]:
-                    checks.pop("two_x_at_4_workers")
-            if not all(checks.values()):
-                return 1
+        checks = dict(record["checks"])
+        # the 2x gate is a measurement, not a defect: an honest serial
+        # fallback (reason recorded) is a passing outcome for --strict
+        if not checks["two_x_at_4_workers"] and checks["fallback_reason_recorded"]:
+            checks.pop("two_x_at_4_workers")
+        if not all(checks.values()):
+            return 1
     return 0
 
 
 # --------------------------------------------------------------------------- #
+@_one_line_errors
 def main_serve(argv: Optional[Sequence[str]] = None) -> int:
     """Run the reconstruction-serving daemon."""
     parser = argparse.ArgumentParser(
@@ -687,8 +683,6 @@ def main_serve(argv: Optional[Sequence[str]] = None) -> int:
                              "get 429 + Retry-After")
     parser.add_argument("--job-timeout", type=float, default=300.0, metavar="SECONDS",
                         help="default per-job wall-clock budget")
-    parser.add_argument("--retries", type=int, default=1,
-                        help="re-runs granted when a worker dies mid-job")
     parser.add_argument("--drain-timeout", type=float, default=30.0, metavar="SECONDS",
                         help="budget for finishing work after SIGTERM")
     parser.add_argument("--retry-after", type=float, default=1.0, metavar="SECONDS",
@@ -702,7 +696,6 @@ def main_serve(argv: Optional[Sequence[str]] = None) -> int:
     configure_logging()
 
     from repro.serve.app import ServeSettings, default_workers, run_server
-    from repro.utils.validation import ValidationError
 
     cache: object = True
     if args.no_cache:
@@ -716,7 +709,6 @@ def main_serve(argv: Optional[Sequence[str]] = None) -> int:
             workers=args.workers if args.workers is not None else default_workers(),
             queue_depth=args.queue_depth,
             job_timeout_s=args.job_timeout,
-            max_retries=args.retries,
             drain_timeout_s=args.drain_timeout,
             retry_after_s=args.retry_after,
             cache=cache,

@@ -64,13 +64,6 @@ from repro.core.cache import (
 )
 from repro.core.source import BatchSource, FileSource, Source, StackSource, open
 from repro.core.session import BatchRunResult, RunResult, Session, load, session
-from repro.core.workerpool import (
-    SlabArena,
-    WorkerPool,
-    pool,
-    shared_pool,
-    shutdown_shared_pool,
-)
 from repro.core.reconstruction import DepthReconstructor
 from repro.core.analysis import (
     find_profile_peaks,
@@ -144,11 +137,6 @@ __all__ = [
     "BatchRunResult",
     "session",
     "load",
-    "WorkerPool",
-    "SlabArena",
-    "pool",
-    "shared_pool",
-    "shutdown_shared_pool",
     "find_profile_peaks",
     "detect_grain_boundaries",
     "depth_resolution_estimate",

@@ -1,17 +1,15 @@
 """Execution backends for the depth reconstruction.
 
-Five backends implement the same reconstruction with different execution
+Four backends implement the same reconstruction with different execution
 strategies:
 
 * ``cpu_reference`` — the scalar per-element loop (the paper's original CPU
   program);
 * ``vectorized`` — NumPy data-parallel execution on the host (its executor
-  strategy — serial, threads or processes — is selected by
-  ``config.executor``);
+  strategy — serial or threads — is selected by ``config.executor``);
 * ``gpusim`` — the CUDA-style design of the paper on the simulated device:
   row-chunk streaming, explicit host↔device transfers, grid/block kernel
   launches and atomic accumulation;
-* ``multiprocess`` — detector rows partitioned across a process pool;
 * ``threaded`` — detector row bands on a shared GIL-releasing thread pool.
 
 All backends must produce numerically identical results (the test-suite
@@ -26,7 +24,6 @@ from repro.core.backends.base import Backend, available_backends, get_backend, r
 from repro.core.backends.cpu_reference import CpuReferenceBackend, CpuReferenceExecutor
 from repro.core.backends.vectorized import VectorizedBackend, VectorizedExecutor
 from repro.core.backends.gpusim import GpuSimBackend, GpuSimExecutor
-from repro.core.backends.multiprocess import MultiprocessBackend, MultiprocessExecutor
 from repro.core.backends.threaded import ThreadedBackend, ThreadedExecutor
 
 __all__ = [
@@ -40,8 +37,6 @@ __all__ = [
     "VectorizedExecutor",
     "GpuSimBackend",
     "GpuSimExecutor",
-    "MultiprocessBackend",
-    "MultiprocessExecutor",
     "ThreadedBackend",
     "ThreadedExecutor",
 ]

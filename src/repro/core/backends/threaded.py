@@ -2,12 +2,13 @@
 
 The fused kernel (:func:`~repro.core.kernels.depth_resolve_chunk_fused`)
 spends its time inside NumPy ufunc loops, which release the GIL.  That makes
-plain threads a viable parallel substrate for the vectorised compute — with
-none of the taxes the process pool pays: no fork, no pickling, no
-shared-memory leases or slab copies.  Each worker thread reconstructs a
-contiguous band of detector rows directly from views of the chunk slab and
-writes its partial cube into memory the engine merges at a disjoint row
-offset, so dispatch cost is a ``submit()`` call and nothing else.
+plain threads the parallel substrate for the vectorised compute: no fork, no
+pickling, no shared-memory leases or slab copies.  Each worker thread
+reconstructs a contiguous band of detector rows directly from views of the
+chunk slab and writes its partial cube into memory the engine merges at a
+disjoint row offset, so dispatch cost is a ``submit()`` call and nothing
+else.  Depth reconstruction is embarrassingly parallel across rows because
+every (pixel, step) element writes only to its own pixel's depth profile.
 
 Band granularity comes from :func:`~repro.core.chunking.plan_worker_bands`:
 one near-equal band per worker, coarsened so every dispatch carries at least
@@ -16,12 +17,12 @@ the per-dispatch bookkeeping (Python-level, GIL-holding) rival the kernel
 time and bend the scaling curve back down.
 
 The pool is the persistent :func:`~repro.core.workerpool.shared_thread_pool`,
-reused across runs and files like the process pool; thread start-up is cheap
-but not free, and a long batch should not pay it per run.
+reused across runs and files; thread start-up is cheap but not free, and a
+long batch should not pay it per run.
 
-Like the multiprocess executor, a bounded number of bands is kept in flight
-so a streamed out-of-core run holds at most ``max_inflight`` band slabs in
-host memory regardless of how many chunks the plan has.
+A bounded number of bands is kept in flight so a streamed out-of-core run
+holds at most ``max_inflight`` band slabs in host memory regardless of how
+many chunks the plan has.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ The chunk loop, accounting and reporting live in the shared engine; this
 module only supplies the vectorised per-chunk compute.  The per-chunk kernel
 is the fused single-pass form (:func:`depth_resolve_chunk_fused`), bitwise
 identical to the scalar reference; ``config.executor`` selects where it runs
-(serial / threads / processes) via :func:`make_strategy_executor`.
+(serial / threads) via :func:`make_strategy_executor`.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional, Union
 
@@ -18,10 +19,18 @@ AUTO = "auto"
 #: Executor strategies for the host-parallel hot path: how the vectorised
 #: compute is dispatched.  ``serial`` runs in the calling thread; ``threads``
 #: fans row bands out to the shared thread pool (the fused kernels release
-#: the GIL inside their ufunc loops); ``processes`` uses the persistent
-#: process pool with shared-memory dispatch; ``auto`` lets the auto-tuner
-#: pick from a cached throughput probe.
-EXECUTOR_CHOICES = ("serial", "threads", "processes", AUTO)
+#: the GIL inside their ufunc loops); ``auto`` lets the auto-tuner pick from
+#: a cached throughput probe.
+EXECUTOR_CHOICES = ("serial", "threads", AUTO)
+
+#: Retired names still accepted, per field: ``{field: {old: current}}``.
+#: Saved provenance records, cache entries and serve submissions all rebuild
+#: configs through the constructor, so mapping here (with a warning) keeps
+#: records that name a retired backend or executor loadable.
+_RETIRED_NAMES = {
+    "backend": {"multiprocess": "threaded"},
+    "executor": {"processes": "threads"},
+}
 
 
 class DifferenceMode(enum.Enum):
@@ -61,7 +70,8 @@ class ReconstructionConfig:
         what the paper's "pixel percentage" experiments vary.
     backend:
         Execution backend name (``cpu_reference``, ``vectorized``,
-        ``gpusim``, ``multiprocess``).
+        ``gpusim``, ``threaded``).  The retired ``multiprocess`` resolves
+        to ``threaded`` with a :class:`DeprecationWarning`.
     layout:
         Device array layout for the gpusim backend (``flat1d`` or
         ``pointer3d``) — the Fig. 4 design choice.
@@ -73,16 +83,16 @@ class ReconstructionConfig:
         Optional override (bytes) of the simulated device memory, used to
         scale the 6 GB constraint down to laptop-sized problems.
     n_workers:
-        Worker count for the multiprocess/threaded backends and the
-        ``threads``/``processes`` executor strategies.  The string
-        ``"auto"`` asks the auto-tuner for a calibrated count (resolved by
-        the session before execution).
+        Worker count for the threaded backend and the ``threads`` executor
+        strategy.  The string ``"auto"`` asks the auto-tuner for a
+        calibrated count (resolved by the session before execution).
     executor:
         Executor strategy for the vectorized backend's hot path: one of
         ``serial`` (in the calling thread, the default), ``threads`` (row
-        bands on the shared GIL-releasing thread pool), ``processes``
-        (the persistent process pool) or ``auto`` (pick from the cached
-        throughput probe of :mod:`repro.perf.autotune`).
+        bands on the shared GIL-releasing thread pool) or ``auto`` (pick
+        from the cached throughput probe of :mod:`repro.perf.autotune`).
+        The retired ``processes`` resolves to ``threads`` with a
+        :class:`DeprecationWarning`.
     subtract_background:
         If true, a constant per-image background (the median of the whole
         image) is subtracted before distribution.  The levels are computed
@@ -109,6 +119,15 @@ class ReconstructionConfig:
     streaming: bool = False
 
     def __post_init__(self):
+        for name, renames in _RETIRED_NAMES.items():
+            old = getattr(self, name)
+            if isinstance(old, str) and old in renames:
+                warnings.warn(
+                    f"{name}={old!r} is retired; using {renames[old]!r}",
+                    DeprecationWarning,
+                    stacklevel=3,
+                )
+                object.__setattr__(self, name, renames[old])
         if not isinstance(self.grid, DepthGrid):
             raise ValidationError("grid must be a DepthGrid instance")
         if not isinstance(self.wire_edge, WireEdge):

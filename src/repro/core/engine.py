@@ -23,8 +23,8 @@ the full histogram.  This module extracts that loop into one place:
     per-run setup/teardown, and the per-chunk compute that turns a
     :class:`~repro.core.kernels.KernelContext` into a partial
     ``(n_bins, chunk_rows, n_cols)`` cube.  Executors may complete chunks
-    asynchronously (the multiprocess executor keeps a bounded number of
-    chunks in flight) by yielding finished partials whenever they are ready
+    asynchronously (the threaded executor keeps a bounded number of row
+    bands in flight) by yielding finished partials whenever they are ready
     and draining the rest at the end.
 
 ``execute``
@@ -330,9 +330,8 @@ def make_strategy_executor(config: ReconstructionConfig) -> "ChunkExecutor":
     The executor-strategy axis is orthogonal to the backend axis: a backend
     defines *what* the per-chunk compute is, the strategy defines *where* it
     runs — ``serial`` in the calling thread, ``threads`` on the shared
-    GIL-releasing thread pool, ``processes`` on the persistent process pool.
-    The vectorized backend routes through here so ``config.executor``
-    selects among them without changing backends.
+    GIL-releasing thread pool.  The vectorized backend routes through here
+    so ``config.executor`` selects between them without changing backends.
 
     An unresolved ``auto`` falls back to serial: the session resolves
     ``auto`` against the tuner cache *before* execution, so seeing it here
@@ -344,10 +343,6 @@ def make_strategy_executor(config: ReconstructionConfig) -> "ChunkExecutor":
         from repro.core.backends.threaded import ThreadedExecutor
 
         return ThreadedExecutor()
-    if config.executor == "processes":
-        from repro.core.backends.multiprocess import MultiprocessExecutor
-
-        return MultiprocessExecutor()
     from repro.core.backends.vectorized import VectorizedExecutor
 
     return VectorizedExecutor()

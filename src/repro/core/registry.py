@@ -69,7 +69,7 @@ class BackendInfo:
         :class:`~repro.core.engine.ChunkSource` (all built-ins can — they
         route through the shared engine).
     needs_workers:
-        The backend spawns worker processes and honours
+        The backend runs on the shared worker thread pool and honours
         ``config.n_workers``.
     description:
         One-line human description for the ``repro-backends`` CLI.

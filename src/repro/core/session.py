@@ -761,10 +761,11 @@ class Session:
             glob, a directory, or a single source (a batch of one).
         max_workers:
             Concurrent reconstructions.  Thread-based: NumPy kernels and file
-            I/O release the GIL for long stretches, and the multiprocess
-            backend adds cross-process parallelism through the persistent
-            :func:`repro.pool` worker pool, which every item reuses — a
-            batch pays process-pool start-up once, not once per file.
+            I/O release the GIL for long stretches, and the threaded
+            backend's row bands run on the persistent
+            :func:`~repro.core.workerpool.shared_thread_pool`, which every
+            item reuses — a batch pays pool start-up once, not once per
+            file.
         output_dir:
             When given, each item's depth-resolved result is written to
             ``<output_dir>/<stem>_depth.h5lite`` (the directory is created).

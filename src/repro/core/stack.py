@@ -155,8 +155,7 @@ class WireScanStack:
     def row_slice(self, start: int, stop: int) -> "WireScanStack":
         """Return a stack restricted to detector rows ``start:stop``.
 
-        Used by the row-chunk streaming backends and by the multiprocessing
-        backend to partition work.
+        Used by the row-chunk streaming backends to partition work.
         """
         if not (0 <= start < stop <= self.n_rows):
             raise ValidationError(f"invalid row slice [{start}, {stop}) for {self.n_rows} rows")

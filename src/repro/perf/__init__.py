@@ -13,10 +13,9 @@ The benchmark harness is built from three layers:
 * :mod:`repro.perf.modelruns` — evaluates the analytic device/host models at
   the paper's full data-set sizes so measured laptop-scale trends can be put
   side by side with paper-scale predictions;
-* :mod:`repro.perf.parallel` — the host-parallelism scaling suites
-  (worker-count curve, shm vs pickle dispatch, pool reuse, and the
+* :mod:`repro.perf.parallel` — the executor-scaling suite (the
   executor-strategy matrix with the fused-kernel comparison) behind the
-  ``repro-bench`` CLI and the ``BENCH_*.json`` perf-trajectory artifacts;
+  ``repro-bench`` CLI and the ``BENCH_6.json`` perf-trajectory artifact;
 * :mod:`repro.perf.autotune` — the throughput microprobe that calibrates
   executor strategy and worker count per (machine, workload shape), cached
   in the result-cache root and surfaced as ``Session.configure(workers="auto")``.
@@ -27,13 +26,7 @@ from repro.perf.sweep import SweepRecord, run_backend_sweep
 from repro.perf.metrics import speedup, time_ratio, summarize_ratio_range
 from repro.perf.reporting import format_series_table, format_figure_report
 from repro.perf.modelruns import paper_scale_prediction, predict_figure8, predict_figure9
-from repro.perf.parallel import (
-    format_executor_report,
-    format_parallel_report,
-    run_executor_scaling,
-    run_parallel_scaling,
-    write_bench_record,
-)
+from repro.perf.parallel import format_executor_report, run_executor_scaling, write_bench_record
 from repro.perf.autotune import TuningDecision, resolve_auto_config, run_throughput_probe, tune
 
 __all__ = [
@@ -50,10 +43,8 @@ __all__ = [
     "paper_scale_prediction",
     "predict_figure8",
     "predict_figure9",
-    "run_parallel_scaling",
     "run_executor_scaling",
     "write_bench_record",
-    "format_parallel_report",
     "format_executor_report",
     "TuningDecision",
     "tune",

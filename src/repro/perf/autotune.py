@@ -2,8 +2,8 @@
 
 ``Session.configure(workers="auto")`` (or ``executor="auto"``) needs a
 worker count and an executor strategy that actually help on *this* machine —
-BENCH_4 showed that guessing wrong makes parallelism a slowdown.  Instead of
-guessing, the tuner runs a small throughput microprobe on first use:
+guessing wrong makes parallelism a slowdown.  Instead of guessing, the tuner
+runs a small throughput microprobe on first use:
 
 1. reconstruct a synthetic point-source chunk serially with the fused
    kernel, establishing the single-thread element throughput;

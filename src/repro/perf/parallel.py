@@ -1,68 +1,43 @@
-"""Parallel-scaling measurement harness (the ``BENCH_*.json`` emitter).
+"""Executor-scaling measurement harness (the ``BENCH_6.json`` emitter).
 
-Three questions about the host-parallel layer, answered with wall-clock
+Two questions about the host-parallel layer, answered with wall-clock
 measurements on a synthetic workload:
 
-* **worker-count scaling** — how reconstruction time moves with
-  ``n_workers`` (on a single-core machine the curve is flat-to-rising; the
-  interesting signal there is the dispatch overhead, below);
-* **shm vs pickle dispatch** — zero-copy shared-memory slabs against the
-  legacy deep-copy-and-pickle path, measured per worker count on a warm
-  pool, so the difference is pure dispatch cost;
-* **pool reuse vs cold start** — a pooled ``run_many`` over several files
-  against the old lifecycle of spawning (and tearing down) a process pool
-  per file.
+* **fused kernel** — the single-pass fused kernel against the two-pass
+  unfused baseline on the same chunk context;
+* **executor scaling** — a serial / threads × worker-count matrix (median +
+  IQR) with the honesty gate for recommending a parallel default.
 
-:func:`run_parallel_scaling` produces one JSON-safe record;
+:func:`run_executor_scaling` produces one JSON-safe record;
 :func:`write_bench_record` persists it as ``BENCH_<issue>.json`` — the
 repository's perf-trajectory artifact, regenerated by ``repro-bench`` and
-the CI parallel-scaling smoke job.  The record's ``checks`` block carries
-the two pass/fail gates (shm beats pickle on multi-worker runs; pooled
-beats cold start).
+the CI parallel-scaling smoke job.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.backends.multiprocess import MultiprocessExecutor
 from repro.core.config import ReconstructionConfig
 from repro.core.engine import StackChunkSource, execute, make_strategy_executor
-from repro.core.workerpool import (
-    pin_blas_threads,
-    pool,
-    shared_pool,
-    shutdown_shared_pool,
-    shutdown_shared_thread_pool,
-)
-from repro.perf.timer import time_callable, time_stats
+from repro.core.workerpool import pin_blas_threads, shutdown_shared_thread_pool
+from repro.perf.timer import time_stats
 from repro.utils.logging import get_logger
 from repro.utils.version import package_version
 
 __all__ = [
-    "BENCH_ISSUE",
     "EXECUTOR_BENCH_ISSUE",
-    "DEFAULT_BENCH_FILENAME",
     "EXECUTOR_BENCH_FILENAME",
     "SCALING_GATE_SPEEDUP",
-    "run_parallel_scaling",
     "run_executor_scaling",
     "write_bench_record",
-    "format_parallel_report",
     "format_executor_report",
 ]
 
 _LOG = get_logger(__name__)
-
-#: Issue number this benchmark's artifact belongs to (BENCH_<issue>.json).
-BENCH_ISSUE = 4
-
-#: Default artifact file name.
-DEFAULT_BENCH_FILENAME = f"BENCH_{BENCH_ISSUE}.json"
 
 #: Issue number of the executor-scaling artifact (fused kernels + executor
 #: strategies + auto-tuning).
@@ -77,205 +52,15 @@ EXECUTOR_BENCH_FILENAME = f"BENCH_{EXECUTOR_BENCH_ISSUE}.json"
 #: and the artifact records why.
 SCALING_GATE_SPEEDUP = 2.0
 
-#: The "medium" synthetic workload: large enough that cube-sized pickling is
-#: clearly measurable, small enough for CI (≈ 24 MB image cube).
+#: The "medium" synthetic workload: large enough that per-dispatch overhead
+#: is small next to the kernel, small enough for CI (≈ 24 MB image cube).
 DEFAULT_SIZE_LABEL = "24MB"
 
 #: Default active-pixel fraction (the paper's Fig. 9 knob).  Dispatch cost
 #: scales with *bytes* while kernel cost scales with *active elements*;
 #: 25 % active pixels keeps the kernel realistic without letting compute
-#: noise drown the dispatch signal this suite exists to measure.
+#: noise drown the dispatch signal.
 DEFAULT_PIXEL_FRACTION = 0.25
-
-#: Per-file workload of the pool-reuse measurement.  Pool start-up is a
-#: constant per file, so modest files keep the lifecycle signal visible —
-#: with huge files the same absolute saving would disappear into kernel
-#: time and scheduler noise.
-DEFAULT_POOL_FILE_SIZE_LABEL = "6MB"
-
-
-def _best_of(fn, repeats: int) -> float:
-    """Best (minimum) wall time of *repeats* calls — robust to scheduler noise."""
-    best, _result = time_callable(fn, repeats=max(1, int(repeats)))
-    return best
-
-
-def _run_once(stack, config: ReconstructionConfig, dispatch: str) -> None:
-    """One engine execution with an explicit dispatch mode."""
-    execute(StackChunkSource(stack), config, MultiprocessExecutor(dispatch=dispatch))
-
-
-# --------------------------------------------------------------------------- #
-def measure_dispatch_scaling(
-    workload,
-    workers: Sequence[int] = (1, 2, 4),
-    repeats: int = 3,
-) -> List[Dict]:
-    """Best-of-*repeats* seconds per (worker count, dispatch mode), warm pool.
-
-    The pool is pre-warmed before each worker count so process start-up never
-    pollutes the dispatch comparison, both dispatch paths get a discarded
-    warm-up run, and the timed repeats *alternate* between the modes so any
-    machine-load drift lands on both sides equally.  ``n_workers == 1`` runs
-    in-process and reports the same time under both labels (no dispatch
-    happens).
-    """
-    rows: List[Dict] = []
-    for n_workers in workers:
-        config = ReconstructionConfig(
-            grid=workload.grid, backend="multiprocess", n_workers=int(n_workers)
-        )
-        if n_workers > 1:
-            shared_pool(int(n_workers)).warm()
-        _run_once(workload.stack, config, "shm")  # warm caches and code paths
-        if n_workers > 1:
-            _run_once(workload.stack, config, "pickle")
-            shm_s, pickle_s = float("inf"), float("inf")
-            for _ in range(max(1, int(repeats))):
-                start = time.perf_counter()
-                _run_once(workload.stack, config, "shm")
-                shm_s = min(shm_s, time.perf_counter() - start)
-                start = time.perf_counter()
-                _run_once(workload.stack, config, "pickle")
-                pickle_s = min(pickle_s, time.perf_counter() - start)
-        else:
-            shm_s = _best_of(lambda: _run_once(workload.stack, config, "shm"), repeats)
-            pickle_s = shm_s
-        rows.append({"n_workers": int(n_workers), "shm_s": shm_s, "pickle_s": pickle_s})
-        _LOG.info(
-            "parallel-scaling: %d worker(s): shm %.4fs, pickle %.4fs",
-            n_workers, shm_s, pickle_s,
-        )
-    shutdown_shared_pool()
-    return rows
-
-
-def measure_pool_reuse(
-    paths: Sequence[str],
-    grid,
-    n_workers: int = 2,
-    batch_workers: Optional[int] = None,
-) -> Dict:
-    """Pooled ``run_many`` against per-file cold-start pools over *paths*.
-
-    The cold side reproduces the old lifecycle exactly: every file spawns a
-    fresh process pool and tears it down afterwards.  The pooled side runs
-    the same files through ``Session.run_many`` inside one ``repro.pool()``
-    block, so every item reuses the same pre-warmed workers.
-    *batch_workers* defaults to ``min(2, cpu_count)``: whole-file overlap
-    only pays where a second core exists; on a single-core machine the
-    pooled side runs the items sequentially and the comparison isolates the
-    pool lifecycle itself.
-    """
-    from repro.core.session import session
-
-    if batch_workers is None:
-        batch_workers = min(2, os.cpu_count() or 1)
-
-    sess = session(grid=grid, backend="multiprocess", n_workers=int(n_workers))
-
-    # discarded warm-up: first-touch costs (file page cache, first-run code
-    # paths) must not inflate whichever side is timed first
-    shutdown_shared_pool()
-    for path in paths:
-        sess.run(path)
-    shutdown_shared_pool()
-
-    start = time.perf_counter()
-    for path in paths:
-        sess.run(path)
-        shutdown_shared_pool()  # the old per-run pool lifecycle
-    cold_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    with pool(int(n_workers)) as worker_pool:
-        sess.run_many(list(paths), max_workers=int(batch_workers))
-        pooled_spawns = worker_pool.n_spawns
-    pooled_s = time.perf_counter() - start
-
-    return {
-        "n_files": len(paths),
-        "file_size_label": DEFAULT_POOL_FILE_SIZE_LABEL,
-        "n_workers": int(n_workers),
-        "batch_workers": int(batch_workers),
-        "cold_start_s": cold_s,
-        "pooled_s": pooled_s,
-        "cold_pool_spawns": len(paths),
-        "pooled_pool_spawns": pooled_spawns,
-    }
-
-
-# --------------------------------------------------------------------------- #
-def run_parallel_scaling(
-    size_label: str = DEFAULT_SIZE_LABEL,
-    workers: Sequence[int] = (1, 2, 4),
-    repeats: int = 3,
-    n_files: int = 3,
-    pixel_fraction: float = DEFAULT_PIXEL_FRACTION,
-    seed: int = 0,
-    work_dir: Optional[str] = None,
-) -> Dict:
-    """Run the full parallel-scaling suite and return the JSON-safe record.
-
-    *size_label* is any :func:`~repro.synthetic.workloads.make_benchmark_workload`
-    label (``"2.1G"`` … or ``"<x>MB"``).  *work_dir* holds the temporary
-    wire-scan files of the pool-reuse measurement (a fresh temporary
-    directory when omitted).
-    """
-    from repro.io.image_stack import save_wire_scan
-    from repro.synthetic.workloads import make_benchmark_workload
-
-    workload = make_benchmark_workload(size_label, pixel_fraction=pixel_fraction, seed=seed)
-    _LOG.info("parallel-scaling workload: %s", workload.describe())
-
-    scaling = measure_dispatch_scaling(workload, workers=workers, repeats=repeats)
-
-    pool_workload = make_benchmark_workload(
-        DEFAULT_POOL_FILE_SIZE_LABEL, pixel_fraction=pixel_fraction, seed=seed
-    )
-
-    def _measure_pool(directory: str) -> Dict:
-        paths = []
-        for index in range(max(1, int(n_files))):
-            path = os.path.join(directory, f"scan_{index}.h5lite")
-            save_wire_scan(path, pool_workload.stack)
-            paths.append(path)
-        return measure_pool_reuse(paths, pool_workload.grid, n_workers=max(2, min(workers)))
-
-    if work_dir is None:
-        with tempfile.TemporaryDirectory(prefix="repro-bench-") as directory:
-            pool_reuse = _measure_pool(directory)
-    else:
-        os.makedirs(work_dir, exist_ok=True)
-        pool_reuse = _measure_pool(work_dir)
-
-    multi = [row for row in scaling if row["n_workers"] >= 2]
-    checks = {
-        # zero-copy dispatch must beat cube pickling where dispatch happens;
-        # gated on the aggregate over the >= 2-worker points so the verdict
-        # pools every timed sample instead of riding single-point noise
-        "shm_beats_pickle_multiworker": bool(multi)
-        and sum(row["shm_s"] for row in multi) < sum(row["pickle_s"] for row in multi),
-        # one persistent pool must beat a cold pool per file
-        "pooled_run_many_beats_cold_start": pool_reuse["pooled_s"] < pool_reuse["cold_start_s"],
-    }
-    return {
-        "benchmark": "parallel_scaling",
-        "issue": BENCH_ISSUE,
-        "repro_version": package_version(),
-        "created_unix": time.time(),
-        "workload": {
-            "size_label": size_label,
-            "shape": list(workload.stack.shape),
-            "nbytes": int(workload.stack.nbytes),
-            "n_depth_bins": int(workload.grid.n_bins),
-            "pixel_fraction": float(pixel_fraction),
-        },
-        "repeats": int(repeats),
-        "scaling": scaling,
-        "pool_reuse": pool_reuse,
-        "checks": checks,
-    }
 
 
 # --------------------------------------------------------------------------- #
@@ -324,15 +109,14 @@ def measure_executor_matrix(
 ) -> List[Dict]:
     """Median+IQR seconds per (executor strategy, worker count), warm pools.
 
-    ``serial`` is the 1-worker baseline; ``threads`` and ``processes`` run the
-    same engine loop at each worker count.  The warm-up iteration inside
+    ``serial`` is the 1-worker baseline; ``threads`` runs the same engine
+    loop at each worker count.  The warm-up iteration inside
     :func:`~repro.perf.timer.time_stats` absorbs pool spawns, so the samples
     measure steady-state dispatch + kernel time.
     """
     source = StackChunkSource(workload.stack)
     cells = [("serial", 1)]
     cells += [("threads", int(n)) for n in workers]
-    cells += [("processes", int(n)) for n in workers]
 
     rows: List[Dict] = []
     for executor_name, n_workers in cells:
@@ -361,7 +145,6 @@ def measure_executor_matrix(
             "executor-scaling: %s x%d: median %.4fs (IQR %.4fs)",
             executor_name, n_workers, stats["median_s"], stats["iqr_s"],
         )
-    shutdown_shared_pool()
     shutdown_shared_thread_pool()
     return rows
 
@@ -401,7 +184,7 @@ def run_executor_scaling(
     with) our own parallelism:
 
     * fused single-pass kernel vs the two-pass unfused baseline;
-    * a serial / threads / processes × worker-count matrix (median + IQR);
+    * a serial / threads × worker-count matrix (median + IQR);
     * the auto-tuner's decision for this (machine, workload) pair.
 
     The ``two_x_at_4_workers`` check is the honesty gate: the recommended
@@ -505,36 +288,13 @@ def format_executor_report(record: Dict) -> str:
 def write_bench_record(record: Dict, path: Optional[str] = None) -> str:
     """Write *record* as the ``BENCH_<issue>.json`` artifact; returns the path.
 
-    The default file name follows the record's own ``issue`` field, so the
-    BENCH_4 and BENCH_6 suites land in their respective artifacts without the
-    caller spelling the name.
+    The default file name follows the record's own ``issue`` field.
     """
     if path is None:
-        path = f"BENCH_{record.get('issue', BENCH_ISSUE)}.json"
+        path = f"BENCH_{record.get('issue', EXECUTOR_BENCH_ISSUE)}.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _LOG.info("wrote %s", path)
     return str(path)
 
-
-def format_parallel_report(record: Dict) -> str:
-    """Render the record as the paper-style series table plus the check lines."""
-    from repro.perf.reporting import format_series_table
-
-    series = {
-        str(row["n_workers"]): {"shm": row["shm_s"], "pickle": row["pickle_s"]}
-        for row in record["scaling"]
-    }
-    reuse = record["pool_reuse"]
-    lines = [
-        f"parallel scaling — workload {record['workload']['size_label']} "
-        f"({record['workload']['nbytes'] / 1e6:.1f} MB cube), best of {record['repeats']}",
-        format_series_table(series, x_label="workers"),
-        f"pool reuse over {reuse['n_files']} file(s): "
-        f"cold-start {reuse['cold_start_s']:.4f}s ({reuse['cold_pool_spawns']} pool spawns) "
-        f"vs pooled run_many {reuse['pooled_s']:.4f}s ({reuse['pooled_pool_spawns']} spawn)",
-    ]
-    for name, passed in record["checks"].items():
-        lines.append(f"check {name}: {'PASS' if passed else 'FAIL'}")
-    return "\n".join(lines)

@@ -1,7 +1,7 @@
 """``repro-serve``: the asyncio HTTP daemon that serves reconstructions.
 
 The library already owns every expensive piece — a persistent
-:class:`~repro.core.workerpool.WorkerPool`, a content-addressed
+:class:`~repro.core.workerpool.ThreadPool`, a content-addressed
 :class:`~repro.core.cache.ResultCache` with bitwise-verified hits, full
 provenance on every run.  This module is the thin long-lived shell that
 turns them into a service:
@@ -23,8 +23,8 @@ turns them into a service:
 * **graceful drain** — SIGTERM/SIGINT flip the daemon into draining mode
   (submissions get 503), in-flight and queued jobs finish inside
   ``drain_timeout_s``, stragglers are failed loudly, and
-  :func:`~repro.core.workerpool.shutdown_all` tears down pools and shared
-  memory idempotently (atexit runs it again, by design).
+  :func:`~repro.core.workerpool.shutdown_all` tears down the shared thread
+  pool idempotently (atexit runs it again, by design).
 
 Endpoints
 ---------
@@ -48,7 +48,7 @@ import os
 import signal
 import threading
 from collections import deque
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -85,8 +85,6 @@ class ServeSettings:
     queue_depth: int = 64
     #: default per-job wall-clock budget (a submission may override)
     job_timeout_s: float = 300.0
-    #: re-runs granted when a worker process dies mid-job
-    max_retries: int = 1
     #: budget for finishing queued + in-flight jobs on SIGTERM
     drain_timeout_s: float = 30.0
     #: Retry-After floor when the queue rejects (seconds)
@@ -103,8 +101,6 @@ class ServeSettings:
             raise ValidationError("queue_depth must be >= 1")
         if float(self.job_timeout_s) <= 0:
             raise ValidationError("job_timeout_s must be positive")
-        if int(self.max_retries) < 0:
-            raise ValidationError("max_retries must be >= 0")
         self.resolved_cache = resolve_cache(self.cache)
 
 
@@ -406,50 +402,36 @@ class ReproServer:
     async def _execute(self, job: Job) -> None:
         loop = asyncio.get_running_loop()
         timeout = job.timeout_s or self.settings.job_timeout_s
-        while True:
-            job.attempts += 1
-            context = contextvars.copy_context()
-            future = loop.run_in_executor(
-                self._compute_executor, context.run, self._compute, job
-            )
-            # asyncio.wait, not wait_for: a thread cannot be preempted, and
-            # wait_for would block on the uncancellable future until the
-            # computation ended anyway.  On timeout the job fails now and the
-            # orphaned computation finishes in the background (its cache
-            # store still lands, so a resubmit becomes a hit).
-            try:
-                done, _pending = await asyncio.wait({future}, timeout=timeout)
-            except asyncio.CancelledError:
-                self._fail_job(job, "server shutting down mid-job")
-                raise
-            if not done:
-                self.metrics.inc("timeouts")
-                future.add_done_callback(_log_orphaned_outcome)
-                self._fail_job(job, f"timed out after {timeout:.1f}s")
-                return
-            try:
-                # the future is in asyncio.wait's done set: result() returns
-                # immediately, it cannot block the loop here
-                outcome = done.pop().result()  # repro-lint: ignore[async-purity]
-            except BrokenExecutor as exc:
-                # a worker process died under the job; the pool respawns
-                # itself, the job gets a bounded number of fresh attempts
-                if job.attempts <= self.settings.max_retries:
-                    self.metrics.inc("retries")
-                    _LOG.warning(
-                        "job %s lost a worker (%s); retry %d/%d",
-                        job.id, type(exc).__name__, job.attempts, self.settings.max_retries,
-                    )
-                    continue
-                self._fail_job(job, f"worker pool broke repeatedly: {exc}")
-                return
-            except asyncio.CancelledError:
-                self._fail_job(job, "server shutting down mid-job")
-                raise
-            except Exception as exc:
-                self._fail_job(job, f"{type(exc).__name__}: {exc}")
-                return
-            break
+        job.attempts += 1
+        context = contextvars.copy_context()
+        future = loop.run_in_executor(
+            self._compute_executor, context.run, self._compute, job
+        )
+        # asyncio.wait, not wait_for: a thread cannot be preempted, and
+        # wait_for would block on the uncancellable future until the
+        # computation ended anyway.  On timeout the job fails now and the
+        # orphaned computation finishes in the background (its cache
+        # store still lands, so a resubmit becomes a hit).
+        try:
+            done, _pending = await asyncio.wait({future}, timeout=timeout)
+        except asyncio.CancelledError:
+            self._fail_job(job, "server shutting down mid-job")
+            raise
+        if not done:
+            self.metrics.inc("timeouts")
+            future.add_done_callback(_log_orphaned_outcome)
+            self._fail_job(job, f"timed out after {timeout:.1f}s")
+            return
+        try:
+            # the future is in asyncio.wait's done set: result() returns
+            # immediately, it cannot block the loop here
+            outcome = done.pop().result()  # repro-lint: ignore[async-purity]
+        except asyncio.CancelledError:
+            self._fail_job(job, "server shutting down mid-job")
+            raise
+        except Exception as exc:
+            self._fail_job(job, f"{type(exc).__name__}: {exc}")
+            return
         self.metrics.inc("computed")
         self._finish_job(job, outcome)
 

@@ -14,8 +14,8 @@ States
   collapsed onto an identical in-flight computation — ``job.served`` records
   which path it took);
 * a queued job may be ``cancelled`` before it starts (running jobs cannot be
-  preempted: reconstructions execute on worker threads/processes and are
-  left to finish; see the README's serving section).
+  preempted: reconstructions execute on worker threads and are left to
+  finish; see the README's serving section).
 
 Everything a client can see is JSON-safe; the heavyweight objects
 (:class:`~repro.core.config.ReconstructionConfig`, the analysis pipeline)

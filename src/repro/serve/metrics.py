@@ -89,13 +89,13 @@ class ServeMetrics:
         jobs completed at admission from the result cache;
     ``collapsed``
         jobs completed by attaching to an identical in-flight computation;
-    ``completed`` / ``failed`` / ``cancelled`` / ``timeouts`` / ``retries``
+    ``completed`` / ``failed`` / ``cancelled`` / ``timeouts``
         terminal accounting; ``completed`` includes hits and collapses.
     """
 
     COUNTERS = (
         "submitted", "rejected", "computed", "cache_hits", "collapsed",
-        "completed", "failed", "cancelled", "timeouts", "retries",
+        "completed", "failed", "cancelled", "timeouts",
     )
 
     def __init__(self, window: int = DEFAULT_WINDOW):

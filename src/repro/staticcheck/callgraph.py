@@ -29,11 +29,12 @@ builds the missing global view:
   ``threading.Thread(target=fn)``.  The ``thread-escape`` rule seeds its
   reachability sweep from these.
 
-The graph serializes to a **byte-deterministic** JSON artifact
-(``callgraph.json`` at the repo root, regenerated with ``repro-lint
---write-callgraph`` and diff-gated in CI): modules are visited in sorted
-path order, every mapping is emitted with sorted keys and every edge list
-is sorted, so two runs over the same tree produce identical bytes.
+The rules build the graph in memory (:func:`graph_for_project`).  It also
+serializes to a **byte-deterministic** JSON artifact (``repro-lint
+--write-callgraph`` writes ``callgraph.json``; CI uploads it for review):
+modules are visited in sorted path order, every mapping is emitted with
+sorted keys and every edge list is sorted, so two runs over the same tree
+produce identical bytes.
 """
 
 from __future__ import annotations

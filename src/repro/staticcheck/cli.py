@@ -6,7 +6,7 @@ Usage patterns::
     repro-lint src --format json          # machine-readable report (CI artifact)
     repro-lint src --snapshot api_snapshot.json   # + public-API drift gate
     repro-lint --write-snapshot           # regenerate api_snapshot.json
-    repro-lint --write-callgraph          # regenerate callgraph.json
+    repro-lint --write-callgraph          # write the call graph to callgraph.json
     repro-lint --list-rules               # the rule table
     repro-lint src --rules async-purity,resource-lifecycle
     repro-lint src --changed-only         # only files git says changed

@@ -1,7 +1,7 @@
 """``lock-discipline``: a class that owns a lock must use it consistently.
 
-The repository's shared-state classes (``ResultCache``, ``WorkerPool``,
-``ThreadPool``, ``SlabArena``, ``LatencySeries`` ...) all follow one
+The repository's shared-state classes (``ResultCache``, ``ThreadPool``,
+``ServeMetrics``, ``LatencySeries`` ...) all follow one
 convention: a ``threading.Lock``/``RLock`` created in ``__init__`` guards
 the fields that cross threads.  The subtle failure mode is *partial*
 discipline — a field mutated under the lock in one method and bare in

@@ -6,8 +6,8 @@ forgotten ``close()`` left real files in ``/dev/shm`` until reboot.
 Executors are the same class of bug with threads instead of bytes.  The
 resulting house style, now enforced:
 
-an acquisition of ``SharedMemory`` / ``SlabArena`` / ``WorkerPool`` /
-``ThreadPoolExecutor`` / ``ProcessPoolExecutor`` must be one of
+an acquisition of ``SharedMemory`` / ``ThreadPoolExecutor`` /
+``ProcessPoolExecutor`` must be one of
 
 * the context expression of a ``with`` statement (directly, or the bound
   variable is later used as one);
@@ -19,10 +19,9 @@ an acquisition of ``SharedMemory`` / ``SlabArena`` / ``WorkerPool`` /
   lifecycle manages it;
 * returned directly — the caller owns it (factory functions).
 
-Deliberate exceptions exist (the process-lifetime shared pool, arena
-segments swept by the atexit hook) and carry explicit suppressions at the
-acquisition site — which is exactly where a reviewer wants to read the
-justification.
+Deliberate exceptions (a process-lifetime resource released by an atexit
+hook) carry explicit suppressions at the acquisition site — which is
+exactly where a reviewer wants to read the justification.
 """
 
 from __future__ import annotations
@@ -33,10 +32,7 @@ from typing import Iterator, Optional
 from repro.staticcheck.model import Finding, ModuleContext
 from repro.staticcheck.registry import register_rule
 
-_RESOURCE_TYPES = {
-    "SharedMemory", "SlabArena", "WorkerPool",
-    "ThreadPoolExecutor", "ProcessPoolExecutor",
-}
+_RESOURCE_TYPES = {"SharedMemory", "ThreadPoolExecutor", "ProcessPoolExecutor"}
 
 _RELEASE_METHODS = {"close", "shutdown", "release", "unlink", "terminate", "join"}
 
@@ -110,8 +106,8 @@ def _released_later(ctx: ModuleContext, call: ast.Call, name: str) -> bool:
 @register_rule(
     "resource-lifecycle",
     severity="error",
-    description="SharedMemory/SlabArena/WorkerPool/Executor acquisitions must be "
-                "released via context manager or try/finally on every path",
+    description="SharedMemory/Executor acquisitions must be released via "
+                "context manager or try/finally on every path",
 )
 def check_resource_lifecycle(ctx: ModuleContext) -> Iterator[Finding]:
     """Leak-prone acquisitions need a guaranteed release path."""
@@ -136,7 +132,7 @@ def check_resource_lifecycle(ctx: ModuleContext) -> Iterator[Finding]:
         if isinstance(statement, (ast.Assign, ast.AnnAssign)):
             targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
             if any(isinstance(target, ast.Attribute) for target in targets):
-                continue  # owner-managed: self._pool = WorkerPool(...)
+                continue  # owner-managed: self._executor = ThreadPoolExecutor(...)
             bound = [t.id for t in targets if isinstance(t, ast.Name)]
             if _inside_try_finally(ctx, statement):
                 continue

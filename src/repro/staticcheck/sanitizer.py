@@ -321,7 +321,6 @@ _TARGETS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
     ("repro.core.cache", "ResultCache",
      ("n_hits", "n_misses", "n_stores", "n_repaired"), "_lock"),
     ("repro.serve.metrics", "ServeMetrics", ("counts",), "_lock"),
-    ("repro.core.workerpool", "WorkerPool", ("n_submitted",), "_lock"),
     ("repro.core.workerpool", "ThreadPool", ("n_submitted",), "_lock"),
 )
 

@@ -14,6 +14,7 @@ extrapolate the measured behaviour back to the paper's hardware scale.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -189,7 +190,9 @@ def make_benchmark_workload(
             f"unknown size label {size_label!r}; use one of {sorted(PAPER_DATASET_SIZES_GB)} or '<x>MB'"
         )
 
-    rng = np.random.default_rng(seed + hash(size_label) % 10_000)
+    # a stable digest of the label, not hash(): str hashes are salted per
+    # process, which would make the "same" workload differ between runs
+    rng = np.random.default_rng(seed + zlib.crc32(size_label.encode("utf-8")) % 10_000)
     n_rows, n_cols = _choose_cube_shape(target_bytes, n_positions)
     detector = Detector(n_rows=n_rows, n_cols=n_cols, pixel_size=200.0, distance=510_000.0)
     beam = Beam()

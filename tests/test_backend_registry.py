@@ -31,7 +31,7 @@ from repro.geometry.wire import WireEdge
 from repro.utils.validation import ValidationError
 from tests.helpers import make_tiny_stack
 
-ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "multiprocess")
+ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "threaded")
 
 
 class _ToyExecutor(VectorizedExecutor):
@@ -65,7 +65,7 @@ class TestRegistry:
             assert info.supports_streaming is True
             assert info.module.startswith("repro.core.backends.")
             assert info.description
-        assert backend_info("multiprocess").needs_workers is True
+        assert backend_info("threaded").needs_workers is True
         assert backend_info("vectorized").needs_workers is False
 
     def test_backends_listing_sorted(self):
@@ -171,7 +171,7 @@ class TestConfigRoundTrip:
             wire_edge=WireEdge.TRAILING,
             difference_mode=DifferenceMode.RECTIFIED,
             intensity_cutoff=0.75,
-            backend="multiprocess",
+            backend="threaded",
             layout="pointer3d",
             rows_per_chunk=3,
             device_memory_limit=1 << 20,
@@ -220,6 +220,41 @@ class TestConfigRoundTrip:
         data["backend"] = "vectorised"
         with pytest.raises(ValidationError, match="did you mean"):
             ReconstructionConfig.from_dict(data)
+
+
+class TestRetiredNames:
+    """``multiprocess`` / ``processes`` still load, as ``threaded`` / ``threads``."""
+
+    def test_constructor_resolves_with_warning(self, depth_grid):
+        with pytest.warns(DeprecationWarning, match="multiprocess"):
+            config = ReconstructionConfig(grid=depth_grid, backend="multiprocess")
+        assert config.backend == "threaded"
+        with pytest.warns(DeprecationWarning, match="processes"):
+            config = ReconstructionConfig(grid=depth_grid, executor="processes")
+        assert config.executor == "threads"
+
+    def test_with_backend_resolves_with_warning(self, depth_grid):
+        with pytest.warns(DeprecationWarning, match="multiprocess"):
+            config = ReconstructionConfig(grid=depth_grid).with_backend("multiprocess")
+        assert config.backend == "threaded"
+
+    def test_from_dict_resolves_saved_records(self, depth_grid):
+        data = ReconstructionConfig(grid=depth_grid).to_dict()
+        data.update(backend="multiprocess", executor="processes")
+        with pytest.warns(DeprecationWarning) as caught:
+            config = ReconstructionConfig.from_dict(data)
+        assert len(caught) == 2
+        assert (config.backend, config.executor) == ("threaded", "threads")
+        assert config.to_dict() == dict(data, backend="threaded", executor="threads")
+
+    def test_session_on_old_name_is_bitwise_threaded(self, depth_grid):
+        stack = make_tiny_stack(n_rows=6, n_cols=4, n_positions=21)
+        base = session(grid=depth_grid, n_workers=2)
+        with pytest.warns(DeprecationWarning):
+            old = base.on("multiprocess").run(stack)
+        new = base.on("threaded").run(stack)
+        assert old.report.backend == "threaded"
+        assert old.result.data.tobytes() == new.result.data.tobytes()
 
 
 class TestToyBackendEndToEnd:

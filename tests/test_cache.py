@@ -70,7 +70,7 @@ def _bump_mtime(path):
 # --------------------------------------------------------------------------- #
 # hits are bitwise-identical recomputes
 class TestHitIdentity:
-    @pytest.mark.parametrize("backend", ["cpu_reference", "vectorized", "gpusim", "multiprocess"])
+    @pytest.mark.parametrize("backend", ["cpu_reference", "vectorized", "gpusim", "threaded"])
     def test_hit_bitwise_identical_on_every_backend(self, backend, cache_root, small_stack, grid):
         sess = repro.session(grid=grid, backend=backend).cached(cache_root)
         cold = sess.run(small_stack)

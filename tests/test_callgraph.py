@@ -4,7 +4,7 @@ Covers module naming, node/edge construction on synthetic packages,
 registry-decorated entry points, submission-site detection (including the
 parameter-forwarding resolution the analysis-graph executor needs),
 reachability, and the byte-determinism of the JSON artifact that CI
-checks in as ``callgraph.json``.
+uploads as ``callgraph.json``.
 """
 
 import json

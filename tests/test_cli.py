@@ -121,7 +121,7 @@ class TestBackendsCli:
     def test_table_lists_builtins_and_capabilities(self, capsys):
         assert main_backends([]) == 0
         out = capsys.readouterr().out
-        for name in ("cpu_reference", "vectorized", "gpusim", "multiprocess"):
+        for name in ("cpu_reference", "vectorized", "gpusim", "threaded"):
             assert name in out
         assert "streaming" in out and "workers" in out
         assert "4 backend(s) registered" in out or "backend(s) registered" in out
@@ -130,7 +130,7 @@ class TestBackendsCli:
         assert main_backends(["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         by_name = {entry["name"]: entry for entry in payload}
-        assert by_name["multiprocess"]["needs_workers"] is True
+        assert by_name["threaded"]["needs_workers"] is True
         assert by_name["gpusim"]["supports_streaming"] is True
         assert by_name["vectorized"]["module"] == "repro.core.backends.vectorized"
 
@@ -289,30 +289,8 @@ class TestCache:
 
 
 class TestBench:
-    def test_parallel_bench_writes_artifact(self, tmp_path, capsys):
-        """repro-bench --suite dispatch on a tiny workload emits a BENCH_4 record."""
-        out = tmp_path / "BENCH_smoke.json"
-        code = main_bench([
-            "--suite", "dispatch",
-            "--size-label", "0.3MB", "--workers", "1,2",
-            "--repeats", "1", "--files", "2", "-o", str(out),
-        ])
-        assert code == 0
-        record = json.loads(out.read_text())
-        assert record["benchmark"] == "parallel_scaling"
-        assert {row["n_workers"] for row in record["scaling"]} == {1, 2}
-        assert all(row["shm_s"] > 0 and row["pickle_s"] > 0 for row in record["scaling"])
-        reuse = record["pool_reuse"]
-        assert reuse["n_files"] == 2 and reuse["pooled_pool_spawns"] == 1
-        assert set(record["checks"]) == {
-            "shm_beats_pickle_multiworker",
-            "pooled_run_many_beats_cold_start",
-        }
-        output = capsys.readouterr().out
-        assert "workers" in output and f"wrote {out}" in output
-
     def test_executor_bench_writes_artifact(self, tmp_path, capsys):
-        """The default suite is the executor matrix emitting a BENCH_6 record."""
+        """repro-bench runs the executor matrix and emits a BENCH_6 record."""
         out = tmp_path / "BENCH6_smoke.json"
         code = main_bench([
             "--size-label", "0.3MB", "--workers", "1,2",
@@ -322,7 +300,7 @@ class TestBench:
         record = json.loads(out.read_text())
         assert record["benchmark"] == "executor_scaling"
         cells = {(row["executor"], row["n_workers"]) for row in record["matrix"]}
-        assert ("serial", 1) in cells and ("threads", 2) in cells
+        assert cells == {("serial", 1), ("threads", 1), ("threads", 2)}
         assert record["kernel"]["fused"]["median_s"] > 0
         # the honesty pair: either the gate passed or the reason is recorded
         assert record["checks"]["two_x_at_4_workers"] or record["serial_fallback_reason"]
@@ -333,6 +311,49 @@ class TestBench:
         with pytest.raises(SystemExit):
             main_bench(["--workers", "two,4", "-o", str(tmp_path / "x.json")])
 
-    def test_bench_all_rejects_single_output(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main_bench(["--suite", "all", "-o", str(tmp_path / "x.json")])
+
+class TestOneLineErrors:
+    """Typed user errors print as one ``error: …`` line, never a traceback.
+
+    Each case runs in a fresh interpreter so stderr is exactly what a shell
+    user sees.
+    """
+
+    MISSING = "/nonexistent-dir/missing.h5lite"
+
+    def _run(self, tmp_path, *args):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, timeout=120,
+            cwd=str(tmp_path), env=dict(os.environ, PYTHONPATH=src),
+        )
+
+    @pytest.mark.parametrize(
+        "entry, argv, code",
+        [
+            ("main_reconstruct", [MISSING], 2),
+            ("main_analyze", [MISSING, "peaks"], 2),
+            ("main_reconstruct", [MISSING, "--rows-per-chunk", "0"], 2),
+            # a batch isolates per-file failures: a FAIL row and exit 1
+            ("main_batch", [MISSING], 1),
+        ],
+        ids=["reconstruct", "analyze", "reconstruct-invalid-option", "batch"],
+    )
+    def test_missing_file_has_no_traceback(self, tmp_path, entry, argv, code):
+        proc = self._run(
+            tmp_path, "-c",
+            f"from repro.cli import {entry}; raise SystemExit({entry}({argv!r}))",
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 2:
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_module_entry_point(self, tmp_path):
+        proc = self._run(tmp_path, "-m", "repro.cli", self.MISSING)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: no such file: {self.MISSING}\n"

@@ -108,6 +108,5 @@ class TestAtexitLatch:
                             lambda fn: calls.append(fn))
         monkeypatch.setattr(workerpool, "_atexit_registered", False)
         _hammer(workerpool._register_atexit, n_threads=8, n_calls=5)
-        # one registration = the three teardown hooks, exactly once each
-        assert len(calls) == 3
-        assert len(set(calls)) == 3
+        # one registration = the shared-pool teardown hook, exactly once
+        assert calls == [workerpool.shutdown_shared_thread_pool]

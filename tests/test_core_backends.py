@@ -5,13 +5,12 @@ import pytest
 
 from repro.core.backends import available_backends, get_backend, register_backend
 from repro.core.backends.base import Backend, build_kernel_context
-from repro.core.backends.multiprocess import MultiprocessBackend
 from repro.core.config import ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
 from repro.cudasim.device import Device, GENERIC_LAPTOP_GPU
 from repro.utils.validation import ValidationError
 
-ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "multiprocess")
+ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "threaded")
 
 
 class TestRegistry:
@@ -41,7 +40,7 @@ class TestBackendEquivalence:
         result, _ = get_backend("cpu_reference").reconstruct(stack, default_config.with_backend("cpu_reference"))
         return result
 
-    @pytest.mark.parametrize("backend_name", ["vectorized", "gpusim", "multiprocess"])
+    @pytest.mark.parametrize("backend_name", ["vectorized", "gpusim", "threaded"])
     def test_backend_matches_reference(self, backend_name, point_source_stack, default_config, reference_result):
         stack, _ = point_source_stack
         config = default_config.with_backend(backend_name)
@@ -74,10 +73,10 @@ class TestBackendEquivalence:
         assert report.n_chunks > 1
         assert result.total_intensity() > 0
 
-    def test_multiprocess_worker_counts_agree(self, point_source_stack, default_config):
+    def test_threaded_worker_counts_agree(self, point_source_stack, default_config):
         stack, _ = point_source_stack
-        one, _ = get_backend("multiprocess").reconstruct(stack, default_config.with_backend("multiprocess", n_workers=1))
-        three, _ = get_backend("multiprocess").reconstruct(stack, default_config.with_backend("multiprocess", n_workers=3))
+        one, _ = get_backend("threaded").reconstruct(stack, default_config.with_backend("threaded", n_workers=1))
+        three, _ = get_backend("threaded").reconstruct(stack, default_config.with_backend("threaded", n_workers=3))
         np.testing.assert_allclose(one.data, three.data, rtol=1e-12, atol=1e-14)
 
 
@@ -143,13 +142,3 @@ class TestBackendHelpers:
         assert not np.allclose(plain.images, subtracted.images) or np.allclose(
             np.median(stack.images, axis=(1, 2)), 0.0
         )
-
-    def test_row_bands_partition(self):
-        bands = MultiprocessBackend._row_bands(10, 3)
-        assert bands == [(0, 4), (4, 7), (7, 10)]
-        covered = [r for start, stop in bands for r in range(start, stop)]
-        assert covered == list(range(10))
-
-    def test_row_bands_more_workers_than_rows(self):
-        bands = MultiprocessBackend._row_bands(2, 5)
-        assert bands == [(0, 1), (1, 2)]

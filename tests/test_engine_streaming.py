@@ -6,17 +6,12 @@ and pixel masks) is **bitwise identical** to the in-memory reconstruction,
 and never materialises the full image cube.
 """
 
-import os
-import signal
-from concurrent.futures import BrokenExecutor
-from multiprocessing import shared_memory
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.backends import get_backend
-from repro.core.backends.multiprocess import MultiprocessExecutor
+from repro.core.backends.threaded import ThreadedExecutor
 from repro.core.config import ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
 from repro.core.engine import (
@@ -27,7 +22,6 @@ from repro.core.engine import (
     execute_backend,
 )
 from repro.core.session import _output_names, session
-from repro.core.workerpool import shutdown_shared_pool
 from repro.io.image_stack import (
     load_depth_resolved,
     load_wire_scan,
@@ -39,7 +33,7 @@ from repro.io.streaming import StreamingWireScanSource
 from repro.utils.validation import ValidationError
 from tests.helpers import make_tiny_stack
 
-ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "multiprocess")
+ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "threaded")
 
 
 def _noisy_stack(n_rows=7, n_cols=5, n_positions=17, masked=False, seed=11):
@@ -109,7 +103,7 @@ class TestStreamedEqualsInMemory:
 
     def test_streamed_background_matches_every_backend(self, scan_file):
         """With subtract_background on, all four backends agree bit-for-bit
-        (the old per-chunk median made gpusim/multiprocess diverge)."""
+        (a per-chunk median would make the chunked backends diverge)."""
         path, _stack = scan_file
         grid = DepthGrid.from_range(0.0, 100.0, 18)
         results = {}
@@ -146,7 +140,7 @@ class TestOutOfCore:
         path, stack = scan_file
         monkeypatch.setattr(engine_module, "STREAMING_CHUNK_BYTES", 4_000)
         config = ReconstructionConfig(grid=DepthGrid.from_range(0.0, 100.0, 20))
-        for backend in ("vectorized", "multiprocess"):
+        for backend in ("vectorized", "threaded"):
             source = StreamingWireScanSource(path)
             result, report = execute_backend(source, config.with_backend(backend))
             assert report.n_chunks > 1
@@ -259,7 +253,7 @@ class TestEngine:
             assert any("compare_backends shared plan:" in note for note in run.report.notes)
         # without a fixed chunk size the note must not claim shared chunking
         loose = session(grid=DepthGrid.from_range(0.0, 100.0, 10))
-        results = loose.compare(stack, ["vectorized", "multiprocess"])
+        results = loose.compare(stack, ["vectorized", "threaded"])
         for _name, run in results.items():
             (note,) = [n for n in run.report.notes if "compare_backends" in n]
             assert "reference plan" in note and "may chunk differently" in note
@@ -276,72 +270,21 @@ class TestEngine:
 
 
 # --------------------------------------------------------------------------- #
-def _kill_worker(payload):  # pragma: no cover - runs (briefly) in a child process
-    """Stand-in worker that dies mid-band, as a segfaulting kernel would."""
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-class TestMultiprocessParallel:
-    """Shared-memory dispatch, in-flight bounds, and crash hygiene."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_pool(self):
-        shutdown_shared_pool()
-        yield
-        shutdown_shared_pool()
+class TestThreadedParallel:
+    """Failure hygiene and batch identity of the threaded executor."""
 
     def _config(self, **overrides):
         base = {
             "grid": DepthGrid.from_range(0.0, 100.0, 14),
-            "backend": "multiprocess",
+            "backend": "threaded",
             "n_workers": 2,
         }
         base.update(overrides)
         return ReconstructionConfig(**base)
 
-    def test_streamed_shm_dispatch_stays_one_chunk_resident(self, scan_file):
-        """Satellite: under shm dispatch a streamed run still holds only one
-        chunk slab from the file, and matches the in-memory run bitwise."""
-        path, _stack = scan_file
-        config = self._config(rows_per_chunk=2, streaming=True)
-        source = StreamingWireScanSource(path)
-        executor = MultiprocessExecutor(dispatch="shm")
-        result, report = engine_execute(source, config, executor)
-        assert executor.dispatch == "shm"
-        assert source.accounting()["max_resident_rows"] == 2
-        assert report.n_chunks == 4  # ceil(7 / 2)
-        in_memory = session(config=config.with_overrides(streaming=False)).run(path)
-        np.testing.assert_array_equal(result.data, in_memory.result.data)
-
-    def test_inflight_bound_holds(self):
-        """Satellite: the executor admits at most max_inflight pending slabs
-        (the old `>` admitted max_inflight + 1)."""
-        stack = _noisy_stack(n_rows=12, seed=3)
-        config = self._config(rows_per_chunk=1)
-        executor = MultiprocessExecutor(dispatch="shm")
-        result, report = engine_execute(StackChunkSource(stack), config, executor)
-        assert report.n_chunks == 12
-        assert executor._max_inflight == 4  # 2 * n_workers
-        assert 0 < executor.peak_inflight <= executor._max_inflight
-        # one input + one output slab per in-flight chunk, nothing more
-        assert executor.arena.peak_leased <= 2 * executor._max_inflight
-        assert result.total_intensity() > 0
-
-    def test_shm_segments_unlinked_after_close(self):
-        """Satellite: no /dev/shm entry survives a completed run."""
-        stack = _noisy_stack(seed=7)
-        executor = MultiprocessExecutor(dispatch="shm")
-        engine_execute(StackChunkSource(stack), self._config(), executor)
-        arena = executor.arena
-        assert arena is not None and arena.closed
-        assert arena.created_names  # shm dispatch actually happened
-        for name in arena.created_names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_chunk_failure_closes_executor_and_cancels_pending(self):
-        """Satellite: a chunk raising mid-run must not leak segments or block
-        on (or keep) the still-pending futures."""
+    def test_chunk_failure_cancels_pending(self):
+        """A chunk raising mid-run surfaces its error and leaves no band
+        pending in the shared pool."""
 
         class ExplodingSource(StackChunkSource):
             def __init__(self, stack, fail_at):
@@ -357,41 +300,20 @@ class TestMultiprocessParallel:
 
         stack = _noisy_stack(n_rows=10, seed=9)
         source = ExplodingSource(stack, fail_at=5)
-        executor = MultiprocessExecutor(dispatch="shm")
+        executor = ThreadedExecutor()
         with pytest.raises(RuntimeError, match="disk died"):
             engine_execute(source, self._config(rows_per_chunk=1), executor)
+        assert executor.peak_inflight > 1  # bands were in flight when it failed
         assert not executor._pending  # nothing left pending after the failure
-        assert executor.arena is not None and executor.arena.closed
-        for name in executor.arena.created_names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_killed_worker_leaks_nothing_and_pool_recovers(self, monkeypatch):
-        """Satellite: a worker dying mid-band (SIGKILL) must leave no shm
-        segment behind, and the persistent pool must lazily re-init so the
-        next run succeeds."""
-        stack = _noisy_stack(seed=13)
-        config = self._config()
-        monkeypatch.setattr(
-            "repro.core.backends.multiprocess._worker_reconstruct_rows", _kill_worker
-        )
-        executor = MultiprocessExecutor(dispatch="shm")
-        with pytest.raises(BrokenExecutor):
-            engine_execute(StackChunkSource(stack), config, executor)
-        assert executor.arena is not None and executor.arena.closed
-        for name in executor.arena.created_names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        monkeypatch.undo()
-        # the crash marked the shared pool broken; the next run respawns it
-        recovered = session(config=config).run(stack)
-        reference = session(config=config.with_backend("vectorized")).run(stack)
+        # the shared pool survives the failed run
+        recovered = session(config=self._config()).run(stack)
+        reference = session(config=self._config(backend="vectorized")).run(stack)
         np.testing.assert_array_equal(recovered.result.data, reference.result.data)
 
     @pytest.mark.parametrize("streaming", [False, True])
-    def test_batched_multiprocess_matches_reference(self, tmp_path, streaming):
-        """Bitwise identity holds through run_many too (shm dispatch, both
-        in-memory and streamed), not just single runs."""
+    def test_batched_threaded_matches_reference(self, tmp_path, streaming):
+        """Bitwise identity holds through run_many too (both in-memory and
+        streamed), not just single runs."""
         paths = []
         for index in range(2):
             stack = _noisy_stack(seed=30 + index)
@@ -407,6 +329,18 @@ class TestMultiprocessParallel:
             ).run(path)
             np.testing.assert_array_equal(item.result.data, reference.result.data)
 
+
+# --------------------------------------------------------------------------- #
+class TestBatch:
+    def _make_files(self, tmp_path, n=3):
+        paths = []
+        for index in range(n):
+            stack = _noisy_stack(seed=20 + index)
+            path = tmp_path / f"scan_{index}.h5lite"
+            save_wire_scan(path, stack)
+            paths.append(str(path))
+        return paths
+
     def test_run_many_memory_budget_clamps_concurrency(self, tmp_path):
         """A batch whose items dwarf the budget degrades to serial, not OOM."""
         stack = _noisy_stack(seed=40)
@@ -420,18 +354,6 @@ class TestMultiprocessParallel:
         assert roomy.max_workers == 3
         for a, b in zip(clamped.items, roomy.items):
             np.testing.assert_array_equal(a.result.data, b.result.data)
-
-
-# --------------------------------------------------------------------------- #
-class TestBatch:
-    def _make_files(self, tmp_path, n=3):
-        paths = []
-        for index in range(n):
-            stack = _noisy_stack(seed=20 + index)
-            path = tmp_path / f"scan_{index}.h5lite"
-            save_wire_scan(path, stack)
-            paths.append(str(path))
-        return paths
 
     def test_batch_processes_files_concurrently(self, tmp_path):
         paths = self._make_files(tmp_path, n=3)

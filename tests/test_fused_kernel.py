@@ -22,16 +22,18 @@ from repro.core.kernels import (
     depth_resolve_chunk_scalar,
     depth_resolve_chunk_vectorized,
 )
-from repro.core.workerpool import shutdown_shared_pool, shutdown_shared_thread_pool
+from repro.core.workerpool import shutdown_shared_thread_pool
 from repro.geometry.wire import WireEdge
 from repro.io.image_stack import save_wire_scan
 from repro.synthetic.workloads import make_point_source_stack
 from tests.helpers import make_tiny_stack
 
 #: Backends whose output must be bitwise identical to the scalar reference.
-EXACT_BACKENDS = ("cpu_reference", "vectorized", "multiprocess", "threaded")
+EXACT_BACKENDS = ("cpu_reference", "vectorized", "threaded")
 #: Every registered backend: all of them report the same active-element count.
 ALL_BACKENDS = EXACT_BACKENDS + ("gpusim",)
+#: Retired backend names the config still resolves, with a deprecation warning.
+RETIRED_BACKENDS = ("multiprocess",)
 
 
 def _noisy_stack(n_rows=7, n_cols=5, n_positions=17, masked=False, seed=11):
@@ -41,6 +43,14 @@ def _noisy_stack(n_rows=7, n_cols=5, n_positions=17, masked=False, seed=11):
     if masked:
         stack.pixel_mask = rng.random((n_rows, n_cols)) > 0.3
     return stack
+
+
+def _backend_config(backend_name, **kwargs):
+    """A config naming ``backend_name``; a retired name must warn and resolve."""
+    if backend_name in RETIRED_BACKENDS:
+        with pytest.warns(DeprecationWarning, match=backend_name):
+            return ReconstructionConfig(backend=backend_name, **kwargs)
+    return ReconstructionConfig(backend=backend_name, **kwargs)
 
 
 def _context(stack, **config_overrides):
@@ -151,24 +161,20 @@ class TestBackendsBitwise:
         result, _report = get_backend("cpu_reference").reconstruct(stack, config)
         return stack, grid, result
 
-    @pytest.mark.parametrize("backend_name", EXACT_BACKENDS[1:])
+    @pytest.mark.parametrize("backend_name", EXACT_BACKENDS[1:] + RETIRED_BACKENDS)
     def test_backend_bitwise_identical(self, reference_run, backend_name):
         stack, grid, reference = reference_run
-        config = ReconstructionConfig(grid=grid, backend=backend_name, n_workers=2)
-        result, _report = get_backend(backend_name).reconstruct(stack, config)
+        config = _backend_config(backend_name, grid=grid, n_workers=2)
+        result, _report = get_backend(config.backend).reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
-        shutdown_shared_pool()
         shutdown_shared_thread_pool()
 
-    @pytest.mark.parametrize("backend_name", EXACT_BACKENDS[1:])
+    @pytest.mark.parametrize("backend_name", EXACT_BACKENDS[1:] + RETIRED_BACKENDS)
     def test_backend_bitwise_identical_chunked(self, reference_run, backend_name):
         stack, grid, reference = reference_run
-        config = ReconstructionConfig(
-            grid=grid, backend=backend_name, n_workers=2, rows_per_chunk=2
-        )
-        result, _report = get_backend(backend_name).reconstruct(stack, config)
+        config = _backend_config(backend_name, grid=grid, n_workers=2, rows_per_chunk=2)
+        result, _report = get_backend(config.backend).reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
-        shutdown_shared_pool()
         shutdown_shared_thread_pool()
 
     def test_backend_bitwise_identical_streamed(self, reference_run, tmp_path):
@@ -223,7 +229,6 @@ class TestActiveCountAcrossBackends:
             )
             _result, report = execute_backend(source, config.with_backend(name))
             counts[name] = report.n_active_pixels
-        shutdown_shared_pool()
         shutdown_shared_thread_pool()
         # ground truth: the scalar reference over the whole background-
         # subtracted stack; the mask and the rectification leave elements out

@@ -31,10 +31,16 @@ def _provenance_modulo_outputs(run):
 
 
 class TestSaveLoadRoundTrip:
-    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    # ``multiprocess`` is a retired name the config resolves to ``threaded``
+    @pytest.mark.parametrize("backend", sorted(available_backends()) + ["multiprocess"])
     def test_round_trip_all_backends(self, backend, tmp_path, point_source_stack, depth_grid):
         stack, _ = point_source_stack
-        run = session(grid=depth_grid, backend=backend).run(stack)
+        if backend in available_backends():
+            run = session(grid=depth_grid, backend=backend).run(stack)
+        else:
+            with pytest.warns(DeprecationWarning, match=backend):
+                run = session(grid=depth_grid, backend=backend).run(stack)
+            assert run.config.backend == "threaded"
         path = tmp_path / f"{backend}.h5lite"
 
         loaded = repro.load(run.save(path).output_path)

@@ -22,7 +22,7 @@ from repro.io.image_stack import save_wire_scan
 from repro.utils.validation import ValidationError
 from tests.helpers import make_tiny_stack
 
-ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "multiprocess")
+ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "threaded")
 
 
 def _noisy_stack(n_rows=6, n_cols=4, n_positions=13, seed=3, masked=False):

@@ -102,6 +102,30 @@ class TestWorkloads:
         b = make_benchmark_workload("2.1G", scale=1.0 / 32768.0, seed=11)
         np.testing.assert_array_equal(a.stack.images, b.stack.images)
 
+    def test_identical_across_hash_seeds(self):
+        """str hashes are salted per process; the workload must not depend on them."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        body = (
+            "import hashlib\n"
+            "from repro.synthetic.workloads import make_benchmark_workload\n"
+            "w = make_benchmark_workload('0.2MB', seed=0)\n"
+            "print(hashlib.sha256(w.stack.images.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", body], capture_output=True, text=True,
+                timeout=120, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
+
     def test_different_seeds_differ(self):
         a = make_benchmark_workload("2.1G", scale=1.0 / 32768.0, seed=1)
         b = make_benchmark_workload("2.1G", scale=1.0 / 32768.0, seed=2)

@@ -1,10 +1,10 @@
 """Threaded executor: identity, band planning, pool lifecycle, strategy plumbing.
 
-The threaded backend's contract mirrors the multiprocess one — **bitwise
-identity** with the serial engine under any chunking, any band split and any
-worker count — plus the properties that make threads worth having: view-only
-band dispatch (no slab copies), a bounded number of bands in flight during
-streamed runs, and reuse of one persistent thread pool across runs.
+The threaded backend's contract is **bitwise identity** with the serial
+engine under any chunking, any band split and any worker count — plus the
+properties that make threads worth having: view-only band dispatch (no slab
+copies), a bounded number of bands in flight during streamed runs, and reuse
+of one persistent thread pool across runs.
 """
 
 import numpy as np
@@ -224,20 +224,19 @@ class TestStrategyPlumbing:
         assert np.array_equal(reference.data, result.data)
 
     def test_executor_strategy_processes_on_vectorized_backend(self):
+        """The retired ``processes`` strategy runs on threads, with a warning."""
         stack = _noisy_stack(masked=True)
         grid = _grid()
         reference = _serial_reference(stack, grid)
-        config = ReconstructionConfig(
-            grid=grid, backend="vectorized", executor="processes", n_workers=2
-        )
+        with pytest.warns(DeprecationWarning, match="processes"):
+            config = ReconstructionConfig(
+                grid=grid, backend="vectorized", executor="processes", n_workers=2
+            )
         result, report = execute(
             StackChunkSource(stack), config, make_strategy_executor(config)
         )
-        assert report.backend == "multiprocess"
+        assert report.backend == "threaded"
         assert np.array_equal(reference.data, result.data)
-        from repro.core.workerpool import shutdown_shared_pool
-
-        shutdown_shared_pool()
 
     def test_unresolved_auto_falls_back_to_serial(self):
         config = ReconstructionConfig(grid=_grid(), backend="vectorized", executor=AUTO)
