@@ -1,11 +1,10 @@
-"""Experiment E6 — host-parallel scaling: executors and the fused kernel.
+"""Experiment E6 — host-parallel scaling of the executors.
 
 The paper's argument is that depth reconstruction is embarrassingly parallel
 across detector pixels; the ``threaded`` backend and the ``threads`` executor
 strategy are the host-parallel ablation points for that claim.  The suite
-(BENCH_6) measures the fused single-pass kernel against the two-pass
-baseline, and a serial / threads × worker-count matrix (median + IQR, BLAS
-pinned) with the honesty gate: a parallel executor may become the
+(BENCH_6) measures a serial / threads × worker-count matrix (median + IQR,
+BLAS pinned) with the honesty gate: a parallel executor may become the
 recommended default only with ≥ 2× speedup over serial at 4 workers —
 otherwise the default stays serial and the artifact must record why.
 
@@ -71,15 +70,6 @@ def test_executor_gate_honest(executor_record):
         assert reason, "gate failed but no serial_fallback_reason recorded"
         assert f"{gate['speedup']:.2f}x" in reason  # the measured curve is in the reason
     assert executor_record["checks"]["fallback_reason_recorded"]
-
-
-def test_fused_kernel_not_slower(executor_record):
-    """Fusing the signed-difference pass must never lose to the 2-pass path."""
-    kernel = executor_record["kernel"]
-    assert kernel["fused_speedup"] >= 0.95, (
-        f"fused kernel regressed: {kernel['fused']['median_s']:.4f}s vs "
-        f"unfused {kernel['unfused']['median_s']:.4f}s"
-    )
 
 
 def test_matrix_covers_all_executors(executor_record):

@@ -32,8 +32,8 @@ Ten small tools mirror the original workflow:
 ``repro-benchmark``
     Run the paper's figure sweeps from the command line.
 ``repro-bench``
-    Run the executor-scaling suite (fused kernel, serial vs threads at each
-    worker count) and write the ``BENCH_6.json`` perf-trajectory artifact.
+    Run the executor-scaling suite (serial vs threads at each worker count)
+    and write the ``BENCH_6.json`` perf-trajectory artifact.
 ``repro-serve``
     Run the reconstruction service: an asyncio HTTP daemon with a bounded
     fair priority queue, cache-first admission (single-flight collapsed),
@@ -66,7 +66,6 @@ from repro.core.depth_grid import DepthGrid
 from repro.core.registry import available_backends, backends
 from repro.core.session import session
 from repro.geometry.wire import WireEdge
-from repro.io.h5lite import H5LiteError
 from repro.utils.logging import configure as configure_logging
 from repro.utils.validation import ValidationError
 
@@ -129,8 +128,9 @@ def _config_from_args(args: argparse.Namespace) -> ReconstructionConfig:
 def _one_line_errors(main: Callable[..., int]) -> Callable[..., int]:
     """Report the library's typed user errors as one line and exit code 2.
 
-    ``H5LiteError`` (a missing or malformed file) and ``ValidationError`` (a
-    bad argument) are the caller's to fix, so they print as ``error: …`` on
+    ``OSError`` (a missing or malformed input — ``H5LiteError`` is one — or
+    an output path in a missing directory) and ``ValidationError`` (a bad
+    argument) are the caller's to fix, so they print as ``error: …`` on
     stderr — like argparse's own usage errors — instead of a traceback.
     """
 
@@ -138,7 +138,7 @@ def _one_line_errors(main: Callable[..., int]) -> Callable[..., int]:
     def wrapper(argv: Optional[Sequence[str]] = None) -> int:
         try:
             return main(argv)
-        except (H5LiteError, ValidationError) as exc:
+        except (OSError, ValidationError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
@@ -601,8 +601,8 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Measure host-parallel scaling and write the BENCH_6.json "
-                    "artifact: the fused kernel and the serial/threads matrix "
-                    "with the 2x-at-4-workers gate.",
+                    "artifact: the serial/threads matrix with the "
+                    "2x-at-4-workers gate.",
     )
     parser.add_argument("--size-label", default=None,
                         help="workload size label, e.g. '24MB' or '2.1G' "

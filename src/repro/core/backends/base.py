@@ -17,8 +17,6 @@ from __future__ import annotations
 import abc
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.core.config import ReconstructionConfig
 from repro.core.engine import ChunkExecutor, StackChunkSource, execute
 from repro.core.kernels import KernelContext
@@ -34,7 +32,6 @@ def build_kernel_context(
     config: ReconstructionConfig,
     row_start: int = 0,
     row_stop: Optional[int] = None,
-    background: Optional[np.ndarray] = None,
 ) -> KernelContext:
     """Assemble the kernel inputs for detector rows ``row_start:row_stop``.
 
@@ -43,26 +40,20 @@ def build_kernel_context(
     kernel launch: slice the image cube, look up the pixel-edge coordinates
     of the selected rows, and collect the wire positions.
 
-    When ``config.subtract_background`` is set the per-image background is
-    the median over the **whole** image, not over the chunk's rows — so every
-    chunk (and therefore every backend, however it chunks) subtracts the same
-    levels.  Pass *background* (shape ``(n_positions, 1, 1)``) to reuse
-    levels computed once per run, e.g. by
-    :func:`repro.core.engine.compute_stack_background`.
+    The per-run state comes from :func:`repro.core.engine.build_execution_plan`
+    over the **whole** stack, exactly as in an engine run: when
+    ``config.subtract_background`` is set the per-image background is the
+    median over the whole image, not over the chunk's rows, and the
+    context's trapezoids are its rows' view of the run's table — so every
+    chunk (and therefore every backend, however it chunks) sees the same
+    levels and the same geometry.
     """
-    from repro.core.engine import build_chunk_context, compute_stack_background
+    from repro.core.engine import build_chunk_context, build_execution_plan
 
     source = StackChunkSource(stack)
     row_stop = stack.n_rows if row_stop is None else row_stop
-    if config.subtract_background and background is None:
-        background = compute_stack_background(source, config)
-    return build_chunk_context(
-        source,
-        config,
-        row_start,
-        row_stop,
-        background=background if config.subtract_background else None,
-    )
+    plan = build_execution_plan(source, config)
+    return build_chunk_context(source, config, plan, row_start, row_stop)
 
 
 class Backend(abc.ABC):
@@ -83,20 +74,6 @@ class Backend(abc.ABC):
         Returns the depth-resolved stack and a timing/accounting report.
         """
         return execute(StackChunkSource(stack), config, self.make_executor(config))
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def count_active_elements(stack: WireScanStack, config: ReconstructionConfig) -> int:
-        """Number of (pixel, step) elements that pass the mask and cutoff.
-
-        Uses the stack's cached difference cube, so repeated calls (e.g. one
-        per backend in a comparison run) do not recompute it.
-        """
-        diffs = stack.differences(cached=True)
-        active = np.abs(diffs) > config.intensity_cutoff
-        if stack.pixel_mask is not None:
-            active &= stack.pixel_mask[None, :, :]
-        return int(np.count_nonzero(active))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -90,14 +90,15 @@ class GpuSimExecutor(ChunkExecutor):
 
         The image view covers positions ``step_start .. step_stop`` inclusive
         (a step needs both of its bounding wire positions) and reads from the
-        *device-side* slab uploaded for the chunk.
+        *device-side* slab uploaded for the chunk; the trapezoid view covers
+        the batch's steps.
         """
         return KernelContext(
             images=device_images[step_start:step_stop + 1],
             back_edge_yz=ctx.back_edge_yz,
             front_edge_yz=ctx.front_edge_yz,
             wire_positions_yz=ctx.wire_positions_yz[step_start:step_stop + 1],
-            wire_radius=ctx.wire_radius,
+            trapezoids=tuple(part[step_start:step_stop] for part in ctx.trapezoids),
             grid=ctx.grid,
             wire_edge=ctx.wire_edge,
             difference_mode=ctx.difference_mode,

@@ -59,7 +59,7 @@ def _band_context(ctx: KernelContext, band_start: int, band_stop: int) -> Kernel
         back_edge_yz=ctx.back_edge_yz[band_start:band_stop],
         front_edge_yz=ctx.front_edge_yz[band_start:band_stop],
         wire_positions_yz=ctx.wire_positions_yz,
-        wire_radius=ctx.wire_radius,
+        trapezoids=tuple(part[:, band_start:band_stop] for part in ctx.trapezoids),
         grid=ctx.grid,
         wire_edge=ctx.wire_edge,
         difference_mode=ctx.difference_mode,
@@ -124,7 +124,9 @@ class ThreadedExecutor(ChunkExecutor):
         self._max_inflight = 2 * self._n_workers
         self.peak_inflight = 0
         if self._n_workers > 1:
-            self._pool = shared_thread_pool(self._n_workers)
+            # sized by the requested width, not the row-clamped one: a batch
+            # mixing small files then asks the shared pool for one width
+            self._pool = shared_thread_pool(requested)
 
     # ------------------------------------------------------------------ #
     def _bands(self, ctx: KernelContext) -> List[Tuple[int, int]]:

@@ -7,9 +7,10 @@ and transfer accounting.
 
 The chunk loop, accounting and reporting live in the shared engine; this
 module only supplies the vectorised per-chunk compute.  The per-chunk kernel
-is the fused single-pass form (:func:`depth_resolve_chunk_fused`), bitwise
-identical to the scalar reference; ``config.executor`` selects where it runs
-(serial / threads) via :func:`make_strategy_executor`.
+is the fused single-pass form (:func:`depth_resolve_chunk_fused`), the one
+production kernel; it reads the run's trapezoid table like the scalar
+reference does, so the two are bitwise identical.  ``config.executor``
+selects where it runs (serial / threads) via :func:`make_strategy_executor`.
 """
 
 from __future__ import annotations

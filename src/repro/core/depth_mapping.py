@@ -14,10 +14,13 @@ the intermediate quantities named in the paper's kernel
 (``pixel_to_wireCenter_y``, ``pixel_to_wireCenter_z``,
 ``pixel_to_wireCenter_len``, ``wire_radius``, ``Dphi``, ``Depth``).
 
-Scalar and fully vectorised (NumPy broadcasting) forms are provided; the
-vectorised form is what the fast backends call, the scalar form mirrors the
-CUDA per-thread code and is used by the reference backend and by tests that
-cross-check the two.
+Scalar and fully vectorised (NumPy broadcasting) forms are provided.  The
+vectorised form builds the per-run trapezoid table every backend reads
+(:func:`repro.core.kernels._trapezoid_table`), so it is the only one on the
+reconstruction path.  The scalar form is the line-for-line analogue of the
+CUDA per-thread code; tests cross-check the two to about 1e-9 µm, not
+bitwise, because NumPy's vectorised transcendental functions and ``math``'s
+may round the last bit differently.
 """
 
 from __future__ import annotations
@@ -50,10 +53,10 @@ def pixel_yz_to_depth_scalar(
 ) -> float:
     """Scalar critical-depth computation (one pixel, one wire position).
 
-    This is a line-for-line analogue of ``device_pixel_xyz_to_depth``: it is
-    deliberately written with ``math`` scalars so that the reference backend
-    performs the same operation count per (pixel, wire-position) pair as the
-    original per-thread CUDA/CPU code.
+    This is a line-for-line analogue of ``device_pixel_xyz_to_depth``,
+    written with ``math`` scalars in the per-thread CUDA code's operation
+    order.  It documents the geometry; the reconstruction itself reads the
+    critical depths from the per-run table :func:`pixel_yz_to_depth` builds.
 
     Parameters
     ----------

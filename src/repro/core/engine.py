@@ -14,9 +14,11 @@ the full histogram.  This module extracts that loop into one place:
 ``ExecutionPlan``
     The row-chunk schedule (built from
     :func:`~repro.core.chunking.plan_row_chunks`) plus the per-run shared
-    state the chunks must agree on: the per-image background levels (computed
-    once over the *whole* stack, so every backend subtracts the same
-    background) and the chunking strategy note.
+    state the chunks must agree on: the per-image background levels and the
+    trapezoid table of every (wire-step, row) pair, each computed once over
+    the *whole* detector — so every backend, chunking and streaming mode
+    subtracts the same background and distributes with the same geometry —
+    and the chunking strategy note.
 
 ``ChunkExecutor``
     What a backend actually contributes: how to plan its chunks, optional
@@ -51,7 +53,7 @@ import numpy as np
 from repro.core.chunking import ChunkPlan, plan_row_chunks
 from repro.core.config import ReconstructionConfig
 from repro.core.histogram import DepthHistogram
-from repro.core.kernels import KernelContext
+from repro.core.kernels import KernelContext, _trapezoid_table
 from repro.core.result import DepthResolvedStack, ReconstructionReport
 from repro.core.stack import WireScanStack
 from repro.utils.logging import get_logger
@@ -175,6 +177,10 @@ class ExecutionPlan:
     """A chunk schedule plus the per-run shared state every chunk agrees on."""
 
     chunk_plan: ChunkPlan
+    #: the trapezoid table ``(d1, d2, d3, d4, area, active)`` of every
+    #: (wire-step, detector-row) pair, each of shape ``(n_steps, n_rows)``;
+    #: chunks, thread bands and device launches read views of it
+    trapezoids: Tuple[np.ndarray, ...]
     #: per-image background levels, shape ``(n_positions, 1, 1)``; ``None``
     #: when ``subtract_background`` is off
     background: Optional[np.ndarray] = None
@@ -216,6 +222,10 @@ def build_execution_plan(
     unbounded — one full chunk — *except* on an out-of-core source, where the
     slab budget is capped at :data:`STREAMING_CHUNK_BYTES` so streaming never
     pulls the whole cube into RAM.
+
+    The per-run state is computed here, once: the background levels and the
+    trapezoid table, whose geometry comes from the source's edge tables for
+    every detector row and its wire trajectory.
     """
     if rows_per_chunk is None:
         rows_per_chunk = config.rows_per_chunk
@@ -230,8 +240,18 @@ def build_execution_plan(
         layout=config.layout,
         rows_per_chunk=rows_per_chunk,
     )
+    back_edges, front_edges = source.row_edges_yz(np.arange(source.n_rows))
+    trapezoids = _trapezoid_table(
+        back_edges,
+        front_edges,
+        source.wire_positions_yz,
+        source.wire_radius,
+        config.wire_edge,
+        config.grid,
+    )
     return ExecutionPlan(
         chunk_plan=chunk_plan,
+        trapezoids=trapezoids,
         background=compute_stack_background(source, config),
         strategy=strategy,
     )
@@ -353,24 +373,24 @@ def make_strategy_executor(config: ReconstructionConfig) -> "ChunkExecutor":
 def build_chunk_context(
     source: ChunkSource,
     config: ReconstructionConfig,
+    plan: ExecutionPlan,
     row_start: int,
     row_stop: int,
     slab: Optional[np.ndarray] = None,
-    background: Optional[np.ndarray] = None,
 ) -> KernelContext:
     """Kernel inputs for detector rows ``row_start:row_stop`` of *source*.
 
     *slab* lets the caller pass a window it has already loaded (the engine
     loads each chunk exactly once); otherwise it is read from the source.
-    *background* (shape ``(n_positions, 1, 1)``) is subtracted from the slab
-    when given — the engine passes its plan's whole-stack levels.
+    The plan's whole-stack background levels are subtracted from the slab
+    when set, and the context views the plan's trapezoid table at these rows.
     """
     if not (0 <= row_start < row_stop <= source.n_rows):
         raise ValidationError(f"invalid row range [{row_start}, {row_stop})")
     if slab is None:
         slab = source.load_rows(row_start, row_stop)
-    if background is not None:
-        slab = slab - background
+    if plan.background is not None:
+        slab = slab - plan.background
     rows = np.arange(row_start, row_stop)
     back_edges, front_edges = source.row_edges_yz(rows)
     return KernelContext(
@@ -378,7 +398,7 @@ def build_chunk_context(
         back_edge_yz=back_edges,
         front_edge_yz=front_edges,
         wire_positions_yz=source.wire_positions_yz,
-        wire_radius=source.wire_radius,
+        trapezoids=tuple(part[:, row_start:row_stop] for part in plan.trapezoids),
         grid=config.grid,
         wire_edge=config.wire_edge,
         difference_mode=config.difference_mode,
@@ -409,9 +429,7 @@ def execute(
         executor.prepare(source, config, plan)
         for row_start, row_stop in plan.chunks:
             slab = source.load_rows(row_start, row_stop)
-            ctx = build_chunk_context(
-                source, config, row_start, row_stop, slab=slab, background=plan.background
-            )
+            ctx = build_chunk_context(source, config, plan, row_start, row_stop, slab=slab)
             for partial_start, partial in executor.execute_chunk(ctx, row_start, row_stop):
                 histogram.merge_partial(partial, partial_start)
         for partial_start, partial in executor.drain():

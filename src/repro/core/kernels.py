@@ -1,62 +1,62 @@
 """The depth-reconstruction kernel bodies.
 
 This module is the Python analogue of the paper's ``setTwo`` CUDA kernel and
-the device functions it calls.  The same mathematics comes in three forms:
+the device functions it calls.  A trapezoid depends only on its (wire-step,
+detector-row) pair: its four corners are the critical depths of the pixel's
+back/front edges at the step's two wire positions.  :func:`_trapezoid_table`
+computes the sorted corners, area and usability of every pair once per run
+(the engine's :class:`~repro.core.engine.ExecutionPlan` holds the table), and
+every kernel reads its slice of that table through
+:attr:`KernelContext.trapezoids` — the geometry has one definition, so every
+form below is bitwise identical to the scalar reference by construction.
 
 ``depth_resolve_element``
     The per-thread body: one (column, row, wire-step) triple, written with
-    scalar ``math`` operations in the same sequence as the CUDA code
-    (compute the four critical depths for the pixel's back/front edges at the
-    two wire positions, build the trapezoid, distribute the differential
-    intensity into the depth histogram).  The CPU-reference backend loops
-    over it (:func:`depth_resolve_chunk_scalar`, the ground truth); the
-    GPU-sim backend can execute it per simulated thread.
+    scalar ``math`` operations in the CUDA code's sequence, except that the
+    pair's four critical depths are read from the table instead of solved
+    per thread; then it distributes the differential intensity into the
+    depth histogram.  The CPU-reference backend loops over it
+    (:func:`depth_resolve_chunk_scalar`, the ground truth); the GPU-sim
+    backend can execute it per simulated thread (:func:`set_two_per_thread`).
 
 ``depth_resolve_chunk_fused``
-    The production kernel of the host backends.  A trapezoid depends only on
-    its (wire-step, detector-row) pair, so the kernel walks the chunk in
+    The production kernel of the host backends.  It walks the chunk in
     L2-sized row blocks, integrates each block's depth-bin overlaps once per
-    pair into a small table, and lets every active element of the block
-    gather its row of that table — no per-element trapezoid integral, and the
-    signed differences are computed block by block on the fly.  It is
-    bitwise identical to the scalar reference.
+    active pair into a small table, and lets every active element of the
+    block gather its row of that table — no per-element trapezoid integral,
+    and the signed differences are computed block by block on the fly.
 
-``depth_resolve_chunk_vectorized`` / ``set_two_vectorized``
-    The older unfused array forms: the first is kept as a comparison point
-    for the executor benchmark, the second is the GPU-sim launch body.
+``set_two_vectorized``
+    The GPU-sim launch body over explicit thread-coordinate arrays.
 
 Every form accumulates with atomic-add semantics into the
 ``(n_bins, rows, cols)`` depth-resolved cube and counts the *active*
 elements it distributed — elements that pass the pixel mask, whose
-edge-signed difference passes the intensity cutoff, and whose trapezoid is
-non-degenerate and overlaps the depth grid.  The chunk kernels return the
-count; the ``setTwo`` bodies add it to a one-slot device counter.
+edge-signed difference passes the intensity cutoff, and whose pair's
+trapezoid is finite, non-degenerate and overlaps the depth grid.  The chunk
+kernels return the count; the ``setTwo`` bodies add it to a one-slot device
+counter.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import DifferenceMode
 from repro.core.depth_grid import DepthGrid
-from repro.core.depth_mapping import pixel_yz_to_depth, pixel_yz_to_depth_scalar
-from repro.core.trapezoid import (
-    MIN_TRAPEZOID_AREA,
-    distribute_intensity,
-    trapezoid_area,
-    trapezoid_bin_overlaps,
-)
+from repro.core.depth_mapping import pixel_yz_to_depth
+from repro.core.trapezoid import MIN_TRAPEZOID_AREA, trapezoid_area, trapezoid_bin_overlaps
 from repro.cudasim.atomic import atomic_add
 from repro.geometry.wire import WireEdge
+from repro.utils.validation import ValidationError
 
 __all__ = [
     "KernelContext",
     "depth_resolve_element",
     "depth_resolve_chunk_scalar",
-    "depth_resolve_chunk_vectorized",
     "depth_resolve_chunk_fused",
     "FUSED_ROW_BLOCK_BYTES",
     "set_two_per_thread",
@@ -66,9 +66,10 @@ __all__ = [
     "KERNEL_BYTES_PER_THREAD",
 ]
 
-#: Rough per-thread arithmetic cost of the kernel (4 critical-depth solves at
-#: ~25 flops each, trapezoid construction and a handful of bins updated) —
-#: used only by the analytic performance model.
+#: Rough per-thread arithmetic cost of the paper's kernel (4 critical-depth
+#: solves at ~25 flops each, trapezoid construction and a handful of bins
+#: updated) — used only by the analytic performance model, which charges the
+#: modelled device for the per-thread solves the CUDA code performs.
 KERNEL_FLOPS_PER_THREAD = 220.0
 #: Rough per-thread global-memory traffic: two image reads, geometry reads
 #: and a few histogram read-modify-writes.
@@ -87,8 +88,12 @@ class KernelContext:
         ``firstedge``/``edge`` tables of the original kernel.
     wire_positions_yz:
         Wire-centre positions, shape ``(n_positions, 2)``.
-    wire_radius:
-        Wire radius.
+    trapezoids:
+        The slab's slice of the run's trapezoid table (see
+        :func:`_trapezoid_table`): ``(d1, d2, d3, d4, area, active)``, each
+        of shape ``(n_positions - 1, rows)``.  The kernels read the response
+        geometry from here only; the edge and wire tables above are what the
+        simulated device uploads.
     grid:
         Depth grid to accumulate onto.
     wire_edge:
@@ -107,7 +112,7 @@ class KernelContext:
         back_edge_yz: np.ndarray,
         front_edge_yz: np.ndarray,
         wire_positions_yz: np.ndarray,
-        wire_radius: float,
+        trapezoids: Tuple[np.ndarray, ...],
         grid: DepthGrid,
         wire_edge: WireEdge = WireEdge.LEADING,
         difference_mode: DifferenceMode = DifferenceMode.SIGNED,
@@ -118,7 +123,7 @@ class KernelContext:
         self.back_edge_yz = np.asarray(back_edge_yz, dtype=np.float64)
         self.front_edge_yz = np.asarray(front_edge_yz, dtype=np.float64)
         self.wire_positions_yz = np.asarray(wire_positions_yz, dtype=np.float64)
-        self.wire_radius = float(wire_radius)
+        self.trapezoids = tuple(trapezoids)
         self.grid = grid
         self.wire_edge = wire_edge
         self.difference_mode = difference_mode
@@ -127,6 +132,12 @@ class KernelContext:
 
         self.n_positions, self.n_rows, self.n_cols = self.images.shape
         self.n_steps = self.n_positions - 1
+        if len(self.trapezoids) != 6 or any(
+            part.shape != (self.n_steps, self.n_rows) for part in self.trapezoids
+        ):
+            raise ValidationError(
+                f"trapezoids must be six ({self.n_steps}, {self.n_rows}) arrays"
+            )
         #: sign applied to (I[i] - I[i+1]) so that "signal appears" is positive
         #: for the selected edge
         self.edge_sign = 1.0 if wire_edge == WireEdge.LEADING else -1.0
@@ -176,6 +187,53 @@ def _scalar_trapezoid_overlap(lo: float, hi: float, d1: float, d2: float, d3: fl
     )
 
 
+def _trapezoid_table(
+    back_edge_yz: np.ndarray,
+    front_edge_yz: np.ndarray,
+    wire_positions_yz: np.ndarray,
+    wire_radius: float,
+    wire_edge: WireEdge,
+    grid: DepthGrid,
+) -> Tuple[np.ndarray, ...]:
+    """Sorted trapezoid corners, area and usability of every (step, row) pair.
+
+    The one definition of the response geometry.  Corner ``k`` of the pair
+    (step ``s``, row ``r``) is the critical depth of one of row ``r``'s pixel
+    edges at one of the wire positions ``s`` and ``s + 1`` — the
+    ``partial_start`` / ``partial_end`` / ``full_start`` / ``full_end``
+    solves of the paper's ``setTwo`` kernel.
+
+    Returns ``(d1, d2, d3, d4, area, active)``, each of shape
+    ``(n_positions - 1, rows)``.  A pair is active when its four critical
+    depths are finite and its trapezoid is non-degenerate and overlaps the
+    grid.
+    """
+    back_edge_yz = np.asarray(back_edge_yz, dtype=np.float64)
+    front_edge_yz = np.asarray(front_edge_yz, dtype=np.float64)
+    wire_positions_yz = np.asarray(wire_positions_yz, dtype=np.float64)
+    edge = int(wire_edge)
+    back_y = back_edge_yz[:, 0][None, :]
+    back_z = back_edge_yz[:, 1][None, :]
+    front_y = front_edge_yz[:, 0][None, :]
+    front_z = front_edge_yz[:, 1][None, :]
+    wire_start_y = wire_positions_yz[:-1, 0][:, None]
+    wire_start_z = wire_positions_yz[:-1, 1][:, None]
+    wire_end_y = wire_positions_yz[1:, 0][:, None]
+    wire_end_z = wire_positions_yz[1:, 1][:, None]
+
+    partial_start = pixel_yz_to_depth(front_y, front_z, wire_start_y, wire_start_z, wire_radius, edge)
+    partial_end = pixel_yz_to_depth(back_y, back_z, wire_end_y, wire_end_z, wire_radius, edge)
+    full_start = pixel_yz_to_depth(back_y, back_z, wire_start_y, wire_start_z, wire_radius, edge)
+    full_end = pixel_yz_to_depth(front_y, front_z, wire_end_y, wire_end_z, wire_radius, edge)
+
+    corners = np.stack([partial_start, partial_end, full_start, full_end], axis=0)
+    corners_valid = np.all(np.isfinite(corners), axis=0)
+    d1, d2, d3, d4 = np.sort(corners, axis=0)
+    area = trapezoid_area(d1, d2, d3, d4)
+    active = corners_valid & (area > MIN_TRAPEZOID_AREA) & (d4 > grid.start) & (d1 < grid.stop)
+    return d1, d2, d3, d4, area, active
+
+
 def depth_resolve_element(
     ctx: KernelContext,
     col: int,
@@ -196,28 +254,12 @@ def depth_resolve_element(
     if abs(value) <= ctx.intensity_cutoff or value == 0.0:
         return False
 
-    back_y, back_z = ctx.back_edge_yz[row]
-    front_y, front_z = ctx.front_edge_yz[row]
-    wire_start_y, wire_start_z = ctx.wire_positions_yz[step]
-    wire_end_y, wire_end_z = ctx.wire_positions_yz[step + 1]
-    edge = int(ctx.wire_edge)
-
-    partial_start = pixel_yz_to_depth_scalar(front_y, front_z, wire_start_y, wire_start_z, ctx.wire_radius, edge)
-    partial_end = pixel_yz_to_depth_scalar(back_y, back_z, wire_end_y, wire_end_z, ctx.wire_radius, edge)
-    full_start = pixel_yz_to_depth_scalar(back_y, back_z, wire_start_y, wire_start_z, ctx.wire_radius, edge)
-    full_end = pixel_yz_to_depth_scalar(front_y, front_z, wire_end_y, wire_end_z, ctx.wire_radius, edge)
-    corners = (partial_start, partial_end, full_start, full_end)
-    if not all(math.isfinite(c) for c in corners):
-        return False
-    d1, d2, d3, d4 = sorted(corners)
-
-    area = ((d4 - d1) + (d3 - d2)) / 2.0
-    if area <= MIN_TRAPEZOID_AREA:
+    # the pair's trapezoid, as plain Python floats for the scalar loop below
+    d1, d2, d3, d4, area, active = (part.item(step, row) for part in ctx.trapezoids)
+    if not active:
         return False
 
     grid = ctx.grid
-    if not (d4 > grid.start and d1 < grid.stop):
-        return False
     # restrict to the depth bins overlapping the trapezoid support
     first_bin = max(0, int(math.floor((d1 - grid.start) / grid.step)))
     last_bin = min(grid.n_bins - 1, int(math.floor((d4 - grid.start) / grid.step)))
@@ -250,99 +292,6 @@ def depth_resolve_chunk_scalar(ctx: KernelContext, out: np.ndarray) -> int:
             for col in range(ctx.n_cols):
                 n_active += depth_resolve_element(ctx, col, row, step, out)
     return n_active
-
-
-def _pair_trapezoids(ctx: KernelContext):
-    """Sorted trapezoid corners, area and usability of every (step, row) pair.
-
-    Returns ``(d1, d2, d3, d4, area, pair_active)``, each of shape
-    ``(n_steps, rows)``.  A pair is active when its four critical depths are
-    finite and its trapezoid is non-degenerate and overlaps the grid.
-    """
-    grid = ctx.grid
-    edge = int(ctx.wire_edge)
-    back_y = ctx.back_edge_yz[:, 0][None, :]
-    back_z = ctx.back_edge_yz[:, 1][None, :]
-    front_y = ctx.front_edge_yz[:, 0][None, :]
-    front_z = ctx.front_edge_yz[:, 1][None, :]
-    wire_start_y = ctx.wire_positions_yz[:-1, 0][:, None]
-    wire_start_z = ctx.wire_positions_yz[:-1, 1][:, None]
-    wire_end_y = ctx.wire_positions_yz[1:, 0][:, None]
-    wire_end_z = ctx.wire_positions_yz[1:, 1][:, None]
-
-    partial_start = pixel_yz_to_depth(front_y, front_z, wire_start_y, wire_start_z, ctx.wire_radius, edge)
-    partial_end = pixel_yz_to_depth(back_y, back_z, wire_end_y, wire_end_z, ctx.wire_radius, edge)
-    full_start = pixel_yz_to_depth(back_y, back_z, wire_start_y, wire_start_z, ctx.wire_radius, edge)
-    full_end = pixel_yz_to_depth(front_y, front_z, wire_end_y, wire_end_z, ctx.wire_radius, edge)
-
-    corners = np.stack([partial_start, partial_end, full_start, full_end], axis=0)
-    corners_valid = np.all(np.isfinite(corners), axis=0)
-    d1, d2, d3, d4 = np.sort(corners, axis=0)
-    area = trapezoid_area(d1, d2, d3, d4)
-    pair_active = corners_valid & (area > MIN_TRAPEZOID_AREA) & (d4 > grid.start) & (d1 < grid.stop)
-    return d1, d2, d3, d4, area, pair_active
-
-
-def depth_resolve_chunk_vectorized(
-    ctx: KernelContext,
-    out: np.ndarray,
-    element_batch: int = 16384,
-) -> int:
-    """Unfused vectorised kernel over a whole row chunk.
-
-    Mathematically identical to looping :func:`depth_resolve_element` over
-    all elements; expressed as array operations so the only Python-level loop
-    is over batches of *active* elements.  It materialises the whole
-    difference cube and integrates one trapezoid per active element, which
-    is why :func:`depth_resolve_chunk_fused` replaced it on every backend.
-
-    Parameters
-    ----------
-    ctx:
-        Kernel inputs.
-    out:
-        Accumulation cube ``(n_bins, rows, cols)``; modified in place.
-    element_batch:
-        Number of active elements processed per internal batch — bounds the
-        ``(batch, n_bins)`` temporary exactly like a real kernel bounds its
-        shared-memory tile.
-
-    Returns the number of active elements.
-    """
-    grid = ctx.grid
-    diffs = ctx.signed_differences()  # (n_steps, rows, cols)
-    d1, d2, d3, d4, _area, pair_active = _pair_trapezoids(ctx)
-
-    active = np.abs(diffs) > ctx.intensity_cutoff
-    active &= diffs != 0.0
-    if ctx.mask is not None:
-        active &= ctx.mask[None, :, :]
-    active &= pair_active[:, :, None]
-
-    step_idx, row_idx, col_idx = np.nonzero(active)
-    if step_idx.size == 0:
-        return 0
-
-    values = diffs[step_idx, row_idx, col_idx]
-    flat_out = out.reshape(-1)
-    plane = ctx.n_rows * ctx.n_cols
-    bin_offsets = np.arange(grid.n_bins, dtype=np.int64) * plane
-
-    for start in range(0, step_idx.size, element_batch):
-        sl = slice(start, start + element_batch)
-        s_i, r_i, c_i = step_idx[sl], row_idx[sl], col_idx[sl]
-        weights = distribute_intensity(
-            grid,
-            values[sl],
-            d1[s_i, r_i],
-            d2[s_i, r_i],
-            d3[s_i, r_i],
-            d4[s_i, r_i],
-        )  # (batch, n_bins)
-        pixel_offset = r_i * ctx.n_cols + c_i
-        flat_indices = (pixel_offset[:, None] + bin_offsets[None, :]).reshape(-1)
-        atomic_add(flat_out, flat_indices, weights.reshape(-1))
-    return int(step_idx.size)
 
 
 #: Target size of the per-row-block difference temporary of the fused kernel.
@@ -391,7 +340,7 @@ def depth_resolve_chunk_fused(
     Returns the number of active elements distributed.
     """
     grid = ctx.grid
-    d1, d2, d3, d4, area, pair_active = _pair_trapezoids(ctx)
+    d1, d2, d3, d4, area, pair_active = ctx.trapezoids
 
     if row_block is None:
         row_block = _fused_row_block(ctx.n_steps, ctx.n_cols)
@@ -523,12 +472,14 @@ def set_two_vectorized(
     row_idx = iy[valid].astype(np.int64)
     step_idx = iz[valid].astype(np.int64)
 
+    d1, d2, d3, d4, area, pair_active = ctx.trapezoids
     diffs = ctx.signed_differences()
     values = diffs[step_idx, row_idx, col_idx]
     active = np.abs(values) > ctx.intensity_cutoff
     active &= values != 0.0
     if ctx.mask is not None:
         active &= ctx.mask[row_idx, col_idx]
+    active &= pair_active[step_idx, row_idx]
     if not np.any(active):
         return
     col_idx, row_idx, step_idx, values = (
@@ -537,32 +488,6 @@ def set_two_vectorized(
         step_idx[active],
         values[active],
     )
-
-    edge = int(ctx.wire_edge)
-    back_y = ctx.back_edge_yz[row_idx, 0]
-    back_z = ctx.back_edge_yz[row_idx, 1]
-    front_y = ctx.front_edge_yz[row_idx, 0]
-    front_z = ctx.front_edge_yz[row_idx, 1]
-    wire_start_y = ctx.wire_positions_yz[step_idx, 0]
-    wire_start_z = ctx.wire_positions_yz[step_idx, 1]
-    wire_end_y = ctx.wire_positions_yz[step_idx + 1, 0]
-    wire_end_z = ctx.wire_positions_yz[step_idx + 1, 1]
-
-    partial_start = pixel_yz_to_depth(front_y, front_z, wire_start_y, wire_start_z, ctx.wire_radius, edge)
-    partial_end = pixel_yz_to_depth(back_y, back_z, wire_end_y, wire_end_z, ctx.wire_radius, edge)
-    full_start = pixel_yz_to_depth(back_y, back_z, wire_start_y, wire_start_z, ctx.wire_radius, edge)
-    full_end = pixel_yz_to_depth(front_y, front_z, wire_end_y, wire_end_z, ctx.wire_radius, edge)
-
-    corners = np.stack([partial_start, partial_end, full_start, full_end], axis=0)
-    finite = np.all(np.isfinite(corners), axis=0)
-    corners_sorted = np.sort(corners, axis=0)
-    d1, d2, d3, d4 = corners_sorted
-    area = trapezoid_area(d1, d2, d3, d4)
-    usable = finite & (area > MIN_TRAPEZOID_AREA) & (d4 > grid.start) & (d1 < grid.stop)
-    if not np.any(usable):
-        return
-    col_idx, row_idx, values = col_idx[usable], row_idx[usable], values[usable]
-    d1, d2, d3, d4 = d1[usable], d2[usable], d3[usable], d4[usable]
     active_count[0] += values.size
 
     flat_out = out.reshape(-1)
@@ -570,8 +495,12 @@ def set_two_vectorized(
     bin_offsets = np.arange(grid.n_bins, dtype=np.int64) * plane
     for start in range(0, values.size, element_batch):
         sl = slice(start, start + element_batch)
-        weights = distribute_intensity(grid, values[sl], d1[sl], d2[sl], d3[sl], d4[sl])
-        pixel_offset = row_idx[sl] * ctx.n_cols + col_idx[sl]
+        s_i, r_i = step_idx[sl], row_idx[sl]
+        weights = trapezoid_bin_overlaps(grid, d1[s_i, r_i], d2[s_i, r_i], d3[s_i, r_i], d4[s_i, r_i])
+        # the scalar kernel's operation order: (value * overlap) / area
+        weights *= values[sl, None]
+        weights /= area[s_i, r_i][:, None]
+        pixel_offset = r_i * ctx.n_cols + col_idx[sl]
         flat_indices = (pixel_offset[:, None] + bin_offsets[None, :]).reshape(-1)
         atomic_add(flat_out, flat_indices, weights.reshape(-1))
 

@@ -53,7 +53,6 @@ class WireScanStack:
     metadata: Dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._diff_cache: Optional[np.ndarray] = None
         self.images = np.asarray(self.images, dtype=np.float64)
         if self.images.ndim != 3:
             raise ValidationError(
@@ -122,24 +121,13 @@ class WireScanStack:
             return np.ones((self.n_rows, self.n_cols), dtype=bool)
         return self.pixel_mask.copy()
 
-    def differences(self, cached: bool = False) -> np.ndarray:
+    def differences(self) -> np.ndarray:
         """Adjacent-position intensity differences ``I[i] - I[i+1]``.
 
         Shape ``(n_steps, n_rows, n_cols)``.  This is the signal the depth
         reconstruction distributes into the depth histogram.
-
-        With ``cached=True`` the cube is computed once and a read-only view
-        of the memoised copy is returned — callers that only inspect it
-        (active-element accounting, repeated backend comparisons) avoid
-        recomputing the full cube, at the price of keeping it alive.
         """
-        if not cached:
-            return self.images[:-1] - self.images[1:]
-        if self._diff_cache is None:
-            diff = self.images[:-1] - self.images[1:]
-            diff.setflags(write=False)
-            self._diff_cache = diff
-        return self._diff_cache
+        return self.images[:-1] - self.images[1:]
 
     def with_pixel_mask(self, mask: Optional[np.ndarray]) -> "WireScanStack":
         """Return a copy of this stack with a different pixel mask."""

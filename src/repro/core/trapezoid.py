@@ -33,15 +33,14 @@ __all__ = [
     "trapezoid_area",
     "trapezoid_overlap",
     "trapezoid_bin_overlaps",
-    "distribute_intensity",
 ]
 
 #: Trapezoids with less area than this are treated as degenerate and deposit
 #: nothing: dividing overlaps by a near-zero area amplifies floating-point
 #: noise into arbitrarily large weights.  Physical responses have areas on the
 #: pixel-size scale (micrometres), many orders of magnitude above this cutoff.
-#: Every kernel path (scalar, vectorised, simulated-CUDA) applies the same
-#: cutoff so the backends stay bit-identical.
+#: The per-run trapezoid table (:func:`repro.core.kernels._trapezoid_table`)
+#: applies it once, marking degenerate pairs inactive for every kernel.
 MIN_TRAPEZOID_AREA = 1e-9
 
 
@@ -203,26 +202,3 @@ def trapezoid_bin_overlaps(
         edges[None, :], d1[:, None], d2[:, None], d3[:, None], d4[:, None]
     )
     return np.diff(cumulative, axis=1)
-
-
-def distribute_intensity(
-    grid: DepthGrid,
-    intensity,
-    d1,
-    d2,
-    d3,
-    d4,
-) -> np.ndarray:
-    """Distribute intensities over the grid proportionally to trapezoid overlap.
-
-    Returns an array of shape ``(n, grid.n_bins)`` whose rows sum to the
-    input intensity *times the fraction of the trapezoid inside the grid*
-    (signal from depths outside the reconstructed range is dropped, exactly
-    as the original code drops indices outside ``[0, maxDepth]``).
-    """
-    intensity = np.atleast_1d(np.asarray(intensity, dtype=np.float64))
-    overlaps = trapezoid_bin_overlaps(grid, d1, d2, d3, d4)
-    area = np.atleast_1d(trapezoid_area(d1, d2, d3, d4))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        weights = np.where(area[:, None] > MIN_TRAPEZOID_AREA, overlaps / area[:, None], 0.0)
-    return weights * intensity[:, None]

@@ -11,9 +11,9 @@ pool is created lazily and reused across runs and files:
     child).
 
 :func:`shared_thread_pool` / :func:`shutdown_shared_thread_pool`
-    The session-wide pool every threaded run reuses.  Requesting a different
-    worker count respawns it; thread start-up is microseconds, so the resize
-    is always cheap.
+    The session-wide pool every threaded run reuses.  Requesting more
+    workers than it has widens it in place; a resize never cancels or shuts
+    down work another run still holds.
 
 The fused numpy kernels spend their time inside GIL-releasing ufunc loops,
 so threads parallelise them without fork, pickling or shared-memory
@@ -130,12 +130,16 @@ class ThreadPool:
         """Submit a task, respawning the executor if it was shut down."""
         with self._lock:
             self.n_submitted += 1
+        executor = self._ensure()
         try:
-            future = self._ensure().submit(fn, *args, **kwargs)
+            future = executor.submit(fn, *args, **kwargs)
         except RuntimeError:
-            # shut down concurrently: one respawn attempt, then surface
+            # shut down concurrently (a widen or a teardown): one respawn
+            # attempt, then surface; a replacement another thread already
+            # spawned is kept
             with self._lock:
-                self._executor = None
+                if self._executor is executor:
+                    self._executor = None
             future = self._ensure().submit(fn, *args, **kwargs)
         with self._lock:
             self._n_active += 1
@@ -173,6 +177,21 @@ class ThreadPool:
             "n_submitted": self.n_submitted,
         }
 
+    def _widen(self, max_workers: int) -> None:
+        """Raise the worker count in place.
+
+        The next submit spawns an executor of the new width.  The current
+        one is retired without cancelling anything: the tasks already queued
+        on it still run, on its own threads, which then exit.
+        """
+        with self._lock:
+            retired = self._executor if self._pid == os.getpid() else None
+            self.max_workers = int(max_workers)
+            self._executor = None
+            self._pid = None
+        if retired is not None:
+            retired.shutdown(wait=False)
+
     def shutdown(self, wait: bool = True) -> None:
         """Shut the underlying executor down (the wrapper stays reusable)."""
         with self._lock:
@@ -207,8 +226,11 @@ def _register_atexit() -> None:
 def shared_thread_pool(n_workers: int) -> ThreadPool:
     """The thread pool every threaded-executor run reuses.
 
-    Created lazily, kept alive across runs and files, respawned when a
-    different worker count is requested, and shut down at interpreter exit.
+    Created lazily, kept alive across runs and files, and shut down at
+    interpreter exit.  It only grows: a request for more workers than it
+    has widens it in place, and a request for fewer reuses it as is.  Runs
+    of different widths may share it concurrently; each run's own bound on
+    bands in flight (twice its width) still caps its concurrency.
     """
     global _shared_threads
     if int(n_workers) < 1:
@@ -217,9 +239,8 @@ def shared_thread_pool(n_workers: int) -> ThreadPool:
     with _shared_threads_lock:
         if _shared_threads is None:
             _shared_threads = ThreadPool(int(n_workers))
-        elif _shared_threads.max_workers != int(n_workers):
-            _shared_threads.shutdown(wait=True)
-            _shared_threads = ThreadPool(int(n_workers))
+        elif _shared_threads.max_workers < int(n_workers):
+            _shared_threads._widen(int(n_workers))
         return _shared_threads
 
 

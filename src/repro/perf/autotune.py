@@ -205,8 +205,8 @@ def store_decision(decision: TuningDecision, root: Optional[str] = None) -> str:
 # the microprobe
 def _probe_context():
     """A synthetic kernel context the probe reconstructs repeatedly."""
+    from repro.core.backends.base import build_kernel_context
     from repro.core.depth_grid import DepthGrid
-    from repro.core.engine import StackChunkSource, build_chunk_context
     from repro.core.config import ReconstructionConfig
     from repro.synthetic.workloads import make_point_source_stack
 
@@ -214,9 +214,7 @@ def _probe_context():
         n_rows=_PROBE_ROWS, n_cols=_PROBE_COLS, n_positions=_PROBE_POSITIONS
     )
     grid = DepthGrid.from_range(0.0, 100.0, _PROBE_BINS)
-    config = ReconstructionConfig(grid=grid)
-    source = StackChunkSource(stack)
-    return build_chunk_context(source, config, 0, source.n_rows)
+    return build_kernel_context(stack, ReconstructionConfig(grid=grid))
 
 
 def _time_serial(ctx, repeats: int) -> float:

@@ -1,12 +1,9 @@
 """Executor-scaling measurement harness (the ``BENCH_6.json`` emitter).
 
-Two questions about the host-parallel layer, answered with wall-clock
-measurements on a synthetic workload:
-
-* **fused kernel** — the single-pass fused kernel against the two-pass
-  unfused baseline on the same chunk context;
-* **executor scaling** — a serial / threads × worker-count matrix (median +
-  IQR) with the honesty gate for recommending a parallel default.
+One question about the host-parallel layer, answered with wall-clock
+measurements on a synthetic workload: a serial / threads × worker-count
+matrix (median + IQR) with the honesty gate for recommending a parallel
+default.
 
 :func:`run_executor_scaling` produces one JSON-safe record;
 :func:`write_bench_record` persists it as ``BENCH_<issue>.json`` — the
@@ -64,43 +61,6 @@ DEFAULT_PIXEL_FRACTION = 0.25
 
 
 # --------------------------------------------------------------------------- #
-def measure_fused_vs_unfused(workload, repeats: int = 3, warmup: int = 1) -> Dict:
-    """Median+IQR seconds for the fused single-pass kernel vs the two-pass one.
-
-    Both kernels see the identical chunk context covering the whole cube, so
-    the difference is purely the materialised ``signed_differences`` pass and
-    the extra memory traffic it implies.
-    """
-    import numpy as np
-
-    from repro.core.engine import build_chunk_context
-    from repro.core.kernels import depth_resolve_chunk_fused, depth_resolve_chunk_vectorized
-
-    source = StackChunkSource(workload.stack)
-    config = ReconstructionConfig(grid=workload.grid, backend="vectorized")
-    ctx = build_chunk_context(source, config, 0, source.n_rows)
-    out = np.zeros(
-        (workload.grid.n_bins, source.n_rows, source.n_cols), dtype=np.float64
-    )
-
-    def _run_unfused() -> None:
-        out[...] = 0.0
-        depth_resolve_chunk_vectorized(ctx, out)
-
-    def _run_fused() -> None:
-        out[...] = 0.0
-        depth_resolve_chunk_fused(ctx, out)
-
-    unfused = time_stats(_run_unfused, repeats=repeats, warmup=warmup)
-    fused = time_stats(_run_fused, repeats=repeats, warmup=warmup)
-    speedup = unfused["median_s"] / fused["median_s"] if fused["median_s"] > 0 else 0.0
-    _LOG.info(
-        "fused-vs-unfused: fused %.4fs vs unfused %.4fs (%.2fx)",
-        fused["median_s"], unfused["median_s"], speedup,
-    )
-    return {"fused": fused, "unfused": unfused, "fused_speedup": speedup}
-
-
 def measure_executor_matrix(
     workload,
     workers: Sequence[int] = (1, 2, 4),
@@ -179,11 +139,10 @@ def run_executor_scaling(
 ) -> Dict:
     """Run the executor-scaling suite and return the ``BENCH_6`` record.
 
-    Three measurements on the reference workload, with BLAS/OpenMP pinned to
+    Two measurements on the reference workload, with BLAS/OpenMP pinned to
     one thread so library-internal threading cannot masquerade as (or fight
     with) our own parallelism:
 
-    * fused single-pass kernel vs the two-pass unfused baseline;
     * a serial / threads × worker-count matrix (median + IQR);
     * the auto-tuner's decision for this (machine, workload) pair.
 
@@ -203,7 +162,6 @@ def run_executor_scaling(
     workload = make_benchmark_workload(size_label, pixel_fraction=pixel_fraction, seed=seed)
     _LOG.info("executor-scaling workload: %s", workload.describe())
 
-    kernel = measure_fused_vs_unfused(workload, repeats=repeats)
     matrix = measure_executor_matrix(workload, workers=workers, repeats=repeats)
     gate = _gate_speedup(matrix, at_workers=max(workers))
 
@@ -229,8 +187,6 @@ def run_executor_scaling(
         # a failed gate without a recorded reason is a silent lie — CI
         # enforces this pair
         "fallback_reason_recorded": gate_passed or bool(serial_fallback_reason),
-        # the fused kernel must never lose to the two-pass baseline
-        "fused_not_slower": kernel["fused_speedup"] >= 0.95,
     }
     return {
         "benchmark": "executor_scaling",
@@ -250,7 +206,6 @@ def run_executor_scaling(
             "pixel_fraction": float(pixel_fraction),
         },
         "repeats": int(repeats),
-        "kernel": kernel,
         "matrix": matrix,
         "gate": gate,
         "default_executor": default_executor,
@@ -267,14 +222,11 @@ def format_executor_report(record: Dict) -> str:
     series: Dict[str, Dict[str, float]] = {}
     for row in record["matrix"]:
         series.setdefault(str(row["n_workers"]), {})[row["executor"]] = row["median_s"]
-    kernel = record["kernel"]
     lines = [
         f"executor scaling — workload {record['workload']['size_label']} "
         f"({record['workload']['nbytes'] / 1e6:.1f} MB cube), "
         f"median of {record['repeats']} (BLAS pinned to 1 thread)",
         format_series_table(series, x_label="workers"),
-        f"fused kernel {kernel['fused']['median_s']:.4f}s vs unfused "
-        f"{kernel['unfused']['median_s']:.4f}s ({kernel['fused_speedup']:.2f}x)",
         f"gate: {record['gate']['speedup']:.2f}x at {record['gate']['at_workers']} workers "
         f"(needs {SCALING_GATE_SPEEDUP:.1f}x) -> default executor: {record['default_executor']}",
     ]

@@ -34,7 +34,6 @@ from repro.staticcheck.callgraph import (
     write_callgraph,
 )
 from repro.staticcheck.engine import LintReport, iter_python_files, lint_paths
-from repro.staticcheck.memo import LintMemo
 from repro.staticcheck.model import Finding, ModuleContext, ProjectContext
 from repro.staticcheck.registry import (
     RuleInfo,
@@ -49,7 +48,6 @@ from repro.staticcheck.registry import (
 __all__ = [
     "CallGraph",
     "Finding",
-    "LintMemo",
     "LintReport",
     "ModuleContext",
     "ProjectContext",

@@ -9,80 +9,28 @@ Usage patterns::
     repro-lint --write-callgraph          # write the call graph to callgraph.json
     repro-lint --list-rules               # the rule table
     repro-lint src --rules async-purity,resource-lifecycle
-    repro-lint src --changed-only         # only files git says changed
-    repro-lint src --no-memo              # bypass the per-file result memo
 
 Exit codes: ``0`` clean, ``1`` at least one unsuppressed finding (or API
 drift), ``2`` usage error.  The JSON document is stable and includes the
 suppressed findings, so the CI artifact records what was waived as well as
 what fired.
-
-``--changed-only`` restricts the run to files ``git`` reports as changed
-since ``--since`` (default ``HEAD``) plus untracked files, and runs only
-**module-scope** rules — project rules (call-graph reachability, the API
-snapshot) are whole-corpus analyses that a partial file list would
-silently weaken, so they are skipped with a note rather than half-run.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import subprocess
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.staticcheck.apisnapshot import write_snapshot
 from repro.staticcheck.engine import lint_paths
-from repro.staticcheck.registry import rule_info, rules as rule_registry
+from repro.staticcheck.registry import rules as rule_registry
 from repro.utils.validation import ValidationError
 
 __all__ = ["main"]
 
 #: conventional snapshot location (repo root / CWD)
 DEFAULT_SNAPSHOT = "api_snapshot.json"
-
-
-def changed_python_files(paths: Sequence[str], since: str = "HEAD") -> List[str]:
-    """``.py`` files under *paths* that git reports changed or untracked.
-
-    Changed = ``git diff --name-only --diff-filter=ACMR <since>`` (added,
-    copied, modified, renamed — deletions have nothing to lint) plus
-    ``git ls-files --others --exclude-standard`` for new files not yet
-    staged.  Raises :class:`ValidationError` when git is unavailable or
-    *since* does not resolve.
-    """
-    commands = (
-        ["git", "diff", "--name-only", "--diff-filter=ACMR", since],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    )
-    names: List[str] = []
-    for command in commands:
-        try:
-            result = subprocess.run(
-                command, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", "") or str(exc)
-            raise ValidationError(
-                f"--changed-only needs a working git checkout: "
-                f"`{' '.join(command)}` failed: {detail.strip()}"
-            ) from None
-        names.extend(line.strip() for line in result.stdout.splitlines())
-
-    prefixes = [os.path.normpath(p) for p in paths]
-    selected: List[str] = []
-    for name in names:
-        if not name.endswith(".py") or not os.path.isfile(name):
-            continue
-        normalized = os.path.normpath(name)
-        for prefix in prefixes:
-            if (prefix == "." or normalized == prefix
-                    or normalized.startswith(prefix + os.sep)):
-                if normalized not in selected:
-                    selected.append(normalized)
-                break
-    return sorted(selected)
 
 
 def _format_rule_table() -> str:
@@ -129,17 +77,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="build the project call graph over the given "
                              "paths (default: src) and write it as "
                              "deterministic JSON, then exit")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="lint only files git reports changed (plus "
-                             "untracked); module-scope rules only")
-    parser.add_argument("--since", default="HEAD", metavar="REF",
-                        help="base revision for --changed-only (default: HEAD)")
-    parser.add_argument("--no-memo", action="store_true",
-                        help="disable the per-file lint result memo under "
-                             "the shared cache root")
-    parser.add_argument("--memo-root", default=None, metavar="DIR",
-                        help="override the memo directory (default: "
-                             "$REPRO_CACHE_DIR/lint)")
     parser.add_argument("--show-suppressed", action="store_true",
                         help="include suppressed findings in text output")
     args = parser.parse_args(argv)
@@ -189,37 +126,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.rules is not None:
         rule_ids = [part.strip() for part in args.rules.split(",") if part.strip()]
 
-    lint_targets: Sequence[str] = args.paths
     try:
-        if args.changed_only:
-            lint_targets = changed_python_files(args.paths, since=args.since)
-            if not lint_targets:
-                print("repro-lint: no changed python files under "
-                      + ", ".join(args.paths), file=sys.stderr)
-                return 0
-            # project rules analyse the whole corpus; running them over a
-            # diff would silently weaken them, so drop them with a note
-            candidates = rule_ids if rule_ids is not None else [
-                info.id for info in rule_registry()
-            ]
-            skipped = [rid for rid in candidates
-                       if rule_info(rid).scope == "project"]
-            rule_ids = [rid for rid in candidates
-                        if rule_info(rid).scope == "module"]
-            if skipped:
-                print("repro-lint: --changed-only skips project-scope "
-                      "rule(s): " + ", ".join(sorted(skipped)),
-                      file=sys.stderr)
-            snapshot_arg = None
-
-        memo = None
-        if not args.no_memo:
-            from repro.staticcheck.memo import LintMemo
-
-            memo = LintMemo(root=args.memo_root)
-
-        report = lint_paths(lint_targets, rule_ids=rule_ids,
-                            snapshot_path=snapshot_arg, memo=memo)
+        report = lint_paths(args.paths, rule_ids=rule_ids, snapshot_path=snapshot_arg)
     except ValidationError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2

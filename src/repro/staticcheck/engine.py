@@ -23,10 +23,7 @@ import ast
 import json
 import os
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.staticcheck.memo import LintMemo
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.staticcheck.model import Finding, ModuleContext, ProjectContext
 from repro.staticcheck.registry import available_rules, rule_info
@@ -135,7 +132,6 @@ def lint_paths(
     paths: Sequence[str],
     rule_ids: Optional[Iterable[str]] = None,
     snapshot_path: Optional[str] = None,
-    memo: Optional["LintMemo"] = None,
 ) -> LintReport:
     """Lint *paths* (files and/or directories) and return the report.
 
@@ -144,11 +140,6 @@ def lint_paths(
     like unknown backends.  ``snapshot_path`` feeds project-scope rules —
     the ``api-snapshot`` rule is skipped when it is ``None`` (module-scope
     fixture runs in the test suite) and enforced when given (the CI gate).
-    ``memo`` (a :class:`repro.staticcheck.memo.LintMemo`) re-uses per-file
-    module-rule results keyed on content + rule fingerprints; project
-    rules always run live (their unit of analysis is the corpus, not a
-    file), and a memo hit still parses the file when project rules are in
-    the run, since they need its AST.
     """
     infos = _select_rules(rule_ids)
     report = LintReport(rule_ids=[info.id for info in infos])
@@ -168,47 +159,27 @@ def lint_paths(
             ))
             continue
 
-        cached = None
-        memo_key = None
-        if memo is not None:
-            memo_key = memo.key(source, module_rules)
-            cached = memo.load(memo_key)
-
-        context = None
-        if project_rules or cached is None:
-            try:
-                tree = ast.parse(source, filename=path)
-            except SyntaxError as exc:
-                line = getattr(exc, "lineno", 0) or 0
-                report.parse_errors.append(Finding(
-                    message=f"cannot parse: {exc}", line=line, col=0,
-                    rule="parse-error", severity="error", path=path,
-                ))
-                continue
-            context = ModuleContext(path=path, source=source, tree=tree)
-            contexts.append(context)
-
-        if cached is not None:
-            file_findings, file_suppressed = cached
-            report.findings.extend(replace(f, path=path) for f in file_findings)
-            report.suppressed.extend(replace(f, path=path) for f in file_suppressed)
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            line = getattr(exc, "lineno", 0) or 0
+            report.parse_errors.append(Finding(
+                message=f"cannot parse: {exc}", line=line, col=0,
+                rule="parse-error", severity="error", path=path,
+            ))
             continue
+        context = ModuleContext(path=path, source=source, tree=tree)
+        contexts.append(context)
 
-        file_findings = []
-        file_suppressed = []
         for info in module_rules:
             for draft in info.func(context):
                 finding = draft.stamped(
                     rule=info.id, severity=info.severity, path=path
                 )
                 if context.is_suppressed(finding.line, info.id):
-                    file_suppressed.append(replace(finding, suppressed=True))
+                    report.suppressed.append(replace(finding, suppressed=True))
                 else:
-                    file_findings.append(finding)
-        report.findings.extend(file_findings)
-        report.suppressed.extend(file_suppressed)
-        if memo is not None and memo_key is not None:
-            memo.store(memo_key, file_findings, file_suppressed)
+                    report.findings.append(finding)
 
     if project_rules:
         project = ProjectContext(

@@ -321,7 +321,7 @@ _TARGETS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
     ("repro.core.cache", "ResultCache",
      ("n_hits", "n_misses", "n_stores", "n_repaired"), "_lock"),
     ("repro.serve.metrics", "ServeMetrics", ("counts",), "_lock"),
-    ("repro.core.workerpool", "ThreadPool", ("n_submitted",), "_lock"),
+    ("repro.core.workerpool", "ThreadPool", ("n_submitted", "max_workers"), "_lock"),
 )
 
 

@@ -301,7 +301,6 @@ class TestBench:
         assert record["benchmark"] == "executor_scaling"
         cells = {(row["executor"], row["n_workers"]) for row in record["matrix"]}
         assert cells == {("serial", 1), ("threads", 1), ("threads", 2)}
-        assert record["kernel"]["fused"]["median_s"] > 0
         # the honesty pair: either the gate passed or the reason is recorded
         assert record["checks"]["two_x_at_4_workers"] or record["serial_fallback_reason"]
         output = capsys.readouterr().out
@@ -352,6 +351,30 @@ class TestOneLineErrors:
         assert "Traceback" not in proc.stderr
         if code == 2:
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "entry, argv",
+        [
+            ("main_generate", ["/nonexistent-dir/x.h5lite", "--rows", "4", "--cols", "3",
+                               "--positions", "5"]),
+            ("main_reconstruct", ["scan.h5lite", "-o", "/nonexistent-dir/o.h5lite"]),
+            ("main_reconstruct", ["scan.h5lite", "--provenance", "/nonexistent-dir/p.json"]),
+        ],
+        ids=["generate", "reconstruct-output", "reconstruct-provenance"],
+    )
+    def test_output_into_missing_directory_has_no_traceback(self, tmp_path, entry, argv):
+        from repro.io.image_stack import save_wire_scan
+        from tests.helpers import make_tiny_stack
+
+        save_wire_scan(str(tmp_path / "scan.h5lite"), make_tiny_stack())
+        proc = self._run(
+            tmp_path, "-c",
+            f"from repro.cli import {entry}; raise SystemExit({entry}({argv!r}))",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "/nonexistent-dir/" in proc.stderr
 
     def test_module_entry_point(self, tmp_path):
         proc = self._run(tmp_path, "-m", "repro.cli", self.MISSING)

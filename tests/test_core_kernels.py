@@ -6,8 +6,8 @@ import pytest
 from repro.core.backends.base import build_kernel_context
 from repro.core.config import DifferenceMode, ReconstructionConfig
 from repro.core.kernels import (
+    depth_resolve_chunk_fused,
     depth_resolve_chunk_scalar,
-    depth_resolve_chunk_vectorized,
     depth_resolve_element,
     make_set_two_kernel,
     set_two_vectorized,
@@ -54,30 +54,30 @@ class TestScalarVsVectorized:
         out_scalar = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
         out_vector = np.zeros_like(out_scalar)
         n_active_scalar = depth_resolve_chunk_scalar(ctx, out_scalar)
-        n_active_vector = depth_resolve_chunk_vectorized(ctx, out_vector)
-        np.testing.assert_allclose(out_vector, out_scalar, rtol=1e-9, atol=1e-12)
+        n_active_vector = depth_resolve_chunk_fused(ctx, out_vector)
+        assert np.array_equal(out_vector, out_scalar)
         assert n_active_scalar == n_active_vector
 
     def test_set_two_vectorized_equals_chunk(self, context_and_grid):
         ctx, grid = context_and_grid
         out_chunk = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
-        n_active = depth_resolve_chunk_vectorized(ctx, out_chunk)
+        n_active = depth_resolve_chunk_fused(ctx, out_chunk)
 
         out_threads = np.zeros_like(out_chunk)
         counter = np.zeros(1, dtype=np.int64)
         cfg = LaunchConfig.for_volume((ctx.n_cols, ctx.n_rows, ctx.n_steps), block_dim=(4, 2, 4))
         ix, iy, iz = cfg.thread_indices()
         set_two_vectorized(ix, iy, iz, ctx, out_threads, counter)
-        np.testing.assert_allclose(out_threads, out_chunk, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(out_threads, out_chunk)
         assert counter[0] == n_active
 
     def test_small_batches_do_not_change_result(self, context_and_grid):
         ctx, grid = context_and_grid
         big = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
         small = np.zeros_like(big)
-        depth_resolve_chunk_vectorized(ctx, big, element_batch=1 << 20)
-        depth_resolve_chunk_vectorized(ctx, small, element_batch=7)
-        np.testing.assert_allclose(small, big, rtol=1e-12, atol=1e-14)
+        depth_resolve_chunk_fused(ctx, big, element_batch=1 << 20)
+        depth_resolve_chunk_fused(ctx, small, element_batch=7)
+        assert np.array_equal(small, big)
 
 
 class TestElementBehaviour:
@@ -85,14 +85,14 @@ class TestElementBehaviour:
         ctx, grid = context_and_grid
         ctx.mask = np.zeros((ctx.n_rows, ctx.n_cols), dtype=bool)
         out = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
-        assert depth_resolve_chunk_vectorized(ctx, out) == 0
+        assert depth_resolve_chunk_fused(ctx, out) == 0
         assert out.sum() == 0.0
 
     def test_cutoff_removes_small_differences(self, context_and_grid):
         ctx, grid = context_and_grid
         ctx.intensity_cutoff = 1e12  # absurdly high
         out = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
-        assert depth_resolve_chunk_vectorized(ctx, out) == 0
+        assert depth_resolve_chunk_fused(ctx, out) == 0
 
     def test_single_element_deposit_is_conserving(self, context_and_grid):
         ctx, grid = context_and_grid
@@ -107,7 +107,7 @@ class TestElementBehaviour:
     def test_total_deposit_bounded_by_total_signal(self, context_and_grid):
         ctx, grid = context_and_grid
         out = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
-        depth_resolve_chunk_vectorized(ctx, out)
+        depth_resolve_chunk_fused(ctx, out)
         assert out.sum() <= np.abs(ctx.signed_differences()).sum() + 1e-9
 
     def test_deposits_land_in_correct_pixel_column(self, context_and_grid):
@@ -117,7 +117,7 @@ class TestElementBehaviour:
         mask = np.zeros((ctx.n_rows, ctx.n_cols), dtype=bool)
         mask[2, 3] = True
         ctx.mask = mask
-        depth_resolve_chunk_vectorized(ctx, out)
+        depth_resolve_chunk_fused(ctx, out)
         others = out.copy()
         others[:, 2, 3] = 0.0
         assert others.sum() == 0.0

@@ -6,7 +6,6 @@ import pytest
 from repro.core.depth_grid import DepthGrid
 from repro.core.trapezoid import (
     Trapezoid,
-    distribute_intensity,
     trapezoid_area,
     trapezoid_bin_overlaps,
     trapezoid_from_depths,
@@ -117,31 +116,40 @@ class TestOverlaps:
         assert np.all(overlaps >= 0)
 
 
+def _distribute(grid, intensity, d1, d2, d3, d4):
+    """Per-bin weights as the kernels form them: ``intensity * overlap / area``."""
+    intensity = np.atleast_1d(np.asarray(intensity, dtype=np.float64))
+    area = np.atleast_1d(trapezoid_area(d1, d2, d3, d4))
+    return intensity[:, None] * trapezoid_bin_overlaps(grid, d1, d2, d3, d4) / area[:, None]
+
+
 class TestDistributeIntensity:
     def test_intensity_conserved_inside_grid(self):
         grid = DepthGrid.from_range(0.0, 10.0, 40)
-        weights = distribute_intensity(grid, 7.0, 2.0, 3.0, 4.0, 5.0)
+        weights = _distribute(grid, 7.0, 2.0, 3.0, 4.0, 5.0)
         assert np.isclose(weights.sum(), 7.0)
 
     def test_partial_overlap_drops_outside_fraction(self):
         grid = DepthGrid.from_range(0.0, 10.0, 40)
         # trapezoid half inside the grid (support [-2, 2], symmetric box)
-        weights = distribute_intensity(grid, 10.0, -2.0, -2.0, 2.0, 2.0)
+        weights = _distribute(grid, 10.0, -2.0, -2.0, 2.0, 2.0)
         assert np.isclose(weights.sum(), 5.0)
 
     def test_zero_area_gives_zero_weights(self):
+        # a zero-area trapezoid overlaps nothing; the trapezoid table marks
+        # it inactive, so no kernel ever divides by its area
         grid = DepthGrid.from_range(0.0, 10.0, 10)
-        weights = distribute_intensity(grid, 5.0, 1.0, 1.0, 1.0, 1.0)
-        assert np.allclose(weights, 0.0)
+        overlaps = trapezoid_bin_overlaps(grid, 1.0, 1.0, 1.0, 1.0)
+        assert np.array_equal(overlaps, np.zeros((1, 10)))
 
     def test_negative_intensity_distributes_negatively(self):
         grid = DepthGrid.from_range(0.0, 10.0, 10)
-        weights = distribute_intensity(grid, -4.0, 2.0, 3.0, 4.0, 5.0)
+        weights = _distribute(grid, -4.0, 2.0, 3.0, 4.0, 5.0)
         assert np.isclose(weights.sum(), -4.0)
 
     def test_multiple_trapezoids(self):
         grid = DepthGrid.from_range(0.0, 10.0, 10)
-        weights = distribute_intensity(
+        weights = _distribute(
             grid,
             np.array([1.0, 2.0]),
             np.array([1.0, 6.0]),

@@ -115,7 +115,7 @@ class TestStreamedEqualsInMemory:
             results[backend] = session(config=config).run(path).result.data
         reference = results["cpu_reference"]
         for backend in ALL_BACKENDS[1:]:
-            np.testing.assert_allclose(results[backend], reference, rtol=1e-9, atol=1e-12)
+            np.testing.assert_array_equal(results[backend], reference)
 
 
 class TestOutOfCore:
@@ -213,7 +213,7 @@ class TestEngine:
         unchunked, _ = get_backend("vectorized").reconstruct(
             stack, config.with_backend("vectorized")
         )
-        np.testing.assert_allclose(chunked.data, unchunked.data, rtol=1e-9, atol=1e-12)
+        np.testing.assert_array_equal(chunked.data, unchunked.data)
 
     def test_host_backends_honour_rows_per_chunk(self):
         stack = _noisy_stack()
@@ -257,16 +257,6 @@ class TestEngine:
         for _name, run in results.items():
             (note,) = [n for n in run.report.notes if "compare_backends" in n]
             assert "reference plan" in note and "may chunk differently" in note
-
-    def test_differences_cached(self):
-        stack = _noisy_stack()
-        first = stack.differences(cached=True)
-        assert stack.differences(cached=True) is first
-        assert not first.flags.writeable
-        # the uncached path still returns a fresh, writable cube
-        fresh = stack.differences()
-        assert fresh is not first and fresh.flags.writeable
-        np.testing.assert_array_equal(fresh, first)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,14 +1,17 @@
 """Property-style equivalence tests for the fused single-pass kernel.
 
-The fused kernel (``depth_resolve_chunk_fused``) replaces the two-pass
-vectorised path — materialise ``signed_differences()``, then distribute — and
-its load-bearing contract is **bitwise identity** with the scalar reference
-loop: same per-bin weights in the same operation order, same accumulation
-order into every output slot, results independent of the ``row_block`` /
-``element_batch`` temporaries.  These tests pin that contract across odd
-shapes, degenerate trapezoids, masks, cutoffs, both wire edges, both
-difference modes, and every registered backend (chunked and streamed).
+The fused kernel (``depth_resolve_chunk_fused``) is the production kernel of
+the host backends, and its load-bearing contract is **bitwise identity**
+with the scalar reference loop: the same trapezoid table, the same per-bin
+weights in the same operation order, the same accumulation order into every
+output slot, results independent of the ``row_block`` / ``element_batch``
+temporaries.  These tests pin that contract across odd shapes, degenerate
+trapezoids, masks, cutoffs, both wire edges, both difference modes, a
+realistic detector geometry, and every registered backend (chunked and
+streamed).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,21 +20,25 @@ from repro.core.backends import get_backend
 from repro.core.backends.base import build_kernel_context
 from repro.core.config import DifferenceMode, ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
-from repro.core.kernels import (
-    depth_resolve_chunk_fused,
-    depth_resolve_chunk_scalar,
-    depth_resolve_chunk_vectorized,
-)
+from repro.core.engine import execute_backend
+from repro.core.kernels import depth_resolve_chunk_fused, depth_resolve_chunk_scalar
+from repro.core.stack import WireScanStack
 from repro.core.workerpool import shutdown_shared_thread_pool
-from repro.geometry.wire import WireEdge
+from repro.geometry.detector import Detector
+from repro.geometry.scan import WireScan
+from repro.geometry.wire import Wire, WireEdge
 from repro.io.image_stack import save_wire_scan
+from repro.io.streaming import StreamingWireScanSource
+from repro.synthetic.forward_model import design_scan_for_depth_range
 from repro.synthetic.workloads import make_point_source_stack
 from tests.helpers import make_tiny_stack
 
-#: Backends whose output must be bitwise identical to the scalar reference.
-EXACT_BACKENDS = ("cpu_reference", "vectorized", "threaded")
-#: Every registered backend: all of them report the same active-element count.
-ALL_BACKENDS = EXACT_BACKENDS + ("gpusim",)
+#: Every registered backend: each one is bitwise identical to the scalar
+#: reference and reports the same active-element count.
+ALL_BACKENDS = ("cpu_reference", "vectorized", "threaded", "gpusim")
+#: The host backends the parametrized bitwise tests below run (gpusim has
+#: its own test there).
+EXACT_BACKENDS = ALL_BACKENDS[:3]
 #: Retired backend names the config still resolves, with a deprecation warning.
 RETIRED_BACKENDS = ("multiprocess",)
 
@@ -102,17 +109,23 @@ class TestFusedVsScalar:
         _assert_fused_bitwise(ctx)
 
     def test_degenerate_trapezoids_bitwise(self):
-        """Zero-motion wire steps collapse trapezoids to zero area.
+        """Zero-motion wire steps collapse the trapezoid's ramps to zero width.
 
-        Both paths must skip exactly the same degenerate (step, row) pairs —
-        a divide-by-area in the fused path would surface here as NaN.
+        Both paths must treat exactly the same degenerate (step, row) pairs
+        alike — a divide-by-ramp-width in the fused path would surface here
+        as NaN.
         """
         stack = _noisy_stack(n_positions=9)
-        ctx = _context(stack)
-        positions = ctx.wire_positions_yz.copy()
+        positions = stack.scan.positions
         positions[3] = positions[2]  # a step the wire did not move
         positions[7] = positions[6]
-        ctx.wire_positions_yz = positions
+        stack = dataclasses.replace(
+            stack, scan=WireScan(wire=stack.scan.wire, positions_yz=positions)
+        )
+        ctx = _context(stack)
+        d1, d2, d3, d4, _area, _active = ctx.trapezoids
+        assert np.array_equal(d1[[2, 6]], d2[[2, 6]])
+        assert np.array_equal(d3[[2, 6]], d4[[2, 6]])
         out = _assert_fused_bitwise(ctx)
         assert np.all(np.isfinite(out))
 
@@ -139,17 +152,6 @@ class TestFusedVsScalar:
                 f"result depends on row_block={row_block}, "
                 f"element_batch={element_batch}"
             )
-
-    def test_fused_matches_unfused_vectorized(self):
-        """The retired two-pass kernel agrees too (allclose: op order differs)."""
-        stack = _noisy_stack(masked=True)
-        ctx = _context(stack)
-        shape = (ctx.grid.n_bins, ctx.n_rows, ctx.n_cols)
-        out_fused = np.zeros(shape)
-        out_unfused = np.zeros(shape)
-        depth_resolve_chunk_fused(ctx, out_fused)
-        depth_resolve_chunk_vectorized(ctx, out_unfused)
-        np.testing.assert_allclose(out_unfused, out_fused, rtol=1e-12, atol=1e-15)
 
 
 class TestBackendsBitwise:
@@ -181,9 +183,6 @@ class TestBackendsBitwise:
         stack, grid, reference = reference_run
         path = str(tmp_path / "scan.h5lite")
         save_wire_scan(path, stack)
-        from repro.core.engine import execute_backend
-        from repro.io.streaming import StreamingWireScanSource
-
         config = ReconstructionConfig(
             grid=grid, backend="vectorized", rows_per_chunk=2
         )
@@ -193,10 +192,64 @@ class TestBackendsBitwise:
         assert np.array_equal(reference.data, result.data)
 
     def test_gpusim_allclose(self, reference_run):
+        """The simulated device is bitwise identical too: it reads the same table."""
         stack, grid, reference = reference_run
         config = ReconstructionConfig(grid=grid, backend="gpusim")
         result, _report = get_backend("gpusim").reconstruct(stack, config)
-        np.testing.assert_allclose(reference.data, result.data, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(reference.data, result.data)
+
+
+class TestRealisticGeometry:
+    """A full-height detector column at the benchmark scans' geometry.
+
+    Realistic pixel and wire coordinates are where NumPy's vectorised
+    transcendental functions and ``math``'s differ in the last bit, so a
+    backend that solved the critical depths its own way would diverge from
+    the scalar reference here.  Every backend reads the one per-run
+    trapezoid table, in every chunking and streaming mode.
+    """
+
+    CASES = [
+        ("vectorized", {}),
+        ("vectorized", {"executor": "threads"}),
+        ("threaded", {}),
+        ("gpusim", {}),
+    ]
+
+    @pytest.fixture(scope="class")
+    def scan(self, tmp_path_factory):
+        detector = Detector(n_rows=87, n_cols=2, pixel_size=200.0, distance=510_000.0)
+        wire_scan = design_scan_for_depth_range(
+            detector, (0.0, 100.0), wire=Wire(radius=26.0), n_points=49
+        )
+        images = np.random.default_rng(0).random((49, 87, 2)) * 100.0
+        stack = WireScanStack(images=images, scan=wire_scan, detector=detector)
+        grid = DepthGrid.from_range(0.0, 100.0, 40)
+        reference, _report = get_backend("cpu_reference").reconstruct(
+            stack, ReconstructionConfig(grid=grid, backend="cpu_reference")
+        )
+        path = str(tmp_path_factory.mktemp("realistic") / "scan.h5lite")
+        save_wire_scan(path, stack)
+        return stack, path, grid, reference
+
+    @pytest.mark.parametrize("backend_name,extra", CASES)
+    @pytest.mark.parametrize("mode", ["in-memory", "chunked", "streamed"])
+    def test_bitwise_identical_to_reference(self, scan, mode, backend_name, extra):
+        stack, path, grid, reference = scan
+        config = ReconstructionConfig(
+            grid=grid,
+            backend=backend_name,
+            n_workers=2,
+            rows_per_chunk=None if mode == "in-memory" else 2,
+            **extra,
+        )
+        if mode == "streamed":
+            result, _report = execute_backend(StreamingWireScanSource(path), config)
+        else:
+            result, _report = get_backend(backend_name).reconstruct(stack, config)
+        shutdown_shared_thread_pool()
+        differing = int(np.count_nonzero(result.data != reference.data))
+        assert differing == 0, f"{differing} of {reference.data.size} slots differ"
 
 
 class TestActiveCountAcrossBackends:
@@ -211,8 +264,7 @@ class TestActiveCountAcrossBackends:
 
     @pytest.mark.parametrize("mode", ["in-memory", "chunked", "streamed"])
     def test_every_backend_reports_the_same_count(self, scan, mode):
-        from repro.core.engine import StackChunkSource, execute_backend
-        from repro.io.streaming import StreamingWireScanSource
+        from repro.core.engine import StackChunkSource
 
         stack, path = scan
         config = ReconstructionConfig(

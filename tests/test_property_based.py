@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.depth_grid import DepthGrid
 from repro.core.depth_mapping import critical_wire_z_for_depth, pixel_yz_to_depth_scalar
 from repro.core.trapezoid import (
-    distribute_intensity,
+    MIN_TRAPEZOID_AREA,
     trapezoid_bin_overlaps,
     trapezoid_from_depths,
     trapezoid_height,
@@ -99,11 +99,13 @@ def test_trapezoid_bin_overlaps_sum_to_area(corners):
 def test_distribute_intensity_conserves_signal(corners, intensity):
     trap = trapezoid_from_depths(*corners)
     grid = DepthGrid.from_range(trap.d1 - 1.0, trap.d4 + 1.0, 32)
-    weights = distribute_intensity(grid, intensity, trap.d1, trap.d2, trap.d3, trap.d4)
-    if trap.area > 1e-9:
+    overlaps = trapezoid_bin_overlaps(grid, trap.d1, trap.d2, trap.d3, trap.d4)
+    if trap.area > MIN_TRAPEZOID_AREA:
+        # the kernels' per-bin weights: intensity * overlap / area
+        weights = intensity * overlaps / trap.area
         assert np.isclose(weights.sum(), intensity, rtol=1e-7, atol=1e-7)
     else:
-        assert np.allclose(weights, 0.0)
+        assert np.allclose(overlaps, 0.0)
 
 
 # --------------------------------------------------------------------------- #

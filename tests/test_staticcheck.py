@@ -667,188 +667,6 @@ class TestCli:
         assert code == 1
         assert "api-snapshot" in capsys.readouterr().out
 
-
-# --------------------------------------------------------------------------- #
-class TestLintMemo:
-    DIRTY = "import time\n\nasync def handler():\n    time.sleep(1.0)\n"
-
-    def _memo(self, tmp_path):
-        from repro.staticcheck import LintMemo
-
-        return LintMemo(root=str(tmp_path / "memo"))
-
-    def test_hit_reproduces_the_cold_report(self, tmp_path):
-        path = tmp_path / "dirty.py"
-        path.write_text(self.DIRTY)
-        memo = self._memo(tmp_path)
-        cold = lint_paths([str(path)], rule_ids=["async-purity"], memo=memo)
-        warm = lint_paths([str(path)], rule_ids=["async-purity"], memo=memo)
-        assert memo.counters() == {"n_hits": 1, "n_misses": 1, "n_stores": 1}
-        assert [f.to_dict() for f in warm.gating] == [
-            f.to_dict() for f in cold.gating
-        ]
-
-    def test_hit_restamps_the_current_path(self, tmp_path):
-        # same bytes at a new location re-use the entry with the new path
-        first = tmp_path / "a.py"
-        second = tmp_path / "b" / "moved.py"
-        second.parent.mkdir()
-        first.write_text(self.DIRTY)
-        second.write_text(self.DIRTY)
-        memo = self._memo(tmp_path)
-        lint_paths([str(first)], rule_ids=["async-purity"], memo=memo)
-        warm = lint_paths([str(second)], rule_ids=["async-purity"], memo=memo)
-        assert memo.n_hits == 1
-        assert warm.gating[0].path == str(second)
-
-    def test_content_change_misses(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(self.DIRTY)
-        memo = self._memo(tmp_path)
-        lint_paths([str(path)], rule_ids=["async-purity"], memo=memo)
-        path.write_text(self.DIRTY + "\nx = 1\n")
-        report = lint_paths([str(path)], rule_ids=["async-purity"], memo=memo)
-        assert memo.n_hits == 0 and memo.n_misses == 2
-        assert report.exit_code() == 1
-
-    def test_rule_set_change_misses(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(self.DIRTY)
-        memo = self._memo(tmp_path)
-        lint_paths([str(path)], rule_ids=["async-purity"], memo=memo)
-        lint_paths([str(path)], rule_ids=["type-discipline"], memo=memo)
-        assert memo.n_hits == 0
-
-    def test_suppressed_findings_survive_the_memo(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(
-            "import time\n\nasync def handler():\n"
-            "    time.sleep(1.0)  # repro-lint: ignore[async-purity]\n"
-        )
-        memo = self._memo(tmp_path)
-        lint_paths([str(path)], rule_ids=["async-purity"], memo=memo)
-        warm = lint_paths([str(path)], rule_ids=["async-purity"], memo=memo)
-        assert memo.n_hits == 1
-        assert warm.exit_code() == 0
-        assert [f.rule for f in warm.suppressed] == ["async-purity"]
-        assert warm.suppressed[0].path == str(path)
-
-    def test_corrupt_entry_is_a_miss_not_an_error(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(self.DIRTY)
-        memo = self._memo(tmp_path)
-        lint_paths([str(path)], rule_ids=["async-purity"], memo=memo)
-        for entry in (tmp_path / "memo").rglob("*.json"):
-            entry.write_text("{ not json")
-        report = lint_paths([str(path)], rule_ids=["async-purity"], memo=memo)
-        assert report.exit_code() == 1  # relinted live, same verdict
-
-    def test_project_rules_run_live_on_memo_hits(self, tmp_path):
-        # a memo hit must not skip the parse project rules depend on
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "mod.py").write_text(textwrap.dedent("""
-            import threading
-
-            _TICKS = 0
-
-            def tick():
-                global _TICKS
-                _TICKS += 1
-
-            def run():
-                threading.Thread(target=tick).start()
-        """))
-        memo = self._memo(tmp_path)
-        rule_ids = ["async-purity", "thread-escape"]
-        cold = lint_paths([str(pkg)], rule_ids=rule_ids, memo=memo)
-        warm = lint_paths([str(pkg)], rule_ids=rule_ids, memo=memo)
-        assert memo.n_hits == 2  # both files hit on the second run
-        assert {f.rule for f in cold.gating} == {"thread-escape"}
-        assert [f.to_dict() for f in warm.gating] == [
-            f.to_dict() for f in cold.gating
-        ]
-
-
-# --------------------------------------------------------------------------- #
-class TestCliChangedOnly:
-    def _git(self, tmp_path, *args):
-        import subprocess
-
-        return subprocess.run(
-            ["git", *args], cwd=str(tmp_path), capture_output=True,
-            text=True, check=True,
-        )
-
-    def _repo(self, tmp_path):
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "config", "user.email", "t@example.com")
-        self._git(tmp_path, "config", "user.name", "t")
-        (tmp_path / "clean.py").write_text("x = 1\n")
-        self._git(tmp_path, "add", "-A")
-        self._git(tmp_path, "commit", "-qm", "seed")
-        return tmp_path
-
-    def test_only_changed_files_are_linted(self, tmp_path, capsys, monkeypatch):
-        repo = self._repo(tmp_path)
-        monkeypatch.chdir(repo)
-        (repo / "clean.py").write_text(
-            "import time\n\nasync def handler():\n    time.sleep(1.0)\n"
-        )
-        (repo / "untouched.py").write_text("x = 2\n")
-        self._git(repo, "add", "untouched.py")
-        self._git(repo, "commit", "-qm", "untouched")
-        assert main([".", "--changed-only", "--no-memo", "--no-snapshot"]) == 1
-        out = capsys.readouterr().out
-        assert "clean.py" in out and "1 file(s)" in out
-
-    def test_untracked_files_are_included(self, tmp_path, capsys, monkeypatch):
-        repo = self._repo(tmp_path)
-        monkeypatch.chdir(repo)
-        (repo / "fresh.py").write_text(
-            "import time\n\nasync def handler():\n    time.sleep(1.0)\n"
-        )
-        assert main([".", "--changed-only", "--no-memo", "--no-snapshot"]) == 1
-        assert "fresh.py" in capsys.readouterr().out
-
-    def test_no_changes_exits_zero_with_note(self, tmp_path, capsys, monkeypatch):
-        repo = self._repo(tmp_path)
-        monkeypatch.chdir(repo)
-        assert main([".", "--changed-only", "--no-memo", "--no-snapshot"]) == 0
-        assert "no changed python files" in capsys.readouterr().err
-
-    def test_project_rules_are_skipped_with_a_note(self, tmp_path, capsys,
-                                                   monkeypatch):
-        repo = self._repo(tmp_path)
-        monkeypatch.chdir(repo)
-        (repo / "fresh.py").write_text("x = 3\n")
-        assert main([".", "--changed-only", "--no-memo"]) == 0
-        err = capsys.readouterr().err
-        assert "skips project-scope" in err
-        assert "thread-escape" in err and "api-snapshot" in err
-
-    def test_outside_a_repo_is_a_usage_error(self, tmp_path, capsys,
-                                             monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("GIT_DIR", str(tmp_path / "no-such-gitdir"))
-        (tmp_path / "mod.py").write_text("x = 1\n")
-        assert main([".", "--changed-only", "--no-memo", "--no-snapshot"]) == 2
-        assert "working git checkout" in capsys.readouterr().err
-
-    def test_cli_memo_round_trip(self, tmp_path, capsys, monkeypatch):
-        (tmp_path / "dirty.py").write_text(
-            "import time\n\nasync def handler():\n    time.sleep(1.0)\n"
-        )
-        memo_root = str(tmp_path / "memo")
-        argv = [str(tmp_path), "--no-snapshot", "--rules", "async-purity",
-                "--memo-root", memo_root]
-        assert main(argv) == 1
-        first = capsys.readouterr().out
-        assert main(argv) == 1
-        second = capsys.readouterr().out
-        assert first == second
-
     def test_write_callgraph_cli(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "cg.json"
         fixture = REPO_ROOT / "tests" / "fixtures" / "racepkg"

@@ -7,6 +7,9 @@ copies), a bounded number of bands in flight during streamed runs, and reuse
 of one persistent thread pool across runs.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -207,6 +210,49 @@ class TestPoolLifecycle:
         assert "in-line" in " ".join(report.notes)
         reference = _serial_reference(stack, _grid())
         assert np.array_equal(reference.data, result.data)
+
+
+class TestConcurrentWidths:
+    def test_runs_of_different_widths_share_the_pool(self):
+        """Two concurrent runs asking the shared pool for different widths
+        both complete, bitwise-equal to serial: widening the pool for one
+        run never cancels the other run's queued bands."""
+        stack = _noisy_stack(n_rows=12, masked=True)
+        grid = _grid()
+        reference = _serial_reference(stack, grid)
+        start = threading.Barrier(2)
+        results, errors = {}, []
+
+        def run(n_workers):
+            config = ReconstructionConfig(
+                grid=grid, backend="threaded", n_workers=n_workers, rows_per_chunk=1
+            )
+            try:
+                start.wait(timeout=30)
+                for _ in range(25):
+                    executor = ThreadedExecutor(min_elements_per_dispatch=1)
+                    result, _report = execute(StackChunkSource(stack), config, executor)
+                    results.setdefault(n_workers, []).append(result.data)
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(n,)) for n in (2, 3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(results) == [2, 3]
+        for outputs in results.values():
+            assert len(outputs) == 25
+            assert all(np.array_equal(reference.data, data) for data in outputs)
+        assert shared_thread_pool(1).max_workers == 3  # grown once, never shrunk
 
 
 class TestStrategyPlumbing:

@@ -5,7 +5,9 @@ The lifecycle guarantees the host-parallel layer rests on:
 * one ``ThreadPoolExecutor`` spawn serves many submissions (pool reuse);
 * a pool inherited through ``fork()`` or shut down underneath is lazily
   re-initialised, never reused;
-* the shared pool is reused at one width and respawned at another;
+* the shared pool is reused across runs and only grows: widening it keeps
+  the work already queued on it (runs of two widths sharing it concurrently
+  are hammered in ``test_threaded_executor.py``);
 * the structured utilization views the ``repro-serve`` ``/metrics``
   endpoint polls.
 """
@@ -79,10 +81,24 @@ class TestSharedPool:
         b = shared_thread_pool(2)
         assert a is b
 
-    def test_resize_respawns(self):
-        a = shared_thread_pool(2)
-        b = shared_thread_pool(3)
-        assert b is not a and b.max_workers == 3
+    def test_widening_keeps_queued_work(self):
+        """A wider request grows the pool in place; a task already queued on
+        it still runs instead of being cancelled."""
+        pool = shared_thread_pool(2)
+        gate = threading.Event()
+        parked = [pool.submit(gate.wait, 30) for _ in range(2)]
+        queued = pool.submit(_square, 7)
+        widened = []
+        resizer = threading.Thread(target=lambda: widened.append(shared_thread_pool(3)))
+        resizer.start()
+        resizer.join(timeout=1.0)  # the resize reaches the pool while the queue is held
+        gate.set()
+        resizer.join(timeout=30)
+        assert not resizer.is_alive()
+        assert queued.result(timeout=30) == 49
+        assert all(future.result(timeout=30) for future in parked)
+        assert widened == [pool] and pool.max_workers == 3
+        assert shared_thread_pool(2) is pool  # a narrower request reuses it
 
 
 # --------------------------------------------------------------------------- #
