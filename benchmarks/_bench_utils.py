@@ -49,26 +49,3 @@ def run_and_time(workload, backend_name: str, **config_overrides) -> float:
     start = time.perf_counter()
     backend.reconstruct(workload.stack, config)
     return time.perf_counter() - start
-
-
-def run_and_time_stats(
-    workload, backend_name: str, repeats: int = 5, warmup: int = 1, **config_overrides
-) -> dict:
-    """Median + IQR reconstruction statistics over *repeats* runs.
-
-    The robust twin of :func:`run_and_time` for measurements feeding a
-    BENCH_* artifact or a gate: a warm-up iteration absorbs first-touch page
-    faults and pool spawns (which otherwise pollute the 1-worker baseline),
-    and the median/IQR pair over the timed repeats is stable where a mean of
-    a few runs is dragged around by one scheduler hiccup.  Returns the
-    :func:`repro.perf.timer.time_stats` dict.
-    """
-    from repro.perf.timer import time_stats
-
-    config = ReconstructionConfig(grid=workload.grid, backend=backend_name, **config_overrides)
-    backend = get_backend(backend_name)
-    return time_stats(
-        lambda: backend.reconstruct(workload.stack, config),
-        repeats=repeats,
-        warmup=warmup,
-    )

@@ -42,7 +42,6 @@ setup(
             "repro-analyze = repro.cli:main_analyze",
             "repro-cache = repro.cli:main_cache",
             "repro-benchmark = repro.cli:main_benchmark",
-            "repro-bench = repro.cli:main_bench",
             "repro-serve = repro.cli:main_serve",
             "repro-lint = repro.staticcheck.cli:main",
         ]

@@ -2,11 +2,11 @@
 
 Everything that stamps or compares a version reads this module:
 ``repro.__version__``, :func:`repro.utils.version.package_version` (run,
-batch and analysis provenance records, ``BENCH_*.json`` artifacts) and
-``setup.py`` (which parses this file textually so building metadata never
-imports the package).  Cache keys in :mod:`repro.core.cache` incorporate the
-version, so any drift between definitions would silently poison cache hits —
-keep exactly one definition, here.
+batch and analysis provenance records) and ``setup.py`` (which parses this
+file textually so building metadata never imports the package).  Cache
+keys in :mod:`repro.core.cache` incorporate the version, so any drift
+between definitions would silently poison cache hits — keep exactly one
+definition, here.
 """
 
 from __future__ import annotations

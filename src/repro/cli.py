@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Ten small tools mirror the original workflow:
+Nine small tools mirror the original workflow:
 
 ``repro-generate``
     Produce a synthetic wire-scan data set (h5lite file) with known ground
@@ -31,9 +31,6 @@ Ten small tools mirror the original workflow:
     deletes — never serves — unverifiable entries).
 ``repro-benchmark``
     Run the paper's figure sweeps from the command line.
-``repro-bench``
-    Run the executor-scaling suite (serial vs threads at each worker count)
-    and write the ``BENCH_6.json`` perf-trajectory artifact.
 ``repro-serve``
     Run the reconstruction service: an asyncio HTTP daemon with a bounded
     fair priority queue, cache-first admission (single-flight collapsed),
@@ -77,7 +74,6 @@ __all__ = [
     "main_analyze",
     "main_cache",
     "main_benchmark",
-    "main_bench",
     "main_serve",
 ]
 
@@ -591,72 +587,6 @@ def main_benchmark(argv: Optional[Sequence[str]] = None) -> int:
         workloads.append(w)
     records = run_backend_sweep(workloads, ["cpu_reference", "gpusim"], repeats=args.repeats)
     print(format_figure_report("Fig. 9: CPU vs GPU across pixel percentages", records))
-    return 0
-
-
-# --------------------------------------------------------------------------- #
-@_one_line_errors
-def main_bench(argv: Optional[Sequence[str]] = None) -> int:
-    """Run the executor-scaling suite and emit the BENCH_6.json artifact."""
-    parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="Measure host-parallel scaling and write the BENCH_6.json "
-                    "artifact: the serial/threads matrix with the "
-                    "2x-at-4-workers gate.",
-    )
-    parser.add_argument("--size-label", default=None,
-                        help="workload size label, e.g. '24MB' or '2.1G' "
-                             "(default: the medium synthetic workload)")
-    parser.add_argument("--workers", default="1,2,4",
-                        help="comma-separated worker counts for the scaling curve")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats per point")
-    parser.add_argument("--pixel-fraction", type=float, default=None,
-                        help="active-pixel fraction of the workload (default 0.25)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("-o", "--output", default=None,
-                        help="artifact path (default: BENCH_6.json in the current directory)")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit non-zero when a perf check fails")
-    args = parser.parse_args(argv)
-    configure_logging()
-
-    from repro.perf.parallel import (
-        DEFAULT_PIXEL_FRACTION,
-        DEFAULT_SIZE_LABEL,
-        format_executor_report,
-        run_executor_scaling,
-        write_bench_record,
-    )
-
-    try:
-        workers = tuple(int(w) for w in str(args.workers).split(",") if w.strip())
-    except ValueError:
-        parser.error(f"invalid --workers {args.workers!r}; expected e.g. '1,2,4'")
-    if not workers:
-        parser.error("--workers must name at least one worker count")
-
-    record = run_executor_scaling(
-        size_label=args.size_label or DEFAULT_SIZE_LABEL,
-        workers=workers,
-        repeats=args.repeats,
-        pixel_fraction=(
-            DEFAULT_PIXEL_FRACTION if args.pixel_fraction is None else args.pixel_fraction
-        ),
-        seed=args.seed,
-    )
-    path = write_bench_record(record, args.output)
-    print(format_executor_report(record))
-    print(f"wrote {path}")
-
-    if args.strict:
-        checks = dict(record["checks"])
-        # the 2x gate is a measurement, not a defect: an honest serial
-        # fallback (reason recorded) is a passing outcome for --strict
-        if not checks["two_x_at_4_workers"] and checks["fallback_reason_recorded"]:
-            checks.pop("two_x_at_4_workers")
-        if not all(checks.values()):
-            return 1
     return 0
 
 

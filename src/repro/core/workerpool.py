@@ -32,9 +32,7 @@ from repro.utils.logging import get_logger
 from repro.utils.validation import ValidationError
 
 __all__ = [
-    "BLAS_ENV_VARS",
     "ThreadPool",
-    "pin_blas_threads",
     "shared_thread_pool",
     "shutdown_shared_thread_pool",
     "pools_snapshot",
@@ -42,43 +40,6 @@ __all__ = [
 ]
 
 _LOG = get_logger(__name__)
-
-#: Environment knobs the common BLAS/OpenMP runtimes read for their internal
-#: thread counts.  Benchmark harnesses pin these to 1: the parallelism budget
-#: belongs to *our* workers, and a BLAS that silently spawns its own threads
-#: per worker oversubscribes the host and corrupts every scaling measurement.
-BLAS_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
-
-def pin_blas_threads(n_threads: int = 1) -> Dict[str, Optional[str]]:
-    """Pin the BLAS/OpenMP thread-count environment knobs to *n_threads*.
-
-    Returns the previous values (``None`` for variables that were unset) so a
-    caller can restore them.  Environment variables are read by most BLAS
-    runtimes at library-load time, so the pin is authoritative in processes
-    that set it before importing numpy and best-effort in an already-running
-    one; for the latter, :mod:`threadpoolctl` is applied on top when it is
-    installed.
-    """
-    if int(n_threads) < 1:
-        raise ValidationError("n_threads must be >= 1")
-    previous: Dict[str, Optional[str]] = {}
-    for name in BLAS_ENV_VARS:
-        previous[name] = os.environ.get(name)
-        os.environ[name] = str(int(n_threads))
-    try:  # pragma: no cover - optional dependency
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=int(n_threads))
-    except Exception:
-        pass
-    return previous
 
 
 class ThreadPool:

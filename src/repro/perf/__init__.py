@@ -1,6 +1,8 @@
-"""Performance measurement, sweeps and paper-style reporting.
+"""Paper-figure sweeps, paper-style reporting and the executor auto-tuner.
 
-The benchmark harness is built from three layers:
+``repro-benchmark`` and the ``benchmarks/`` figure sweeps are built from
+these modules (the end-to-end and per-layer benchmark lives in
+``perfbench/`` and uses none of them):
 
 * :mod:`repro.perf.timer` — wall-clock measurement helpers;
 * :mod:`repro.perf.sweep` — runs a reconstruction configuration over a grid
@@ -13,26 +15,21 @@ The benchmark harness is built from three layers:
 * :mod:`repro.perf.modelruns` — evaluates the analytic device/host models at
   the paper's full data-set sizes so measured laptop-scale trends can be put
   side by side with paper-scale predictions;
-* :mod:`repro.perf.parallel` — the executor-scaling suite (the
-  executor-strategy matrix with the fused-kernel comparison) behind the
-  ``repro-bench`` CLI and the ``BENCH_6.json`` perf-trajectory artifact;
 * :mod:`repro.perf.autotune` — the throughput microprobe that calibrates
   executor strategy and worker count per (machine, workload shape), cached
   in the result-cache root and surfaced as ``Session.configure(workers="auto")``.
 """
 
-from repro.perf.timer import Timer, time_callable, time_stats
+from repro.perf.timer import Timer, time_callable
 from repro.perf.sweep import SweepRecord, run_backend_sweep
 from repro.perf.metrics import speedup, time_ratio, summarize_ratio_range
 from repro.perf.reporting import format_series_table, format_figure_report
 from repro.perf.modelruns import paper_scale_prediction, predict_figure8, predict_figure9
-from repro.perf.parallel import format_executor_report, run_executor_scaling, write_bench_record
 from repro.perf.autotune import TuningDecision, resolve_auto_config, run_throughput_probe, tune
 
 __all__ = [
     "Timer",
     "time_callable",
-    "time_stats",
     "SweepRecord",
     "run_backend_sweep",
     "speedup",
@@ -43,9 +40,6 @@ __all__ = [
     "paper_scale_prediction",
     "predict_figure8",
     "predict_figure9",
-    "run_executor_scaling",
-    "write_bench_record",
-    "format_executor_report",
     "TuningDecision",
     "tune",
     "resolve_auto_config",

@@ -318,22 +318,19 @@ def tune(
     n_cols: int,
     n_bins: int,
     root: Optional[str] = None,
-    force: bool = False,
 ) -> TuningDecision:
     """The tuning decision for a workload of this shape on this machine.
 
-    Served from the decision cache when available (unless *force*); a fresh
-    probe is run — and its decision stored — otherwise.  Single-CPU hosts
-    skip the probe: the decision is serial by construction, with the reason
-    recorded.
+    Served from the decision cache when available; a fresh probe is run —
+    and its decision stored — otherwise.  Single-CPU hosts skip the probe:
+    the decision is serial by construction, with the reason recorded.
     """
     machine = machine_fingerprint()
     workload = workload_signature(n_positions, n_rows, n_cols, n_bins)
-    if not force:
-        cached = load_decision(machine, workload, root)
-        if cached is not None:
-            _LOG.debug("autotune: cached decision %s x%d", cached.executor, cached.n_workers)
-            return cached
+    cached = load_decision(machine, workload, root)
+    if cached is not None:
+        _LOG.debug("autotune: cached decision %s x%d", cached.executor, cached.n_workers)
+        return cached
 
     cpu = machine["cpu_count"]
     if cpu <= 1:

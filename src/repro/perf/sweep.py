@@ -11,6 +11,7 @@ from repro.core.backends import get_backend
 from repro.core.result import ReconstructionReport
 from repro.synthetic.workloads import BenchmarkWorkload
 from repro.utils.logging import get_logger
+from repro.utils.validation import ValidationError
 
 __all__ = ["SweepRecord", "run_backend_sweep"]
 
@@ -78,7 +79,7 @@ def run_backend_sweep(
         device time is deterministic, so repetition only affects wall time).
     """
     if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+        raise ValidationError(f"repeats must be >= 1, got {repeats}")
     config_overrides = config_overrides or {}
     records: List[SweepRecord] = []
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
-__all__ = ["Timer", "time_callable", "time_stats"]
+__all__ = ["Timer", "time_callable"]
 
 
 @dataclass
@@ -62,59 +62,3 @@ def time_callable(func: Callable, *args, repeats: int = 1, **kwargs) -> Tuple[fl
         result = func(*args, **kwargs)
         best = min(best, time.perf_counter() - start)
     return best, result
-
-
-def _quantile(sorted_samples: List[float], q: float) -> float:
-    """Linear-interpolated quantile of already-sorted samples."""
-    if not sorted_samples:
-        return 0.0
-    if len(sorted_samples) == 1:
-        return sorted_samples[0]
-    position = q * (len(sorted_samples) - 1)
-    lo = int(position)
-    hi = min(lo + 1, len(sorted_samples) - 1)
-    fraction = position - lo
-    return sorted_samples[lo] * (1.0 - fraction) + sorted_samples[hi] * fraction
-
-
-def time_stats(
-    func: Callable, *args, repeats: int = 5, warmup: int = 1, **kwargs
-) -> Dict:
-    """Robust wall-time statistics for *func*: median + IQR over *repeats*.
-
-    Runs *warmup* untimed iterations first (first-touch page faults, pool
-    spawns and cold caches land there, not in the samples), then times
-    *repeats* calls and reports the **median** with the interquartile range —
-    a mean over a few runs is dragged around by a single scheduler hiccup,
-    while the median/IQR pair is stable and says how noisy the samples were.
-
-    Returns a JSON-safe dict: ``median_s``, ``iqr_s``, ``q1_s``, ``q3_s``,
-    ``min_s``, ``max_s``, ``samples_s`` (the raw timings, in order),
-    ``repeats`` and ``warmup``.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if warmup < 0:
-        raise ValueError("warmup must be >= 0")
-    for _ in range(warmup):
-        func(*args, **kwargs)
-    samples: List[float] = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        func(*args, **kwargs)
-        samples.append(time.perf_counter() - start)
-    ordered = sorted(samples)
-    q1 = _quantile(ordered, 0.25)
-    median = _quantile(ordered, 0.5)
-    q3 = _quantile(ordered, 0.75)
-    return {
-        "median_s": median,
-        "iqr_s": q3 - q1,
-        "q1_s": q1,
-        "q3_s": q3,
-        "min_s": ordered[0],
-        "max_s": ordered[-1],
-        "samples_s": samples,
-        "repeats": int(repeats),
-        "warmup": int(warmup),
-    }

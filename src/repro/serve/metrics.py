@@ -18,9 +18,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
-__all__ = ["LatencySeries", "ServeMetrics", "percentile", "merge_counter_deltas"]
+__all__ = ["LatencySeries", "ServeMetrics", "percentile"]
 
 #: Samples kept per latency stage (recent-window percentiles).
 DEFAULT_WINDOW = 2048
@@ -159,8 +159,3 @@ class ServeMetrics:
         if extra:
             out.update(extra)
         return out
-
-
-def merge_counter_deltas(before: Dict, after: Dict, names: Iterable[str]) -> Dict:
-    """``after - before`` for the named counters (benchmark/test helper)."""
-    return {name: after[name] - before[name] for name in names}

@@ -28,7 +28,7 @@ from repro.geometry.wire import Wire
 from repro.synthetic.forward_model import design_scan_for_depth_range, simulate_wire_scan
 from repro.synthetic.noise import apply_poisson
 from repro.synthetic.sample import DepthSourceField, GrainSample
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, ensure_positive
 
 __all__ = [
     "PAPER_DATASET_SIZES_GB",
@@ -163,11 +163,11 @@ def make_benchmark_workload(
     ----------
     size_label:
         One of the paper's size labels (``"2.1G"`` … ``"5.2G"``) or a string
-        of the form ``"<float>MB"`` for an explicit target.
+        of the form ``"<float>MB"`` for an explicit (positive) target.
     pixel_fraction:
         Fraction of detector pixels enabled (the Fig. 4 / Fig. 9 knob).
     scale:
-        Byte scale factor from the paper's sizes to the generated cube.
+        Byte scale factor (> 0) from the paper's sizes to the generated cube.
     n_positions:
         Number of wire positions in the scan.
     depth_range, n_depth_bins:
@@ -182,9 +182,9 @@ def make_benchmark_workload(
         given their arguments).
     """
     if size_label in PAPER_DATASET_SIZES_GB:
-        target_bytes = PAPER_DATASET_SIZES_GB[size_label] * 1024**3 * scale
+        target_bytes = PAPER_DATASET_SIZES_GB[size_label] * 1024**3 * ensure_positive(scale, "scale")
     elif size_label.upper().endswith("MB"):
-        target_bytes = float(size_label[:-2]) * 1e6
+        target_bytes = ensure_positive(float(size_label[:-2]), f"size label {size_label!r}") * 1e6
     else:
         raise ValidationError(
             f"unknown size label {size_label!r}; use one of {sorted(PAPER_DATASET_SIZES_GB)} or '<x>MB'"

@@ -12,7 +12,8 @@ Covers the :mod:`repro.analysisgraph` subsystem end to end:
 * execution — ready-set thread scheduling actually overlaps independent
   nodes, errors carry the failing node's name, per-item batch isolation;
 * memoization — warm graphs are all memo hits, a one-node param change
-  recomputes only the dirty subgraph, ``verify()`` keeps node memos;
+  (or, in a batch, one changed file) recomputes only the dirty subgraph,
+  ``verify()`` keeps node memos;
 * surfaces — ``RunResult.analyze``/``BatchRunResult.analyze``,
   ``Session.run_many(analyze=...)``, the ``repro-analyze`` CLI and the
   serve admission path.
@@ -449,6 +450,34 @@ class TestMemoization:
         warm = sess.run_many(paths, analyze=built).analysis
         assert [r["memo_hit"] for r in warm.reduces] == [True]
         assert warm["est"] == cold["est"]
+
+    def test_batch_recomputes_only_the_dirty_subgraph(self, saved_batch, tmp_path):
+        """Node counters over a 4-file batch: 2 per-run nodes per file + 2 reduces."""
+        paths, sess = saved_batch
+        sess = sess.cached(ResultCache(str(tmp_path / "cache")))
+
+        def science(radius_fraction: float = 1.0):
+            return graph(
+                {"name": "intensity", "op": "total_intensity"},
+                {"name": "tot", "op": "aperture_total",
+                 "params": {"radius_fraction": radius_fraction}},
+                {"name": "est", "op": "integrated_estimate", "inputs": ["intensity"]},
+                {"name": "stats", "op": "sample_stats", "inputs": ["tot"]},
+            )
+
+        def counts(batch, built):
+            execution = batch.analyze(built, executor="serial").execution
+            return execution["n_computed"], execution["n_memo_hits"]
+
+        batch = sess.run_many(paths)
+        assert counts(batch, science()) == (10, 0)
+        assert counts(batch, science()) == (0, 10)
+        # a dirty parameter: 'tot' on every file and its reduce
+        assert counts(batch, science(radius_fraction=0.5)) == (5, 5)
+        # a dirty file: its two per-run nodes and both reduces, whose batch key changed
+        stat = os.stat(paths[-1])
+        os.utime(paths[-1], ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
+        assert counts(sess.run_many(paths), science()) == (4, 6)
 
 
 # --------------------------------------------------------------------------- #

@@ -126,22 +126,10 @@ class TestTune:
         second = tune(41, 8, 8, 25, root=str(tmp_path))
         assert second.reason == "served from cache"
 
-    def test_force_reprobes(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        first = tune(41, 8, 8, 25, root=str(tmp_path))
-        path = decision_path(first.machine, first.workload, str(tmp_path))
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        data["reason"] = "stale"
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(data, handle)
-        fresh = tune(41, 8, 8, 25, root=str(tmp_path), force=True)
-        assert fresh.reason != "stale"
-
     def test_parallel_decision_requires_probe_win(self, tmp_path, monkeypatch):
         """With >1 CPUs the probe runs; whatever it decides carries its data."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        decision = tune(41, 8, 8, 25, root=str(tmp_path), force=True)
+        decision = tune(41, 8, 8, 25, root=str(tmp_path))
         assert decision.executor in ("serial", "threads")
         assert decision.probe  # the probe record is attached either way
         best = max(decision.probe["thread_speedup"].values())

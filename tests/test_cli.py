@@ -9,7 +9,6 @@ from repro.cli import (
     main_analyze,
     main_backends,
     main_batch,
-    main_bench,
     main_benchmark,
     main_cache,
     main_generate,
@@ -288,29 +287,6 @@ class TestCache:
             main_cache(["--root", str(tmp_path), "prune"])
 
 
-class TestBench:
-    def test_executor_bench_writes_artifact(self, tmp_path, capsys):
-        """repro-bench runs the executor matrix and emits a BENCH_6 record."""
-        out = tmp_path / "BENCH6_smoke.json"
-        code = main_bench([
-            "--size-label", "0.3MB", "--workers", "1,2",
-            "--repeats", "1", "-o", str(out),
-        ])
-        assert code == 0
-        record = json.loads(out.read_text())
-        assert record["benchmark"] == "executor_scaling"
-        cells = {(row["executor"], row["n_workers"]) for row in record["matrix"]}
-        assert cells == {("serial", 1), ("threads", 1), ("threads", 2)}
-        # the honesty pair: either the gate passed or the reason is recorded
-        assert record["checks"]["two_x_at_4_workers"] or record["serial_fallback_reason"]
-        output = capsys.readouterr().out
-        assert "gate:" in output and f"wrote {out}" in output
-
-    def test_bench_rejects_bad_workers(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main_bench(["--workers", "two,4", "-o", str(tmp_path / "x.json")])
-
-
 class TestOneLineErrors:
     """Typed user errors print as one ``error: …`` line, never a traceback.
 
@@ -339,8 +315,11 @@ class TestOneLineErrors:
             ("main_reconstruct", [MISSING, "--rows-per-chunk", "0"], 2),
             # a batch isolates per-file failures: a FAIL row and exit 1
             ("main_batch", [MISSING], 1),
+            ("main_benchmark", ["fig8", "--repeats", "0"], 2),
+            ("main_benchmark", ["fig8", "--scale", "-1"], 2),
         ],
-        ids=["reconstruct", "analyze", "reconstruct-invalid-option", "batch"],
+        ids=["reconstruct", "analyze", "reconstruct-invalid-option", "batch",
+             "benchmark-repeats", "benchmark-scale"],
     )
     def test_missing_file_has_no_traceback(self, tmp_path, entry, argv, code):
         proc = self._run(

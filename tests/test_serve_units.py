@@ -16,7 +16,7 @@ from repro.core.config import ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
 from repro.io.image_stack import save_wire_scan
 from repro.serve.jobs import Job, JobState, parse_submission
-from repro.serve.metrics import LatencySeries, ServeMetrics, merge_counter_deltas, percentile
+from repro.serve.metrics import LatencySeries, ServeMetrics, percentile
 from repro.serve.queue import FairPriorityQueue, QueueFull
 from repro.utils.validation import ValidationError
 
@@ -162,11 +162,6 @@ class TestMetrics:
 
     def test_fast_path_rate_none_before_traffic(self):
         assert ServeMetrics().to_dict()["singleflight"]["fast_path_rate"] is None
-
-    def test_merge_counter_deltas(self):
-        before = {"computed": 1, "submitted": 5}
-        after = {"computed": 4, "submitted": 9}
-        assert merge_counter_deltas(before, after, ["computed"]) == {"computed": 3}
 
 
 # --------------------------------------------------------------------------- #

@@ -1,9 +1,9 @@
 """The package version must be single-sourced.
 
-Cache keys (:mod:`repro.core.cache`), run/analysis provenance records and
-``BENCH_*.json`` artifacts all stamp the package version; if two definitions
-drifted apart, stale cache entries could silently be served as hits.  These
-tests pin every consumer to the one definition in ``src/repro/_version.py``.
+Cache keys (:mod:`repro.core.cache`) and run/analysis provenance records
+all stamp the package version; if two definitions drifted apart, stale
+cache entries could silently be served as hits.  These tests pin every
+consumer to the one definition in ``src/repro/_version.py``.
 """
 
 from __future__ import annotations
