@@ -49,7 +49,6 @@ from repro.core import (
     BatchRunResult,
     CacheStats,
     DepthGrid,
-    DepthReconstructor,
     DepthResolvedStack,
     OpInfo,
     ReconstructionConfig,
@@ -141,7 +140,6 @@ __all__ = [
     "unregister_backend",
     "BackendInfo",
     "DepthGrid",
-    "DepthReconstructor",
     "DepthResolvedStack",
     "ReconstructionConfig",
     "WireScanStack",

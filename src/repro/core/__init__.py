@@ -15,8 +15,6 @@ through :mod:`repro.core.registry`, analysis ops through
 pieces — depth mapping, trapezoid response, histogram accumulation, array
 layouts, row-chunk planning and the execution engine — are exposed for
 tests, benchmarks and users who want to compose them differently.
-:class:`~repro.core.reconstruction.DepthReconstructor` remains as a
-deprecated shim.
 """
 
 from repro.core.depth_grid import DepthGrid
@@ -64,7 +62,6 @@ from repro.core.cache import (
 )
 from repro.core.source import BatchSource, FileSource, Source, StackSource, open
 from repro.core.session import BatchRunResult, RunResult, Session, load, session
-from repro.core.reconstruction import DepthReconstructor
 from repro.core.analysis import (
     find_profile_peaks,
     detect_grain_boundaries,
@@ -114,7 +111,6 @@ __all__ = [
     "build_execution_plan",
     "execute",
     "execute_backend",
-    "DepthReconstructor",
     "BackendInfo",
     "available_backends",
     "backends",

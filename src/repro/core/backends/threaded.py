@@ -34,7 +34,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.backends.base import Backend, register_backend
-from repro.core.chunking import plan_worker_bands
+from repro.core.chunking import DEFAULT_MIN_ELEMENTS_PER_DISPATCH, plan_worker_bands
 from repro.core.config import ReconstructionConfig
 from repro.core.engine import (
     ChunkExecutor,
@@ -86,15 +86,9 @@ class ThreadedExecutor(ChunkExecutor):
 
     name = "threaded"
 
-    def __init__(
-        self,
-        n_workers: Optional[int] = None,
-        min_elements_per_dispatch: Optional[int] = None,
-    ):
-        #: explicit worker override (None → ``config.n_workers``)
-        self._requested_workers = n_workers
-        #: granularity floor override (None → the chunking default); the
-        #: auto-tuner passes its measured floor through here
+    def __init__(self, min_elements_per_dispatch: int = DEFAULT_MIN_ELEMENTS_PER_DISPATCH):
+        #: band granularity floor; tests pass 1 to split tiny stacks into
+        #: several bands
         self._min_elements = min_elements_per_dispatch
         self._pool: Optional[ThreadPool] = None
         self._pending: Deque[_Pending] = deque()
@@ -115,11 +109,7 @@ class ThreadedExecutor(ChunkExecutor):
         self, source: ChunkSource, config: ReconstructionConfig, plan: ExecutionPlan
     ) -> None:
         self._config = config
-        requested = (
-            int(config.n_workers)
-            if self._requested_workers is None
-            else int(self._requested_workers)
-        )
+        requested = int(config.n_workers)
         self._n_workers = max(1, min(requested, source.n_rows))
         self._max_inflight = 2 * self._n_workers
         self.peak_inflight = 0
@@ -130,8 +120,6 @@ class ThreadedExecutor(ChunkExecutor):
 
     # ------------------------------------------------------------------ #
     def _bands(self, ctx: KernelContext) -> List[Tuple[int, int]]:
-        if self._min_elements is None:
-            return plan_worker_bands(ctx.n_rows, ctx.n_cols, ctx.n_steps, self._n_workers)
         return plan_worker_bands(
             ctx.n_rows, ctx.n_cols, ctx.n_steps, self._n_workers, self._min_elements
         )

@@ -26,8 +26,6 @@ __all__ = [
     "plan_row_chunks",
     "estimate_chunk_device_bytes",
     "DEFAULT_MIN_ELEMENTS_PER_DISPATCH",
-    "DEFAULT_COMPUTE_PER_DISPATCH_RATIO",
-    "min_elements_for_dispatch",
     "granularity_floor_rows",
     "plan_worker_bands",
 ]
@@ -35,34 +33,10 @@ __all__ = [
 _FLOAT_BYTES = 8
 _MASK_BYTES = 1
 
-#: Default floor on (step, row, col) elements per dispatched work unit.
-#: Below this, dispatch overhead (a pool submit + a future wait, or a shm
-#: lease + copy) rivals the kernel time of the unit itself and the scaling
-#: curve bends down.  Calibrate it to a measured host with
-#: :func:`min_elements_for_dispatch` (the auto-tuner does).
+#: Floor on (step, row, col) elements per dispatched work unit.  Below
+#: this, dispatch overhead (a pool submit + a future wait) rivals the kernel
+#: time of the unit itself and the scaling curve bends down.
 DEFAULT_MIN_ELEMENTS_PER_DISPATCH = 65536
-
-#: How many times longer than the dispatch overhead a work unit's compute
-#: should run.  10x keeps the overhead under ~10 % of each dispatch.
-DEFAULT_COMPUTE_PER_DISPATCH_RATIO = 10.0
-
-
-def min_elements_for_dispatch(
-    dispatch_overhead_s: float,
-    elements_per_second: float,
-    target_ratio: float = DEFAULT_COMPUTE_PER_DISPATCH_RATIO,
-) -> int:
-    """Element floor per work unit from *measured* host throughput.
-
-    A dispatch that costs ``dispatch_overhead_s`` seconds should carry at
-    least ``target_ratio`` times that much kernel work, i.e.
-    ``target_ratio * dispatch_overhead_s * elements_per_second`` elements.
-    Falls back to :data:`DEFAULT_MIN_ELEMENTS_PER_DISPATCH` when the inputs
-    are degenerate (non-positive measurements).
-    """
-    if dispatch_overhead_s <= 0.0 or elements_per_second <= 0.0 or target_ratio <= 0.0:
-        return DEFAULT_MIN_ELEMENTS_PER_DISPATCH
-    return max(1, int(target_ratio * dispatch_overhead_s * elements_per_second))
 
 
 def granularity_floor_rows(

@@ -99,10 +99,10 @@ class ReconstructionConfig:
         once per run over the full stack, so every chunking subtracts the
         same background.
     streaming:
-        If true, :func:`repro.core.pipeline.reconstruct_file` streams row
-        chunks straight from disk through the engine instead of loading the
-        image cube into host memory first — the out-of-core mode for data
-        sets larger than RAM.
+        If true, :meth:`repro.core.session.Session.run` streams a file
+        source's row chunks straight from disk through the engine instead
+        of loading the image cube into host memory first — the out-of-core
+        mode for data sets larger than RAM.
     """
 
     grid: DepthGrid

@@ -422,9 +422,9 @@ def execute(
     _LOG.debug("engine: %s via %s, %s", source.describe(), executor.name, plan.summary())
 
     histogram = DepthHistogram(config.grid, source.n_rows, source.n_cols)
-    # prepare() acquires per-run resources (worker pools, shared-memory
-    # arenas); it sits inside the try so close() runs even when it — or any
-    # chunk — raises, and no pool or shm segment outlives a failed run
+    # prepare() acquires per-run resources (the shared thread pool); it sits
+    # inside the try so close() runs even when it — or any chunk — raises,
+    # and no band stays queued on the pool after a failed run
     try:
         executor.prepare(source, config, plan)
         for row_start, row_stop in plan.chunks:

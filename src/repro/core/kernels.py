@@ -27,7 +27,8 @@ form below is bitwise identical to the scalar reference by construction.
     and the signed differences are computed block by block on the fly.
 
 ``set_two_vectorized``
-    The GPU-sim launch body over explicit thread-coordinate arrays.
+    The GPU-sim launch body over explicit thread-coordinate arrays: the
+    fused kernel over the launch's whole thread volume.
 
 Every form accumulates with atomic-add semantics into the
 ``(n_bins, rows, cols)`` depth-resolved cube and counts the *active*
@@ -455,54 +456,25 @@ def set_two_vectorized(
     ctx: KernelContext,
     out: np.ndarray,
     active_count: np.ndarray,
-    element_batch: int = 16384,
 ) -> None:
     """Data-parallel ``setTwo`` body over explicit thread-coordinate arrays.
 
     Used by the GPU-sim backend: the launch hands in the flat coordinate
-    arrays of every thread in the grid (including overhang threads), and the
-    body processes exactly the in-range, active elements, adding their
-    number to the one-slot device counter *active_count*.
+    arrays of every thread in the grid, overhang threads included.  When the
+    lattice covers the launch's ``(cols, rows, steps)`` volume — as
+    :meth:`~repro.cudasim.kernel.LaunchConfig.for_volume` always does — the
+    body is :func:`depth_resolve_chunk_fused` over the whole volume, and the
+    active elements it distributed are added to the one-slot device counter
+    *active_count*.  A lattice short of the volume raises
+    :class:`~repro.utils.validation.ValidationError`.
     """
-    grid = ctx.grid
-    valid = (ix < ctx.n_cols) & (iy < ctx.n_rows) & (iz < ctx.n_steps)
-    if not np.any(valid):
-        return
-    col_idx = ix[valid].astype(np.int64)
-    row_idx = iy[valid].astype(np.int64)
-    step_idx = iz[valid].astype(np.int64)
-
-    d1, d2, d3, d4, area, pair_active = ctx.trapezoids
-    diffs = ctx.signed_differences()
-    values = diffs[step_idx, row_idx, col_idx]
-    active = np.abs(values) > ctx.intensity_cutoff
-    active &= values != 0.0
-    if ctx.mask is not None:
-        active &= ctx.mask[row_idx, col_idx]
-    active &= pair_active[step_idx, row_idx]
-    if not np.any(active):
-        return
-    col_idx, row_idx, step_idx, values = (
-        col_idx[active],
-        row_idx[active],
-        step_idx[active],
-        values[active],
-    )
-    active_count[0] += values.size
-
-    flat_out = out.reshape(-1)
-    plane = ctx.n_rows * ctx.n_cols
-    bin_offsets = np.arange(grid.n_bins, dtype=np.int64) * plane
-    for start in range(0, values.size, element_batch):
-        sl = slice(start, start + element_batch)
-        s_i, r_i = step_idx[sl], row_idx[sl]
-        weights = trapezoid_bin_overlaps(grid, d1[s_i, r_i], d2[s_i, r_i], d3[s_i, r_i], d4[s_i, r_i])
-        # the scalar kernel's operation order: (value * overlap) / area
-        weights *= values[sl, None]
-        weights /= area[s_i, r_i][:, None]
-        pixel_offset = r_i * ctx.n_cols + col_idx[sl]
-        flat_indices = (pixel_offset[:, None] + bin_offsets[None, :]).reshape(-1)
-        atomic_add(flat_out, flat_indices, weights.reshape(-1))
+    in_range = (ix < ctx.n_cols) & (iy < ctx.n_rows) & (iz < ctx.n_steps)
+    if np.count_nonzero(in_range) < ctx.n_steps * ctx.n_rows * ctx.n_cols:
+        raise ValidationError(
+            f"thread lattice does not cover the ({ctx.n_cols}, {ctx.n_rows}, "
+            f"{ctx.n_steps}) (cols, rows, steps) volume"
+        )
+    active_count[0] += depth_resolve_chunk_fused(ctx, out)
 
 
 def make_set_two_kernel(extra_flops_per_thread: float = 0.0):

@@ -1,6 +1,6 @@
-"""Cross-file batch scheduling, the batch result data model, and shims.
+"""Cross-file batch scheduling and the batch result data model.
 
-Three things live here:
+Two things live here:
 
 * the **batch scheduler** the session's ``run_many`` delegates to:
   :func:`plan_batch_concurrency` gates how many *whole reconstructions* may
@@ -14,34 +14,26 @@ Three things live here:
   items reuse;
 * the batch *data model* (:class:`BatchItem`, :class:`BatchReport`) — the
   session's :class:`~repro.core.session.BatchRunResult` extends
-  :class:`BatchReport`;
-* deprecated shims for the historical entry points
-  (``reconstruct_file`` / ``reconstruct_many``), which emit a
-  :class:`DeprecationWarning` and delegate to the session front door with
-  bitwise-identical outputs.
+  :class:`BatchReport`.
 """
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.config import ReconstructionConfig
 from repro.core.result import DepthResolvedStack, ReconstructionReport
 from repro.utils.logging import get_logger
 
 __all__ = [
-    "PipelineResult",
     "BatchItem",
     "BatchReport",
     "BATCH_MEMORY_BUDGET_BYTES",
     "estimate_source_resident_bytes",
     "plan_batch_concurrency",
     "run_batch_jobs",
-    "reconstruct_file",
-    "reconstruct_many",
 ]
 
 _LOG = get_logger(__name__)
@@ -147,19 +139,8 @@ def run_batch_jobs(
         return list(threads.map(run_one, jobs))
 
 
-@dataclass
-class PipelineResult:
-    """Everything produced by one (deprecated) ``reconstruct_file`` run."""
-
-    result: DepthResolvedStack
-    report: ReconstructionReport
-    input_path: str
-    output_path: Optional[str]
-    text_path: Optional[str]
-
-
 # --------------------------------------------------------------------------- #
-# batch data model (not deprecated: BatchRunResult extends BatchReport)
+# batch data model (BatchRunResult extends BatchReport)
 @dataclass
 class BatchItem:
     """Outcome of one item in a batch run."""
@@ -259,74 +240,3 @@ class BatchReport:
             else:
                 lines.append(f"  FAIL {item.input_path}: {item.error}")
         return "\n".join(lines)
-
-
-# --------------------------------------------------------------------------- #
-# deprecated shims
-def reconstruct_file(
-    input_path: str,
-    config: ReconstructionConfig,
-    output_path: Optional[str] = None,
-    text_path: Optional[str] = None,
-    text_pixels: Optional[Sequence[Tuple[int, int]]] = None,
-) -> PipelineResult:
-    """Deprecated: use ``repro.session(config=...).run(path, ...)``.
-
-    Reads a wire-scan file, reconstructs it (streaming straight from disk
-    when ``config.streaming`` is set) and writes the optional outputs —
-    exactly as before, via the session front door.
-    """
-    warnings.warn(
-        "reconstruct_file() is deprecated; use "
-        "repro.session(config=config).run(path, output_path=..., text_path=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.session import session
-
-    run = session(config=config).run(
-        str(input_path),
-        output_path=output_path,
-        text_path=text_path,
-        text_pixels=text_pixels,
-    )
-    return PipelineResult(
-        result=run.result,
-        report=run.report,
-        input_path=str(input_path),
-        output_path=run.output_path,
-        text_path=run.text_path,
-    )
-
-
-def reconstruct_many(
-    paths: Sequence[str],
-    config: ReconstructionConfig,
-    max_workers: Optional[int] = None,
-    output_dir: Optional[str] = None,
-    keep_results: bool = True,
-) -> BatchReport:
-    """Deprecated: use ``repro.session(config=...).run_many(paths, ...)``.
-
-    Schedules the batch on the session's worker pool with the same
-    per-file error isolation and returns the aggregated report (now a
-    :class:`~repro.core.session.BatchRunResult`, a ``BatchReport``
-    subclass).
-    """
-    warnings.warn(
-        "reconstruct_many() is deprecated; use "
-        "repro.session(config=config).run_many(paths, ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.session import session
-    from repro.core.source import FileSource
-
-    # each path is exactly one literal file (never glob/directory-expanded),
-    # preserving the historical 1:1 paths-to-items mapping callers rely on
-    return session(config=config).run_many(
-        [FileSource(str(path)) for path in paths],
-        max_workers=max_workers,
-        output_dir=output_dir,
-        keep_results=keep_results,
-    )

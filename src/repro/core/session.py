@@ -1,8 +1,7 @@
 """The fluent front door: ``repro.session(...)`` → :class:`Session` → :class:`RunResult`.
 
-One composable entry point replaces the three historical ones
-(``DepthReconstructor.reconstruct``, ``pipeline.reconstruct_file``,
-``pipeline.reconstruct_many``)::
+The one way to run a reconstruction — in memory, from a file, streamed or
+as a batch::
 
     import repro
 

@@ -8,14 +8,11 @@ runs a small throughput microprobe on first use:
 1. reconstruct a synthetic point-source chunk serially with the fused
    kernel, establishing the single-thread element throughput;
 2. re-run it with row bands fanned out to the shared thread pool at a few
-   candidate widths, establishing the measured thread speedup;
-3. time a no-op pool dispatch, converting the measured dispatch overhead
-   into a minimum compute-per-dispatch element floor via
-   :func:`repro.core.chunking.min_elements_for_dispatch`.
+   candidate widths, establishing the measured thread speedup.
 
-The resulting :class:`TuningDecision` — strategy, worker count, granularity
-floor, and *why* — is cached as JSON per (machine fingerprint, workload
-shape bucket) under ``<cache root>/autotune/`` (the same root the
+The resulting :class:`TuningDecision` — strategy, worker count and *why* —
+is cached as JSON per (machine fingerprint, workload shape bucket) under
+``<cache root>/autotune/`` (the same root the
 :class:`~repro.core.cache.ResultCache` uses, so ``REPRO_CACHE_DIR`` governs
 both), and later runs skip the probe entirely.
 
@@ -38,11 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.chunking import (
-    DEFAULT_MIN_ELEMENTS_PER_DISPATCH,
-    min_elements_for_dispatch,
-    plan_worker_bands,
-)
+from repro.core.chunking import plan_worker_bands
 from repro.utils.logging import get_logger
 from repro.utils.validation import ValidationError
 
@@ -63,7 +56,7 @@ __all__ = [
 _LOG = get_logger(__name__)
 
 #: On-disk decision format; bumping it orphans (never mis-serves) old entries.
-TUNE_FORMAT_VERSION = 1
+TUNE_FORMAT_VERSION = 2
 
 #: Minimum measured speedup over serial before a parallel strategy is chosen.
 #: Below this the win is noise-sized and not worth the dispatch machinery.
@@ -85,8 +78,6 @@ class TuningDecision:
     executor: str
     #: chosen worker count (1 for serial)
     n_workers: int
-    #: calibrated element floor per dispatched work unit
-    min_elements_per_dispatch: int
     #: human-readable justification (recorded even when the answer is serial)
     reason: str
     #: machine fingerprint the decision is valid for
@@ -111,7 +102,6 @@ class TuningDecision:
         return cls(
             executor=str(data["executor"]),
             n_workers=int(data["n_workers"]),
-            min_elements_per_dispatch=int(data["min_elements_per_dispatch"]),
             reason=str(data["reason"]),
             machine=dict(data.get("machine") or {}),
             workload=dict(data.get("workload") or {}),
@@ -237,8 +227,8 @@ def _time_threaded(ctx, n_workers: int, repeats: int) -> float:
     from repro.core.workerpool import shared_thread_pool
 
     pool = shared_thread_pool(n_workers)
-    # bands sized for the probe itself (no floor): the probe wants to see
-    # raw thread scaling, the floor is calibrated separately from overhead
+    # bands sized for the probe itself (no element floor): the probe wants
+    # to see raw thread scaling
     bands = plan_worker_bands(
         ctx.n_rows, ctx.n_cols, ctx.n_steps, n_workers, min_elements_per_dispatch=1
     )
@@ -255,31 +245,13 @@ def _time_threaded(ctx, n_workers: int, repeats: int) -> float:
     return best
 
 
-def _time_dispatch_overhead(n_workers: int, repeats: int = 64) -> float:
-    """Median round-trip of an empty thread-pool dispatch (seconds)."""
-    from repro.core.workerpool import shared_thread_pool
-
-    pool = shared_thread_pool(n_workers)
-    pool.submit(_noop_task).result()  # warm the threads
-    samples: List[float] = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        pool.submit(_noop_task).result()
-        samples.append(time.perf_counter() - start)
-    return float(np.median(samples))
-
-
-def _noop_task() -> None:
-    """Empty task used to measure pure dispatch overhead."""
-
-
 def run_throughput_probe(
     candidate_workers: Optional[List[int]] = None, repeats: int = 3
 ) -> Dict:
     """Measure serial vs threaded throughput on the synthetic probe chunk.
 
-    Returns a JSON-safe record: serial time, per-width threaded times and
-    speedups, the measured dispatch overhead, and the derived element floor.
+    Returns a JSON-safe record: serial time and per-width threaded times
+    and speedups.
     """
     cpu = int(os.cpu_count() or 1)
     if candidate_workers is None:
@@ -294,19 +266,12 @@ def run_throughput_probe(
         t = _time_threaded(ctx, int(workers), repeats)
         threaded[str(workers)] = t
         speedups[str(workers)] = serial_s / t if t > 0 else 0.0
-
-    overhead_s = _time_dispatch_overhead(max(candidate_workers, default=2))
-    elements_per_second = elements / serial_s if serial_s > 0 else 0.0
-    floor = min_elements_for_dispatch(overhead_s, elements_per_second)
     return {
         "probe_elements": int(elements),
         "repeats": int(repeats),
         "serial_s": float(serial_s),
         "threaded_s": threaded,
         "thread_speedup": speedups,
-        "dispatch_overhead_s": float(overhead_s),
-        "elements_per_second": float(elements_per_second),
-        "min_elements_per_dispatch": int(floor),
     }
 
 
@@ -337,7 +302,6 @@ def tune(
         decision = TuningDecision(
             executor="serial",
             n_workers=1,
-            min_elements_per_dispatch=DEFAULT_MIN_ELEMENTS_PER_DISPATCH,
             reason=(
                 "single-CPU host: no parallel speedup is available, every "
                 "dispatch is pure overhead"
@@ -358,7 +322,6 @@ def tune(
         decision = TuningDecision(
             executor="threads",
             n_workers=best_workers,
-            min_elements_per_dispatch=probe["min_elements_per_dispatch"],
             reason=(
                 f"threads won the probe: {best_speedup:.2f}x over serial at "
                 f"{best_workers} workers (threshold {MIN_PARALLEL_SPEEDUP}x)"
@@ -371,7 +334,6 @@ def tune(
         decision = TuningDecision(
             executor="serial",
             n_workers=1,
-            min_elements_per_dispatch=probe["min_elements_per_dispatch"],
             reason=(
                 f"no parallel strategy beat serial by {MIN_PARALLEL_SPEEDUP}x "
                 f"in the probe (best: {best_speedup:.2f}x at {best_workers} "

@@ -54,9 +54,8 @@ def _signature_of(obj) -> Optional[str]:
 def _is_deprecated(obj) -> bool:
     """Deprecation by docstring convention: the first line says so.
 
-    Every shim in the codebase (``DepthReconstructor``,
-    ``reconstruct_file``, ...) opens its docstring with "Deprecated:", so
-    the snapshot can track deprecation status without importing private
+    A deprecated symbol opens its docstring with "Deprecated:", so the
+    snapshot can track deprecation status without importing private
     warning plumbing.
     """
     doc = inspect.getdoc(obj) or ""

@@ -14,6 +14,7 @@ from repro.core.kernels import (
 )
 from repro.cudasim.kernel import LaunchConfig
 from repro.geometry.wire import WireEdge
+from repro.utils.validation import ValidationError
 
 
 @pytest.fixture()
@@ -70,6 +71,20 @@ class TestScalarVsVectorized:
         set_two_vectorized(ix, iy, iz, ctx, out_threads, counter)
         assert np.array_equal(out_threads, out_chunk)
         assert counter[0] == n_active
+
+    @pytest.mark.parametrize("short_axis", [0, 1, 2])
+    def test_set_two_vectorized_rejects_a_short_lattice(self, context_and_grid, short_axis):
+        """A lattice that misses part of the (cols, rows, steps) volume raises
+        instead of silently distributing only the covered elements."""
+        ctx, grid = context_and_grid
+        volume = [ctx.n_cols, ctx.n_rows, ctx.n_steps]
+        volume[short_axis] -= 1
+        ix, iy, iz = LaunchConfig.for_volume(volume, block_dim=(1, 1, 1)).thread_indices()
+        out = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
+        counter = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValidationError, match="does not cover"):
+            set_two_vectorized(ix, iy, iz, ctx, out, counter)
+        assert not out.any() and counter[0] == 0
 
     def test_small_batches_do_not_change_result(self, context_and_grid):
         ctx, grid = context_and_grid

@@ -1,10 +1,9 @@
 """Tests for the ``repro.open()`` / ``repro.session()`` front door.
 
 Source polymorphism, fluent-session immutability, run observability
-(RunResult provenance), batch scheduling through ``run_many`` — and the
-acceptance guarantee that the new front door reproduces the deprecated
-entry points bitwise-identically across all four backends, in-memory,
-streamed and batched.
+(RunResult provenance), batch scheduling through ``run_many``, and file
+runs: their outputs, their errors, and results bitwise identical to the
+in-memory run across all four backends, streamed or not.
 """
 
 import json
@@ -18,7 +17,9 @@ from repro.core.config import ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
 from repro.core.session import BatchRunResult, RunResult, Session, session
 from repro.core.source import BatchSource, FileSource, StackSource, open as open_source
-from repro.io.image_stack import save_wire_scan
+from repro.io.h5lite import H5LiteError
+from repro.io.image_stack import load_depth_resolved, save_wire_scan
+from repro.io.text_output import read_depth_profiles
 from repro.utils.validation import ValidationError
 from tests.helpers import make_tiny_stack
 
@@ -320,6 +321,16 @@ class TestRunMany:
         record = json.loads(batch.to_json())
         assert record["items"][1]["input_path"] == "no-match-*.h5lite"
 
+    def test_run_many_takes_file_sources_literally(self, scan_dir, grid):
+        """A FileSource entry is never glob- or directory-expanded: one item
+        per entry, failures recorded per entry."""
+        root, paths = scan_dir
+        scheduled = [paths[0], str(root), "nomatch-*.h5lite"]
+        batch = session(grid=grid).run_many([FileSource(path) for path in scheduled])
+        assert batch.n_files == 3
+        assert [item.input_path for item in batch.items] == scheduled
+        assert [item.ok for item in batch.items] == [True, False, False]
+
     def test_run_many_empty(self, grid):
         batch = session(grid=grid).run_many([])
         assert batch.n_files == 0 and batch.wall_time == 0.0
@@ -327,81 +338,60 @@ class TestRunMany:
 
 
 # --------------------------------------------------------------------------- #
-class TestShimEquivalence:
-    """Acceptance: the new front door reproduces the old API bit-for-bit."""
+class TestFileRuns:
+    """``Session.run`` on an ``.h5lite`` path."""
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_in_memory_identical_to_deprecated_reconstructor(self, backend, grid):
-        from repro.core.reconstruction import DepthReconstructor
+    def test_writes_stack_and_brightest_pixel_profile(
+        self, point_source_stack, depth_grid, tmp_path
+    ):
+        stack, _ = point_source_stack
+        path = tmp_path / "scan.h5lite"
+        out = tmp_path / "depth.h5lite"
+        text = tmp_path / "profiles.txt"
+        save_wire_scan(path, stack)
+        run = session(grid=depth_grid).run(str(path), output_path=str(out), text_path=str(text))
+        assert run.result.total_intensity() > 0
 
-        stack = _noisy_stack(masked=True)
-        with pytest.warns(DeprecationWarning):
-            old_result, old_report = DepthReconstructor(
-                grid=grid, backend=backend, rows_per_chunk=2
-            ).reconstruct(stack)
-        run = session(grid=grid, backend=backend, rows_per_chunk=2).run(stack)
-        np.testing.assert_array_equal(run.result.data, old_result.data)
-        assert run.report.n_chunks == old_report.n_chunks
-        assert run.report.backend == old_report.backend
+        loaded = load_depth_resolved(out)
+        np.testing.assert_array_equal(loaded.data, run.result.data)
+        assert loaded.grid == run.result.grid
+
+        depths, profiles = read_depth_profiles(text)
+        (pixel, profile), = profiles.items()
+        totals = run.result.data.sum(axis=0)
+        assert pixel == np.unravel_index(int(totals.argmax()), totals.shape)
+        np.testing.assert_allclose(profile, run.result.depth_profile(*pixel), rtol=1e-6)
+        np.testing.assert_allclose(depths, depth_grid.centers)
+
+    def test_writes_explicit_text_pixels(self, point_source_stack, depth_grid, tmp_path):
+        stack, _ = point_source_stack
+        path = tmp_path / "scan.h5lite"
+        text = tmp_path / "profiles.txt"
+        save_wire_scan(path, stack)
+        session(grid=depth_grid).run(str(path), text_path=str(text), text_pixels=[(0, 0), (1, 1)])
+        _, profiles = read_depth_profiles(text)
+        assert set(profiles) == {(0, 0), (1, 1)}
+
+    def test_missing_file_raises_h5lite_error(self, grid, tmp_path):
+        with pytest.raises(H5LiteError):
+            session(grid=grid).run(str(tmp_path / "nope.h5lite"))
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("streaming", [False, True])
-    def test_file_runs_identical_to_deprecated_pipeline(
-        self, backend, streaming, grid, tmp_path
-    ):
-        from repro.core.pipeline import reconstruct_file
-
+    def test_file_run_equals_in_memory_run(self, backend, streaming, grid, tmp_path):
+        stack = _noisy_stack(masked=True)
         path = tmp_path / "scan.h5lite"
-        save_wire_scan(path, _noisy_stack(masked=True))
+        save_wire_scan(path, stack)
         config = ReconstructionConfig(
-            grid=grid, backend=backend, rows_per_chunk=2, streaming=streaming,
-            subtract_background=True,
+            grid=grid, backend=backend, rows_per_chunk=2, subtract_background=True,
         )
-        with pytest.warns(DeprecationWarning):
-            old = reconstruct_file(str(path), config)
-        run = session(config=config).run(str(path))
-        np.testing.assert_array_equal(run.result.data, old.result.data)
-        assert run.report.n_chunks == old.report.n_chunks
-
-    def test_batch_identical_to_deprecated_reconstruct_many(self, scan_dir, grid):
-        from repro.core.pipeline import reconstruct_many
-
-        _root, paths = scan_dir
-        config = ReconstructionConfig(grid=grid, streaming=True, rows_per_chunk=2)
-        with pytest.warns(DeprecationWarning):
-            old = reconstruct_many(paths, config, max_workers=2)
-        new = session(config=config).run_many(paths, max_workers=2)
-        assert old.n_ok == new.n_ok == len(paths)
-        for old_item, new_item in zip(old.items, new.items):
-            assert old_item.input_path == new_item.input_path
-            np.testing.assert_array_equal(old_item.result.data, new_item.result.data)
-
-    def test_reconstruct_many_treats_paths_literally(self, scan_dir, grid):
-        """The shim must keep the historical 1:1 paths-to-items mapping —
-        no glob/directory expansion, failures recorded per entry."""
-        from repro.core.pipeline import reconstruct_many
-
-        root, paths = scan_dir
-        scheduled = [paths[0], str(root), "nomatch-*.h5lite"]
-        with pytest.warns(DeprecationWarning):
-            batch = reconstruct_many(scheduled, ReconstructionConfig(grid=grid))
-        assert batch.n_files == 3
-        assert [item.input_path for item in batch.items] == scheduled
-        assert [item.ok for item in batch.items] == [True, False, False]
-
-    def test_deprecated_shims_warn(self, grid, tmp_path):
-        from repro.core.pipeline import reconstruct_file, reconstruct_many
-        from repro.core.reconstruction import DepthReconstructor
-
-        path = tmp_path / "scan.h5lite"
-        save_wire_scan(path, _noisy_stack())
-        config = ReconstructionConfig(grid=grid)
-        with pytest.warns(DeprecationWarning, match="DepthReconstructor"):
-            DepthReconstructor(config=config)
-        with pytest.warns(DeprecationWarning, match="reconstruct_file"):
-            reconstruct_file(str(path), config)
-        with pytest.warns(DeprecationWarning, match="reconstruct_many"):
-            reconstruct_many([str(path)], config)
+        in_memory = session(config=config).run(stack)
+        from_file = session(config=config.with_overrides(streaming=streaming)).run(str(path))
+        np.testing.assert_array_equal(from_file.result.data, in_memory.result.data)
+        assert from_file.report.n_chunks == in_memory.report.n_chunks
+        assert from_file.report.n_active_pixels == in_memory.report.n_active_pixels
+        streamed = any("streamed from disk" in note for note in from_file.report.notes)
+        assert streamed == streaming
 
     def test_new_api_emits_no_warnings(self, grid, tmp_path):
         path = tmp_path / "scan.h5lite"
