@@ -11,9 +11,9 @@ its full run record, :func:`~repro.core.session.load` reconstructs it
 losslessly, and named analysis ops (:mod:`repro.core.ops`) chain into
 immutable pipelines via :func:`~repro.core.ops.analysis`.  Backends plug in
 through :mod:`repro.core.registry`, analysis ops through
-:func:`~repro.core.ops.register_op`.  The lower-level
-pieces — depth mapping, trapezoid response, histogram accumulation, array
-layouts, row-chunk planning and the execution engine — are exposed for
+:func:`~repro.core.ops.register_op`.  The lower-level pieces — depth
+mapping, trapezoid response, array layouts, row-chunk planning and the
+execution engine, whose plan owns each run's output cube — are exposed for
 tests, benchmarks and users who want to compose them differently.
 """
 
@@ -35,7 +35,6 @@ from repro.core.trapezoid import (
 )
 from repro.core.layouts import Flat1DLayout, Pointer3DLayout, get_layout
 from repro.core.chunking import ChunkPlan, plan_row_chunks
-from repro.core.histogram import DepthHistogram
 from repro.core.engine import (
     ChunkExecutor,
     ChunkSource,
@@ -103,7 +102,6 @@ __all__ = [
     "get_layout",
     "ChunkPlan",
     "plan_row_chunks",
-    "DepthHistogram",
     "ChunkExecutor",
     "ChunkSource",
     "ExecutionPlan",

@@ -4,7 +4,7 @@ Since the engine refactor a backend is a thin shell: it names itself in the
 registry (:mod:`repro.core.registry` — the pluggable table shared by built-in
 and out-of-tree backends alike) and supplies a
 :class:`~repro.core.engine.ChunkExecutor` with the per-chunk compute.  The
-plan → execute → reduce → report control flow lives once in
+plan → execute → report control flow lives once in
 :mod:`repro.core.engine`; ``Backend.reconstruct`` just wraps an in-memory
 stack in a :class:`~repro.core.engine.StackChunkSource` and runs the engine.
 

@@ -7,40 +7,34 @@ deliberately not vectorised: it is the baseline every speed-up in the paper
 truth the faster backends are validated against.
 
 The chunk loop, accounting and reporting live in the shared engine; this
-module only supplies the scalar per-chunk compute.
+module only supplies the scalar per-chunk compute, which writes each chunk's
+rows of the run's output cube in place.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
-
-import numpy as np
+from typing import Iterable, List
 
 from repro.core.backends.base import Backend, register_backend
 from repro.core.config import ReconstructionConfig
-from repro.core.engine import ChunkExecutor
+from repro.core.engine import ChunkExecutor, ChunkSource, ExecutionPlan
 from repro.core.kernels import KernelContext, depth_resolve_chunk_scalar
 
 __all__ = ["CpuReferenceBackend", "CpuReferenceExecutor"]
 
 
 class CpuReferenceExecutor(ChunkExecutor):
-    """Scalar triple loop over each chunk's elements."""
+    """Scalar triple loop over each chunk's elements, into the run's cube."""
 
     name = "cpu_reference"
 
-    def __init__(self):
-        self._n_active = 0
+    def prepare(
+        self, source: ChunkSource, config: ReconstructionConfig, plan: ExecutionPlan
+    ) -> None:
+        self._out = plan.output
 
-    def execute_chunk(
-        self, ctx: KernelContext, row_start: int, row_stop: int
-    ) -> Iterable[Tuple[int, np.ndarray]]:
-        partial = np.zeros((ctx.grid.n_bins, ctx.n_rows, ctx.n_cols), dtype=np.float64)
-        self._n_active += depth_resolve_chunk_scalar(ctx, partial)
-        yield row_start, partial
-
-    def report_extras(self) -> Dict:
-        return {"n_active_pixels": self._n_active}
+    def execute_chunk(self, ctx: KernelContext, row_start: int, row_stop: int) -> Iterable[int]:
+        yield depth_resolve_chunk_scalar(ctx, self._out)
 
     def notes(self) -> List[str]:
         return ["scalar per-element loop (original CPU program)"]

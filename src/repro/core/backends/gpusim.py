@@ -8,8 +8,9 @@ Follows the structure of the original CUDA program step by step:
    geometry tables and the output slab host→device;
 3. launch the ``setTwo`` kernel over a ``(cols, rows, steps)`` thread
    lattice;
-4. copy the depth-resolved slab back device→host and hand it to the engine,
-   which stitches it into the full output;
+4. copy the depth-resolved slab back device→host into a host staging slab,
+   and assign that slab to the chunk's rows of the run's output cube (the
+   Fig. 2 "put it back together" step);
 5. free the chunk's allocations and continue with the next rows.
 
 The chunk loop itself lives in the shared engine; this module supplies the
@@ -60,7 +61,6 @@ class GpuSimExecutor(ChunkExecutor):
         self._d2h_bytes = 0
         self._n_launches = 0
         self._n_threads = 0
-        self._n_active = 0
 
     # ------------------------------------------------------------------ #
     def _make_device(self, config: ReconstructionConfig) -> Device:
@@ -83,6 +83,11 @@ class GpuSimExecutor(ChunkExecutor):
             strategy="gpusim",
         )
 
+    def prepare(
+        self, source: ChunkSource, config: ReconstructionConfig, plan: ExecutionPlan
+    ) -> None:
+        self._out = plan.output
+
     # ------------------------------------------------------------------ #
     @staticmethod
     def _batch_context(ctx: KernelContext, device_images: np.ndarray, step_start: int, step_stop: int):
@@ -91,7 +96,8 @@ class GpuSimExecutor(ChunkExecutor):
         The image view covers positions ``step_start .. step_stop`` inclusive
         (a step needs both of its bounding wire positions) and reads from the
         *device-side* slab uploaded for the chunk; the trapezoid view covers
-        the batch's steps.
+        the batch's steps.  Its ``row_offset`` is 0: a launch writes the
+        chunk-sized device output buffer, not the host cube.
         """
         return KernelContext(
             images=device_images[step_start:step_stop + 1],
@@ -106,9 +112,7 @@ class GpuSimExecutor(ChunkExecutor):
             mask=ctx.mask,
         )
 
-    def execute_chunk(
-        self, ctx: KernelContext, row_start: int, row_stop: int
-    ) -> Iterable[Tuple[int, np.ndarray]]:
+    def execute_chunk(self, ctx: KernelContext, row_start: int, row_stop: int) -> Iterable[int]:
         device = self.device
         grid = ctx.grid
         chunk_rows = row_stop - row_start
@@ -160,13 +164,16 @@ class GpuSimExecutor(ChunkExecutor):
             self._n_threads += launch_cfg.total_threads
 
         # -- device -> host --------------------------------------------------
-        partial = np.zeros((grid.n_bins, chunk_rows, ctx.n_cols), dtype=np.float64)
-        memcpy_device_to_host(device, partial, out_buf, label="D2H:depth_resolved")
-        self._d2h_bytes += int(partial.nbytes)
+        # into a contiguous staging slab, then onto the chunk's rows of the
+        # output cube; device slots accumulate from +0.0 and never hold
+        # -0.0, so assigning equals adding into the zeroed rows
+        staging = np.empty((grid.n_bins, chunk_rows, ctx.n_cols), dtype=np.float64)
+        memcpy_device_to_host(device, staging, out_buf, label="D2H:depth_resolved")
+        self._d2h_bytes += int(staging.nbytes)
+        self._out[:, row_start:row_stop] = staging
         count = np.zeros(1, dtype=np.int64)
         memcpy_device_to_host(device, count, count_buf, label="D2H:active_count")
         self._d2h_bytes += int(count.nbytes)
-        self._n_active += int(count[0])
 
         # -- free chunk allocations ------------------------------------------
         upload.free()
@@ -174,7 +181,7 @@ class GpuSimExecutor(ChunkExecutor):
         out_buf.free()
         count_buf.free()
 
-        yield row_start, partial
+        yield int(count[0])
 
     # ------------------------------------------------------------------ #
     def report_extras(self) -> Dict:
@@ -187,7 +194,6 @@ class GpuSimExecutor(ChunkExecutor):
             "d2h_bytes": self._d2h_bytes,
             "n_kernel_launches": self._n_launches,
             "n_threads_launched": self._n_threads,
-            "n_active_pixels": self._n_active,
             "layout": self._layout.name,
         }
 

@@ -5,10 +5,11 @@ spends its time inside NumPy ufunc loops, which release the GIL.  That makes
 plain threads the parallel substrate for the vectorised compute: no fork, no
 pickling, no shared-memory leases or slab copies.  Each worker thread
 reconstructs a contiguous band of detector rows directly from views of the
-chunk slab and writes its partial cube into memory the engine merges at a
-disjoint row offset, so dispatch cost is a ``submit()`` call and nothing
-else.  Depth reconstruction is embarrassingly parallel across rows because
-every (pixel, step) element writes only to its own pixel's depth profile.
+chunk slab and writes straight into the band's own rows of the run's output
+cube, so dispatch cost is a ``submit()`` call and nothing else.  Depth
+reconstruction is embarrassingly parallel across rows because every
+(pixel, step) element writes only to its own pixel's depth profile: bands
+cover disjoint rows, so no two threads ever write the same output slot.
 
 Band granularity comes from :func:`~repro.core.chunking.plan_worker_bands`:
 one near-equal band per worker, coarsened so every dispatch carries at least
@@ -47,13 +48,12 @@ from repro.core.workerpool import ThreadPool, shared_thread_pool
 
 __all__ = ["ThreadedBackend", "ThreadedExecutor"]
 
-#: A pending band: (absolute row start, future resolving to the band's
-#: (partial cube, active-element count)).
-_Pending = Tuple[int, Future]
-
 
 def _band_context(ctx: KernelContext, band_start: int, band_stop: int) -> KernelContext:
-    """The kernel context of one row band — pure views, nothing copied."""
+    """The kernel context of one row band — pure views, nothing copied.
+
+    Its rows map to the output rows ``ctx.row_offset + band_start`` onwards.
+    """
     return KernelContext(
         images=ctx.images[:, band_start:band_stop, :],
         back_edge_yz=ctx.back_edge_yz[band_start:band_stop],
@@ -65,20 +65,18 @@ def _band_context(ctx: KernelContext, band_start: int, band_stop: int) -> Kernel
         difference_mode=ctx.difference_mode,
         intensity_cutoff=ctx.intensity_cutoff,
         mask=None if ctx.mask is None else ctx.mask[band_start:band_stop],
+        row_offset=ctx.row_offset + band_start,
     )
 
 
-def _reconstruct_band(band_ctx: KernelContext) -> Tuple[np.ndarray, int]:
-    """Thread task: fused reconstruction of one band into a fresh partial cube.
+def _reconstruct_band(ctx: KernelContext, band_start: int, band_stop: int, out: np.ndarray) -> int:
+    """Thread task: fused reconstruction of rows ``band_start:band_stop`` of
+    *ctx* into their rows of the output cube *out*.
 
-    Returns the cube and the band's active-element count; the count travels
-    back through the future so no worker thread writes executor state.
+    Returns the band's active-element count; the count travels back through
+    the future so no worker thread writes executor state.
     """
-    out = np.zeros(
-        (band_ctx.grid.n_bins, band_ctx.n_rows, band_ctx.n_cols), dtype=np.float64
-    )
-    n_active = depth_resolve_chunk_fused(band_ctx, out)
-    return out, n_active
+    return depth_resolve_chunk_fused(_band_context(ctx, band_start, band_stop), out)
 
 
 class ThreadedExecutor(ChunkExecutor):
@@ -91,13 +89,12 @@ class ThreadedExecutor(ChunkExecutor):
         #: several bands
         self._min_elements = min_elements_per_dispatch
         self._pool: Optional[ThreadPool] = None
-        self._pending: Deque[_Pending] = deque()
-        self._config: Optional[ReconstructionConfig] = None
+        self._pending: Deque[Future] = deque()
+        self._out: Optional[np.ndarray] = None
         self._n_workers = 1
         self._max_inflight = 1
         self._n_bands = 0
         self._n_threads = 0
-        self._n_active = 0
         #: peak number of bands simultaneously pending in the pool
         self.peak_inflight = 0
 
@@ -108,7 +105,7 @@ class ThreadedExecutor(ChunkExecutor):
     def prepare(
         self, source: ChunkSource, config: ReconstructionConfig, plan: ExecutionPlan
     ) -> None:
-        self._config = config
+        self._out = plan.output
         requested = int(config.n_workers)
         self._n_workers = max(1, min(requested, source.n_rows))
         self._max_inflight = 2 * self._n_workers
@@ -124,46 +121,36 @@ class ThreadedExecutor(ChunkExecutor):
             ctx.n_rows, ctx.n_cols, ctx.n_steps, self._n_workers, self._min_elements
         )
 
-    def execute_chunk(
-        self, ctx: KernelContext, row_start: int, row_stop: int
-    ) -> Iterable[Tuple[int, np.ndarray]]:
+    def execute_chunk(self, ctx: KernelContext, row_start: int, row_stop: int) -> Iterable[int]:
         if self._pool is None:
             # single-worker fall-back: fused kernel inline, no dispatch at all
             self._n_bands += 1
             self._n_threads += ctx.n_steps * ctx.n_rows * ctx.n_cols
-            out = np.zeros(
-                (self._config.grid.n_bins, ctx.n_rows, ctx.n_cols), dtype=np.float64
-            )
-            self._n_active += depth_resolve_chunk_fused(ctx, out)
-            yield row_start, out
+            yield depth_resolve_chunk_fused(ctx, self._out)
             return
         for band_start, band_stop in self._bands(ctx):
             self._n_bands += 1
             self._n_threads += ctx.n_steps * (band_stop - band_start) * ctx.n_cols
-            band_ctx = _band_context(ctx, band_start, band_stop)
-            future = self._pool.submit(_reconstruct_band, band_ctx)
-            self._pending.append((row_start + band_start, future))
+            self._pending.append(
+                self._pool.submit(_reconstruct_band, ctx, band_start, band_stop, self._out)
+            )
             self.peak_inflight = max(self.peak_inflight, len(self._pending))
             while len(self._pending) >= self._max_inflight:
                 yield self._collect(self._pending.popleft())
 
-    def _collect(self, entry: _Pending) -> Tuple[int, np.ndarray]:
-        """Wait for one pending band; on failure cancel the rest and re-raise."""
-        band_start, future = entry
+    def _collect(self, future: Future) -> int:
+        """Wait for one pending band's count; on failure cancel the rest and re-raise."""
         try:
-            out, n_active = future.result()
+            return future.result()
         except BaseException:
             self._cancel_pending()
             raise
-        self._n_active += n_active
-        return band_start, out
 
     def _cancel_pending(self) -> None:
         while self._pending:
-            _start, future = self._pending.popleft()
-            future.cancel()
+            self._pending.popleft().cancel()
 
-    def drain(self) -> Iterable[Tuple[int, np.ndarray]]:
+    def drain(self) -> Iterable[int]:
         while self._pending:
             yield self._collect(self._pending.popleft())
 
@@ -177,7 +164,6 @@ class ThreadedExecutor(ChunkExecutor):
         return {
             "n_kernel_launches": self._n_bands,
             "n_threads_launched": self._n_threads,
-            "n_active_pixels": self._n_active,
         }
 
     def notes(self) -> List[str]:

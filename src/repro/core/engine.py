@@ -1,9 +1,8 @@
 """The shared chunked execution engine.
 
 Every backend used to carry its own copy of the same control flow: slice the
-image cube into detector-row chunks, build a kernel context per chunk, run
-the per-chunk compute, and stitch the partial depth-resolved cubes back into
-the full histogram.  This module extracts that loop into one place:
+image cube into detector-row chunks, build a kernel context per chunk and
+run the per-chunk compute.  This module extracts that loop into one place:
 
 ``ChunkSource``
     Where the image slabs come from.  :class:`StackChunkSource` serves an
@@ -18,27 +17,29 @@ the full histogram.  This module extracts that loop into one place:
     trapezoid table of every (wire-step, row) pair, each computed once over
     the *whole* detector — so every backend, chunking and streaming mode
     subtracts the same background and distributes with the same geometry —
-    and the chunking strategy note.
+    the zeroed ``(n_bins, n_rows, n_cols)`` output cube of the run, and the
+    chunking strategy note.
 
 ``ChunkExecutor``
     What a backend actually contributes: how to plan its chunks, optional
-    per-run setup/teardown, and the per-chunk compute that turns a
-    :class:`~repro.core.kernels.KernelContext` into a partial
-    ``(n_bins, chunk_rows, n_cols)`` cube.  Executors may complete chunks
-    asynchronously (the threaded executor keeps a bounded number of row
-    bands in flight) by yielding finished partials whenever they are ready
-    and draining the rest at the end.
+    per-run setup/teardown, and the per-chunk compute that distributes a
+    :class:`~repro.core.kernels.KernelContext` into the plan's output cube
+    at the context's rows.  Executors may complete chunks asynchronously
+    (the threaded executor keeps a bounded number of row bands in flight)
+    by yielding each finished chunk's or band's active-element count
+    whenever it is ready and draining the rest at the end.
 
 ``execute``
     The engine loop: plan → prepare → per chunk (load slab, build context,
-    execute) → reduce into the histogram → report.
+    execute) → report.  Every chunk writes its own rows of the one output
+    cube, which becomes the result without a copy.
 
 The engine also owns the run accounting that used to be duplicated: every
 report's notes carry the plan summary so cross-backend comparisons are
 attributable to identical chunking.  The active-element count is not
 recomputed here: each executor's kernel counts the elements it distributes
-while it distributes them, and the executor reports the total through
-:meth:`ChunkExecutor.report_extras` as ``n_active_pixels``.
+while it distributes them, and the engine sums the counts the executor
+yields into the report's ``n_active_pixels``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ import numpy as np
 
 from repro.core.chunking import ChunkPlan, plan_row_chunks
 from repro.core.config import ReconstructionConfig
-from repro.core.histogram import DepthHistogram
 from repro.core.kernels import KernelContext, _trapezoid_table
 from repro.core.result import DepthResolvedStack, ReconstructionReport
 from repro.core.stack import WireScanStack
@@ -181,6 +181,9 @@ class ExecutionPlan:
     #: (wire-step, detector-row) pair, each of shape ``(n_steps, n_rows)``;
     #: chunks, thread bands and device launches read views of it
     trapezoids: Tuple[np.ndarray, ...]
+    #: the run's zeroed ``(n_bins, n_rows, n_cols)`` output cube: executors
+    #: distribute every chunk into its own rows, and the result wraps it
+    output: np.ndarray
     #: per-image background levels, shape ``(n_positions, 1, 1)``; ``None``
     #: when ``subtract_background`` is off
     background: Optional[np.ndarray] = None
@@ -223,9 +226,9 @@ def build_execution_plan(
     slab budget is capped at :data:`STREAMING_CHUNK_BYTES` so streaming never
     pulls the whole cube into RAM.
 
-    The per-run state is computed here, once: the background levels and the
+    The per-run state is computed here, once: the background levels, the
     trapezoid table, whose geometry comes from the source's edge tables for
-    every detector row and its wire trajectory.
+    every detector row and its wire trajectory, and the zeroed output cube.
     """
     if rows_per_chunk is None:
         rows_per_chunk = config.rows_per_chunk
@@ -252,6 +255,7 @@ def build_execution_plan(
     return ExecutionPlan(
         chunk_plan=chunk_plan,
         trapezoids=trapezoids,
+        output=np.zeros((config.grid.n_bins, source.n_rows, source.n_cols)),
         background=compute_stack_background(source, config),
         strategy=strategy,
     )
@@ -299,13 +303,17 @@ class ChunkExecutor(abc.ABC):
 
         plan(source, config)
         prepare(source, config, plan)
-        for each chunk:  execute_chunk(ctx, row_start, row_stop)  -> partials
-        drain()                                                   -> partials
+        for each chunk:  execute_chunk(ctx, row_start, row_stop)  -> counts
+        drain()                                                   -> counts
         report_extras(), notes()
 
-    ``execute_chunk`` and ``drain`` yield ``(row_start, partial_cube)`` pairs;
-    a synchronous executor yields its own chunk immediately, an asynchronous
-    one may buffer work and yield completed chunks in any order.
+    ``prepare`` hands the executor the plan, whose ``output`` cube every
+    chunk distributes into at ``ctx.row_offset`` (the chunk's first row).
+    ``execute_chunk`` and ``drain`` are generators that do their work while
+    they are iterated and yield the active-element count of every chunk or
+    band they finish; a synchronous executor yields its own chunk's count
+    immediately, an asynchronous one may buffer work and yield completed
+    counts in any order.  The engine sums them into ``n_active_pixels``.
     """
 
     #: report/backend name
@@ -316,24 +324,18 @@ class ChunkExecutor(abc.ABC):
         return build_execution_plan(source, config)
 
     def prepare(self, source: ChunkSource, config: ReconstructionConfig, plan: ExecutionPlan) -> None:
-        """Per-run setup (device allocation, worker pools, ...)."""
+        """Per-run setup (the output cube, device allocation, worker pools, ...)."""
 
     @abc.abstractmethod
-    def execute_chunk(
-        self, ctx: KernelContext, row_start: int, row_stop: int
-    ) -> Iterable[Tuple[int, np.ndarray]]:
-        """Run the per-chunk compute; yield any completed partial cubes."""
+    def execute_chunk(self, ctx: KernelContext, row_start: int, row_stop: int) -> Iterable[int]:
+        """Run the per-chunk compute; yield the active counts of finished work."""
 
-    def drain(self) -> Iterable[Tuple[int, np.ndarray]]:
-        """Yield partial cubes still in flight after the last chunk."""
+    def drain(self) -> Iterable[int]:
+        """Yield the active counts of work still in flight after the last chunk."""
         return ()
 
     def report_extras(self) -> Dict:
-        """Extra :class:`ReconstructionReport` field values (timings, bytes, ...).
-
-        Every executor reports ``n_active_pixels`` here: the active elements
-        its kernel distributed over the run.
-        """
+        """Extra :class:`ReconstructionReport` field values (timings, bytes, ...)."""
         return {}
 
     def notes(self) -> List[str]:
@@ -383,7 +385,8 @@ def build_chunk_context(
     *slab* lets the caller pass a window it has already loaded (the engine
     loads each chunk exactly once); otherwise it is read from the source.
     The plan's whole-stack background levels are subtracted from the slab
-    when set, and the context views the plan's trapezoid table at these rows.
+    when set, the context views the plan's trapezoid table at these rows,
+    and its ``row_offset`` maps its first row to output row ``row_start``.
     """
     if not (0 <= row_start < row_stop <= source.n_rows):
         raise ValidationError(f"invalid row range [{row_start}, {row_stop})")
@@ -404,6 +407,7 @@ def build_chunk_context(
         difference_mode=config.difference_mode,
         intensity_cutoff=config.intensity_cutoff,
         mask=source.mask_rows(row_start, row_stop),
+        row_offset=row_start,
     )
 
 
@@ -412,16 +416,16 @@ def execute(
     config: ReconstructionConfig,
     executor: ChunkExecutor,
 ) -> Tuple[DepthResolvedStack, ReconstructionReport]:
-    """Run the full plan → execute → reduce → report sequence.
+    """Run the full plan → execute → report sequence.
 
-    Returns the depth-resolved stack and the run report, exactly like the old
-    per-backend ``reconstruct`` methods did.
+    Returns the depth-resolved stack — the plan's output cube itself, not a
+    copy — and the run report.
     """
     start = time.perf_counter()
     plan = executor.plan(source, config)
     _LOG.debug("engine: %s via %s, %s", source.describe(), executor.name, plan.summary())
 
-    histogram = DepthHistogram(config.grid, source.n_rows, source.n_cols)
+    n_active = 0
     # prepare() acquires per-run resources (the shared thread pool); it sits
     # inside the try so close() runs even when it — or any chunk — raises,
     # and no band stays queued on the pool after a failed run
@@ -430,10 +434,8 @@ def execute(
         for row_start, row_stop in plan.chunks:
             slab = source.load_rows(row_start, row_stop)
             ctx = build_chunk_context(source, config, plan, row_start, row_stop, slab=slab)
-            for partial_start, partial in executor.execute_chunk(ctx, row_start, row_stop):
-                histogram.merge_partial(partial, partial_start)
-        for partial_start, partial in executor.drain():
-            histogram.merge_partial(partial, partial_start)
+            n_active += sum(executor.execute_chunk(ctx, row_start, row_stop))
+        n_active += sum(executor.drain())
     finally:
         executor.close()
 
@@ -445,10 +447,13 @@ def execute(
         wall_time=wall,
         n_chunks=plan.n_chunks,
         n_steps=source.n_steps,
+        n_active_pixels=n_active,
         notes=[plan.summary()] + executor.notes(),
         **extras,
     )
-    result = histogram.to_result(metadata={**source.metadata, "backend": executor.name})
+    result = DepthResolvedStack(
+        data=plan.output, grid=config.grid, metadata={**source.metadata, "backend": executor.name}
+    )
     return result, report
 
 

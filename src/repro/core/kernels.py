@@ -30,8 +30,9 @@ form below is bitwise identical to the scalar reference by construction.
     The GPU-sim launch body over explicit thread-coordinate arrays: the
     fused kernel over the launch's whole thread volume.
 
-Every form accumulates with atomic-add semantics into the
-``(n_bins, rows, cols)`` depth-resolved cube and counts the *active*
+Every form accumulates with atomic-add semantics into a C-contiguous
+``(n_bins, out_rows, cols)`` depth-resolved cube, at the output rows
+starting from :attr:`KernelContext.row_offset`, and counts the *active*
 elements it distributed — elements that pass the pixel mask, whose
 edge-signed difference passes the intensity cutoff, and whose pair's
 trapezoid is finite, non-degenerate and overlaps the depth grid.  The chunk
@@ -105,6 +106,13 @@ class KernelContext:
         ``d_cutoff``: differences with magnitude at or below this are skipped.
     mask:
         Optional boolean ``(rows, n_cols)`` pixel mask.
+    row_offset:
+        The output row the slab's first row maps to: the kernels write into
+        a ``(n_bins, out_rows, n_cols)`` cube at rows ``row_offset`` to
+        ``row_offset + rows``.  An engine chunk's context holds its
+        ``row_start``, a thread band's adds the band start to it, and a
+        simulated launch batch, which writes a chunk-sized device buffer,
+        holds 0.
     """
 
     def __init__(
@@ -119,6 +127,7 @@ class KernelContext:
         difference_mode: DifferenceMode = DifferenceMode.SIGNED,
         intensity_cutoff: float = 0.0,
         mask: Optional[np.ndarray] = None,
+        row_offset: int = 0,
     ):
         self.images = np.asarray(images, dtype=np.float64)
         self.back_edge_yz = np.asarray(back_edge_yz, dtype=np.float64)
@@ -130,6 +139,9 @@ class KernelContext:
         self.difference_mode = difference_mode
         self.intensity_cutoff = float(intensity_cutoff)
         self.mask = None if mask is None else np.asarray(mask, dtype=bool)
+        self.row_offset = int(row_offset)
+        if self.row_offset < 0:
+            raise ValidationError(f"row_offset must be non-negative, got {self.row_offset}")
 
         self.n_positions, self.n_rows, self.n_cols = self.images.shape
         self.n_steps = self.n_positions - 1
@@ -165,19 +177,21 @@ def _scalar_cumulative_integral(x: float, d1: float, d2: float, d3: float, d4: f
 
     Implemented with plain Python floats (same operations, same order) so the
     scalar reference path stays bit-compatible with the vectorised path while
-    avoiding per-element NumPy call overhead in the innermost loop.
+    avoiding per-element NumPy call overhead in the innermost loop.  Squares
+    are products: NumPy's ``** 2`` is an exact ``x * x``, while a Python
+    float's ``** 2`` calls libm ``pow``, which can be one ulp off.
     """
     # rising ramp on [d1, d2]
     xr = min(max(x, d1), d2)
     rise_width = d2 - d1
-    rise = 0.5 * (xr - d1) ** 2 / rise_width if rise_width > 0 else 0.0
+    rise = 0.5 * ((xr - d1) * (xr - d1)) / rise_width if rise_width > 0 else 0.0
     # plateau on [d2, d3]
     xp = min(max(x, d2), d3)
     plateau = xp - d2
     # falling ramp on [d3, d4]
     xf = min(max(x, d3), d4)
     fall_width = d4 - d3
-    fall = 0.5 * fall_width - 0.5 * (d4 - xf) ** 2 / fall_width if fall_width > 0 else 0.0
+    fall = 0.5 * fall_width - 0.5 * ((d4 - xf) * (d4 - xf)) / fall_width if fall_width > 0 else 0.0
     return rise + plateau + fall
 
 
@@ -235,6 +249,29 @@ def _trapezoid_table(
     return d1, d2, d3, d4, area, active
 
 
+def _check_out(ctx: KernelContext, out: np.ndarray) -> None:
+    """Refuse an *out* the chunk kernels' flat writes would miss.
+
+    The kernels write through ``out.reshape(-1)``, which is a copy — so the
+    writes are lost — unless *out* is C-contiguous; and the context's rows
+    must lie inside it at ``ctx.row_offset``.
+    """
+    holds = (ctx.grid.n_bins, ctx.row_offset + ctx.n_rows, ctx.n_cols)
+    shape = out.shape
+    if not (
+        out.dtype == np.float64
+        and out.flags.c_contiguous
+        and len(shape) == 3
+        and (shape[0], shape[2]) == (holds[0], holds[2])
+        and shape[1] >= holds[1]
+    ):
+        layout = "C-contiguous" if out.flags.c_contiguous else "non-contiguous"
+        raise ValidationError(
+            f"out must be a C-contiguous float64 cube holding {holds}; "
+            f"got a {layout} {out.dtype} array of shape {shape}"
+        )
+
+
 def depth_resolve_element(
     ctx: KernelContext,
     col: int,
@@ -244,8 +281,9 @@ def depth_resolve_element(
 ) -> bool:
     """Process one (column, row, wire-step) element — the ``setTwo`` thread body.
 
-    Adds the element's depth-distributed intensity into *out* (shape
-    ``(n_bins, rows, cols)``) and returns whether the element was active
+    Adds the element's depth-distributed intensity into the C-contiguous
+    cube *out* (shape ``(n_bins, out_rows, cols)``) at output row
+    ``ctx.row_offset + row`` and returns whether the element was active
     (see the module docstring); an inactive element deposits nothing.
     """
     if ctx.mask is not None and not ctx.mask[row, col]:
@@ -261,6 +299,8 @@ def depth_resolve_element(
         return False
 
     grid = ctx.grid
+    plane = out.shape[1] * out.shape[2]
+    pixel = (ctx.row_offset + row) * ctx.n_cols + col
     # restrict to the depth bins overlapping the trapezoid support
     first_bin = max(0, int(math.floor((d1 - grid.start) / grid.step)))
     last_bin = min(grid.n_bins - 1, int(math.floor((d4 - grid.start) / grid.step)))
@@ -276,8 +316,7 @@ def depth_resolve_element(
             continue
         contribution = value * overlap / area
         # atomicAdd analogue on the flattened output
-        flat_index = bin_index * (ctx.n_rows * ctx.n_cols) + row * ctx.n_cols + col
-        out.reshape(-1)[flat_index] += contribution
+        out.reshape(-1)[bin_index * plane + pixel] += contribution
     return True
 
 
@@ -285,8 +324,11 @@ def depth_resolve_chunk_scalar(ctx: KernelContext, out: np.ndarray) -> int:
     """Reference triple loop over every (step, row, column) element.
 
     This is the "original CPU program" of the paper: one scalar element at a
-    time, no vectorisation.  Returns the number of active elements.
+    time, no vectorisation.  Writes *out* at ``ctx.row_offset`` like
+    :func:`depth_resolve_chunk_fused` and returns the number of active
+    elements.
     """
+    _check_out(ctx, out)
     n_active = 0
     for step in range(ctx.n_steps):
         for row in range(ctx.n_rows):
@@ -338,6 +380,11 @@ def depth_resolve_chunk_fused(
     order.  Results do not depend on *row_block* or *element_batch*; both
     only bound temporary sizes.
 
+    *out* is a C-contiguous float64 ``(n_bins, out_rows, n_cols)`` cube; the
+    chunk's rows land at ``ctx.row_offset`` onwards, so a chunk or band
+    writes its own rows of a whole-detector cube.  Any other *out* raises
+    :class:`~repro.utils.validation.ValidationError`.
+
     Returns the number of active elements distributed.
     """
     grid = ctx.grid
@@ -347,8 +394,9 @@ def depth_resolve_chunk_fused(
         row_block = _fused_row_block(ctx.n_steps, ctx.n_cols)
     row_block = max(1, int(row_block))
 
+    _check_out(ctx, out)
     flat_out = out.reshape(-1)
-    plane = ctx.n_rows * ctx.n_cols
+    plane = out.shape[1] * out.shape[2]
     bin_offsets = np.arange(grid.n_bins, dtype=np.int64) * plane
     n_active = 0
 
@@ -382,7 +430,7 @@ def depth_resolve_chunk_fused(
         n_active += flat.size
         values = diffs.reshape(-1)[flat]
         element_pairs = flat // ctx.n_cols
-        pixel_offsets = flat % (block_rows * ctx.n_cols) + block_start * ctx.n_cols
+        pixel_offsets = flat % (block_rows * ctx.n_cols) + (ctx.row_offset + block_start) * ctx.n_cols
 
         # the block's overlap table, one row per (step, row) pair (row id
         # step * block_rows + row), integrated only for the pairs that hold

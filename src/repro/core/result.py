@@ -148,7 +148,8 @@ class ReconstructionReport:
     """Timing and accounting information for one reconstruction run.
 
     ``n_active_pixels`` counts the run's *active elements*, as counted by the
-    backend's kernel while it distributes them: a ``(wire-step, row,
+    backend's kernel while it distributes them and summed by the engine over
+    the counts the executor yields per chunk or band: a ``(wire-step, row,
     column)`` element is active when its pixel passes the mask, its
     background-subtracted, edge-signed intensity difference passes the
     cutoff (``|d| > intensity_cutoff`` and ``d != 0``, after rectification

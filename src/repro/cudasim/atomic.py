@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["atomic_add", "atomic_add_double_cas", "scatter_add"]
+__all__ = ["atomic_add", "atomic_add_double_cas"]
 
 
 def atomic_add(array: np.ndarray, indices, values) -> np.ndarray:
@@ -90,15 +90,3 @@ def atomic_add_double_cas(array: np.ndarray, index: int, value: float, max_itera
         if assumed == old:
             break
     return float(np.frombuffer(np.uint64(assumed).tobytes(), dtype=np.float64)[0])
-
-
-def scatter_add(target: np.ndarray, flat_indices, values) -> np.ndarray:
-    """Scatter-add into an n-dimensional target through flat offsets.
-
-    Convenience wrapper used by the GPU-sim backend: the depth-resolved
-    output cube is addressed with the same linear offsets the CUDA kernel
-    computes, then accumulated atomically.
-    """
-    flat = np.asarray(target).reshape(-1)
-    atomic_add(flat, flat_indices, values)
-    return target

@@ -223,7 +223,7 @@ def _time_serial(ctx, repeats: int) -> float:
 
 def _time_threaded(ctx, n_workers: int, repeats: int) -> float:
     """Best-of-*repeats* thread-pool time over the same probe chunk."""
-    from repro.core.backends.threaded import _band_context, _reconstruct_band
+    from repro.core.backends.threaded import _reconstruct_band
     from repro.core.workerpool import shared_thread_pool
 
     pool = shared_thread_pool(n_workers)
@@ -232,13 +232,12 @@ def _time_threaded(ctx, n_workers: int, repeats: int) -> float:
     bands = plan_worker_bands(
         ctx.n_rows, ctx.n_cols, ctx.n_steps, n_workers, min_elements_per_dispatch=1
     )
+    out = np.zeros((ctx.grid.n_bins, ctx.n_rows, ctx.n_cols), dtype=np.float64)
     best = math.inf
     for _ in range(repeats):
+        out[...] = 0.0
         start = time.perf_counter()
-        futures = [
-            pool.submit(_reconstruct_band, _band_context(ctx, b0, b1))
-            for b0, b1 in bands
-        ]
+        futures = [pool.submit(_reconstruct_band, ctx, b0, b1, out) for b0, b1 in bands]
         for future in futures:
             future.result()
         best = min(best, time.perf_counter() - start)

@@ -1,4 +1,4 @@
-"""Unit tests for the histogram accumulator, device layouts and chunk planner."""
+"""Unit tests for the device layouts and the chunk planner."""
 
 import itertools
 
@@ -11,97 +11,9 @@ from repro.core.chunking import (
     plan_row_chunks,
     plan_worker_bands,
 )
-from repro.core.depth_grid import DepthGrid
-from repro.core.histogram import DepthHistogram, add_pixel_intensity_at_index
 from repro.core.layouts import Flat1DLayout, Pointer3DLayout, get_layout
 from repro.cudasim.device import Device, GENERIC_LAPTOP_GPU
 from repro.utils.validation import ValidationError
-
-
-@pytest.fixture()
-def grid():
-    return DepthGrid.from_range(0.0, 10.0, 5)
-
-
-class TestDepthHistogram:
-    def test_shape(self, grid):
-        hist = DepthHistogram(grid, n_rows=3, n_cols=4)
-        assert hist.shape == (5, 3, 4)
-
-    def test_add_contributions_accumulates_repeats(self, grid):
-        hist = DepthHistogram(grid, 2, 2)
-        weights = np.ones((3, 5))
-        hist.add_contributions(rows=[0, 0, 1], cols=[1, 1, 0], bin_weights=weights)
-        assert np.isclose(hist.data[:, 0, 1].sum(), 10.0)
-        assert np.isclose(hist.data[:, 1, 0].sum(), 5.0)
-
-    def test_total_is_conserved(self, grid):
-        hist = DepthHistogram(grid, 4, 4)
-        rng = np.random.default_rng(0)
-        weights = rng.random((20, 5))
-        rows = rng.integers(0, 4, 20)
-        cols = rng.integers(0, 4, 20)
-        hist.add_contributions(rows, cols, weights)
-        assert np.isclose(hist.data.sum(), weights.sum())
-
-    def test_shape_validation(self, grid):
-        hist = DepthHistogram(grid, 2, 2)
-        with pytest.raises(ValidationError):
-            hist.add_contributions([0], [0], np.ones((1, 3)))
-        with pytest.raises(ValidationError):
-            hist.add_contributions([0, 1], [0], np.ones((2, 5)))
-
-    def test_out_of_range_pixels_rejected(self, grid):
-        hist = DepthHistogram(grid, 2, 2)
-        with pytest.raises(ValidationError):
-            hist.add_contributions([2], [0], np.ones((1, 5)))
-
-    def test_merge_partial(self, grid):
-        hist = DepthHistogram(grid, 4, 3)
-        partial = np.ones((5, 2, 3))
-        hist.merge_partial(partial, row_start=1)
-        assert hist.data[:, 0, :].sum() == 0
-        assert np.isclose(hist.data[:, 1:3, :].sum(), partial.sum())
-
-    def test_merge_partial_bad_rows(self, grid):
-        hist = DepthHistogram(grid, 4, 3)
-        with pytest.raises(ValidationError):
-            hist.merge_partial(np.ones((5, 2, 3)), row_start=3)
-
-    def test_add_histogram(self, grid):
-        a = DepthHistogram(grid, 2, 2)
-        b = DepthHistogram(grid, 2, 2)
-        a.data[0, 0, 0] = 1.0
-        b.data[0, 0, 0] = 2.0
-        a.add_histogram(b)
-        assert a.data[0, 0, 0] == 3.0
-
-    def test_reset(self, grid):
-        hist = DepthHistogram(grid, 2, 2)
-        hist.data[...] = 5.0
-        hist.reset()
-        assert hist.data.sum() == 0.0
-
-    def test_to_result(self, grid):
-        hist = DepthHistogram(grid, 2, 2)
-        result = hist.to_result({"note": "x"})
-        assert result.shape == (5, 2, 2)
-        assert result.metadata["note"] == "x"
-
-    def test_to_result_hands_over_the_buffer(self, grid):
-        """The output cube is handed over, never copied."""
-        hist = DepthHistogram(grid, 2, 2)
-        buffer = hist.data
-        buffer[1, 0, 1] = 3.0
-        result = hist.to_result()
-        assert np.shares_memory(result.data, buffer)
-        assert result.data[1, 0, 1] == 3.0
-
-    def test_flat_index_scatter(self, grid):
-        cube = np.zeros((5, 2, 2))
-        add_pixel_intensity_at_index(cube, [0, 0, 19], [1.0, 1.0, 3.0])
-        assert cube[0, 0, 0] == 2.0
-        assert cube[4, 1, 1] == 3.0
 
 
 class TestLayouts:

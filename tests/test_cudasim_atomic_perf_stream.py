@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cudasim.atomic import atomic_add, atomic_add_double_cas, scatter_add
+from repro.cudasim.atomic import atomic_add, atomic_add_double_cas
 from repro.cudasim.device import Device, GENERIC_LAPTOP_GPU
 from repro.cudasim.perfmodel import HostPerformanceModel, PerformanceModel
 from repro.cudasim.profiler import Profiler
@@ -54,9 +54,10 @@ class TestAtomicAdd:
         with pytest.raises(IndexError):
             atomic_add_double_cas(np.zeros(4), 9, 1.0)
 
-    def test_scatter_add_into_cube(self):
+    def test_flat_offsets_address_a_cube(self):
+        """The kernels' ``x + y*NX + z*NX*NY`` offsets into a flattened cube."""
         cube = np.zeros((2, 3, 4))
-        scatter_add(cube, [0, 0, 23], [1.0, 2.0, 5.0])
+        atomic_add(cube.reshape(-1), [0, 0, 23], [1.0, 2.0, 5.0])
         assert cube[0, 0, 0] == 3.0
         assert cube[1, 2, 3] == 5.0
 

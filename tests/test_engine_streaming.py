@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.backends import get_backend
 from repro.core.backends.threaded import ThreadedExecutor
+from repro.core.backends.vectorized import VectorizedExecutor
 from repro.core.config import ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
 from repro.core.engine import (
@@ -236,6 +237,28 @@ class TestEngine:
         assert plan.n_chunks == 3 and plan.rows_per_chunk == 3
         assert plan.summary().startswith("plan[host]")
         assert plan.chunk_plan.covers_all_rows()
+
+    def test_result_hands_over_the_plan_output(self):
+        """One zeroed output cube per run, handed over as the result, never copied."""
+        stack = _noisy_stack()
+        config = ReconstructionConfig(grid=DepthGrid.from_range(0.0, 100.0, 10), rows_per_chunk=3)
+        kept = []
+
+        class SpyExecutor(VectorizedExecutor):
+            def prepare(self, source, config, plan):
+                assert plan.output.shape == (10, stack.n_rows, stack.n_cols)
+                assert not plan.output.any()
+                kept.append(plan.output)
+                super().prepare(source, config, plan)
+
+        result, report = engine_execute(StackChunkSource(stack), config, SpyExecutor())
+        (output,) = kept
+        assert np.shares_memory(result.data, output)
+        assert result.metadata["backend"] == "vectorized" and report.n_chunks == 3
+        reference, _ = get_backend("vectorized").reconstruct(
+            stack, config.with_overrides(rows_per_chunk=None)
+        )
+        assert np.array_equal(result.data, reference.data)
 
     def test_compare_backends_validates_up_front(self, scan_file):
         _path, stack = scan_file

@@ -7,8 +7,8 @@ weights in the same operation order, the same accumulation order into every
 output slot, results independent of the ``row_block`` / ``element_batch``
 temporaries.  These tests pin that contract across odd shapes, degenerate
 trapezoids, masks, cutoffs, both wire edges, both difference modes, a
-realistic detector geometry, and every registered backend (chunked and
-streamed).
+realistic detector geometry, row-offset chunks written into one cube, and
+every registered backend (chunked and streamed).
 """
 
 import dataclasses
@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.backends import get_backend
 from repro.core.backends.base import build_kernel_context
+from repro.core.backends.threaded import _band_context
 from repro.core.config import DifferenceMode, ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
 from repro.core.engine import execute_backend
@@ -30,7 +31,8 @@ from repro.geometry.wire import Wire, WireEdge
 from repro.io.image_stack import save_wire_scan
 from repro.io.streaming import StreamingWireScanSource
 from repro.synthetic.forward_model import design_scan_for_depth_range
-from repro.synthetic.workloads import make_point_source_stack
+from repro.synthetic.workloads import make_grain_sample_stack, make_point_source_stack
+from repro.utils.validation import ValidationError
 from tests.helpers import make_tiny_stack
 
 #: Every registered backend: each one is bitwise identical to the scalar
@@ -154,6 +156,47 @@ class TestFusedVsScalar:
             )
 
 
+class TestIntoOneCube:
+    """The chunk kernels write their rows of one whole-detector cube: a
+    context of rows ``start:stop`` (``_band_context``, whose ``row_offset``
+    is ``start``) lands at those rows."""
+
+    @pytest.mark.parametrize("kernel", [depth_resolve_chunk_fused, depth_resolve_chunk_scalar])
+    def test_row_offset_chunks_equal_the_whole_stack(self, kernel):
+        stack = _noisy_stack(n_rows=7, masked=True)
+        ctx = _context(stack)
+        whole = np.zeros((ctx.grid.n_bins, ctx.n_rows, ctx.n_cols))
+        n_whole = kernel(ctx, whole)
+        cube = np.zeros_like(whole)
+        n_chunks = sum(
+            kernel(_band_context(ctx, start, stop), cube)
+            for start, stop in [(0, 2), (2, 3), (3, 6), (6, 7)]
+        )
+        assert np.array_equal(cube, whole)
+        assert n_chunks == n_whole
+
+    @pytest.mark.parametrize("kernel", [depth_resolve_chunk_fused, depth_resolve_chunk_scalar])
+    @pytest.mark.parametrize(
+        "bad_out",
+        [
+            lambda cube: cube[:, 0:3],  # a row view: reshape(-1) would copy
+            lambda cube: cube[:, :3].astype(np.float32),
+            lambda cube: cube[:, :2].copy(),  # rows 1..2 at offset 1 need 3
+            lambda cube: cube[:-1, :3].copy(),  # wrong number of bins
+        ],
+        ids=["row-view", "float32", "too-few-rows", "wrong-bins"],
+    )
+    def test_refuses_an_out_it_would_drop(self, kernel, bad_out):
+        """Writes through ``out.reshape(-1)`` into a non-contiguous view land
+        in a copy; the kernel must raise instead of reporting them done."""
+        stack = _noisy_stack(n_rows=3)
+        ctx = _band_context(_context(stack, grid=DepthGrid.from_range(0.0, 100.0, 20)), 1, 3)
+        cube = np.zeros((20, 6, ctx.n_cols))
+        with pytest.raises(ValidationError, match="C-contiguous float64 cube holding"):
+            kernel(ctx, bad_out(cube))
+        assert cube.sum() == 0.0
+
+
 class TestBackendsBitwise:
     @pytest.fixture(scope="class")
     def reference_run(self):
@@ -250,6 +293,33 @@ class TestRealisticGeometry:
         shutdown_shared_thread_pool()
         differing = int(np.count_nonzero(result.data != reference.data))
         assert differing == 0, f"{differing} of {reference.data.size} slots differ"
+
+
+class TestNoisyGrainScan:
+    """A noisy grain scan whose overlap squares hit inputs where libm ``pow``
+    is one ulp off the exact product: the scalar reference squares with
+    products, like NumPy, so every backend stays bitwise equal to it."""
+
+    @pytest.fixture(scope="class")
+    def scan(self):
+        stack, _source, _sample = make_grain_sample_stack(
+            n_rows=6, n_cols=64, n_positions=121, noise=True
+        )
+        grid = DepthGrid.from_range(0.0, 120.0, 60)
+        reference, report = get_backend("cpu_reference").reconstruct(
+            stack, ReconstructionConfig(grid=grid, backend="cpu_reference")
+        )
+        return stack, grid, reference, report
+
+    @pytest.mark.parametrize("backend_name,extra", TestRealisticGeometry.CASES)
+    def test_bitwise_identical_to_reference(self, scan, backend_name, extra):
+        stack, grid, reference, reference_report = scan
+        config = ReconstructionConfig(grid=grid, backend=backend_name, n_workers=2, **extra)
+        result, report = get_backend(backend_name).reconstruct(stack, config)
+        shutdown_shared_thread_pool()
+        differing = int(np.count_nonzero(result.data != reference.data))
+        assert differing == 0, f"{differing} of {reference.data.size} slots differ"
+        assert report.n_active_pixels == reference_report.n_active_pixels
 
 
 class TestActiveCountAcrossBackends:

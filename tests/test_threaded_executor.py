@@ -22,6 +22,7 @@ from repro.core.backends.threaded import (
 from repro.core.backends.base import build_kernel_context
 from repro.core.config import AUTO, ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
+from repro.core.kernels import depth_resolve_chunk_fused
 from repro.core.engine import (
     StackChunkSource,
     execute,
@@ -135,11 +136,16 @@ class TestBandDispatch:
         assert band.n_rows == 3
 
     def test_band_reconstruction_is_contiguous(self):
+        """A band writes exactly its own contiguous rows of the output cube."""
         stack = _noisy_stack()
         ctx = build_kernel_context(stack, ReconstructionConfig(grid=_grid()))
-        out, _n_active = _reconstruct_band(_band_context(ctx, 1, 4))
-        assert out.flags["C_CONTIGUOUS"]
-        assert out.shape == (20, 3, stack.n_cols)
+        whole = np.zeros((20, stack.n_rows, stack.n_cols))
+        n_whole = depth_resolve_chunk_fused(ctx, whole)
+        out = np.zeros_like(whole)
+        n_active = _reconstruct_band(ctx, 1, 4, out)
+        assert 0 < n_active < n_whole
+        assert np.array_equal(out[:, 1:4], whole[:, 1:4])
+        assert not out[:, :1].any() and not out[:, 4:].any()
 
     def test_granularity_floor_coarsens_small_chunks(self):
         """A tiny chunk collapses to one band: no dispatch smaller than the floor."""
