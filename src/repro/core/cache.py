@@ -302,9 +302,9 @@ class ResultCache:
                 raise ValidationError("cache entry content digest mismatch")
             run = _run_result_from_record(stack, record, path)
         # deliberately broad: *whatever* makes an entry unloadable (H5LiteError,
-        # a truncated data section surfacing as ValueError from the reader, a
-        # malformed record, an OS error) means the entry cannot be served; the
-        # recompute that follows repairs it, so failing to a miss is always safe
+        # which a truncated data section raises too, a malformed record, an OS
+        # error) means the entry cannot be served; the recompute that follows
+        # repairs it, so failing to a miss is always safe
         except Exception as exc:
             _LOG.warning(
                 "cache: repairing unusable entry %s (%s: %s)", path, type(exc).__name__, exc

@@ -13,12 +13,13 @@ run the per-chunk compute.  This module extracts that loop into one place:
 ``ExecutionPlan``
     The row-chunk schedule (built from
     :func:`~repro.core.chunking.plan_row_chunks`) plus the per-run shared
-    state the chunks must agree on: the per-image background levels and the
-    trapezoid table of every (wire-step, row) pair, each computed once over
-    the *whole* detector — so every backend, chunking and streaming mode
-    subtracts the same background and distributes with the same geometry —
-    the zeroed ``(n_bins, n_rows, n_cols)`` output cube of the run, and the
-    chunking strategy note.
+    state the chunks must agree on: the per-image background levels, the
+    pixel-edge tables of every detector row and the trapezoid table of every
+    (wire-step, row) pair, each computed once over the *whole* detector — so
+    every backend, chunking and streaming mode subtracts the same background
+    and distributes with the same geometry — the zeroed
+    ``(n_bins, n_rows, n_cols)`` output cube of the run, and the chunking
+    strategy note.
 
 ``ChunkExecutor``
     What a backend actually contributes: how to plan its chunks, optional
@@ -177,6 +178,11 @@ class ExecutionPlan:
     """A chunk schedule plus the per-run shared state every chunk agrees on."""
 
     chunk_plan: ChunkPlan
+    #: the ``(back, front)`` pixel-edge (y, z) tables of every detector row,
+    #: each of shape ``(n_rows, 2)``: the source's ``row_edges_yz`` of all
+    #: rows, computed once; the trapezoid table is built from them and chunk
+    #: contexts view their rows of them
+    row_edges: Tuple[np.ndarray, np.ndarray]
     #: the trapezoid table ``(d1, d2, d3, d4, area, active)`` of every
     #: (wire-step, detector-row) pair, each of shape ``(n_steps, n_rows)``;
     #: chunks, thread bands and device launches read views of it
@@ -227,8 +233,9 @@ def build_execution_plan(
     pulls the whole cube into RAM.
 
     The per-run state is computed here, once: the background levels, the
-    trapezoid table, whose geometry comes from the source's edge tables for
-    every detector row and its wire trajectory, and the zeroed output cube.
+    source's edge tables for every detector row, the trapezoid table, whose
+    geometry comes from those edge tables and the wire trajectory, and the
+    zeroed output cube.
     """
     if rows_per_chunk is None:
         rows_per_chunk = config.rows_per_chunk
@@ -254,6 +261,7 @@ def build_execution_plan(
     )
     return ExecutionPlan(
         chunk_plan=chunk_plan,
+        row_edges=(back_edges, front_edges),
         trapezoids=trapezoids,
         output=np.zeros((config.grid.n_bins, source.n_rows, source.n_cols)),
         background=compute_stack_background(source, config),
@@ -385,8 +393,9 @@ def build_chunk_context(
     *slab* lets the caller pass a window it has already loaded (the engine
     loads each chunk exactly once); otherwise it is read from the source.
     The plan's whole-stack background levels are subtracted from the slab
-    when set, the context views the plan's trapezoid table at these rows,
-    and its ``row_offset`` maps its first row to output row ``row_start``.
+    when set, the context views the plan's edge and trapezoid tables at
+    these rows (no geometry is recomputed per chunk), and its
+    ``row_offset`` maps its first row to output row ``row_start``.
     """
     if not (0 <= row_start < row_stop <= source.n_rows):
         raise ValidationError(f"invalid row range [{row_start}, {row_stop})")
@@ -394,12 +403,11 @@ def build_chunk_context(
         slab = source.load_rows(row_start, row_stop)
     if plan.background is not None:
         slab = slab - plan.background
-    rows = np.arange(row_start, row_stop)
-    back_edges, front_edges = source.row_edges_yz(rows)
+    back_edges, front_edges = plan.row_edges
     return KernelContext(
         images=slab,
-        back_edge_yz=back_edges,
-        front_edge_yz=front_edges,
+        back_edge_yz=back_edges[row_start:row_stop],
+        front_edge_yz=front_edges[row_start:row_stop],
         wire_positions_yz=source.wire_positions_yz,
         trapezoids=tuple(part[:, row_start:row_stop] for part in plan.trapezoids),
         grid=config.grid,

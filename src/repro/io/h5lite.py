@@ -13,6 +13,13 @@ reconstruction pipeline relies on:
   for nested documents such as run-provenance records;
 * partial reads (``dataset[i:j]``) that only touch the required chunks.
 
+Every read lands in place: the reader allocates the output array once and
+``readinto``-s each chunk block or window row straight into its slice of it,
+through an unbuffered handle.  Every read also checks its byte count, so a
+file shorter than its header says raises :class:`H5LiteError` naming the
+file, the offset and both byte counts, never a reshape error or an array
+holding bytes the file never had.
+
 File layout::
 
     bytes 0..7     magic  b"H5LITE01"
@@ -77,7 +84,17 @@ def header_digest(path) -> str:
 
 
 class H5LiteError(IOError):
-    """Raised for malformed files, wrong modes, and invalid paths."""
+    """Raised for malformed or truncated files, wrong modes, and invalid paths."""
+
+
+def _byte_view(array: np.ndarray) -> memoryview:
+    """The bytes of the C-contiguous *array*: a flat, writable view of its memory.
+
+    ``memoryview(array).cast("B")`` would do for most arrays, but it raises
+    on a zero-size array and cannot export every dtype (``datetime64``); a
+    ``uint8`` view of the flattened array can.
+    """
+    return memoryview(array.reshape(-1).view(np.uint8))
 
 
 def _header_attrs(node: Dict, path) -> Dict:
@@ -228,8 +245,10 @@ class Dataset(_JsonAttrs):
         for a ``(n_positions, n_rows, n_cols)`` image cube it returns the
         slab ``cube[start:stop, sub_start:sub_stop, :]`` while touching only
         the bytes of that window — each leading-axis row stores its second
-        axis contiguously, so the window is one seek + one read per leading
-        row, never the whole cube.
+        axis contiguously, so the window is one seek and one ``readinto``
+        per leading row, straight into that row of the returned slab, never
+        the whole cube.  A file that ends inside the window raises
+        :class:`H5LiteError`.
         """
         if self.ndim < 2:
             raise H5LiteError("read_window requires a dataset with at least 2 dimensions")
@@ -511,7 +530,8 @@ class H5LiteFile:
             fh.write(np.uint64(len(header_bytes)).tobytes())
             fh.write(header_bytes)
             for block in blocks:
-                fh.write(block.tobytes())
+                if block.nbytes:
+                    fh.write(_byte_view(block))
 
     # ------------------------------------------------------------------ #
     # reading
@@ -578,14 +598,37 @@ class H5LiteFile:
             raise H5LiteError(f"corrupt h5lite header in {self.path}: no tree")
         build_group(self.root, header["tree"])
 
+    def _read_into(self, fh, offset: int, buffer: memoryview) -> None:
+        """Fill the byte view *buffer* with the bytes at *offset* of *fh*.
+
+        *fh* is an unbuffered handle, so the bytes land in the array behind
+        *buffer* without an intermediate ``bytes`` object.  A raw read
+        returns fewer bytes than asked only at end of file (or past the
+        kernel's per-call cap), so a healthy file takes one ``readinto``; a
+        file that ends first raises :class:`H5LiteError`.
+        """
+        size = len(buffer)
+        if not size:
+            return
+        fh.seek(offset)
+        filled = fh.readinto(buffer)
+        while filled < size:
+            got = fh.readinto(buffer[filled:])
+            if not got:
+                raise H5LiteError(
+                    f"truncated h5lite file {self.path}: expected {size} bytes "
+                    f"at offset {offset}, got {filled}"
+                )
+            filled += got
+
     def _read_dataset(self, ds: Dataset, start: int, stop: Optional[int]) -> np.ndarray:
         if self.mode != "r":
             raise H5LiteError("partial reads require the file to be open in read mode")
         if not ds.shape:
-            with open(self.path, "rb") as fh:
-                fh.seek(self._data_start + ds._chunk_offsets[0])
-                raw = fh.read(ds.dtype.itemsize)
-            return np.frombuffer(raw, dtype=ds.dtype)[0].copy()
+            scalar = np.empty((), dtype=ds.dtype)
+            with open(self.path, "rb", buffering=0) as fh:
+                self._read_into(fh, self._data_start + ds._chunk_offsets[0], _byte_view(scalar))
+            return scalar[()]
 
         n_rows = ds.shape[0]
         stop = n_rows if stop is None else min(stop, n_rows)
@@ -595,11 +638,12 @@ class H5LiteFile:
 
         row_bytes = ds._row_bytes()
         out = np.empty((stop - start,) + ds.shape[1:], dtype=ds.dtype)
-        with open(self.path, "rb") as fh:
+        flat = _byte_view(out)
+        with open(self.path, "rb", buffering=0) as fh:
             if ds.chunk_rows is None:
-                fh.seek(self._data_start + ds._chunk_offsets[0] + start * row_bytes)
-                raw = fh.read((stop - start) * row_bytes)
-                out[...] = np.frombuffer(raw, dtype=ds.dtype).reshape(out.shape)
+                self._read_into(
+                    fh, self._data_start + ds._chunk_offsets[0] + start * row_bytes, flat
+                )
             else:
                 chunk_rows = ds.chunk_rows
                 filled = 0
@@ -610,14 +654,12 @@ class H5LiteFile:
                     chunk_stop_row = min(chunk_start_row + chunk_rows, n_rows)
                     lo = max(start, chunk_start_row)
                     hi = min(stop, chunk_stop_row)
-                    fh.seek(
+                    self._read_into(
+                        fh,
                         self._data_start
                         + ds._chunk_offsets[chunk_index]
-                        + (lo - chunk_start_row) * row_bytes
-                    )
-                    raw = fh.read((hi - lo) * row_bytes)
-                    out[filled:filled + (hi - lo)] = np.frombuffer(raw, dtype=ds.dtype).reshape(
-                        (hi - lo,) + ds.shape[1:]
+                        + (lo - chunk_start_row) * row_bytes,
+                        flat[filled * row_bytes:(filled + hi - lo) * row_bytes],
                     )
                     filled += hi - lo
         return out
@@ -627,9 +669,10 @@ class H5LiteFile:
     ) -> np.ndarray:
         """Windowed read: leading rows ``start:stop``, second axis ``sub_start:sub_stop``.
 
-        Only the bytes of the window are read (one seek per leading row),
-        which is what keeps the streaming reconstruction's resident set at
-        one slab regardless of the cube size.
+        Only the bytes of the window are read (one seek and one ``readinto``
+        per leading row, straight into that row of the output), which is
+        what keeps the streaming reconstruction's resident set at one slab
+        regardless of the cube size.
         """
         if self.mode != "r":
             raise H5LiteError("partial reads require the file to be open in read mode")
@@ -644,16 +687,18 @@ class H5LiteFile:
         sub_bytes = row_bytes // ds.shape[1]  # bytes of one second-axis row
         out = np.empty((stop - start, window) + ds.shape[2:], dtype=ds.dtype)
         chunk_rows = ds.chunk_rows or n_rows
-        with open(self.path, "rb") as fh:
+        flat = _byte_view(out)
+        window_bytes = window * sub_bytes
+        with open(self.path, "rb", buffering=0) as fh:
             for filled, lead in enumerate(range(start, stop)):
                 chunk_index = lead // chunk_rows
                 chunk_start_row = chunk_index * chunk_rows
-                fh.seek(
+                self._read_into(
+                    fh,
                     self._data_start
                     + ds._chunk_offsets[chunk_index]
                     + (lead - chunk_start_row) * row_bytes
-                    + sub_start * sub_bytes
+                    + sub_start * sub_bytes,
+                    flat[filled * window_bytes:(filled + 1) * window_bytes],
                 )
-                raw = fh.read(window * sub_bytes)
-                out[filled] = np.frombuffer(raw, dtype=ds.dtype).reshape((window,) + ds.shape[2:])
         return out

@@ -355,6 +355,39 @@ class TestOneLineErrors:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "/nonexistent-dir/" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "entry, argv",
+        [
+            ("main_reconstruct", ["scan.h5lite", "-o", "out.h5lite"]),
+            ("main_reconstruct", ["scan.h5lite", "-o", "out.h5lite", "--streaming",
+                                  "--rows-per-chunk", "4"]),
+            ("main_analyze", ["run.h5lite", "peaks"]),
+        ],
+        ids=["reconstruct", "reconstruct-streaming", "analyze"],
+    )
+    def test_truncated_file_has_no_traceback(self, tmp_path, entry, argv):
+        import os
+
+        import repro
+        from repro.io.image_stack import save_wire_scan
+        from tests.helpers import make_tiny_stack
+
+        stack = make_tiny_stack(n_rows=8, n_cols=8)
+        save_wire_scan(str(tmp_path / "scan.h5lite"), stack)
+        grid = repro.DepthGrid.from_range(0.0, 100.0, 8)
+        repro.session(grid=grid).run(stack).save(str(tmp_path / "run.h5lite"))
+        for name in ("scan.h5lite", "run.h5lite"):
+            path = str(tmp_path / name)
+            os.truncate(path, os.path.getsize(path) - 100)
+        proc = self._run(
+            tmp_path, "-c",
+            f"from repro.cli import {entry}; raise SystemExit({entry}({argv!r}))",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: truncated h5lite file ")
+        assert proc.stderr.count("\n") == 1
+
     def test_module_entry_point(self, tmp_path):
         proc = self._run(tmp_path, "-m", "repro.cli", self.MISSING)
         assert proc.returncode == 2

@@ -6,6 +6,8 @@ and pixel masks) is **bitwise identical** to the in-memory reconstruction,
 and never materialises the full image cube.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from repro.core.engine import (
     execute_backend,
 )
 from repro.core.session import _output_names, session
+from repro.io.h5lite import H5LiteError
 from repro.io.image_stack import (
     load_depth_resolved,
     load_wire_scan,
@@ -184,6 +187,39 @@ class TestOutOfCore:
         scan, detector, beam, metadata = read_wire_scan_geometry(path)
         assert detector.shape == (stack.n_rows, stack.n_cols)
         assert scan.n_points == stack.n_positions
+
+
+class TestTruncatedScan:
+    """A scan file shorter than its header says fails with one typed error."""
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["in-memory", "streamed"])
+    def test_session_run_raises_typed_error(self, scan_file, streaming):
+        path, _stack = scan_file
+        # the image cube is the file's first block, so a tail cut loses the
+        # wire trajectory: the in-memory load and the streamed open read it
+        os.truncate(path, os.path.getsize(path) - 100)
+        config = ReconstructionConfig(
+            grid=DepthGrid.from_range(0.0, 100.0, 10), rows_per_chunk=3, streaming=streaming
+        )
+        with pytest.raises(H5LiteError, match="truncated h5lite file"):
+            session(config=config).run(path)
+
+    @pytest.mark.parametrize("backend", ["vectorized", "threaded"])
+    @pytest.mark.parametrize("subtract_background", [False, True])
+    def test_window_read_past_the_end_raises_typed_error(
+        self, scan_file, backend, subtract_background
+    ):
+        path, stack = scan_file
+        source = StreamingWireScanSource(path)
+        # cut inside the image cube after the header reads: the first window
+        # (or, with background subtraction, a later image) runs past the end
+        os.truncate(path, source._file._data_start + stack.images[0].nbytes + 8)
+        config = ReconstructionConfig(
+            grid=DepthGrid.from_range(0.0, 100.0, 10), backend=backend, rows_per_chunk=3,
+            subtract_background=subtract_background,
+        )
+        with pytest.raises(H5LiteError, match="truncated h5lite file"):
+            execute_backend(source, config)
 
 
 # --------------------------------------------------------------------------- #

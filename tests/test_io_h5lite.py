@@ -1,5 +1,7 @@
 """Unit tests for the h5lite container format."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -354,3 +356,109 @@ class TestCorruptHeaders:
         path.write_bytes(b"H5LITE01" + np.uint64(len(body)).tobytes() + body)
         with pytest.raises(H5LiteError, match="malformed attrs"):
             H5LiteFile(path, "r")
+
+
+def _cut(path, n_bytes):
+    """Drop the last *n_bytes* of the file at *path*."""
+    os.truncate(path, os.path.getsize(path) - n_bytes)
+
+
+class TestTruncatedData:
+    """A file that ends inside a dataset's data raises H5LiteError from every
+    read path, never a reshape ValueError or an array of bytes the file
+    never held."""
+
+    @pytest.mark.parametrize(
+        "chunk_rows, read",
+        [
+            (None, lambda ds: ds[...]),
+            (4, lambda ds: ds[...]),
+            (None, lambda ds: ds[6:9]),
+            (4, lambda ds: ds[6:9]),
+            (None, lambda ds: ds[6:9, 2:4]),
+            (4, lambda ds: ds[6:9, 2:4]),
+        ],
+        ids=["all-unchunked", "all-chunked", "rows-unchunked", "rows-chunked",
+             "window-unchunked", "window-chunked"],
+    )
+    def test_short_dataset_read_raises(self, tmp_path, chunk_rows, read):
+        path = tmp_path / "cut.h5lite"
+        with H5LiteFile(path, "w") as fh:
+            fh.create_dataset("d", np.arange(108.0).reshape(9, 4, 3), chunk_rows=chunk_rows)
+        _cut(path, 8)  # the last element of the last row
+        with H5LiteFile(path, "r") as fh:
+            ds = fh["d"]
+            np.testing.assert_array_equal(ds[0:6], np.arange(72.0).reshape(6, 4, 3))
+            with pytest.raises(H5LiteError, match=r"truncated h5lite file .*cut\.h5lite"):
+                read(ds)
+
+    def test_short_scalar_read_raises(self, tmp_path):
+        path = tmp_path / "scalar.h5lite"
+        with H5LiteFile(path, "w") as fh:
+            fh.create_dataset("value", np.float64(3.25))
+        _cut(path, 3)
+        with H5LiteFile(path, "r") as fh:
+            with pytest.raises(H5LiteError, match="expected 8 bytes .* got 5"):
+                fh["value"][...]
+
+    def test_error_names_offset_and_byte_counts(self, tmp_path):
+        path = tmp_path / "counts.h5lite"
+        with H5LiteFile(path, "w") as fh:
+            fh.create_dataset("d", np.zeros((2, 5)))
+        _cut(path, 16)
+        with H5LiteFile(path, "r") as fh:
+            with pytest.raises(H5LiteError) as info:
+                fh["d"][1:2]
+            offset = fh._data_start + 40
+        assert str(info.value) == (
+            f"truncated h5lite file {path}: expected 40 bytes at offset {offset}, got 24"
+        )
+
+
+    def test_partial_reads_are_resumed(self, tmp_path, monkeypatch):
+        """A raw read may return fewer bytes than asked before the end of
+        the file (Linux caps one read() near 2 GiB): the reader continues
+        where it stopped instead of calling the file short."""
+        import io
+
+        from repro.io import h5lite
+
+        class CappedFile(io.FileIO):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer)[:7])
+
+        data = np.random.default_rng(5).random((9, 12, 5))
+        path = tmp_path / "capped.h5lite"
+        with H5LiteFile(path, "w") as fh:
+            fh.create_dataset("chunked", data, chunk_rows=4)
+            fh.create_dataset("contiguous", data)
+            fh.create_dataset("scalar", np.float64(2.5))
+        with H5LiteFile(path, "r") as fh:
+            monkeypatch.setattr(
+                h5lite, "open", lambda name, mode, buffering: CappedFile(name, "r"),
+                raising=False,
+            )
+            for name in ("chunked", "contiguous"):
+                np.testing.assert_array_equal(fh[name][...], data)
+                np.testing.assert_array_equal(fh[name][2:7], data[2:7])
+                np.testing.assert_array_equal(fh[name][1:6, 2:9], data[1:6, 2:9])
+            assert fh["scalar"][...] == 2.5
+
+
+class TestZeroSizeDatasets:
+    """Zero-byte reads are skipped: a dataset with a zero-length axis reads
+    back as an empty array through every read path."""
+
+    @pytest.mark.parametrize("shape", [(4, 3, 0), (4, 0)])
+    @pytest.mark.parametrize("chunk_rows", [None, 2])
+    def test_empty_dataset_reads_empty(self, tmp_path, shape, chunk_rows):
+        path = tmp_path / "zero.h5lite"
+        with H5LiteFile(path, "w") as fh:
+            fh.create_dataset("d", np.zeros(shape), chunk_rows=chunk_rows)
+        with H5LiteFile(path, "r") as fh:
+            ds = fh["d"]
+            assert ds[...].shape == shape
+            assert ds[1:3].shape == (2,) + shape[1:]
+            window = ds[1:3, 0:2]
+            assert window.shape == (2, min(2, shape[1])) + shape[2:]
+            assert window.dtype == np.float64

@@ -22,6 +22,7 @@ from repro.io.image_stack import (
     save_wire_scan,
 )
 from repro.utils.validation import ValidationError
+from tests.helpers import make_tiny_stack
 
 
 def _provenance_modulo_outputs(run):
@@ -148,6 +149,23 @@ class TestBatchPersistence:
         assert loaded.succeeded[0].input_path.endswith("good_depth.h5lite")
         assert loaded.failed[0].input_path.endswith("junk.h5lite")
         assert "H5LiteError" in loaded.failed[0].error
+
+    def test_load_dir_captures_truncated_run_file(self, tmp_path):
+        stack = make_tiny_stack(n_rows=8, n_cols=8)
+        run = session(grid=repro.DepthGrid.from_range(0.0, 100.0, 8)).run(stack)
+        out_dir = tmp_path / "cut"
+        os.makedirs(out_dir)
+        run.save(out_dir / "good.h5lite")
+        cut = out_dir / "cut.h5lite"
+        run.save(cut)
+        # the data section ends inside the depth cube
+        os.truncate(cut, os.path.getsize(cut) - 4000)
+
+        loaded = BatchRunResult.load_dir(out_dir)
+        assert loaded.n_ok == 1 and loaded.n_failed == 1
+        assert loaded.succeeded[0].input_path.endswith("good.h5lite")
+        assert loaded.failed[0].input_path.endswith("cut.h5lite")
+        assert loaded.failed[0].error.startswith("H5LiteError: truncated h5lite file")
 
     def test_load_dir_mixed_configs_drop_shared_config(self, tmp_path, point_source_stack):
         stack, _ = point_source_stack
