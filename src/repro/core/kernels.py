@@ -22,9 +22,13 @@ form below is bitwise identical to the scalar reference by construction.
 ``depth_resolve_chunk_fused``
     The production kernel of the host backends.  It walks the chunk in
     L2-sized row blocks, integrates each block's depth-bin overlaps once per
-    active pair into a small table, and lets every active element of the
-    block gather its row of that table — no per-element trapezoid integral,
-    and the signed differences are computed block by block on the fly.
+    active pair into a small bin-major table (window bin ``k`` of every pair
+    is one contiguous row), and distributes the block's active elements in
+    batches: each batch gathers its pairs' overlaps one window bin at a time
+    into two per-block ``(batch, width)`` buffers, weights and output slots,
+    and hands them to one ``atomic_add`` — no per-element trapezoid
+    integral, no 2-D fancy index, and the signed differences are computed
+    block by block on the fly.
 
 ``set_two_vectorized``
     The GPU-sim launch body over explicit thread-coordinate arrays: the
@@ -34,10 +38,11 @@ Every form accumulates with atomic-add semantics into a C-contiguous
 ``(n_bins, out_rows, cols)`` depth-resolved cube, at the output rows
 starting from :attr:`KernelContext.row_offset`, and counts the *active*
 elements it distributed — elements that pass the pixel mask, whose
-edge-signed difference passes the intensity cutoff, and whose pair's
-trapezoid is finite, non-degenerate and overlaps the depth grid.  The chunk
-kernels return the count; the ``setTwo`` bodies add it to a one-slot device
-counter.
+edge-signed difference ``d`` passes the intensity cutoff
+(``|d| > max(cutoff, 0)``, which a zero or NaN ``d`` never does), and whose
+pair's trapezoid is finite, non-degenerate and overlaps the depth grid.  The
+chunk kernels return the count; the ``setTwo`` bodies add it to a one-slot
+device counter.
 """
 
 from __future__ import annotations
@@ -290,7 +295,8 @@ def depth_resolve_element(
         return False
 
     value = ctx.signed_difference(step, row, col)
-    if abs(value) <= ctx.intensity_cutoff or value == 0.0:
+    # the fused kernel's test: |d| > cutoff, so d != 0, and a NaN d is skipped
+    if not abs(value) > max(ctx.intensity_cutoff, 0.0):
         return False
 
     # the pair's trapezoid, as plain Python floats for the scalar loop below
@@ -364,21 +370,35 @@ def depth_resolve_chunk_fused(
     One pass per chunk, in row blocks: each block computes its slab of
     signed differences on the fly (no ``(n_steps, rows, cols)`` difference
     cube is ever materialised), integrates the depth-bin overlaps of its
-    active (step, row) pairs once into an overlap table with one row per
-    pair, and distributes every active element by gathering its pair's row.
-    The trapezoid integral thus runs once per pair instead of once per
-    active element.  A trapezoid spans only a few bins, so a table row keeps
-    just the window of bins that holds all of its pair's nonzero overlaps
-    (shape ``(n_steps * block_rows, width)``, *width* the block's widest
-    window), and every temporary is bounded by the block, not the chunk.
+    active (step, row) pairs once into an overlap table, and distributes
+    every active element by gathering its pair's overlaps.  The trapezoid
+    integral thus runs once per pair instead of once per active element.  A
+    trapezoid spans only a few bins, so the table keeps just the window of
+    bins that holds all of a pair's nonzero overlaps, *width* the block's
+    widest window.  The table is bin-major, shape
+    ``(width, n_steps * block_rows)``: window bin ``k`` of every pair is the
+    contiguous row ``k``.
 
-    Bitwise identical to :func:`depth_resolve_chunk_scalar`: a table row
-    holds exactly the overlaps the element would have integrated itself,
-    per-bin weights are computed in the scalar kernel's operation order
-    (``value * overlap / area``) over the exact same bin edges, and
-    contributions reach every output slot in the same (ascending wire-step)
-    order.  Results do not depend on *row_block* or *element_batch*; both
-    only bound temporary sizes.
+    Active elements are distributed in batches of *element_batch*.  A batch
+    derives its values, pair ids and output offsets from its slice of the
+    block's active flat ids, then fills two ``(batch, width)`` buffers
+    allocated once per block, one window bin at a time: column ``k`` of the
+    weights is a 1-D gather of table row ``k`` at the batch's pairs, and
+    column ``k`` of the slots is the elements' first-bin slots plus ``k``
+    planes.  One ``atomic_add`` per batch then takes both buffers flat, in
+    (element, bin) order.  Every step is a contiguous 1-D pass, and every
+    temporary is bounded by the block, not the chunk.
+
+    Bitwise identical to :func:`depth_resolve_chunk_scalar`: the table holds
+    exactly the overlaps the element would have integrated itself, per-bin
+    weights are computed in the scalar kernel's operation order
+    (``value * overlap / area``) over the exact same bin edges, and the
+    (element, bin) order of the one ``atomic_add`` per batch delivers the
+    contributions to every output slot in ascending wire-step order, as the
+    scalar loop does.  (One ``add.at`` per window bin would change that
+    order, and ``np.bincount`` would sum a slot's contributions before
+    adding them to its earlier value.)  Results do not depend on
+    *row_block* or *element_batch*; both only bound temporary sizes.
 
     *out* is a C-contiguous float64 ``(n_bins, out_rows, n_cols)`` cube; the
     chunk's rows land at ``ctx.row_offset`` onwards, so a chunk or band
@@ -397,7 +417,7 @@ def depth_resolve_chunk_fused(
     _check_out(ctx, out)
     flat_out = out.reshape(-1)
     plane = out.shape[1] * out.shape[2]
-    bin_offsets = np.arange(grid.n_bins, dtype=np.int64) * plane
+    cutoff = max(ctx.intensity_cutoff, 0.0)
     n_active = 0
 
     for block_start in range(0, ctx.n_rows, row_block):
@@ -416,8 +436,9 @@ def depth_resolve_chunk_fused(
         if ctx.difference_mode is DifferenceMode.RECTIFIED:
             np.maximum(diffs, 0.0, out=diffs)
 
-        # |d| > cutoff and d != 0, in one comparison
-        active = np.abs(diffs) > max(ctx.intensity_cutoff, 0.0)
+        # |d| > cutoff (so d != 0, and never NaN) without an |d| temporary
+        active = diffs > cutoff
+        active |= diffs < -cutoff
         if ctx.mask is not None:
             active &= ctx.mask[None, band, :]
         active &= pair_active[:, band, None]
@@ -428,16 +449,11 @@ def depth_resolve_chunk_fused(
         if flat.size == 0:
             continue
         n_active += flat.size
-        values = diffs.reshape(-1)[flat]
-        element_pairs = flat // ctx.n_cols
-        pixel_offsets = flat % (block_rows * ctx.n_cols) + (ctx.row_offset + block_start) * ctx.n_cols
 
-        # the block's overlap table, one row per (step, row) pair (row id
-        # step * block_rows + row), integrated only for the pairs that hold
-        # an active element; no other row is ever gathered
-        pair_used = np.zeros(ctx.n_steps * block_rows, dtype=bool)
-        pair_used[element_pairs] = True
-        pair_ids = np.flatnonzero(pair_used)
+        # the block's overlap table, integrated only for the (step, row)
+        # pairs (pair id step * block_rows + row) that hold an active
+        # element; no other pair is ever gathered
+        pair_ids = np.flatnonzero(active.any(axis=2))
         pair_steps, pair_rows = np.divmod(pair_ids, block_rows)
         pair_rows += block_start
         overlaps = trapezoid_bin_overlaps(
@@ -447,36 +463,55 @@ def depth_resolve_chunk_fused(
             d3[pair_steps, pair_rows],
             d4[pair_steps, pair_rows],
         )
-        # each row keeps a window of `width` bins holding every nonzero
-        # overlap of its pair.  A dropped zero overlap would add +-0.0 to an
-        # output slot, which leaves the slot unchanged: slots accumulate
-        # from +0.0 and so never hold -0.0.
+        # each pair keeps a window of `width` bins holding every nonzero
+        # overlap of its trapezoid.  A dropped zero overlap would add +-0.0
+        # to an output slot, which leaves the slot unchanged: slots
+        # accumulate from +0.0 and so never hold -0.0.
         nonzero = overlaps != 0.0
         first = np.argmax(nonzero, axis=1)
         last = grid.n_bins - 1 - np.argmax(nonzero[:, ::-1], axis=1)
         spans = np.where(nonzero.any(axis=1), last - first + 1, 1)
         width = int(spans.max())
         window_start = np.minimum(first, grid.n_bins - width)
-        table = np.zeros((ctx.n_steps * block_rows, width), dtype=np.float64)
-        table[pair_ids] = np.take_along_axis(
+        # bin-major: window bin k of every pair is the contiguous row k
+        table = np.zeros((width, ctx.n_steps * block_rows), dtype=np.float64)
+        table[:, pair_ids] = np.take_along_axis(
             overlaps, window_start[:, None] + np.arange(width), axis=1
-        )
+        ).T
         # output offset of each pair's first window bin
         pair_offsets = np.zeros(ctx.n_steps * block_rows, dtype=np.int64)
         pair_offsets[pair_ids] = window_start * plane
         block_area = area[:, band].reshape(-1)
+        block_diffs = diffs.reshape(-1)
+        pixel_start = (ctx.row_offset + block_start) * ctx.n_cols
+        block_pixels = block_rows * ctx.n_cols
 
+        # each batch fills these (element, bin) buffers one window bin at a
+        # time, then hands them to atomic_add in one call
+        batch = min(element_batch, flat.size)
+        weights = np.empty((batch, width), dtype=np.float64)
+        slots = np.empty((batch, width), dtype=np.int64)
         for start in range(0, flat.size, element_batch):
-            sl = slice(start, start + element_batch)
-            pairs = element_pairs[sl]
-            # scalar operation order: (value * overlap) / area — this is what
-            # keeps the fused kernel bitwise-identical to the reference loop
-            weights = table[pairs]
-            weights *= values[sl, None]
-            weights /= block_area[pairs, None]
-            first_slots = pair_offsets[pairs] + pixel_offsets[sl]
-            flat_indices = (first_slots[:, None] + bin_offsets[None, :width]).reshape(-1)
-            atomic_add(flat_out, flat_indices, weights.reshape(-1))
+            ids = flat[start:start + element_batch]
+            m = ids.size
+            values = np.take(block_diffs, ids)
+            pairs = ids // ctx.n_cols
+            pair_area = np.take(block_area, pairs)
+            first_slots = np.take(pair_offsets, pairs)
+            first_slots += ids % block_pixels
+            first_slots += pixel_start
+            for k in range(width):
+                # scalar operation order: (value * overlap) / area — this is
+                # what keeps the fused kernel bitwise-identical to the
+                # reference loop
+                column = np.take(table[k], pairs)
+                column *= values
+                column /= pair_area
+                weights[:m, k] = column
+                np.add(first_slots, k * plane, out=slots[:m, k])
+            # (element, bin) order: every slot receives its contributions in
+            # ascending step order, as from the scalar loop
+            atomic_add(flat_out, slots[:m].reshape(-1), weights[:m].reshape(-1))
     return n_active
 
 

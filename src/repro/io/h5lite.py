@@ -64,27 +64,49 @@ def header_digest(path) -> str:
     """
     try:
         with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _MAGIC:
-                raise H5LiteError(f"{path} is not an h5lite file (bad magic {magic!r})")
-            length_bytes = fh.read(8)
-            if len(length_bytes) != 8:
-                raise H5LiteError(f"truncated h5lite file {path} (no header length)")
-            (header_len,) = np.frombuffer(length_bytes, dtype=np.uint64)
-            header_bytes = fh.read(int(header_len))
-            if len(header_bytes) != int(header_len):
-                raise H5LiteError(f"truncated h5lite header in {path}")
+            prefix, header_bytes = _read_header(fh, path)
+    except H5LiteError:  # an OSError too: pass it on, not wrapped again
+        raise
     except OSError as exc:
         raise H5LiteError(f"cannot read {path}: {exc}") from None
     digest = hashlib.sha256()
-    digest.update(magic)
-    digest.update(length_bytes)
+    digest.update(prefix)
     digest.update(header_bytes)
     return digest.hexdigest()
 
 
 class H5LiteError(IOError):
     """Raised for malformed or truncated files, wrong modes, and invalid paths."""
+
+
+def _read_header(fh, path) -> Tuple[bytes, bytes]:
+    """Read the magic, header length and JSON header bytes from *fh*.
+
+    Returns ``(magic + length bytes, header bytes)``.  The declared header
+    length is checked against the size of the open file before it is read,
+    so a bogus length is an :class:`H5LiteError` naming *path*, not a
+    ``MemoryError`` or ``OverflowError`` from sizing the read.
+    """
+    magic = fh.read(8)
+    if magic != _MAGIC:
+        raise H5LiteError(f"{path} is not an h5lite file (bad magic {magic!r})")
+    length_bytes = fh.read(8)
+    if len(length_bytes) != 8:
+        raise H5LiteError(f"truncated h5lite file {path} (no header length)")
+    header_len = int(np.frombuffer(length_bytes, dtype=np.uint64)[0])
+    available = os.fstat(fh.fileno()).st_size - fh.tell()
+    if header_len > available:
+        raise H5LiteError(
+            f"truncated h5lite header in {path}: declares {header_len} bytes, "
+            f"the file holds {available} after the header length"
+        )
+    header_bytes = fh.read(header_len)
+    if len(header_bytes) != header_len:
+        raise H5LiteError(
+            f"truncated h5lite header in {path}: expected {header_len} bytes, "
+            f"got {len(header_bytes)}"
+        )
+    return magic + length_bytes, header_bytes
 
 
 def _byte_view(array: np.ndarray) -> memoryview:
@@ -539,17 +561,8 @@ class H5LiteFile:
         if not os.path.exists(self.path):
             raise H5LiteError(f"no such file: {self.path}")
         with open(self.path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _MAGIC:
-                raise H5LiteError(f"{self.path} is not an h5lite file (bad magic {magic!r})")
-            length_bytes = fh.read(8)
-            if len(length_bytes) != 8:
-                raise H5LiteError(f"truncated h5lite file {self.path} (no header length)")
-            (header_len,) = np.frombuffer(length_bytes, dtype=np.uint64)
-            header_bytes = fh.read(int(header_len))
-            if len(header_bytes) != int(header_len):
-                raise H5LiteError("truncated h5lite header")
-            self._data_start = 16 + int(header_len)
+            prefix, header_bytes = _read_header(fh, self.path)
+        self._data_start = len(prefix) + len(header_bytes)
         # a corrupt header after a valid magic (partial write, bit rot) must
         # surface as H5LiteError like every other malformed-file condition,
         # not leak json/unicode/key errors to callers

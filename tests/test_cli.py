@@ -388,6 +388,28 @@ class TestOneLineErrors:
         assert proc.stderr.startswith("error: truncated h5lite file ")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "entry, argv",
+        [
+            ("main_reconstruct", ["bogus.h5lite", "-o", "out.h5lite"]),
+            ("main_analyze", ["bogus.h5lite", "peaks"]),
+        ],
+        ids=["reconstruct", "analyze"],
+    )
+    def test_bogus_header_length_has_no_traceback(self, tmp_path, entry, argv):
+        # the magic, then a header length of 2^40 that the file cannot hold
+        (tmp_path / "bogus.h5lite").write_bytes(
+            b"H5LITE01" + np.uint64(2**40).tobytes() + b'{"tree": {}}'
+        )
+        proc = self._run(
+            tmp_path, "-c",
+            f"from repro.cli import {entry}; raise SystemExit({entry}({argv!r}))",
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: truncated h5lite header in ")
+        assert proc.stderr.count("\n") == 1
+
     def test_module_entry_point(self, tmp_path):
         proc = self._run(tmp_path, "-m", "repro.cli", self.MISSING)
         assert proc.returncode == 2

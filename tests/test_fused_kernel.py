@@ -234,7 +234,7 @@ class TestBackendsBitwise:
         assert source.accounting()["max_resident_rows"] == 2  # truly streamed
         assert np.array_equal(reference.data, result.data)
 
-    def test_gpusim_allclose(self, reference_run):
+    def test_gpusim_bitwise_identical(self, reference_run):
         """The simulated device is bitwise identical too: it reads the same table."""
         stack, grid, reference = reference_run
         config = ReconstructionConfig(grid=grid, backend="gpusim")
@@ -320,6 +320,32 @@ class TestNoisyGrainScan:
         differing = int(np.count_nonzero(result.data != reference.data))
         assert differing == 0, f"{differing} of {reference.data.size} slots differ"
         assert report.n_active_pixels == reference_report.n_active_pixels
+
+
+class TestNanPixel:
+    """A NaN difference is never active: every kernel tests ``|d| > cutoff``,
+    which is false for NaN, so no backend distributes the two elements a NaN
+    pixel touches, and none writes a NaN."""
+
+    @pytest.mark.parametrize("rows_per_chunk", [None, 2], ids=["in-memory", "chunked"])
+    def test_every_backend_skips_the_nan_pixel(self, rows_per_chunk):
+        stack = _noisy_stack()
+        stack.images[8, 3, 2] = np.nan
+        results = {}
+        for name in ALL_BACKENDS:
+            config = ReconstructionConfig(
+                grid=DepthGrid.from_range(0.0, 100.0, 25),
+                backend=name,
+                n_workers=2,
+                rows_per_chunk=rows_per_chunk,
+            )
+            results[name] = get_backend(name).reconstruct(stack, config)
+        shutdown_shared_thread_pool()
+        reference, reference_report = results["cpu_reference"]
+        assert not np.isnan(reference.data).any()
+        for name, (result, report) in results.items():
+            assert np.array_equal(result.data, reference.data), name
+            assert report.n_active_pixels == reference_report.n_active_pixels, name
 
 
 class TestActiveCountAcrossBackends:

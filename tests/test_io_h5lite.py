@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.io.h5lite import H5LiteError, H5LiteFile
+import repro
+from repro.io.h5lite import H5LiteError, H5LiteFile, header_digest
 
 
 class TestWriteRead:
@@ -356,6 +357,38 @@ class TestCorruptHeaders:
         path.write_bytes(b"H5LITE01" + np.uint64(len(body)).tobytes() + body)
         with pytest.raises(H5LiteError, match="malformed attrs"):
             H5LiteFile(path, "r")
+
+    @pytest.mark.parametrize("header_len", [2**40, 2**63 + 5], ids=["2^40", "2^63+5"])
+    @pytest.mark.parametrize(
+        "read", [H5LiteFile, header_digest, repro.load], ids=["open", "header_digest", "load"]
+    )
+    def test_bogus_header_length(self, tmp_path, header_len, read):
+        """A declared header length past the end of the file is checked
+        before the read is sized: no MemoryError or OverflowError."""
+        path = tmp_path / "bogus.h5lite"
+        path.write_bytes(b"H5LITE01" + np.uint64(header_len).tobytes() + b'{"tree": {}}')
+        with pytest.raises(
+            H5LiteError,
+            match=rf"^truncated h5lite header in .*bogus\.h5lite: declares {header_len} bytes",
+        ):
+            read(path)
+
+    def test_file_cut_inside_its_header_names_the_path(self, tmp_path):
+        path = tmp_path / "cut.h5lite"
+        with H5LiteFile(path, "w") as fh:
+            fh.create_dataset("d", np.arange(4.0))
+        header_len = int(np.frombuffer(path.read_bytes()[8:16], dtype=np.uint64)[0])
+        os.truncate(path, 16 + header_len // 2)
+        with pytest.raises(H5LiteError, match=r"^truncated h5lite header in .*cut\.h5lite"):
+            H5LiteFile(path, "r")
+
+    def test_header_digest_raises_its_own_error_unwrapped(self, tmp_path):
+        path = tmp_path / "magic.h5lite"
+        path.write_bytes(b"NOTH5LITE" * 4)
+        with pytest.raises(H5LiteError, match=r"^\S*magic\.h5lite is not an h5lite file"):
+            header_digest(path)
+        with pytest.raises(H5LiteError, match=r"^cannot read .*missing\.h5lite"):
+            header_digest(tmp_path / "missing.h5lite")
 
 
 def _cut(path, n_bytes):

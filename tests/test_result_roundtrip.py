@@ -167,6 +167,23 @@ class TestBatchPersistence:
         assert loaded.failed[0].input_path.endswith("cut.h5lite")
         assert loaded.failed[0].error.startswith("H5LiteError: truncated h5lite file")
 
+    def test_load_dir_captures_bogus_header_length(self, tmp_path):
+        stack = make_tiny_stack(n_rows=8, n_cols=8)
+        run = session(grid=repro.DepthGrid.from_range(0.0, 100.0, 8)).run(stack)
+        out_dir = tmp_path / "bogus"
+        os.makedirs(out_dir)
+        run.save(out_dir / "good.h5lite")
+        # a header length of 2^40: sizing that read raised MemoryError
+        (out_dir / "bogus.h5lite").write_bytes(
+            b"H5LITE01" + np.uint64(2**40).tobytes() + b'{"tree": {}}'
+        )
+
+        loaded = BatchRunResult.load_dir(out_dir)
+        assert loaded.n_ok == 1 and loaded.n_failed == 1
+        assert loaded.succeeded[0].input_path.endswith("good.h5lite")
+        assert loaded.failed[0].input_path.endswith("bogus.h5lite")
+        assert loaded.failed[0].error.startswith("H5LiteError: truncated h5lite header in ")
+
     def test_load_dir_mixed_configs_drop_shared_config(self, tmp_path, point_source_stack):
         stack, _ = point_source_stack
         out_dir = tmp_path / "mixed_cfg"
