@@ -9,6 +9,7 @@ Nine small tools mirror the original workflow:
     Run the depth reconstruction on a wire-scan file and write the
     depth-resolved output (the original program's job).  ``--streaming``
     selects the out-of-core mode that never loads the full cube;
+    ``--executor threads`` runs the vectorized kernel on the thread pool;
     ``--provenance`` writes the run's JSON provenance record.
 ``repro-batch``
     Schedule many wire-scan files (or globs/directories) across a worker
@@ -58,7 +59,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import DifferenceMode, ReconstructionConfig
+from repro.core.config import _RETIRED_NAMES, DifferenceMode, ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
 from repro.core.registry import available_backends, backends
 from repro.core.session import session
@@ -83,7 +84,14 @@ def _add_reconstruction_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--depth-start", type=float, default=0.0)
     parser.add_argument("--depth-stop", type=float, default=100.0)
     parser.add_argument("--depth-bins", type=int, default=50)
-    parser.add_argument("--backend", default="vectorized", choices=available_backends())
+    # the retired backend names still parse (the config maps them, with a
+    # DeprecationWarning) but the usage line names only the current ones
+    current = available_backends()
+    parser.add_argument("--backend", default="vectorized", metavar="{" + ",".join(current) + "}",
+                        choices=current + sorted(_RETIRED_NAMES["backend"]))
+    parser.add_argument("--executor", default="serial", choices=["serial", "threads"],
+                        help="where the vectorized kernel runs: in the calling thread, "
+                             "or in row bands on the shared thread pool")
     parser.add_argument("--layout", default="flat1d", choices=["flat1d", "pointer3d"])
     parser.add_argument("--rows-per-chunk", type=int, default=None)
     parser.add_argument("--edge", default="leading", choices=["leading", "trailing"])
@@ -112,6 +120,7 @@ def _config_from_args(args: argparse.Namespace) -> ReconstructionConfig:
     return ReconstructionConfig(
         grid=DepthGrid.from_range(args.depth_start, args.depth_stop, args.depth_bins),
         backend=args.backend,
+        executor=args.executor,
         layout=args.layout,
         rows_per_chunk=args.rows_per_chunk,
         wire_edge=WireEdge.LEADING if args.edge == "leading" else WireEdge.TRAILING,

@@ -15,45 +15,15 @@ re-exported from the registry module for backwards compatibility.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.config import ReconstructionConfig
 from repro.core.engine import ChunkExecutor, StackChunkSource, execute
-from repro.core.kernels import KernelContext
 from repro.core.registry import available_backends, get_backend, register_backend
 from repro.core.result import DepthResolvedStack, ReconstructionReport
 from repro.core.stack import WireScanStack
 
-__all__ = ["Backend", "register_backend", "get_backend", "available_backends", "build_kernel_context"]
-
-
-def build_kernel_context(
-    stack: WireScanStack,
-    config: ReconstructionConfig,
-    row_start: int = 0,
-    row_stop: Optional[int] = None,
-) -> KernelContext:
-    """Assemble the kernel inputs for detector rows ``row_start:row_stop``.
-
-    A convenience wrapper over :func:`repro.core.engine.build_chunk_context`
-    for in-memory stacks — the host-side preparation performed before each
-    kernel launch: slice the image cube, look up the pixel-edge coordinates
-    of the selected rows, and collect the wire positions.
-
-    The per-run state comes from :func:`repro.core.engine.build_execution_plan`
-    over the **whole** stack, exactly as in an engine run: when
-    ``config.subtract_background`` is set the per-image background is the
-    median over the whole image, not over the chunk's rows, and the
-    context's trapezoids are its rows' view of the run's table — so every
-    chunk (and therefore every backend, however it chunks) sees the same
-    levels and the same geometry.
-    """
-    from repro.core.engine import build_chunk_context, build_execution_plan
-
-    source = StackChunkSource(stack)
-    row_stop = stack.n_rows if row_stop is None else row_stop
-    plan = build_execution_plan(source, config)
-    return build_chunk_context(source, config, plan, row_start, row_stop)
+__all__ = ["Backend", "register_backend", "get_backend", "available_backends"]
 
 
 class Backend(abc.ABC):

@@ -13,6 +13,11 @@ Follows the structure of the original CUDA program step by step:
    Fig. 2 "put it back together" step);
 5. free the chunk's allocations and continue with the next rows.
 
+Every step runs in order on one timeline: the paper's program uses the
+default stream and does not overlap transfers with compute, so the
+simulated clock simply adds each transfer's and launch's modelled cost
+(overlapping them is one of the extensions its related work discusses).
+
 The chunk loop itself lives in the shared engine; this module supplies the
 per-chunk upload → launch → download compute and keeps the transfer/kernel
 accounting as executor hooks.  The report separates modelled transfer time

@@ -1,4 +1,9 @@
-"""Threaded backend: detector row bands dispatched to a shared thread pool.
+"""The ``threads`` executor: detector row bands on a shared thread pool.
+
+:class:`ThreadedExecutor` runs the vectorized backend's kernel when
+``config.executor`` is ``threads``; it is an executor, not a backend (the
+retired ``threaded`` backend name resolves to ``backend="vectorized",
+executor="threads"``).
 
 The fused kernel (:func:`~repro.core.kernels.depth_resolve_chunk_fused`)
 spends its time inside NumPy ufunc loops, which release the GIL.  That makes
@@ -34,9 +39,8 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backends.base import Backend, register_backend
 from repro.core.chunking import DEFAULT_MIN_ELEMENTS_PER_DISPATCH, plan_worker_bands
-from repro.core.config import ReconstructionConfig
+from repro.core.config import AUTO, ReconstructionConfig
 from repro.core.engine import (
     ChunkExecutor,
     ChunkSource,
@@ -46,7 +50,7 @@ from repro.core.engine import (
 from repro.core.kernels import KernelContext, depth_resolve_chunk_fused
 from repro.core.workerpool import ThreadPool, shared_thread_pool
 
-__all__ = ["ThreadedBackend", "ThreadedExecutor"]
+__all__ = ["ThreadedExecutor"]
 
 
 def _band_context(ctx: KernelContext, band_start: int, band_stop: int) -> KernelContext:
@@ -106,7 +110,10 @@ class ThreadedExecutor(ChunkExecutor):
         self, source: ChunkSource, config: ReconstructionConfig, plan: ExecutionPlan
     ) -> None:
         self._out = plan.output
-        requested = int(config.n_workers)
+        # an unresolved "auto" runs one worker in line, as an unresolved
+        # executor="auto" runs serially: the session resolves both before
+        # the engine runs, so seeing one here means the caller bypassed it
+        requested = 1 if config.n_workers == AUTO else int(config.n_workers)
         self._n_workers = max(1, min(requested, source.n_rows))
         self._max_inflight = 2 * self._n_workers
         self.peak_inflight = 0
@@ -172,18 +179,3 @@ class ThreadedExecutor(ChunkExecutor):
             f"{self._n_workers} worker thread(s), {self._n_bands} row band(s), "
             f"{mode} fused dispatch"
         ]
-
-
-@register_backend(
-    "threaded",
-    supports_streaming=True,
-    needs_workers=True,
-    description="row bands on a shared GIL-releasing thread pool (n_workers)",
-)
-class ThreadedBackend(Backend):
-    """Row-banded fused reconstruction on the persistent shared thread pool."""
-
-    name = "threaded"
-
-    def make_executor(self, config: ReconstructionConfig) -> ChunkExecutor:
-        return ThreadedExecutor()

@@ -10,8 +10,12 @@ module only supplies the vectorised per-chunk compute.  The per-chunk kernel
 is the fused single-pass form (:func:`depth_resolve_chunk_fused`), the one
 production kernel; it reads the run's trapezoid table like the scalar
 reference does, so the two are bitwise identical.  It distributes each chunk
-straight into that chunk's rows of the plan's output cube.  ``config.executor``
-selects where it runs (serial / threads) via :func:`make_strategy_executor`.
+straight into that chunk's rows of the plan's output cube.
+
+``config.executor`` selects where the kernel runs, an axis orthogonal to
+the backend: ``serial`` in the calling thread (:class:`VectorizedExecutor`)
+or ``threads`` on the shared GIL-releasing thread pool
+(:class:`~repro.core.backends.threaded.ThreadedExecutor`).
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, List
 
 from repro.core.backends.base import Backend, register_backend
+from repro.core.backends.threaded import ThreadedExecutor
 from repro.core.config import ReconstructionConfig
-from repro.core.engine import ChunkExecutor, ChunkSource, ExecutionPlan, make_strategy_executor
+from repro.core.engine import ChunkExecutor, ChunkSource, ExecutionPlan
 from repro.core.kernels import KernelContext, depth_resolve_chunk_fused
 
 __all__ = ["VectorizedBackend", "VectorizedExecutor"]
@@ -67,4 +72,13 @@ class VectorizedBackend(Backend):
     name = "vectorized"
 
     def make_executor(self, config: ReconstructionConfig) -> ChunkExecutor:
-        return make_strategy_executor(config)
+        """The executor for ``config.executor``: threads, or serial.
+
+        An unresolved ``auto`` runs serially: the session resolves ``auto``
+        against the tuner cache *before* execution, so seeing it here means
+        the caller bypassed the session, and serial is the one choice every
+        machine can honour.
+        """
+        if config.executor == "threads":
+            return ThreadedExecutor()
+        return VectorizedExecutor()

@@ -23,13 +23,18 @@ AUTO = "auto"
 #: a cached throughput probe.
 EXECUTOR_CHOICES = ("serial", "threads", AUTO)
 
-#: Retired names still accepted, per field: ``{field: {old: current}}``.
+#: Retired names still accepted, per field: ``{field: {old: current fields}}``.
 #: Saved provenance records, cache entries and serve submissions all rebuild
 #: configs through the constructor, so mapping here (with a warning) keeps
-#: records that name a retired backend or executor loadable.
+#: records that name a retired backend or executor loadable.  The retired
+#: ``threaded`` (and before it ``multiprocess``) backend ran the vectorized
+#: kernel on the thread pool whatever ``executor`` said, so it sets both;
+#: ``executor`` comes first, so a record naming both retired names warns twice.
 _RETIRED_NAMES = {
-    "backend": {"multiprocess": "threaded"},
-    "executor": {"processes": "threads"},
+    "executor": {"processes": {"executor": "threads"}},
+    "backend": dict.fromkeys(
+        ("threaded", "multiprocess"), {"backend": "vectorized", "executor": "threads"}
+    ),
 }
 
 
@@ -69,9 +74,10 @@ class ReconstructionConfig:
         step falls below the cutoff cost no reconstruction work, which is
         what the paper's "pixel percentage" experiments vary.
     backend:
-        Execution backend name (``cpu_reference``, ``vectorized``,
-        ``gpusim``, ``threaded``).  The retired ``multiprocess`` resolves
-        to ``threaded`` with a :class:`DeprecationWarning`.
+        Execution backend name: what computes (``cpu_reference``,
+        ``vectorized``, ``gpusim``, or a registered plugin).  The retired
+        ``threaded`` and ``multiprocess`` resolve to ``vectorized`` with
+        ``executor="threads"``, with a :class:`DeprecationWarning`.
     layout:
         Device array layout for the gpusim backend (``flat1d`` or
         ``pointer3d``) — the Fig. 4 design choice.
@@ -83,15 +89,15 @@ class ReconstructionConfig:
         Optional override (bytes) of the simulated device memory, used to
         scale the 6 GB constraint down to laptop-sized problems.
     n_workers:
-        Worker count for the threaded backend and the ``threads`` executor
-        strategy.  The string ``"auto"`` asks the auto-tuner for a
-        calibrated count (resolved by the session before execution).
+        Worker count for the ``threads`` executor.  The string ``"auto"``
+        asks the auto-tuner for a calibrated count (resolved by the session
+        before execution; an unresolved ``"auto"`` runs one worker in line).
     executor:
-        Executor strategy for the vectorized backend's hot path: one of
-        ``serial`` (in the calling thread, the default), ``threads`` (row
-        bands on the shared GIL-releasing thread pool) or ``auto`` (pick
-        from the cached throughput probe of :mod:`repro.perf.autotune`).
-        The retired ``processes`` resolves to ``threads`` with a
+        Where the vectorized backend's kernel runs: ``serial`` (in the
+        calling thread, the default), ``threads`` (row bands on the shared
+        GIL-releasing thread pool) or ``auto`` (pick from the cached
+        throughput probe of :mod:`repro.perf.autotune`).  The retired
+        ``processes`` resolves to ``threads`` with a
         :class:`DeprecationWarning`.
     subtract_background:
         If true, a constant per-image background (the median of the whole
@@ -122,12 +128,15 @@ class ReconstructionConfig:
         for name, renames in _RETIRED_NAMES.items():
             old = getattr(self, name)
             if isinstance(old, str) and old in renames:
+                current = renames[old]
+                spelled = ", ".join(f"{field}={value!r}" for field, value in current.items())
                 warnings.warn(
-                    f"{name}={old!r} is retired; using {renames[old]!r}",
+                    f"{name}={old!r} is retired; using {spelled}",
                     DeprecationWarning,
                     stacklevel=3,
                 )
-                object.__setattr__(self, name, renames[old])
+                for field, value in current.items():
+                    object.__setattr__(self, field, value)
         if not isinstance(self.grid, DepthGrid):
             raise ValidationError("grid must be a DepthGrid instance")
         if not isinstance(self.wire_edge, WireEdge):

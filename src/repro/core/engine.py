@@ -26,7 +26,7 @@ run the per-chunk compute.  This module extracts that loop into one place:
     per-run setup/teardown, and the per-chunk compute that distributes a
     :class:`~repro.core.kernels.KernelContext` into the plan's output cube
     at the context's rows.  Executors may complete chunks asynchronously
-    (the threaded executor keeps a bounded number of row bands in flight)
+    (the ``threads`` executor keeps a bounded number of row bands in flight)
     by yielding each finished chunk's or band's active-element count
     whenever it is ready and draining the rest at the end.
 
@@ -55,6 +55,7 @@ import numpy as np
 from repro.core.chunking import ChunkPlan, plan_row_chunks
 from repro.core.config import ReconstructionConfig
 from repro.core.kernels import KernelContext, _trapezoid_table
+from repro.core.registry import get_backend
 from repro.core.result import DepthResolvedStack, ReconstructionReport
 from repro.core.stack import WireScanStack
 from repro.utils.logging import get_logger
@@ -73,7 +74,6 @@ __all__ = [
     "compute_stack_background",
     "execute",
     "execute_backend",
-    "make_strategy_executor",
 ]
 
 _LOG = get_logger(__name__)
@@ -354,30 +354,6 @@ class ChunkExecutor(abc.ABC):
         """Release per-run resources; called even when a chunk raises."""
 
 
-def make_strategy_executor(config: ReconstructionConfig) -> "ChunkExecutor":
-    """The :class:`ChunkExecutor` implementing ``config.executor``.
-
-    The executor-strategy axis is orthogonal to the backend axis: a backend
-    defines *what* the per-chunk compute is, the strategy defines *where* it
-    runs — ``serial`` in the calling thread, ``threads`` on the shared
-    GIL-releasing thread pool.  The vectorized backend routes through here
-    so ``config.executor`` selects between them without changing backends.
-
-    An unresolved ``auto`` falls back to serial: the session resolves
-    ``auto`` against the tuner cache *before* execution, so seeing it here
-    means the caller bypassed the session — the safe default is the one
-    every machine can honour.
-    """
-    # deferred imports: the backend modules import this engine module
-    if config.executor == "threads":
-        from repro.core.backends.threaded import ThreadedExecutor
-
-        return ThreadedExecutor()
-    from repro.core.backends.vectorized import VectorizedExecutor
-
-    return VectorizedExecutor()
-
-
 # --------------------------------------------------------------------------- #
 # the engine loop
 def build_chunk_context(
@@ -474,7 +450,5 @@ def execute_backend(
     backend from the registry and hands its executor to :func:`execute`, so
     file-backed and in-memory runs share the identical engine path.
     """
-    from repro.core.backends import get_backend  # deferred: backends import engine
-
     backend = get_backend(config.backend)
     return execute(source, config, backend.make_executor(config))

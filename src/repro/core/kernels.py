@@ -169,13 +169,6 @@ class KernelContext:
             value = max(value, 0.0)
         return value
 
-    def signed_differences(self) -> np.ndarray:
-        """Edge-signed differences for the whole slab, shape ``(n_steps, rows, cols)``."""
-        diff = self.edge_sign * (self.images[:-1] - self.images[1:])
-        if self.difference_mode is DifferenceMode.RECTIFIED:
-            diff = np.maximum(diff, 0.0)
-        return diff
-
 
 def _scalar_cumulative_integral(x: float, d1: float, d2: float, d3: float, d4: float) -> float:
     """Scalar twin of :func:`repro.core.trapezoid._cumulative_integral`.
@@ -395,7 +388,10 @@ def depth_resolve_chunk_fused(
     (``value * overlap / area``) over the exact same bin edges, and the
     (element, bin) order of the one ``atomic_add`` per batch delivers the
     contributions to every output slot in ascending wire-step order, as the
-    scalar loop does.  (One ``add.at`` per window bin would change that
+    scalar loop does.  The scalar loop skips a bin whose overlap is not
+    positive; so does a batch that holds an infinite difference, whose
+    ``inf * 0.0`` would otherwise write NaN (its skipped weights are +0.0,
+    which adds nothing).  (One ``add.at`` per window bin would change that
     order, and ``np.bincount`` would sum a slot's contributions before
     adding them to its earlier value.)  Results do not depend on
     *row_block* or *element_batch*; both only bound temporary sizes.
@@ -495,6 +491,7 @@ def depth_resolve_chunk_fused(
             ids = flat[start:start + element_batch]
             m = ids.size
             values = np.take(block_diffs, ids)
+            finite = np.isfinite(values).all()
             pairs = ids // ctx.n_cols
             pair_area = np.take(block_area, pairs)
             first_slots = np.take(pair_offsets, pairs)
@@ -507,6 +504,9 @@ def depth_resolve_chunk_fused(
                 column = np.take(table[k], pairs)
                 column *= values
                 column /= pair_area
+                if not finite:
+                    # skip the bins the scalar loop skips (overlap <= 0)
+                    column[np.take(table[k], pairs) <= 0.0] = 0.0
                 weights[:m, k] = column
                 np.add(first_slots, k * plane, out=slots[:m, k])
             # (element, bin) order: every slot receives its contributions in

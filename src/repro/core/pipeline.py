@@ -9,8 +9,8 @@ Two things live here:
   streamed files overlaps freely because each holds only one chunk slab),
   and :func:`run_batch_jobs` runs the items on a thread pool with order
   preserved.  Threads suffice on the host side because NumPy kernels and
-  file I/O release the GIL, and the threaded backend's row bands run on the
-  one persistent :func:`~repro.core.workerpool.shared_thread_pool` all
+  file I/O release the GIL, and the ``threads`` executor's row bands run on
+  the one persistent :func:`~repro.core.workerpool.shared_thread_pool` all
   items reuse;
 * the batch *data model* (:class:`BatchItem`, :class:`BatchReport`) — the
   session's :class:`~repro.core.session.BatchRunResult` extends

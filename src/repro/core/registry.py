@@ -24,7 +24,7 @@ The registry is the single source of truth for backend names:
 time, so a typo fails fast with a did-you-mean suggestion instead of deep
 inside a reconstruction run.
 
-The four built-in backends live in :mod:`repro.core.backends` and are
+The three built-in backends live in :mod:`repro.core.backends` and are
 registered lazily on first lookup, which keeps this module import-cycle-free
 (it depends only on the validation utilities).
 """
@@ -68,9 +68,6 @@ class BackendInfo:
         The backend can execute chunks pulled from an out-of-core
         :class:`~repro.core.engine.ChunkSource` (all built-ins can — they
         route through the shared engine).
-    needs_workers:
-        The backend runs on the shared worker thread pool and honours
-        ``config.n_workers``.
     description:
         One-line human description for the ``repro-backends`` CLI.
     """
@@ -78,7 +75,6 @@ class BackendInfo:
     name: str
     factory: Callable[[], object]
     supports_streaming: bool = True
-    needs_workers: bool = False
     description: str = ""
 
     @property
@@ -88,10 +84,7 @@ class BackendInfo:
 
     def capabilities(self) -> Dict[str, bool]:
         """The capability flags as a plain dict."""
-        return {
-            "supports_streaming": self.supports_streaming,
-            "needs_workers": self.needs_workers,
-        }
+        return {"supports_streaming": self.supports_streaming}
 
     def to_dict(self) -> Dict:
         """JSON-safe summary (the ``repro-backends --json`` payload)."""
@@ -139,7 +132,6 @@ def register_backend(
     name=None,
     *,
     supports_streaming: bool = True,
-    needs_workers: bool = False,
     description: str = "",
     replace: bool = False,
 ):
@@ -175,7 +167,6 @@ def register_backend(
                 name=backend_name,
                 factory=cls,
                 supports_streaming=supports_streaming,
-                needs_workers=needs_workers,
                 description=about,
             ),
             replace=replace,

@@ -760,8 +760,8 @@ class Session:
             glob, a directory, or a single source (a batch of one).
         max_workers:
             Concurrent reconstructions.  Thread-based: NumPy kernels and file
-            I/O release the GIL for long stretches, and the threaded
-            backend's row bands run on the persistent
+            I/O release the GIL for long stretches, and the ``threads``
+            executor's row bands run on the persistent
             :func:`~repro.core.workerpool.shared_thread_pool`, which every
             item reuses — a batch pays pool start-up once, not once per
             file.

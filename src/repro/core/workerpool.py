@@ -11,9 +11,9 @@ pool is created lazily and reused across runs and files:
     child).
 
 :func:`shared_thread_pool` / :func:`shutdown_shared_thread_pool`
-    The session-wide pool every threaded run reuses.  Requesting more
-    workers than it has widens it in place; a resize never cancels or shuts
-    down work another run still holds.
+    The session-wide pool every ``threads``-executor run reuses.
+    Requesting more workers than it has widens it in place; a resize never
+    cancels or shuts down work another run still holds.
 
 The fused numpy kernels spend their time inside GIL-releasing ufunc loops,
 so threads parallelise them without fork, pickling or shared-memory
@@ -45,7 +45,7 @@ _LOG = get_logger(__name__)
 class ThreadPool:
     """A lazily created, reusable thread pool.
 
-    Backs the ``threads`` executor strategy and the ``threaded`` backend.
+    Backs the ``threads`` executor.
     Threads do not survive ``fork()`` (only the calling thread exists in the
     child), so the executor is respawned when it was created in another
     process.
@@ -185,7 +185,7 @@ def _register_atexit() -> None:
 
 
 def shared_thread_pool(n_workers: int) -> ThreadPool:
-    """The thread pool every threaded-executor run reuses.
+    """The thread pool every ``threads``-executor run reuses.
 
     Created lazily, kept alive across runs and files, and shut down at
     interpreter exit.  It only grows: a request for more workers than it

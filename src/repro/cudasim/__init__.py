@@ -36,7 +36,6 @@ from repro.cudasim.transfer import MemcpyKind
 from repro.cudasim.kernel import Kernel, LaunchConfig
 from repro.cudasim.atomic import atomic_add, atomic_add_double_cas
 from repro.cudasim.perfmodel import PerformanceModel, HostPerformanceModel
-from repro.cudasim.stream import Event, Stream
 from repro.cudasim.profiler import Profiler, ProfileRecord
 
 __all__ = [
@@ -57,8 +56,6 @@ __all__ = [
     "atomic_add_double_cas",
     "PerformanceModel",
     "HostPerformanceModel",
-    "Event",
-    "Stream",
     "Profiler",
     "ProfileRecord",
 ]

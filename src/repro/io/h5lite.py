@@ -237,11 +237,6 @@ class Dataset(_JsonAttrs):
         per_row = int(np.prod(self.shape[1:], dtype=np.int64)) if len(self.shape) > 1 else 1
         return per_row * self.dtype.itemsize
 
-    def _n_chunks(self) -> int:
-        if self.chunk_rows is None or not self.shape:
-            return 1
-        return max(1, -(-self.shape[0] // self.chunk_rows))
-
     # ------------------------------------------------------------------ #
     def read(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """Read rows ``start:stop`` along the leading axis (whole array by default)."""

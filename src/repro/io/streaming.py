@@ -30,9 +30,9 @@ class StreamingWireScanSource(ChunkSource):
     """Serves engine chunks from a wire-scan file without loading the cube.
 
     Each :meth:`load_rows` is one windowed read whose image rows land in
-    place in a fresh slab.  The slab is never reused: the threaded executor
-    keeps several row bands of earlier windows in flight, and each band
-    views its window's slab.  A file shorter than its header says raises
+    place in a fresh slab.  The slab is never reused: the ``threads``
+    executor keeps several row bands of earlier windows in flight, and each
+    band views its window's slab.  A file shorter than its header says raises
     :class:`~repro.io.h5lite.H5LiteError` from the read that reaches the
     missing bytes.
     """

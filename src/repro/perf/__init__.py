@@ -4,7 +4,6 @@
 these modules (the end-to-end and per-layer benchmark lives in
 ``perfbench/`` and uses none of them):
 
-* :mod:`repro.perf.timer` — wall-clock measurement helpers;
 * :mod:`repro.perf.sweep` — runs a reconstruction configuration over a grid
   of workloads/backends and collects :class:`~repro.perf.sweep.SweepRecord`
   rows;
@@ -20,7 +19,6 @@ these modules (the end-to-end and per-layer benchmark lives in
   in the result-cache root and surfaced as ``Session.configure(workers="auto")``.
 """
 
-from repro.perf.timer import Timer, time_callable
 from repro.perf.sweep import SweepRecord, run_backend_sweep
 from repro.perf.metrics import speedup, time_ratio, summarize_ratio_range
 from repro.perf.reporting import format_series_table, format_figure_report
@@ -28,8 +26,6 @@ from repro.perf.modelruns import paper_scale_prediction, predict_figure8, predic
 from repro.perf.autotune import TuningDecision, resolve_auto_config, run_throughput_probe, tune
 
 __all__ = [
-    "Timer",
-    "time_callable",
     "SweepRecord",
     "run_backend_sweep",
     "speedup",

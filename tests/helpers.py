@@ -9,6 +9,16 @@ from repro.geometry.beam import Beam
 from repro.geometry.detector import Detector
 from repro.synthetic.forward_model import design_scan_for_depth_range
 
+#: Every way to run a reconstruction, as config fields by label: the three
+#: backends, and the vectorized backend on the ``threads`` executor, labelled
+#: ``threaded`` like the retired backend that ran it.
+RUNS = {
+    "cpu_reference": {"backend": "cpu_reference"},
+    "vectorized": {"backend": "vectorized"},
+    "threaded": {"backend": "vectorized", "executor": "threads"},
+    "gpusim": {"backend": "gpusim"},
+}
+
 
 def make_tiny_stack(n_rows: int = 3, n_cols: int = 2, n_positions: int = 9) -> WireScanStack:
     """Hand-rolled minimal stack used by tests that only need valid shapes."""

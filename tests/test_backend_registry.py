@@ -31,7 +31,7 @@ from repro.geometry.wire import WireEdge
 from repro.utils.validation import ValidationError
 from tests.helpers import make_tiny_stack
 
-ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "threaded")
+ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim")
 
 
 class _ToyExecutor(VectorizedExecutor):
@@ -44,8 +44,7 @@ class _ToyExecutor(VectorizedExecutor):
 def toy_backend():
     """Register a toy out-of-tree backend for the duration of one test."""
 
-    @register_backend("toy", supports_streaming=True, needs_workers=False,
-                      description="out-of-tree test backend")
+    @register_backend("toy", supports_streaming=True, description="out-of-tree test backend")
     class ToyBackend(Backend):
         def make_executor(self, config):
             return _ToyExecutor()
@@ -65,8 +64,8 @@ class TestRegistry:
             assert info.supports_streaming is True
             assert info.module.startswith("repro.core.backends.")
             assert info.description
-        assert backend_info("threaded").needs_workers is True
-        assert backend_info("vectorized").needs_workers is False
+            assert info.capabilities() == {"supports_streaming": True}
+        assert available_backends() == sorted(ALL_BACKENDS)
 
     def test_backends_listing_sorted(self):
         infos = backends()
@@ -171,11 +170,12 @@ class TestConfigRoundTrip:
             wire_edge=WireEdge.TRAILING,
             difference_mode=DifferenceMode.RECTIFIED,
             intensity_cutoff=0.75,
-            backend="threaded",
+            backend="vectorized",
             layout="pointer3d",
             rows_per_chunk=3,
             device_memory_limit=1 << 20,
             n_workers=5,
+            executor="threads",
             subtract_background=True,
             streaming=True,
         )
@@ -223,20 +223,25 @@ class TestConfigRoundTrip:
 
 
 class TestRetiredNames:
-    """``multiprocess`` / ``processes`` still load, as ``threaded`` / ``threads``."""
+    """``threaded`` / ``multiprocess`` still load, as the vectorized backend
+    on the ``threads`` executor; ``processes`` as ``threads``."""
 
     def test_constructor_resolves_with_warning(self, depth_grid):
-        with pytest.warns(DeprecationWarning, match="multiprocess"):
-            config = ReconstructionConfig(grid=depth_grid, backend="multiprocess")
-        assert config.backend == "threaded"
+        # the retired backends ran on threads whatever executor was named
+        for old in ("threaded", "multiprocess"):
+            for executor in ("serial", "threads", "auto"):
+                with pytest.warns(DeprecationWarning, match=old):
+                    config = ReconstructionConfig(grid=depth_grid, backend=old, executor=executor)
+                assert (config.backend, config.executor) == ("vectorized", "threads")
         with pytest.warns(DeprecationWarning, match="processes"):
             config = ReconstructionConfig(grid=depth_grid, executor="processes")
-        assert config.executor == "threads"
+        assert (config.backend, config.executor) == ("vectorized", "threads")
 
     def test_with_backend_resolves_with_warning(self, depth_grid):
-        with pytest.warns(DeprecationWarning, match="multiprocess"):
-            config = ReconstructionConfig(grid=depth_grid).with_backend("multiprocess")
-        assert config.backend == "threaded"
+        for old in ("threaded", "multiprocess"):
+            with pytest.warns(DeprecationWarning, match=old):
+                config = ReconstructionConfig(grid=depth_grid).with_backend(old)
+            assert (config.backend, config.executor) == ("vectorized", "threads")
 
     def test_from_dict_resolves_saved_records(self, depth_grid):
         data = ReconstructionConfig(grid=depth_grid).to_dict()
@@ -244,17 +249,22 @@ class TestRetiredNames:
         with pytest.warns(DeprecationWarning) as caught:
             config = ReconstructionConfig.from_dict(data)
         assert len(caught) == 2
-        assert (config.backend, config.executor) == ("threaded", "threads")
-        assert config.to_dict() == dict(data, backend="threaded", executor="threads")
+        assert (config.backend, config.executor) == ("vectorized", "threads")
+        assert config.to_dict() == dict(data, backend="vectorized", executor="threads")
 
     def test_session_on_old_name_is_bitwise_threaded(self, depth_grid):
         stack = make_tiny_stack(n_rows=6, n_cols=4, n_positions=21)
         base = session(grid=depth_grid, n_workers=2)
-        with pytest.warns(DeprecationWarning):
-            old = base.on("multiprocess").run(stack)
-        new = base.on("threaded").run(stack)
-        assert old.report.backend == "threaded"
-        assert old.result.data.tobytes() == new.result.data.tobytes()
+        serial = base.run(stack)
+        threads = base.configure(executor="threads").run(stack)
+        assert threads.report.backend == "threaded"  # the executor that ran
+        for old in ("threaded", "multiprocess"):
+            with pytest.warns(DeprecationWarning, match=old):
+                run = base.on(old).run(stack)
+            assert (run.config.backend, run.config.executor) == ("vectorized", "threads")
+            assert run.report.backend == "threaded"
+            assert run.result.data.tobytes() == threads.result.data.tobytes()
+        assert np.array_equal(threads.result.data, serial.result.data)
 
 
 class TestToyBackendEndToEnd:

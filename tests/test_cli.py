@@ -14,6 +14,7 @@ from repro.cli import (
     main_generate,
     main_reconstruct,
 )
+from repro.core.session import load
 from repro.io.image_stack import load_depth_resolved, load_wire_scan
 
 
@@ -90,6 +91,29 @@ class TestReconstruct:
         streamed = load_depth_resolved(stream_path)
         np.testing.assert_array_equal(streamed.data, mem.data)
 
+    def test_executor_flag_and_retired_backend_match_serial(self, tmp_path, capsys):
+        """``--executor threads`` and the retired ``--backend threaded``, which
+        now means the same run, write the serial run's output bit for bit."""
+        scan_path = tmp_path / "scan.h5lite"
+        main_generate([str(scan_path), "--kind", "benchmark", "--size-label", "0.05MB"])
+        serial_path = tmp_path / "serial.h5lite"
+        threads_path = tmp_path / "threads.h5lite"
+        retired_path = tmp_path / "retired.h5lite"
+        assert main_reconstruct([str(scan_path), "-o", str(serial_path)]) == 0
+        assert main_reconstruct(
+            [str(scan_path), "-o", str(threads_path), "--executor", "threads"]
+        ) == 0
+        with pytest.warns(DeprecationWarning, match="threaded"):
+            assert main_reconstruct(
+                [str(scan_path), "-o", str(retired_path), "--backend", "threaded"]
+            ) == 0
+        serial = load(str(serial_path))
+        assert (serial.config.backend, serial.config.executor) == ("vectorized", "serial")
+        for path in (threads_path, retired_path):
+            run = load(str(path))
+            assert (run.config.backend, run.config.executor) == ("vectorized", "threads")
+            assert run.result.data.tobytes() == serial.result.data.tobytes()
+
 
 class TestBenchmarkCli:
     def test_fig8_report(self, capsys):
@@ -120,16 +144,19 @@ class TestBackendsCli:
     def test_table_lists_builtins_and_capabilities(self, capsys):
         assert main_backends([]) == 0
         out = capsys.readouterr().out
-        for name in ("cpu_reference", "vectorized", "gpusim", "threaded"):
+        for name in ("cpu_reference", "vectorized", "gpusim"):
             assert name in out
-        assert "streaming" in out and "workers" in out
-        assert "4 backend(s) registered" in out or "backend(s) registered" in out
+        assert "threaded" not in out and "workers" not in out
+        assert "streaming" in out
+        assert "3 backend(s) registered" in out
 
     def test_json_payload(self, capsys):
         assert main_backends(["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         by_name = {entry["name"]: entry for entry in payload}
-        assert by_name["threaded"]["needs_workers"] is True
+        assert sorted(by_name) == ["cpu_reference", "gpusim", "vectorized"]
+        for entry in payload:  # one capability flag, no worker column
+            assert set(entry) == {"name", "module", "description", "supports_streaming"}
         assert by_name["gpusim"]["supports_streaming"] is True
         assert by_name["vectorized"]["module"] == "repro.core.backends.vectorized"
 

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.backends import available_backends, get_backend, register_backend
-from repro.core.backends.base import Backend, build_kernel_context
+from repro.core.backends.base import Backend
 from repro.core.config import ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
+from repro.core.engine import StackChunkSource, build_chunk_context, build_execution_plan
 from repro.cudasim.device import Device, GENERIC_LAPTOP_GPU
 from repro.utils.validation import ValidationError
+from tests.helpers import RUNS
 
-ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "threaded")
+ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim")
 
 
 class TestRegistry:
@@ -18,6 +20,7 @@ class TestRegistry:
         names = available_backends()
         for name in ALL_BACKENDS:
             assert name in names
+        assert "threaded" not in names  # an executor now, not a backend
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValidationError):
@@ -40,13 +43,13 @@ class TestBackendEquivalence:
         result, _ = get_backend("cpu_reference").reconstruct(stack, default_config.with_backend("cpu_reference"))
         return result
 
-    @pytest.mark.parametrize("backend_name", ["vectorized", "gpusim", "threaded"])
-    def test_backend_matches_reference(self, backend_name, point_source_stack, default_config, reference_result):
+    @pytest.mark.parametrize("run", ["vectorized", "gpusim", "threaded"])
+    def test_backend_matches_reference(self, run, point_source_stack, default_config, reference_result):
         stack, _ = point_source_stack
-        config = default_config.with_backend(backend_name)
-        result, report = get_backend(backend_name).reconstruct(stack, config)
+        config = default_config.with_overrides(**RUNS[run])
+        result, report = get_backend(config.backend).reconstruct(stack, config)
         assert np.array_equal(result.data, reference_result.data)
-        assert report.backend == backend_name
+        assert report.backend == run  # the executor that ran: "threaded" for threads
         assert report.wall_time >= 0
 
     def test_gpusim_layouts_agree(self, point_source_stack, default_config):
@@ -75,8 +78,9 @@ class TestBackendEquivalence:
 
     def test_threaded_worker_counts_agree(self, point_source_stack, default_config):
         stack, _ = point_source_stack
-        one, _ = get_backend("threaded").reconstruct(stack, default_config.with_backend("threaded", n_workers=1))
-        three, _ = get_backend("threaded").reconstruct(stack, default_config.with_backend("threaded", n_workers=3))
+        threads = default_config.with_overrides(executor="threads")
+        one, _ = get_backend("vectorized").reconstruct(stack, threads.with_overrides(n_workers=1))
+        three, _ = get_backend("vectorized").reconstruct(stack, threads.with_overrides(n_workers=3))
         assert np.array_equal(one.data, three.data)
 
 
@@ -120,16 +124,21 @@ class TestGpuSimAccounting:
 
 
 class TestBackendHelpers:
-    def test_build_kernel_context_row_range_validation(self, point_source_stack, default_config):
+    def test_build_chunk_context_row_range_validation(self, point_source_stack, default_config):
         stack, _ = point_source_stack
+        source = StackChunkSource(stack)
+        plan = build_execution_plan(source, default_config)
         with pytest.raises(ValidationError):
-            build_kernel_context(stack, default_config, 4, 2)
+            build_chunk_context(source, default_config, plan, 4, 2)
 
-    def test_build_kernel_context_background_subtraction(self, point_source_stack, default_config):
+    def test_build_chunk_context_background_subtraction(self, point_source_stack, default_config):
         stack, _ = point_source_stack
-        plain = build_kernel_context(stack, default_config)
+        source = StackChunkSource(stack)
+        plain_plan = build_execution_plan(source, default_config)
+        plain = build_chunk_context(source, default_config, plain_plan, 0, source.n_rows)
         config = default_config.with_overrides(subtract_background=True)
-        subtracted = build_kernel_context(stack, config)
+        plan = build_execution_plan(source, config)
+        subtracted = build_chunk_context(source, config, plan, 0, source.n_rows)
         assert not np.allclose(plain.images, subtracted.images) or np.allclose(
             np.median(stack.images, axis=(1, 2)), 0.0
         )

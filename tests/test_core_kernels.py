@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.backends.base import build_kernel_context
 from repro.core.config import DifferenceMode, ReconstructionConfig
+from repro.core.engine import StackChunkSource, build_chunk_context, build_execution_plan
 from repro.core.kernels import (
     depth_resolve_chunk_fused,
     depth_resolve_chunk_scalar,
@@ -17,11 +17,27 @@ from repro.geometry.wire import WireEdge
 from repro.utils.validation import ValidationError
 
 
+def _context(stack, config):
+    """The kernel context of every row of *stack*, as an engine run builds it."""
+    source = StackChunkSource(stack)
+    plan = build_execution_plan(source, config)
+    return build_chunk_context(source, config, plan, 0, source.n_rows)
+
+
+def _differences(ctx):
+    """Every element's edge-signed difference, from the scalar accessor."""
+    return np.array([
+        [[ctx.signed_difference(step, row, col) for col in range(ctx.n_cols)]
+         for row in range(ctx.n_rows)]
+        for step in range(ctx.n_steps)
+    ])
+
+
 @pytest.fixture()
 def context_and_grid(point_source_stack, depth_grid):
     stack, _source = point_source_stack
     config = ReconstructionConfig(grid=depth_grid)
-    return build_kernel_context(stack, config), depth_grid
+    return _context(stack, config), depth_grid
 
 
 class TestKernelContext:
@@ -33,20 +49,21 @@ class TestKernelContext:
 
     def test_signed_difference_scalar_matches_array(self, context_and_grid):
         ctx, _ = context_and_grid
-        diffs = ctx.signed_differences()
-        assert np.isclose(ctx.signed_difference(3, 2, 1), diffs[3, 2, 1])
+        diffs = ctx.images[:-1] - ctx.images[1:]  # leading edge: I[i] - I[i+1]
+        assert ctx.signed_difference(3, 2, 1) == diffs[3, 2, 1]
+        assert np.array_equal(_differences(ctx), diffs)
 
     def test_trailing_edge_flips_sign(self, point_source_stack, depth_grid):
         stack, _ = point_source_stack
-        leading = build_kernel_context(stack, ReconstructionConfig(grid=depth_grid, wire_edge=WireEdge.LEADING))
-        trailing = build_kernel_context(stack, ReconstructionConfig(grid=depth_grid, wire_edge=WireEdge.TRAILING))
-        np.testing.assert_allclose(leading.signed_differences(), -trailing.signed_differences())
+        leading = _context(stack, ReconstructionConfig(grid=depth_grid, wire_edge=WireEdge.LEADING))
+        trailing = _context(stack, ReconstructionConfig(grid=depth_grid, wire_edge=WireEdge.TRAILING))
+        np.testing.assert_allclose(_differences(leading), -_differences(trailing))
 
     def test_rectified_mode_clamps(self, point_source_stack, depth_grid):
         stack, _ = point_source_stack
         config = ReconstructionConfig(grid=depth_grid, difference_mode=DifferenceMode.RECTIFIED)
-        ctx = build_kernel_context(stack, config)
-        assert np.all(ctx.signed_differences() >= 0)
+        ctx = _context(stack, config)
+        assert np.all(_differences(ctx) >= 0)
 
 
 class TestScalarVsVectorized:
@@ -111,7 +128,7 @@ class TestElementBehaviour:
 
     def test_single_element_deposit_is_conserving(self, context_and_grid):
         ctx, grid = context_and_grid
-        diffs = ctx.signed_differences()
+        diffs = _differences(ctx)
         step, row, col = np.unravel_index(np.argmax(np.abs(diffs)), diffs.shape)
         out = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
         assert depth_resolve_element(ctx, int(col), int(row), int(step), out)
@@ -123,7 +140,7 @@ class TestElementBehaviour:
         ctx, grid = context_and_grid
         out = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
         depth_resolve_chunk_fused(ctx, out)
-        assert out.sum() <= np.abs(ctx.signed_differences()).sum() + 1e-9
+        assert out.sum() <= np.abs(_differences(ctx)).sum() + 1e-9
 
     def test_deposits_land_in_correct_pixel_column(self, context_and_grid):
         # each (row, col) element only ever writes to its own (row, col)

@@ -1,13 +1,11 @@
-"""Unit tests for atomics, the performance models, streams and the profiler."""
+"""Unit tests for atomics, the performance models and the profiler."""
 
 import numpy as np
 import pytest
 
 from repro.cudasim.atomic import atomic_add, atomic_add_double_cas
-from repro.cudasim.device import Device, GENERIC_LAPTOP_GPU
 from repro.cudasim.perfmodel import HostPerformanceModel, PerformanceModel
 from repro.cudasim.profiler import Profiler
-from repro.cudasim.stream import Event, Stream
 
 
 class TestAtomicAdd:
@@ -114,32 +112,6 @@ class TestPerformanceModel:
 
 
 class TestStreamAndProfiler:
-    def test_event_elapsed_time_milliseconds(self):
-        device = Device(GENERIC_LAPTOP_GPU)
-        start = Event("start").record(device)
-        device.advance_clock(0.5, label="work", kind="kernel")
-        stop = Event("stop").record(device)
-        assert np.isclose(start.elapsed_time(stop), 500.0)
-
-    def test_event_unrecorded_raises(self):
-        with pytest.raises(RuntimeError):
-            Event().elapsed_time(Event())
-
-    def test_stream_records_events_in_order(self):
-        device = Device(GENERIC_LAPTOP_GPU)
-        stream = Stream(device=device)
-        stream.record_event("a")
-        device.advance_clock(0.1, label="x", kind="kernel")
-        stream.record_event("b")
-        events = stream.events
-        assert [e.name for e in events] == ["a", "b"]
-        assert events[1].timestamp > events[0].timestamp
-
-    def test_stream_synchronize_returns_clock(self):
-        device = Device(GENERIC_LAPTOP_GPU)
-        device.advance_clock(0.2, label="x", kind="kernel")
-        assert Stream(device=device).synchronize() == device.simulated_time
-
     def test_profiler_aggregation(self):
         profiler = Profiler()
         profiler.record("kernel", "k1", 0.0, 1.0)

@@ -35,9 +35,7 @@ from repro.io.image_stack import (
 )
 from repro.io.streaming import StreamingWireScanSource
 from repro.utils.validation import ValidationError
-from tests.helpers import make_tiny_stack
-
-ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "threaded")
+from tests.helpers import RUNS, make_tiny_stack
 
 
 def _noisy_stack(n_rows=7, n_cols=5, n_positions=17, masked=False, seed=11):
@@ -60,17 +58,17 @@ def scan_file(tmp_path):
 
 # --------------------------------------------------------------------------- #
 class TestStreamedEqualsInMemory:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("run", RUNS)
     @pytest.mark.parametrize("rows_per_chunk", [1, 3, None])
-    def test_bitwise_identical(self, tmp_path, backend, rows_per_chunk):
+    def test_bitwise_identical(self, tmp_path, run, rows_per_chunk):
         stack = _noisy_stack(masked=True)
         path = tmp_path / "scan.h5lite"
         save_wire_scan(path, stack)
         config = ReconstructionConfig(
             grid=DepthGrid.from_range(0.0, 100.0, 20),
-            backend=backend,
             rows_per_chunk=rows_per_chunk,
             subtract_background=True,
+            **RUNS[run],
         )
         in_memory = session(config=config).run(str(path))
         streamed = session(config=config.with_overrides(streaming=True)).run(str(path))
@@ -106,20 +104,19 @@ class TestStreamedEqualsInMemory:
         np.testing.assert_array_equal(streamed.result.data, reference.data)
 
     def test_streamed_background_matches_every_backend(self, scan_file):
-        """With subtract_background on, all four backends agree bit-for-bit
-        (a per-chunk median would make the chunked backends diverge)."""
+        """With subtract_background on, every backend and executor agrees
+        bit-for-bit (a per-chunk median would make the chunked runs diverge)."""
         path, _stack = scan_file
         grid = DepthGrid.from_range(0.0, 100.0, 18)
         results = {}
-        for backend in ALL_BACKENDS:
+        for run in RUNS:
             config = ReconstructionConfig(
-                grid=grid, backend=backend, rows_per_chunk=2,
-                subtract_background=True, streaming=True,
+                grid=grid, rows_per_chunk=2, subtract_background=True, streaming=True,
+                **RUNS[run],
             )
-            results[backend] = session(config=config).run(path).result.data
-        reference = results["cpu_reference"]
-        for backend in ALL_BACKENDS[1:]:
-            np.testing.assert_array_equal(results[backend], reference)
+            results[run] = session(config=config).run(path).result.data
+        for run in RUNS:
+            np.testing.assert_array_equal(results[run], results["cpu_reference"])
 
 
 class TestOutOfCore:
@@ -144,12 +141,12 @@ class TestOutOfCore:
         path, stack = scan_file
         monkeypatch.setattr(engine_module, "STREAMING_CHUNK_BYTES", 4_000)
         config = ReconstructionConfig(grid=DepthGrid.from_range(0.0, 100.0, 20))
-        for backend in ("vectorized", "threaded"):
+        for run in ("vectorized", "threaded"):
             source = StreamingWireScanSource(path)
-            result, report = execute_backend(source, config.with_backend(backend))
+            result, report = execute_backend(source, config.with_overrides(**RUNS[run]))
             assert report.n_chunks > 1
             assert source.accounting()["max_resident_rows"] < stack.n_rows
-            reference = session(config=config.with_backend(backend)).run(path)
+            reference = session(config=config.with_overrides(**RUNS[run])).run(path)
             np.testing.assert_array_equal(result.data, reference.result.data)
 
     def test_streaming_source_geometry_matches_file(self, scan_file):
@@ -204,10 +201,10 @@ class TestTruncatedScan:
         with pytest.raises(H5LiteError, match="truncated h5lite file"):
             session(config=config).run(path)
 
-    @pytest.mark.parametrize("backend", ["vectorized", "threaded"])
+    @pytest.mark.parametrize("run", ["vectorized", "threaded"])
     @pytest.mark.parametrize("subtract_background", [False, True])
     def test_window_read_past_the_end_raises_typed_error(
-        self, scan_file, backend, subtract_background
+        self, scan_file, run, subtract_background
     ):
         path, stack = scan_file
         source = StreamingWireScanSource(path)
@@ -215,8 +212,8 @@ class TestTruncatedScan:
         # (or, with background subtraction, a later image) runs past the end
         os.truncate(path, source._file._data_start + stack.images[0].nbytes + 8)
         config = ReconstructionConfig(
-            grid=DepthGrid.from_range(0.0, 100.0, 10), backend=backend, rows_per_chunk=3,
-            subtract_background=subtract_background,
+            grid=DepthGrid.from_range(0.0, 100.0, 10), rows_per_chunk=3,
+            subtract_background=subtract_background, **RUNS[run],
         )
         with pytest.raises(H5LiteError, match="truncated h5lite file"):
             execute_backend(source, config)
@@ -227,10 +224,10 @@ class TestEngine:
     def test_all_backends_share_engine_plan_note(self, scan_file):
         path, stack = scan_file
         grid = DepthGrid.from_range(0.0, 100.0, 12)
-        for backend in ALL_BACKENDS:
-            config = ReconstructionConfig(grid=grid, backend=backend, rows_per_chunk=3)
-            _, report = get_backend(backend).reconstruct(stack, config)
-            assert any(note.startswith("plan[") for note in report.notes), backend
+        for run in RUNS:
+            config = ReconstructionConfig(grid=grid, rows_per_chunk=3, **RUNS[run])
+            _, report = get_backend(config.backend).reconstruct(stack, config)
+            assert any(note.startswith("plan[") for note in report.notes), run
             assert report.n_chunks == 3  # ceil(7 / 3): identical chunking everywhere
 
     def test_global_background_shared_across_chunkings(self):
@@ -312,7 +309,7 @@ class TestEngine:
             assert any("compare_backends shared plan:" in note for note in run.report.notes)
         # without a fixed chunk size the note must not claim shared chunking
         loose = session(grid=DepthGrid.from_range(0.0, 100.0, 10))
-        results = loose.compare(stack, ["vectorized", "threaded"])
+        results = loose.compare(stack, ["vectorized", "gpusim"])
         for _name, run in results.items():
             (note,) = [n for n in run.report.notes if "compare_backends" in n]
             assert "reference plan" in note and "may chunk differently" in note
@@ -320,12 +317,12 @@ class TestEngine:
 
 # --------------------------------------------------------------------------- #
 class TestThreadedParallel:
-    """Failure hygiene and batch identity of the threaded executor."""
+    """Failure hygiene and batch identity of the ``threads`` executor."""
 
     def _config(self, **overrides):
         base = {
             "grid": DepthGrid.from_range(0.0, 100.0, 14),
-            "backend": "threaded",
+            "executor": "threads",
             "n_workers": 2,
         }
         base.update(overrides)
@@ -356,7 +353,7 @@ class TestThreadedParallel:
         assert not executor._pending  # nothing left pending after the failure
         # the shared pool survives the failed run
         recovered = session(config=self._config()).run(stack)
-        reference = session(config=self._config(backend="vectorized")).run(stack)
+        reference = session(config=self._config(executor="serial")).run(stack)
         np.testing.assert_array_equal(recovered.result.data, reference.result.data)
 
     @pytest.mark.parametrize("streaming", [False, True])
@@ -374,7 +371,7 @@ class TestThreadedParallel:
         assert batch.n_ok == 2
         for path, item in zip(paths, batch.items):
             reference = session(
-                config=config.with_backend("vectorized", streaming=False)
+                config=config.with_overrides(executor="serial", streaming=False)
             ).run(path)
             np.testing.assert_array_equal(item.result.data, reference.result.data)
 

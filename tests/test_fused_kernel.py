@@ -8,7 +8,7 @@ output slot, results independent of the ``row_block`` / ``element_batch``
 temporaries.  These tests pin that contract across odd shapes, degenerate
 trapezoids, masks, cutoffs, both wire edges, both difference modes, a
 realistic detector geometry, row-offset chunks written into one cube, and
-every registered backend (chunked and streamed).
+every backend and executor (chunked and streamed).
 """
 
 import dataclasses
@@ -17,11 +17,15 @@ import numpy as np
 import pytest
 
 from repro.core.backends import get_backend
-from repro.core.backends.base import build_kernel_context
 from repro.core.backends.threaded import _band_context
 from repro.core.config import DifferenceMode, ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
-from repro.core.engine import execute_backend
+from repro.core.engine import (
+    StackChunkSource,
+    build_chunk_context,
+    build_execution_plan,
+    execute_backend,
+)
 from repro.core.kernels import depth_resolve_chunk_fused, depth_resolve_chunk_scalar
 from repro.core.stack import WireScanStack
 from repro.core.workerpool import shutdown_shared_thread_pool
@@ -33,14 +37,8 @@ from repro.io.streaming import StreamingWireScanSource
 from repro.synthetic.forward_model import design_scan_for_depth_range
 from repro.synthetic.workloads import make_grain_sample_stack, make_point_source_stack
 from repro.utils.validation import ValidationError
-from tests.helpers import make_tiny_stack
+from tests.helpers import RUNS, make_tiny_stack
 
-#: Every registered backend: each one is bitwise identical to the scalar
-#: reference and reports the same active-element count.
-ALL_BACKENDS = ("cpu_reference", "vectorized", "threaded", "gpusim")
-#: The host backends the parametrized bitwise tests below run (gpusim has
-#: its own test there).
-EXACT_BACKENDS = ALL_BACKENDS[:3]
 #: Retired backend names the config still resolves, with a deprecation warning.
 RETIRED_BACKENDS = ("multiprocess",)
 
@@ -54,18 +52,22 @@ def _noisy_stack(n_rows=7, n_cols=5, n_positions=17, masked=False, seed=11):
     return stack
 
 
-def _backend_config(backend_name, **kwargs):
-    """A config naming ``backend_name``; a retired name must warn and resolve."""
-    if backend_name in RETIRED_BACKENDS:
-        with pytest.warns(DeprecationWarning, match=backend_name):
-            return ReconstructionConfig(backend=backend_name, **kwargs)
-    return ReconstructionConfig(backend=backend_name, **kwargs)
+def _run_config(name, **kwargs):
+    """The config of the run ``RUNS[name]``; a retired backend name must warn
+    and resolve."""
+    if name in RETIRED_BACKENDS:
+        with pytest.warns(DeprecationWarning, match=name):
+            return ReconstructionConfig(backend=name, **kwargs)
+    return ReconstructionConfig(**RUNS[name], **kwargs)
 
 
 def _context(stack, **config_overrides):
+    """The kernel context of every row of *stack*, as an engine run builds it."""
     grid = config_overrides.pop("grid", DepthGrid.from_range(0.0, 100.0, 25))
     config = ReconstructionConfig(grid=grid, **config_overrides)
-    return build_kernel_context(stack, config)
+    source = StackChunkSource(stack)
+    plan = build_execution_plan(source, config)
+    return build_chunk_context(source, config, plan, 0, source.n_rows)
 
 
 def _assert_fused_bitwise(ctx, **fused_kwargs):
@@ -107,7 +109,7 @@ class TestFusedVsScalar:
     def test_mask_and_cutoff_bitwise(self):
         stack = _noisy_stack(masked=True)
         ctx = _context(stack)
-        ctx.intensity_cutoff = float(np.median(np.abs(ctx.signed_differences())))
+        ctx.intensity_cutoff = float(np.median(np.abs(ctx.images[:-1] - ctx.images[1:])))
         _assert_fused_bitwise(ctx)
 
     def test_degenerate_trapezoids_bitwise(self):
@@ -206,18 +208,18 @@ class TestBackendsBitwise:
         result, _report = get_backend("cpu_reference").reconstruct(stack, config)
         return stack, grid, result
 
-    @pytest.mark.parametrize("backend_name", EXACT_BACKENDS[1:] + RETIRED_BACKENDS)
-    def test_backend_bitwise_identical(self, reference_run, backend_name):
+    @pytest.mark.parametrize("run", ("vectorized", "threaded") + RETIRED_BACKENDS)
+    def test_backend_bitwise_identical(self, reference_run, run):
         stack, grid, reference = reference_run
-        config = _backend_config(backend_name, grid=grid, n_workers=2)
+        config = _run_config(run, grid=grid, n_workers=2)
         result, _report = get_backend(config.backend).reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
         shutdown_shared_thread_pool()
 
-    @pytest.mark.parametrize("backend_name", EXACT_BACKENDS[1:] + RETIRED_BACKENDS)
-    def test_backend_bitwise_identical_chunked(self, reference_run, backend_name):
+    @pytest.mark.parametrize("run", ("vectorized", "threaded") + RETIRED_BACKENDS)
+    def test_backend_bitwise_identical_chunked(self, reference_run, run):
         stack, grid, reference = reference_run
-        config = _backend_config(backend_name, grid=grid, n_workers=2, rows_per_chunk=2)
+        config = _run_config(run, grid=grid, n_workers=2, rows_per_chunk=2)
         result, _report = get_backend(config.backend).reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
         shutdown_shared_thread_pool()
@@ -252,10 +254,12 @@ class TestRealisticGeometry:
     trapezoid table, in every chunking and streaming mode.
     """
 
+    #: (run, extra config): serial, the threads executor at two widths, and
+    #: the simulated device
     CASES = [
         ("vectorized", {}),
-        ("vectorized", {"executor": "threads"}),
-        ("threaded", {}),
+        ("vectorized", {"executor": "threads", "n_workers": 2}),
+        ("threaded", {"n_workers": 3}),
         ("gpusim", {}),
     ]
 
@@ -275,21 +279,17 @@ class TestRealisticGeometry:
         save_wire_scan(path, stack)
         return stack, path, grid, reference
 
-    @pytest.mark.parametrize("backend_name,extra", CASES)
+    @pytest.mark.parametrize("run,extra", CASES)
     @pytest.mark.parametrize("mode", ["in-memory", "chunked", "streamed"])
-    def test_bitwise_identical_to_reference(self, scan, mode, backend_name, extra):
+    def test_bitwise_identical_to_reference(self, scan, mode, run, extra):
         stack, path, grid, reference = scan
-        config = ReconstructionConfig(
-            grid=grid,
-            backend=backend_name,
-            n_workers=2,
-            rows_per_chunk=None if mode == "in-memory" else 2,
-            **extra,
+        config = _run_config(
+            run, grid=grid, rows_per_chunk=None if mode == "in-memory" else 2, **extra
         )
         if mode == "streamed":
             result, _report = execute_backend(StreamingWireScanSource(path), config)
         else:
-            result, _report = get_backend(backend_name).reconstruct(stack, config)
+            result, _report = get_backend(config.backend).reconstruct(stack, config)
         shutdown_shared_thread_pool()
         differing = int(np.count_nonzero(result.data != reference.data))
         assert differing == 0, f"{differing} of {reference.data.size} slots differ"
@@ -311,15 +311,30 @@ class TestNoisyGrainScan:
         )
         return stack, grid, reference, report
 
-    @pytest.mark.parametrize("backend_name,extra", TestRealisticGeometry.CASES)
-    def test_bitwise_identical_to_reference(self, scan, backend_name, extra):
+    @pytest.mark.parametrize("run,extra", TestRealisticGeometry.CASES)
+    def test_bitwise_identical_to_reference(self, scan, run, extra):
         stack, grid, reference, reference_report = scan
-        config = ReconstructionConfig(grid=grid, backend=backend_name, n_workers=2, **extra)
-        result, report = get_backend(backend_name).reconstruct(stack, config)
+        config = _run_config(run, grid=grid, **extra)
+        result, report = get_backend(config.backend).reconstruct(stack, config)
         shutdown_shared_thread_pool()
         differing = int(np.count_nonzero(result.data != reference.data))
         assert differing == 0, f"{differing} of {reference.data.size} slots differ"
         assert report.n_active_pixels == reference_report.n_active_pixels
+
+
+def _every_run(stack, rows_per_chunk):
+    """``{run: (result, report)}`` of every run in ``RUNS`` on *stack*."""
+    results = {}
+    for name in RUNS:
+        config = _run_config(
+            name,
+            grid=DepthGrid.from_range(0.0, 100.0, 25),
+            n_workers=2,
+            rows_per_chunk=rows_per_chunk,
+        )
+        results[name] = get_backend(config.backend).reconstruct(stack, config)
+    shutdown_shared_thread_pool()
+    return results
 
 
 class TestNanPixel:
@@ -331,20 +346,35 @@ class TestNanPixel:
     def test_every_backend_skips_the_nan_pixel(self, rows_per_chunk):
         stack = _noisy_stack()
         stack.images[8, 3, 2] = np.nan
-        results = {}
-        for name in ALL_BACKENDS:
-            config = ReconstructionConfig(
-                grid=DepthGrid.from_range(0.0, 100.0, 25),
-                backend=name,
-                n_workers=2,
-                rows_per_chunk=rows_per_chunk,
-            )
-            results[name] = get_backend(name).reconstruct(stack, config)
-        shutdown_shared_thread_pool()
+        results = _every_run(stack, rows_per_chunk)
         reference, reference_report = results["cpu_reference"]
         assert not np.isnan(reference.data).any()
         for name, (result, report) in results.items():
             assert np.array_equal(result.data, reference.data), name
+            assert report.n_active_pixels == reference_report.n_active_pixels, name
+
+
+class TestInfPixel:
+    """An infinite difference is active, and every kernel distributes it to
+    the same bins: the fused kernel skips the bins whose overlap is not
+    positive, as the scalar loop does, instead of writing ``inf * 0.0``
+    (NaN) there.  The pixel's two infinite differences have opposite signs,
+    so the bins both reach hold NaN on every backend alike."""
+
+    # inf + -inf in a slot is NumPy's invalid-value RuntimeWarning, from the
+    # fused kernel's np.add.at ("in add") and the scalar loop's element
+    # update ("in scalar add") alike
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+    @pytest.mark.parametrize("rows_per_chunk", [None, 2], ids=["in-memory", "chunked"])
+    def test_every_backend_matches_the_reference(self, rows_per_chunk, value):
+        stack = _noisy_stack()
+        stack.images[8, 3, 2] = value
+        results = _every_run(stack, rows_per_chunk)
+        reference, reference_report = results["cpu_reference"]
+        assert np.isnan(reference.data).any() and np.isinf(reference.data).any()
+        for name, (result, report) in results.items():
+            assert np.array_equal(result.data, reference.data, equal_nan=True), name
             assert report.n_active_pixels == reference_report.n_active_pixels, name
 
 
@@ -360,8 +390,6 @@ class TestActiveCountAcrossBackends:
 
     @pytest.mark.parametrize("mode", ["in-memory", "chunked", "streamed"])
     def test_every_backend_reports_the_same_count(self, scan, mode):
-        from repro.core.engine import StackChunkSource
-
         stack, path = scan
         config = ReconstructionConfig(
             grid=DepthGrid.from_range(0.0, 100.0, 25),
@@ -371,17 +399,18 @@ class TestActiveCountAcrossBackends:
             rows_per_chunk=None if mode == "in-memory" else 2,
         )
         counts = {}
-        for name in ALL_BACKENDS:
+        for name in RUNS:
             source = (
                 StreamingWireScanSource(path) if mode == "streamed" else StackChunkSource(stack)
             )
-            _result, report = execute_backend(source, config.with_backend(name))
+            _result, report = execute_backend(source, config.with_overrides(**RUNS[name]))
             counts[name] = report.n_active_pixels
         shutdown_shared_thread_pool()
         # ground truth: the scalar reference over the whole background-
         # subtracted stack; the mask and the rectification leave elements out
-        ctx = build_kernel_context(stack, config)
-        out = np.zeros((config.grid.n_bins, ctx.n_rows, ctx.n_cols))
-        expected = depth_resolve_chunk_scalar(ctx, out)
+        whole = StackChunkSource(stack)
+        plan = build_execution_plan(whole, config)
+        ctx = build_chunk_context(whole, config, plan, 0, whole.n_rows)
+        expected = depth_resolve_chunk_scalar(ctx, plan.output)
         assert 0 < expected < ctx.n_steps * ctx.n_rows * ctx.n_cols
-        assert counts == dict.fromkeys(ALL_BACKENDS, expected)
+        assert counts == dict.fromkeys(RUNS, expected)

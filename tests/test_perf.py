@@ -1,4 +1,4 @@
-"""Unit tests for the perf subpackage (timers, metrics, sweeps, reporting, model runs)."""
+"""Unit tests for the perf subpackage (metrics, sweeps, reporting, model runs)."""
 
 import numpy as np
 import pytest
@@ -13,36 +13,7 @@ from repro.perf.modelruns import (
 )
 from repro.perf.reporting import format_figure_report, format_series_table, records_to_series
 from repro.perf.sweep import SweepRecord, run_backend_sweep
-from repro.perf.timer import Timer, time_callable
 from repro.synthetic.workloads import make_benchmark_workload
-
-
-class TestTimer:
-    def test_context_manager_accumulates(self):
-        timer = Timer()
-        with timer:
-            sum(range(10000))
-        with timer:
-            sum(range(10000))
-        assert timer.elapsed > 0
-        assert len(timer.laps) == 2
-        assert timer.min_lap <= timer.mean_lap
-
-    def test_reset(self):
-        timer = Timer()
-        with timer:
-            pass
-        timer.reset()
-        assert timer.elapsed == 0.0 and timer.laps == []
-
-    def test_time_callable_returns_result(self):
-        best, result = time_callable(lambda x: x * 2, 21, repeats=3)
-        assert result == 42
-        assert best >= 0
-
-    def test_time_callable_validates_repeats(self):
-        with pytest.raises(ValueError):
-            time_callable(lambda: None, repeats=0)
 
 
 class TestMetrics:

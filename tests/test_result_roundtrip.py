@@ -2,8 +2,8 @@
 
 The acceptance bar for the results-side redesign: stack data round-trips
 bitwise-identical and the provenance record survives intact (modulo the
-``outputs`` block, which the save itself legitimately fills in) on all four
-backends.
+``outputs`` block, which the save itself legitimately fills in) on every
+backend and executor.
 """
 
 import json
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.registry import available_backends
 from repro.core.session import BatchRunResult, load, session
 from repro.io.image_stack import (
     load_depth_resolved,
@@ -22,7 +21,7 @@ from repro.io.image_stack import (
     save_wire_scan,
 )
 from repro.utils.validation import ValidationError
-from tests.helpers import make_tiny_stack
+from tests.helpers import RUNS, make_tiny_stack
 
 
 def _provenance_modulo_outputs(run):
@@ -32,16 +31,17 @@ def _provenance_modulo_outputs(run):
 
 
 class TestSaveLoadRoundTrip:
-    # ``multiprocess`` is a retired name the config resolves to ``threaded``
-    @pytest.mark.parametrize("backend", sorted(available_backends()) + ["multiprocess"])
+    # ``multiprocess`` is a retired name the config resolves to the
+    # vectorized backend on the threads executor
+    @pytest.mark.parametrize("backend", list(RUNS) + ["multiprocess"])
     def test_round_trip_all_backends(self, backend, tmp_path, point_source_stack, depth_grid):
         stack, _ = point_source_stack
-        if backend in available_backends():
-            run = session(grid=depth_grid, backend=backend).run(stack)
+        if backend in RUNS:
+            run = session(grid=depth_grid, **RUNS[backend]).run(stack)
         else:
             with pytest.warns(DeprecationWarning, match=backend):
                 run = session(grid=depth_grid, backend=backend).run(stack)
-            assert run.config.backend == "threaded"
+            assert (run.config.backend, run.config.executor) == ("vectorized", "threads")
         path = tmp_path / f"{backend}.h5lite"
 
         loaded = repro.load(run.save(path).output_path)

@@ -21,9 +21,8 @@ from repro.io.h5lite import H5LiteError
 from repro.io.image_stack import load_depth_resolved, save_wire_scan
 from repro.io.text_output import read_depth_profiles
 from repro.utils.validation import ValidationError
-from tests.helpers import make_tiny_stack
+from tests.helpers import RUNS, make_tiny_stack
 
-ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "threaded")
 
 
 def _noisy_stack(n_rows=6, n_cols=4, n_positions=13, seed=3, masked=False):
@@ -376,14 +375,14 @@ class TestFileRuns:
         with pytest.raises(H5LiteError):
             session(grid=grid).run(str(tmp_path / "nope.h5lite"))
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("run", RUNS)
     @pytest.mark.parametrize("streaming", [False, True])
-    def test_file_run_equals_in_memory_run(self, backend, streaming, grid, tmp_path):
+    def test_file_run_equals_in_memory_run(self, run, streaming, grid, tmp_path):
         stack = _noisy_stack(masked=True)
         path = tmp_path / "scan.h5lite"
         save_wire_scan(path, stack)
         config = ReconstructionConfig(
-            grid=grid, backend=backend, rows_per_chunk=2, subtract_background=True,
+            grid=grid, rows_per_chunk=2, subtract_background=True, **RUNS[run],
         )
         in_memory = session(config=config).run(stack)
         from_file = session(config=config.with_overrides(streaming=streaming)).run(str(path))

@@ -1,6 +1,6 @@
 """Threaded executor: identity, band planning, pool lifecycle, strategy plumbing.
 
-The threaded backend's contract is **bitwise identity** with the serial
+The ``threads`` executor's contract is **bitwise identity** with the serial
 engine under any chunking, any band split and any worker count — plus the
 properties that make threads worth having: view-only band dispatch (no slab
 copies), a bounded number of bands in flight during streamed runs, and reuse
@@ -19,15 +19,15 @@ from repro.core.backends.threaded import (
     _band_context,
     _reconstruct_band,
 )
-from repro.core.backends.base import build_kernel_context
 from repro.core.config import AUTO, ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
 from repro.core.kernels import depth_resolve_chunk_fused
 from repro.core.engine import (
     StackChunkSource,
+    build_chunk_context,
+    build_execution_plan,
     execute,
     execute_backend,
-    make_strategy_executor,
 )
 from repro.core.workerpool import (
     shared_thread_pool,
@@ -59,10 +59,13 @@ def _grid():
 
 def _serial_reference(stack, grid, **config_kwargs):
     config = ReconstructionConfig(grid=grid, backend="vectorized", **config_kwargs)
-    result, _report = execute(
-        StackChunkSource(stack), config, make_strategy_executor(config)
-    )
+    result, _report = execute_backend(StackChunkSource(stack), config)
     return result
+
+
+def _threads(**kwargs):
+    """A config running the vectorized backend on the ``threads`` executor."""
+    return ReconstructionConfig(backend="vectorized", executor="threads", **kwargs)
 
 
 class TestIdentity:
@@ -71,8 +74,8 @@ class TestIdentity:
         stack = _noisy_stack(masked=True)
         grid = _grid()
         reference = _serial_reference(stack, grid)
-        config = ReconstructionConfig(grid=grid, backend="threaded", n_workers=n_workers)
-        result, report = get_backend("threaded").reconstruct(stack, config)
+        config = _threads(grid=grid, n_workers=n_workers)
+        result, report = get_backend("vectorized").reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
         assert report.backend == "threaded"
 
@@ -81,10 +84,8 @@ class TestIdentity:
         stack = _noisy_stack(masked=True)
         grid = _grid()
         reference = _serial_reference(stack, grid)
-        config = ReconstructionConfig(
-            grid=grid, backend="threaded", n_workers=2, rows_per_chunk=rows_per_chunk
-        )
-        result, _report = get_backend("threaded").reconstruct(stack, config)
+        config = _threads(grid=grid, n_workers=2, rows_per_chunk=rows_per_chunk)
+        result, _report = get_backend("vectorized").reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
 
     def test_bitwise_identical_streamed(self, tmp_path):
@@ -93,9 +94,7 @@ class TestIdentity:
         reference = _serial_reference(stack, grid)
         path = str(tmp_path / "scan.h5lite")
         save_wire_scan(path, stack)
-        config = ReconstructionConfig(
-            grid=grid, backend="threaded", n_workers=2, rows_per_chunk=2
-        )
+        config = _threads(grid=grid, n_workers=2, rows_per_chunk=2)
         source = StreamingWireScanSource(path)
         result, report = execute_backend(source, config)
         assert source.accounting()["max_resident_rows"] == 2
@@ -107,7 +106,7 @@ class TestIdentity:
         stack = _noisy_stack(masked=True)
         grid = _grid()
         reference = _serial_reference(stack, grid)
-        config = ReconstructionConfig(grid=grid, backend="threaded", n_workers=4)
+        config = _threads(grid=grid, n_workers=4)
         executor = ThreadedExecutor(min_elements_per_dispatch=1)
         result, _report = execute(StackChunkSource(stack), config, executor)
         assert np.array_equal(reference.data, result.data)
@@ -116,10 +115,8 @@ class TestIdentity:
         stack = _noisy_stack(masked=True)
         grid = _grid()
         reference = _serial_reference(stack, grid, subtract_background=True)
-        config = ReconstructionConfig(
-            grid=grid, backend="threaded", n_workers=2, subtract_background=True
-        )
-        result, _report = get_backend("threaded").reconstruct(stack, config)
+        config = _threads(grid=grid, n_workers=2, subtract_background=True)
+        result, _report = get_backend("vectorized").reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
 
 
@@ -128,7 +125,9 @@ class TestBandDispatch:
         """Band contexts must alias the chunk slab — copies would defeat threads."""
         stack = _noisy_stack(masked=True)
         config = ReconstructionConfig(grid=_grid())
-        ctx = build_kernel_context(stack, config)
+        source = StackChunkSource(stack)
+        plan = build_execution_plan(source, config)
+        ctx = build_chunk_context(source, config, plan, 0, source.n_rows)
         band = _band_context(ctx, 2, 5)
         assert band.images.base is not None
         assert np.shares_memory(band.images, ctx.images)
@@ -138,7 +137,10 @@ class TestBandDispatch:
     def test_band_reconstruction_is_contiguous(self):
         """A band writes exactly its own contiguous rows of the output cube."""
         stack = _noisy_stack()
-        ctx = build_kernel_context(stack, ReconstructionConfig(grid=_grid()))
+        config = ReconstructionConfig(grid=_grid())
+        source = StackChunkSource(stack)
+        plan = build_execution_plan(source, config)
+        ctx = build_chunk_context(source, config, plan, 0, source.n_rows)
         whole = np.zeros((20, stack.n_rows, stack.n_cols))
         n_whole = depth_resolve_chunk_fused(ctx, whole)
         out = np.zeros_like(whole)
@@ -151,12 +153,12 @@ class TestBandDispatch:
         """A tiny chunk collapses to one band: no dispatch smaller than the floor."""
         stack = _noisy_stack(n_rows=6, n_cols=5, n_positions=9)
         grid = _grid()
-        config = ReconstructionConfig(grid=grid, backend="threaded", n_workers=4)
+        config = _threads(grid=grid, n_workers=4)
         executor = ThreadedExecutor()
         source = StackChunkSource(stack)
         plan = executor.plan(source, config)
         executor.prepare(source, config, plan)
-        ctx = build_kernel_context(stack, config)
+        ctx = build_chunk_context(source, config, plan, 0, source.n_rows)
         bands = executor._bands(ctx)
         # 8 * 6 * 5 = 240 elements << the 65536-element default floor
         assert bands == [(0, 6)]
@@ -167,9 +169,7 @@ class TestBandDispatch:
         stack = _noisy_stack(n_rows=12, n_cols=5, n_positions=9)
         path = str(tmp_path / "scan.h5lite")
         save_wire_scan(path, stack)
-        config = ReconstructionConfig(
-            grid=_grid(), backend="threaded", n_workers=2, rows_per_chunk=1
-        )
+        config = _threads(grid=_grid(), n_workers=2, rows_per_chunk=1)
         executor = ThreadedExecutor(min_elements_per_dispatch=1)
         source = StreamingWireScanSource(path)
         execute(source, config, executor)
@@ -177,7 +177,7 @@ class TestBandDispatch:
 
     def test_report_extras_count_bands_and_elements(self):
         stack = _noisy_stack(n_rows=8)
-        config = ReconstructionConfig(grid=_grid(), backend="threaded", n_workers=2)
+        config = _threads(grid=_grid(), n_workers=2)
         executor = ThreadedExecutor(min_elements_per_dispatch=1)
         _result, report = execute(StackChunkSource(stack), config, executor)
         assert report.n_kernel_launches >= 2  # at least one band per worker
@@ -185,7 +185,7 @@ class TestBandDispatch:
 
     def test_worker_count_clamped_to_rows(self):
         stack = _noisy_stack(n_rows=3)
-        config = ReconstructionConfig(grid=_grid(), backend="threaded", n_workers=16)
+        config = _threads(grid=_grid(), n_workers=16)
         executor = ThreadedExecutor()
         source = StackChunkSource(stack)
         executor.prepare(source, config, executor.plan(source, config))
@@ -196,8 +196,8 @@ class TestBandDispatch:
 class TestPoolLifecycle:
     def test_shared_pool_reused_across_runs(self):
         stack = _noisy_stack()
-        config = ReconstructionConfig(grid=_grid(), backend="threaded", n_workers=2)
-        backend = get_backend("threaded")
+        config = _threads(grid=_grid(), n_workers=2)
+        backend = get_backend("vectorized")
         backend.reconstruct(stack, config)
         pool = shared_thread_pool(2)
         spawns_before = pool.n_spawns
@@ -207,7 +207,7 @@ class TestPoolLifecycle:
 
     def test_single_worker_runs_inline(self):
         stack = _noisy_stack()
-        config = ReconstructionConfig(grid=_grid(), backend="threaded", n_workers=1)
+        config = _threads(grid=_grid(), n_workers=1)
         executor = ThreadedExecutor()
         source = StackChunkSource(stack)
         executor.prepare(source, config, executor.plan(source, config))
@@ -230,9 +230,7 @@ class TestConcurrentWidths:
         results, errors = {}, []
 
         def run(n_workers):
-            config = ReconstructionConfig(
-                grid=grid, backend="threaded", n_workers=n_workers, rows_per_chunk=1
-            )
+            config = _threads(grid=grid, n_workers=n_workers, rows_per_chunk=1)
             try:
                 start.wait(timeout=30)
                 for _ in range(25):
@@ -266,12 +264,8 @@ class TestStrategyPlumbing:
         stack = _noisy_stack(masked=True)
         grid = _grid()
         reference = _serial_reference(stack, grid)
-        config = ReconstructionConfig(
-            grid=grid, backend="vectorized", executor="threads", n_workers=2
-        )
-        result, report = execute(
-            StackChunkSource(stack), config, make_strategy_executor(config)
-        )
+        config = _threads(grid=grid, n_workers=2)
+        result, report = execute_backend(StackChunkSource(stack), config)
         assert report.backend == "threaded"
         assert np.array_equal(reference.data, result.data)
 
@@ -284,16 +278,27 @@ class TestStrategyPlumbing:
             config = ReconstructionConfig(
                 grid=grid, backend="vectorized", executor="processes", n_workers=2
             )
-        result, report = execute(
-            StackChunkSource(stack), config, make_strategy_executor(config)
-        )
+        result, report = execute_backend(StackChunkSource(stack), config)
         assert report.backend == "threaded"
         assert np.array_equal(reference.data, result.data)
 
     def test_unresolved_auto_falls_back_to_serial(self):
         config = ReconstructionConfig(grid=_grid(), backend="vectorized", executor=AUTO)
-        executor = make_strategy_executor(config)
+        executor = get_backend("vectorized").make_executor(config)
         assert executor.name == "vectorized"
+
+    def test_unresolved_auto_width_runs_one_worker_in_line(self):
+        """An unresolved ``n_workers="auto"`` runs one worker in line, as an
+        unresolved ``executor="auto"`` runs serially."""
+        stack = _noisy_stack(masked=True)
+        grid = _grid()
+        reference = _serial_reference(stack, grid)
+        config = _threads(grid=grid, n_workers=AUTO)
+        result, report = execute_backend(StackChunkSource(stack), config)
+        assert report.backend == "threaded"
+        assert "1 worker thread(s)" in " ".join(report.notes)
+        assert "in-line" in " ".join(report.notes)
+        assert np.array_equal(reference.data, result.data)
 
     def test_executor_field_round_trips_config(self):
         config = ReconstructionConfig(
