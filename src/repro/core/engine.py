@@ -324,7 +324,7 @@ class ChunkExecutor(abc.ABC):
     counts in any order.  The engine sums them into ``n_active_pixels``.
     """
 
-    #: report/backend name
+    #: the executor's name in the engine's debug log
     name: str = ""
 
     def plan(self, source: ChunkSource, config: ReconstructionConfig) -> ExecutionPlan:
@@ -426,8 +426,10 @@ def execute(
     wall = time.perf_counter() - start
     extras = dict(executor.report_extras())
     extras.setdefault("compute_time", wall)
+    # the backend that computed, as the config names it; where it ran
+    # (config.executor) is in the executor's notes
     report = ReconstructionReport(
-        backend=executor.name,
+        backend=config.backend,
         wall_time=wall,
         n_chunks=plan.n_chunks,
         n_steps=source.n_steps,
@@ -436,7 +438,7 @@ def execute(
         **extras,
     )
     result = DepthResolvedStack(
-        data=plan.output, grid=config.grid, metadata={**source.metadata, "backend": executor.name}
+        data=plan.output, grid=config.grid, metadata={**source.metadata, "backend": config.backend}
     )
     return result, report
 

@@ -21,14 +21,22 @@ form below is bitwise identical to the scalar reference by construction.
 
 ``depth_resolve_chunk_fused``
     The production kernel of the host backends.  It walks the chunk in
-    L2-sized row blocks, integrates each block's depth-bin overlaps once per
-    active pair into a small bin-major table (window bin ``k`` of every pair
-    is one contiguous row), and distributes the block's active elements in
-    batches: each batch gathers its pairs' overlaps one window bin at a time
-    into two per-block ``(batch, width)`` buffers, weights and output slots,
-    and hands them to one ``atomic_add`` — no per-element trapezoid
-    integral, no 2-D fancy index, and the signed differences are computed
-    block by block on the fly.
+    row blocks of bounded size, computing the signed differences block by
+    block on the fly, and integrates each used (step, row) pair's depth-bin
+    overlaps once, over the bin range the scalar loop visits for that pair.
+    It then distributes a block in one of two forms, chosen by the block's
+    density (active elements per slot of its used pairs' rows):
+
+    - *rows*, for a dense block: one wire step at a time, the step's
+      weights are added into whole cube rows with one buffered ``+=``.
+      Within one step the ``setTwo`` threads' ``atomicAdd`` targets are
+      distinct — a pair is one detector row, and its bins are distinct — so
+      a buffered add loses nothing;
+    - *elements*, for any other block: the active elements in batches, each
+      gathered one window bin at a time and handed to one ``atomic_add``.
+
+    Neither form integrates a trapezoid per element, and both are bitwise
+    identical to the scalar loop.
 
 ``set_two_vectorized``
     The GPU-sim launch body over explicit thread-coordinate arrays: the
@@ -55,7 +63,7 @@ import numpy as np
 from repro.core.config import DifferenceMode
 from repro.core.depth_grid import DepthGrid
 from repro.core.depth_mapping import pixel_yz_to_depth
-from repro.core.trapezoid import MIN_TRAPEZOID_AREA, trapezoid_area, trapezoid_bin_overlaps
+from repro.core.trapezoid import MIN_TRAPEZOID_AREA, trapezoid_area, trapezoid_overlap
 from repro.cudasim.atomic import atomic_add
 from repro.geometry.wire import WireEdge
 from repro.utils.validation import ValidationError
@@ -337,13 +345,33 @@ def depth_resolve_chunk_scalar(ctx: KernelContext, out: np.ndarray) -> int:
 
 
 #: Target size of the per-row-block difference temporary of the fused kernel.
-#: Blocks are sized so the ``(n_steps, block_rows, n_cols)`` difference slab
-#: stays resident in L2 while its elements are distributed.  With the
-#: per-pair overlap table the per-element temporaries are a few bins wide, so
-#: the slab is the block's working set: on a 2 MiB-per-core-L2 Xeon, 1 MiB
-#: blocks ran the 6 MB in-memory and 4-row streamed benchmark scans 10-25%
-#: faster than 256 KiB blocks, and 2 MiB blocks gained little more.
-FUSED_ROW_BLOCK_BYTES = 1024 * 1024
+#: Every block's temporaries are bounded by it, and the row form's Python
+#: loop runs once per wire step of every block, so larger blocks pay that
+#: loop fewer times, for more memory.  Kernel only, on a 2-vCPU Xeon (2 MiB
+#: L2 per core), the four every-pixel 49x87x176 benchmark scans ran in
+#: 13.1-13.7 ms per file at 1 MiB, 9.8-10.9 ms at 2 MiB and 8.5-9.7 ms at
+#: 4 MiB in one session, and in 8.1-9.8 ms at 2 MiB and 6.9-7.1 ms at 8 MiB
+#: (one block per scan) in another.  End to end, 8 MiB blocks took those
+#: scans' serial runs from 23.9-25.7 to 22.7-24.2 ms, but raised the serving
+#: workload's peak RSS from 108-119 to 116-130 MB: its two concurrent cold
+#: jobs each hold a whole-scan slab.  So the block stays at the per-core L2
+#: size.  A streamed 4-row window of the 200x600 scans is one block at any
+#: of these sizes.
+FUSED_ROW_BLOCK_BYTES = 2 * 1024 * 1024
+
+#: A row block whose active elements fill at least this share of its used
+#: pairs' ``n_cols``-slot rows is distributed in whole rows, one wire step at
+#: a time; any other block element by element.  The row form's work grows
+#: with the used rows, the element form's with the active elements.  Kernel
+#: only, on one 49x87x176 benchmark scan with pixels masked at random, three
+#: sweeps on a 2-vCPU Xeon, medians of 7: the row form ran 12-15 ms at every
+#: density from 0.05 to 1; the element form 6.5-7.7 ms at 0.05, 11.3-14.5 ms
+#: at 0.4, 12.1-16.2 ms at 0.5, 13.6-18.7 ms at 0.6 and 18.4-24.1 ms at 1.
+#: They cross between 0.45 and 0.6, and one half sits in that band.  The
+#: benchmark corpora's blocks sit far from it (perfbench seed 1): 0.92-1.00
+#: on the every-pixel scans, 0.02-0.04 on the quarter-masked scans and
+#: 0.002-0.012 in the streamed windows.
+_ROW_FORM_MIN_DENSITY = 0.5
 
 
 def _fused_row_block(n_steps: int, n_cols: int) -> int:
@@ -362,39 +390,51 @@ def depth_resolve_chunk_fused(
 
     One pass per chunk, in row blocks: each block computes its slab of
     signed differences on the fly (no ``(n_steps, rows, cols)`` difference
-    cube is ever materialised), integrates the depth-bin overlaps of its
-    active (step, row) pairs once into an overlap table, and distributes
-    every active element by gathering its pair's overlaps.  The trapezoid
-    integral thus runs once per pair instead of once per active element.  A
-    trapezoid spans only a few bins, so the table keeps just the window of
-    bins that holds all of a pair's nonzero overlaps, *width* the block's
-    widest window.  The table is bin-major, shape
-    ``(width, n_steps * block_rows)``: window bin ``k`` of every pair is the
-    contiguous row ``k``.
+    cube is ever materialised) and finds its *used* (step, row) pairs, the
+    pairs holding an active element.  The trapezoid integral runs once per
+    used pair, not once per active element, and only over the pair's
+    window: the bins :func:`depth_resolve_element` visits,
+    ``floor((d1 - start) / step)`` to ``floor((d4 - start) / step)`` clipped
+    to the grid, integrated at those ``grid.edges``.  Windows are padded
+    with zero overlaps to *width*, the block's widest, and the overlaps are
+    bin-major, shape ``(width, used pairs)``.
 
-    Active elements are distributed in batches of *element_batch*.  A batch
-    derives its values, pair ids and output offsets from its slice of the
-    block's active flat ids, then fills two ``(batch, width)`` buffers
-    allocated once per block, one window bin at a time: column ``k`` of the
-    weights is a 1-D gather of table row ``k`` at the batch's pairs, and
-    column ``k`` of the slots is the elements' first-bin slots plus ``k``
-    planes.  One ``atomic_add`` per batch then takes both buffers flat, in
-    (element, bin) order.  Every step is a contiguous 1-D pass, and every
-    temporary is bounded by the block, not the chunk.
+    A block is then distributed in one of two forms.  Its density is its
+    active elements ÷ (used pairs × ``n_cols``); see
+    ``_ROW_FORM_MIN_DENSITY`` for the one-half rule and its measured
+    crossover.
 
-    Bitwise identical to :func:`depth_resolve_chunk_scalar`: the table holds
-    exactly the overlaps the element would have integrated itself, per-bin
-    weights are computed in the scalar kernel's operation order
-    (``value * overlap / area``) over the exact same bin edges, and the
-    (element, bin) order of the one ``atomic_add`` per batch delivers the
-    contributions to every output slot in ascending wire-step order, as the
-    scalar loop does.  The scalar loop skips a bin whose overlap is not
-    positive; so does a batch that holds an infinite difference, whose
-    ``inf * 0.0`` would otherwise write NaN (its skipped weights are +0.0,
-    which adds nothing).  (One ``add.at`` per window bin would change that
-    order, and ``np.bincount`` would sum a slot's contributions before
-    adding them to its earlier value.)  Results do not depend on
-    *row_block* or *element_batch*; both only bound temporary sizes.
+    *Rows*, for a dense block.  One wire step at a time, in ascending
+    order, the step's difference rows (inactive elements zeroed) become
+    ``(width, pairs, n_cols)`` weights, added into the cube viewed as
+    ``(n_bins * out_rows, n_cols)`` rows with one buffered ``+=``.  A
+    buffered add keeps only one addend per target, but within one step
+    every (window bin, pair) has its own (bin, row) target: a pair is one
+    detector row, and its window bins are distinct.
+
+    *Elements*, for any other block.  The active elements in batches of
+    *element_batch*: a batch derives its values, pair ids and output
+    offsets from its slice of the block's active flat ids, fills two
+    ``(batch, width)`` buffers (weights and slots) allocated once per block
+    one window bin at a time, and hands them to one ``atomic_add``, flat
+    in (element, bin) order.
+
+    Bitwise identical to :func:`depth_resolve_chunk_scalar` in both forms:
+    the windows hold exactly the overlaps the element integrates itself,
+    over the same bin edges; weights are computed in the scalar operation
+    order (``value * overlap / area``); and every output slot receives its
+    contributions in ascending wire-step order, as from the scalar loop —
+    step by step in the row form, in each ``atomic_add``'s (element, bin)
+    order in the element form.  What either form adds beyond the scalar
+    loop's contributions is +-0.0 (padding bins, zeroed inactive
+    elements), which leaves a slot unchanged: slots accumulate from +0.0
+    and never hold -0.0.  The scalar loop skips a bin whose overlap is not
+    positive; so does the row form, and so does an element batch holding
+    an infinite difference, whose ``inf * 0.0`` would otherwise write NaN.
+    (One ``add.at`` per window bin would change the element order, and
+    ``np.bincount`` would sum a slot's contributions before adding them to
+    its earlier value.)  Results do not depend on *row_block* or
+    *element_batch*; both only bound temporary sizes.
 
     *out* is a C-contiguous float64 ``(n_bins, out_rows, n_cols)`` cube; the
     chunk's rows land at ``ctx.row_offset`` onwards, so a chunk or band
@@ -412,7 +452,11 @@ def depth_resolve_chunk_fused(
 
     _check_out(ctx, out)
     flat_out = out.reshape(-1)
-    plane = out.shape[1] * out.shape[2]
+    out_rows = out.shape[1]
+    # row bin * out_rows + r of this view is output row r in depth bin `bin`
+    out_by_row = out.reshape(-1, ctx.n_cols)
+    plane = out_rows * ctx.n_cols
+    edges = grid.edges
     cutoff = max(ctx.intensity_cutoff, 0.0)
     n_active = 0
 
@@ -439,44 +483,65 @@ def depth_resolve_chunk_fused(
             active &= ctx.mask[None, band, :]
         active &= pair_active[:, band, None]
 
-        # flat ids run in (step, row, col) order, the scalar loop's order;
-        # flat = (step * block_rows + row) * n_cols + col
-        flat = np.flatnonzero(active)
-        if flat.size == 0:
-            continue
-        n_active += flat.size
-
-        # the block's overlap table, integrated only for the (step, row)
-        # pairs (pair id step * block_rows + row) that hold an active
-        # element; no other pair is ever gathered
+        # the (step, row) pairs (pair id step * block_rows + row, so in
+        # ascending step order) that hold an active element; no other pair
+        # is ever integrated or gathered
         pair_ids = np.flatnonzero(active.any(axis=2))
+        if pair_ids.size == 0:
+            continue
+        n_block_active = int(np.count_nonzero(active))
+        n_active += n_block_active
         pair_steps, pair_rows = np.divmod(pair_ids, block_rows)
         pair_rows += block_start
-        overlaps = trapezoid_bin_overlaps(
-            grid,
-            d1[pair_steps, pair_rows],
-            d2[pair_steps, pair_rows],
-            d3[pair_steps, pair_rows],
-            d4[pair_steps, pair_rows],
-        )
-        # each pair keeps a window of `width` bins holding every nonzero
-        # overlap of its trapezoid.  A dropped zero overlap would add +-0.0
-        # to an output slot, which leaves the slot unchanged: slots
-        # accumulate from +0.0 and so never hold -0.0.
-        nonzero = overlaps != 0.0
-        first = np.argmax(nonzero, axis=1)
-        last = grid.n_bins - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-        spans = np.where(nonzero.any(axis=1), last - first + 1, 1)
-        width = int(spans.max())
-        window_start = np.minimum(first, grid.n_bins - width)
+        c1 = d1[pair_steps, pair_rows]
+        c2 = d2[pair_steps, pair_rows]
+        c3 = d3[pair_steps, pair_rows]
+        c4 = d4[pair_steps, pair_rows]
+
+        # each pair's window: the bins depth_resolve_element visits, clipped
+        # as floats so a huge corner cannot overflow the int cast.  A pair
+        # whose range is narrower than `width` gets zero overlaps for the
+        # padding bins.
+        first = np.clip(np.floor((c1 - grid.start) / grid.step), 0, grid.n_bins).astype(np.int64)
+        last = np.clip(np.floor((c4 - grid.start) / grid.step), -1, grid.n_bins - 1).astype(np.int64)
+        width = max(1, int((last - first).max()) + 1)
         # bin-major: window bin k of every pair is the contiguous row k
+        bins = np.minimum(first, grid.n_bins - width) + np.arange(width)[:, None]
+        overlaps = trapezoid_overlap(edges[bins], edges[bins + 1], c1, c2, c3, c4)
+        overlaps[(bins < first) | (bins > last)] = 0.0
+
+        if n_block_active >= _ROW_FORM_MIN_DENSITY * pair_ids.size * ctx.n_cols:
+            # rows: one buffered += per wire step, steps in ascending order
+            targets = bins * out_rows + (ctx.row_offset + pair_rows)
+            # an inactive element adds a +-0.0 weight; the slab is not read
+            # again, so zero it in place
+            np.copyto(diffs, 0.0, where=~active)
+            values = diffs.reshape(-1, ctx.n_cols)
+            # the bins the scalar loop skips: a finite value's weight there
+            # is +-0.0, but an infinite one's would be inf * 0.0, NaN
+            skipped = overlaps <= 0.0
+            # pair ids ascend, so each step's pairs are one slice
+            step_bounds = np.searchsorted(pair_steps, np.arange(ctx.n_steps + 1))
+            pair_area = area[pair_steps, pair_rows]
+            for step in range(ctx.n_steps):
+                lo, hi = step_bounds[step], step_bounds[step + 1]
+                if lo == hi:
+                    continue
+                # scalar operation order: (value * overlap) / area
+                weights = np.take(values, pair_ids[lo:hi], axis=0) * overlaps[:, lo:hi, None]
+                weights /= pair_area[lo:hi, None]
+                weights[skipped[:, lo:hi]] = 0.0
+                out_by_row[targets[:, lo:hi]] += weights
+            continue
+
+        # elements: the active flat ids run in (step, row, col) order, the
+        # scalar loop's order; flat = (step * block_rows + row) * n_cols + col
+        flat = np.flatnonzero(active)
         table = np.zeros((width, ctx.n_steps * block_rows), dtype=np.float64)
-        table[:, pair_ids] = np.take_along_axis(
-            overlaps, window_start[:, None] + np.arange(width), axis=1
-        ).T
+        table[:, pair_ids] = overlaps
         # output offset of each pair's first window bin
         pair_offsets = np.zeros(ctx.n_steps * block_rows, dtype=np.int64)
-        pair_offsets[pair_ids] = window_start * plane
+        pair_offsets[pair_ids] = bins[0] * plane
         block_area = area[:, band].reshape(-1)
         block_diffs = diffs.reshape(-1)
         pixel_start = (ctx.row_offset + block_start) * ctx.n_cols
@@ -493,7 +558,7 @@ def depth_resolve_chunk_fused(
             values = np.take(block_diffs, ids)
             finite = np.isfinite(values).all()
             pairs = ids // ctx.n_cols
-            pair_area = np.take(block_area, pairs)
+            element_area = np.take(block_area, pairs)
             first_slots = np.take(pair_offsets, pairs)
             first_slots += ids % block_pixels
             first_slots += pixel_start
@@ -503,7 +568,7 @@ def depth_resolve_chunk_fused(
                 # reference loop
                 column = np.take(table[k], pairs)
                 column *= values
-                column /= pair_area
+                column /= element_area
                 if not finite:
                     # skip the bins the scalar loop skips (overlap <= 0)
                     column[np.take(table[k], pairs) <= 0.0] = 0.0

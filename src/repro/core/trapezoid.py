@@ -109,7 +109,9 @@ def trapezoid_height(depth, d1, d2, d3, d4):
     d3 = np.asarray(d3, dtype=np.float64)
     d4 = np.asarray(d4, dtype=np.float64)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # a ramp narrower than (depth - d1) / max_float overflows to inf, which
+    # the clip to 1 below absorbs
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         rising = np.where(d2 > d1, (depth - d1) / (d2 - d1), 1.0)
         falling = np.where(d4 > d3, (d4 - depth) / (d4 - d3), 1.0)
     height = np.minimum(np.minimum(rising, falling), 1.0)

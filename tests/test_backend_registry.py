@@ -257,12 +257,14 @@ class TestRetiredNames:
         base = session(grid=depth_grid, n_workers=2)
         serial = base.run(stack)
         threads = base.configure(executor="threads").run(stack)
-        assert threads.report.backend == "threaded"  # the executor that ran
+        # the report, and so the provenance, names the backend; the executor
+        # is in the config
+        assert threads.report.backend == threads.provenance()["backend"] == "vectorized"
         for old in ("threaded", "multiprocess"):
             with pytest.warns(DeprecationWarning, match=old):
                 run = base.on(old).run(stack)
             assert (run.config.backend, run.config.executor) == ("vectorized", "threads")
-            assert run.report.backend == "threaded"
+            assert run.report.backend == "vectorized"
             assert run.result.data.tobytes() == threads.result.data.tobytes()
         assert np.array_equal(threads.result.data, serial.result.data)
 

@@ -187,6 +187,20 @@ class TestKeyInvalidation:
 
 # --------------------------------------------------------------------------- #
 # corruption: always a miss, never a served result
+def _empty_file(path):
+    open(path, "wb").close()
+
+
+def _truncate_file(path):
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) // 2)
+
+
+def _clobber_magic(path):
+    with open(path, "r+b") as fh:
+        fh.write(b"garbage!")
+
+
 class TestCorruptEntries:
     def _entry_path(self, cache_root):
         entries = glob.glob(os.path.join(cache_root, "runs", "*", "*.h5lite"))
@@ -200,9 +214,7 @@ class TestCorruptEntries:
         return sess, cold
 
     @pytest.mark.parametrize("poison", [
-        lambda path: open(path, "wb").close(),                           # emptied
-        lambda path: open(path, "r+b").truncate(os.path.getsize(path) // 2),  # truncated
-        lambda path: open(path, "r+b").write(b"garbage!"),               # magic clobbered
+        _empty_file, _truncate_file, _clobber_magic,
     ], ids=["emptied", "truncated", "bad-magic"])
     def test_unreadable_entry_is_miss_and_repaired(self, cache_root, grid, small_stack, poison):
         sess, cold = self._poisoned_session(cache_root, grid, small_stack, poison)

