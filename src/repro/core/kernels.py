@@ -21,11 +21,16 @@ form below is bitwise identical to the scalar reference by construction.
 
 ``depth_resolve_chunk_fused``
     The production kernel of the host backends.  It walks the chunk in
-    row blocks of bounded size, computing the signed differences block by
-    block on the fly, and integrates each used (step, row) pair's depth-bin
-    overlaps once, over the bin range the scalar loop visits for that pair.
-    It then distributes a block in one of two forms, chosen by the block's
-    density (active elements per slot of its used pairs' rows):
+    row blocks of bounded size.  A block differences only its *span*, the
+    wire steps from the first to the last that some row of the block can
+    use (the paper's threads whose trapezoid misses the depth grid do no
+    work; a block with no usable step is skipped), block by block on the
+    fly, so a position only unusable steps touch is never read.  It
+    integrates each used (step, row) pair's depth-bin overlaps once, over
+    the bin range the scalar loop visits for that pair, in one
+    cumulative-integral pass at the range's edges.  It then distributes a
+    block in one of two forms, chosen by the block's density (active
+    elements per slot of its used pairs' rows):
 
     - *rows*, for a dense block: one wire step at a time, the step's
       weights are added into whole cube rows with one buffered ``+=``.
@@ -63,7 +68,7 @@ import numpy as np
 from repro.core.config import DifferenceMode
 from repro.core.depth_grid import DepthGrid
 from repro.core.depth_mapping import pixel_yz_to_depth
-from repro.core.trapezoid import MIN_TRAPEZOID_AREA, trapezoid_area, trapezoid_overlap
+from repro.core.trapezoid import MIN_TRAPEZOID_AREA, _edge_overlaps, trapezoid_area
 from repro.cudasim.atomic import atomic_add
 from repro.geometry.wire import WireEdge
 from repro.utils.validation import ValidationError
@@ -345,18 +350,21 @@ def depth_resolve_chunk_scalar(ctx: KernelContext, out: np.ndarray) -> int:
 
 
 #: Target size of the per-row-block difference temporary of the fused kernel.
-#: Every block's temporaries are bounded by it, and the row form's Python
-#: loop runs once per wire step of every block, so larger blocks pay that
-#: loop fewer times, for more memory.  Kernel only, on a 2-vCPU Xeon (2 MiB
-#: L2 per core), the four every-pixel 49x87x176 benchmark scans ran in
-#: 13.1-13.7 ms per file at 1 MiB, 9.8-10.9 ms at 2 MiB and 8.5-9.7 ms at
-#: 4 MiB in one session, and in 8.1-9.8 ms at 2 MiB and 6.9-7.1 ms at 8 MiB
-#: (one block per scan) in another.  End to end, 8 MiB blocks took those
-#: scans' serial runs from 23.9-25.7 to 22.7-24.2 ms, but raised the serving
-#: workload's peak RSS from 108-119 to 116-130 MB: its two concurrent cold
-#: jobs each hold a whole-scan slab.  So the block stays at the per-core L2
-#: size.  A streamed 4-row window of the 200x600 scans is one block at any
-#: of these sizes.
+#: Every block's temporaries are bounded by it (a block differences only its
+#: span of usable steps, so they are often smaller), and the row form's
+#: Python loop runs once per wire step of every block's span, so larger
+#: blocks pay that loop fewer times, for more memory.  Kernel only, on a
+#: 2-vCPU Xeon (2 MiB L2 per core), the four every-pixel 49x87x176
+#: benchmark scans ran in 6.8-9.7 ms per file at 1 MiB, 5.9-6.5 ms at
+#: 2 MiB, 5.8-7.5 ms at 4 MiB and 5.7-6.7 ms at 8 MiB (one block per scan),
+#: two sweeps; the kernel that differenced every step, swept between them,
+#: ran 8.1-8.4, 7.0-8.2, 7.2-7.5 and 6.6-6.8 ms.  Larger blocks now save at
+#: most about 0.5 ms per file.  In earlier measurements 8 MiB blocks took
+#: those scans' serial runs from 23.9-25.7 to 22.7-24.2 ms end to end, but
+#: raised the serving workload's peak RSS from 108-119 to 116-130 MB: its
+#: two concurrent cold jobs each hold a whole-scan slab.  So the block
+#: stays at the per-core L2 size.  A streamed 4-row window of the 200x600
+#: scans is one block at any of these sizes.
 FUSED_ROW_BLOCK_BYTES = 2 * 1024 * 1024
 
 #: A row block whose active elements fill at least this share of its used
@@ -364,13 +372,17 @@ FUSED_ROW_BLOCK_BYTES = 2 * 1024 * 1024
 #: a time; any other block element by element.  The row form's work grows
 #: with the used rows, the element form's with the active elements.  Kernel
 #: only, on one 49x87x176 benchmark scan with pixels masked at random, three
-#: sweeps on a 2-vCPU Xeon, medians of 7: the row form ran 12-15 ms at every
-#: density from 0.05 to 1; the element form 6.5-7.7 ms at 0.05, 11.3-14.5 ms
-#: at 0.4, 12.1-16.2 ms at 0.5, 13.6-18.7 ms at 0.6 and 18.4-24.1 ms at 1.
-#: They cross between 0.45 and 0.6, and one half sits in that band.  The
-#: benchmark corpora's blocks sit far from it (perfbench seed 1): 0.92-1.00
-#: on the every-pixel scans, 0.02-0.04 on the quarter-masked scans and
-#: 0.002-0.012 in the streamed windows.
+#: sweeps on a 2-vCPU Xeon, medians of 7: the row form ran 5.9-7.8 ms at
+#: every density from 0.05 to 1; the element form 2.3-2.4 ms at 0.05,
+#: 5.9-6.5 ms at 0.4, 6.7-7.7 ms at 0.5, 7.6-7.8 ms at 0.6 and 11.3-12.0 ms
+#: at 1.  They cross between 0.5 and 0.6, and one half sits at that edge.
+#: Skipping each block's unusable steps did not move the crossover: the
+#: kernel that differenced every step, swept between them, crossed between
+#: 0.5 and 0.6 too (between 0.45 and 0.6 in earlier sweeps), because the
+#: work the skipping saves, the difference pass and the window integrals,
+#: is shared by both forms.  The benchmark corpora's blocks sit far from it
+#: (perfbench seed 1): 0.92-1.00 on the every-pixel scans, 0.02-0.04 on the
+#: quarter-masked scans and 0.002-0.012 in the streamed windows.
 _ROW_FORM_MIN_DENSITY = 0.5
 
 
@@ -388,16 +400,23 @@ def depth_resolve_chunk_fused(
 ) -> int:
     """Fused signed-difference + depth-distribute kernel over a row chunk.
 
-    One pass per chunk, in row blocks: each block computes its slab of
-    signed differences on the fly (no ``(n_steps, rows, cols)`` difference
-    cube is ever materialised) and finds its *used* (step, row) pairs, the
-    pairs holding an active element.  The trapezoid integral runs once per
-    used pair, not once per active element, and only over the pair's
-    window: the bins :func:`depth_resolve_element` visits,
-    ``floor((d1 - start) / step)`` to ``floor((d4 - start) / step)`` clipped
-    to the grid, integrated at those ``grid.edges``.  Windows are padded
-    with zero overlaps to *width*, the block's widest, and the overlaps are
-    bin-major, shape ``(width, used pairs)``.
+    One pass per chunk, in row blocks.  Each block first finds its *span*:
+    steps ``s0`` to ``s1 - 1``, the first to the last step that some row of
+    the block can use (the trapezoid table's ``active`` flag); a block with
+    no usable step is skipped.  It then computes the span's slab of signed
+    differences on the fly, from positions ``s0`` to ``s1`` only (no
+    ``(n_steps, rows, cols)`` difference cube is ever materialised, and a
+    position only steps outside the span touch is never read), and finds
+    its *used* (step, row) pairs, the pairs holding an active element.  The
+    trapezoid integral runs once per used pair, not once per active
+    element, and only over the pair's window: the bins
+    :func:`depth_resolve_element` visits, ``floor((d1 - start) / step)`` to
+    ``floor((d4 - start) / step)`` clipped to the grid.  Windows are padded
+    with zero overlaps to *width*, the block's widest, and one
+    cumulative-integral pass at their ``width + 1`` ``grid.edges``,
+    differenced, gives the overlaps (the pass
+    :func:`~repro.core.trapezoid.trapezoid_bin_overlaps` makes over the
+    whole grid); they are bin-major, shape ``(width, used pairs)``.
 
     A block is then distributed in one of two forms.  Its density is its
     active elements ÷ (used pairs × ``n_cols``); see
@@ -420,17 +439,25 @@ def depth_resolve_chunk_fused(
     in (element, bin) order.
 
     Bitwise identical to :func:`depth_resolve_chunk_scalar` in both forms:
-    the windows hold exactly the overlaps the element integrates itself,
-    over the same bin edges; weights are computed in the scalar operation
+    steps outside a block's span hold only inactive elements, so skipping
+    them drops nothing; the windows hold exactly the overlaps the element
+    integrates itself, over the same bin edges (each integral evaluated
+    once, then differenced, is the scalar loop's ``hi`` minus ``lo``
+    integral bit for bit); weights are computed in the scalar operation
     order (``value * overlap / area``); and every output slot receives its
     contributions in ascending wire-step order, as from the scalar loop —
     step by step in the row form, in each ``atomic_add``'s (element, bin)
     order in the element form.  What either form adds beyond the scalar
-    loop's contributions is +-0.0 (padding bins, zeroed inactive
+    loop's contributions is +-0.0 (bins of zero overlap, zeroed inactive
     elements), which leaves a slot unchanged: slots accumulate from +0.0
-    and never hold -0.0.  The scalar loop skips a bin whose overlap is not
-    positive; so does the row form, and so does an element batch holding
-    an infinite difference, whose ``inf * 0.0`` would otherwise write NaN.
+    and never hold -0.0.  The cumulative integral is monotone in floating
+    point, so no overlap is negative, and the bins the scalar loop skips
+    (overlap <= 0) are the padding and other zero-overlap bins.  A finite
+    value's weight there is +-0.0; an infinite one's would be
+    ``inf * 0.0``, NaN, with an invalid-value warning, so a row block or
+    element batch holding an infinite value gives it a zero value in those
+    bins before the product.  ``inf + -inf`` meeting in a slot still warns,
+    as in the scalar loop.
     (One ``add.at`` per window bin would change the element order, and
     ``np.bincount`` would sum a slot's contributions before adding them to
     its earlier value.)  Results do not depend on *row_block* or
@@ -464,15 +491,24 @@ def depth_resolve_chunk_fused(
         block_stop = min(block_start + row_block, ctx.n_rows)
         block_rows = block_stop - block_start
         band = slice(block_start, block_stop)
-        # the fused difference pass: this block's slab is read once, here.
-        # Subtracting in edge order is the edge-signed difference without a
-        # sign multiply: IEEE subtraction rounds symmetrically, so
-        # b - a == -1.0 * (a - b) bit for bit whenever a != b (and a zero
-        # difference is never active).
+        # the block's span: its first to last step that some row can use
+        # (s0 to s1 - 1, positions s0 to s1).  A step outside it holds only
+        # inactive elements, so it is never differenced, and the positions
+        # only such steps touch are never read.
+        usable = np.flatnonzero(pair_active[:, band].any(axis=1))
+        if usable.size == 0:
+            continue
+        s0, s1 = int(usable[0]), int(usable[-1]) + 1
+        n_span = s1 - s0
+        # the fused difference pass: the span of this block's slab is read
+        # once, here.  Subtracting in edge order is the edge-signed
+        # difference without a sign multiply: IEEE subtraction rounds
+        # symmetrically, so b - a == -1.0 * (a - b) bit for bit whenever
+        # a != b (and a zero difference is never active).
         if ctx.edge_sign > 0:
-            diffs = ctx.images[:-1, band, :] - ctx.images[1:, band, :]
+            diffs = ctx.images[s0:s1, band, :] - ctx.images[s0 + 1:s1 + 1, band, :]
         else:
-            diffs = ctx.images[1:, band, :] - ctx.images[:-1, band, :]
+            diffs = ctx.images[s0 + 1:s1 + 1, band, :] - ctx.images[s0:s1, band, :]
         if ctx.difference_mode is DifferenceMode.RECTIFIED:
             np.maximum(diffs, 0.0, out=diffs)
 
@@ -481,17 +517,18 @@ def depth_resolve_chunk_fused(
         active |= diffs < -cutoff
         if ctx.mask is not None:
             active &= ctx.mask[None, band, :]
-        active &= pair_active[:, band, None]
+        active &= pair_active[s0:s1, band, None]
 
-        # the (step, row) pairs (pair id step * block_rows + row, so in
-        # ascending step order) that hold an active element; no other pair
-        # is ever integrated or gathered
+        # the (step, row) pairs (pair id (step - s0) * block_rows + row, so
+        # in ascending step order) that hold an active element; no other
+        # pair is ever integrated or gathered
         pair_ids = np.flatnonzero(active.any(axis=2))
         if pair_ids.size == 0:
             continue
         n_block_active = int(np.count_nonzero(active))
         n_active += n_block_active
         pair_steps, pair_rows = np.divmod(pair_ids, block_rows)
+        pair_steps += s0
         pair_rows += block_start
         c1 = d1[pair_steps, pair_rows]
         c2 = d2[pair_steps, pair_rows]
@@ -505,9 +542,12 @@ def depth_resolve_chunk_fused(
         first = np.clip(np.floor((c1 - grid.start) / grid.step), 0, grid.n_bins).astype(np.int64)
         last = np.clip(np.floor((c4 - grid.start) / grid.step), -1, grid.n_bins - 1).astype(np.int64)
         width = max(1, int((last - first).max()) + 1)
-        # bin-major: window bin k of every pair is the contiguous row k
-        bins = np.minimum(first, grid.n_bins - width) + np.arange(width)[:, None]
-        overlaps = trapezoid_overlap(edges[bins], edges[bins + 1], c1, c2, c3, c4)
+        # bin-major: window edge k of every pair is the contiguous row k, and
+        # one integral pass at the width + 1 edges, differenced, gives the
+        # width bins' overlaps
+        window_edges = np.minimum(first, grid.n_bins - width) + np.arange(width + 1)[:, None]
+        bins = window_edges[:-1]
+        overlaps = _edge_overlaps(edges[window_edges], c1, c2, c3, c4)
         overlaps[(bins < first) | (bins > last)] = 0.0
 
         if n_block_active >= _ROW_FORM_MIN_DENSITY * pair_ids.size * ctx.n_cols:
@@ -517,32 +557,36 @@ def depth_resolve_chunk_fused(
             # again, so zero it in place
             np.copyto(diffs, 0.0, where=~active)
             values = diffs.reshape(-1, ctx.n_cols)
-            # the bins the scalar loop skips: a finite value's weight there
-            # is +-0.0, but an infinite one's would be inf * 0.0, NaN
-            skipped = overlaps <= 0.0
+            # a bin the scalar loop skips has a zero overlap, where a finite
+            # value's weight is +-0.0; an infinite one's would be inf * 0.0,
+            # NaN, so a block holding one gives it a zero value there
+            finite = np.isfinite(values).all()
             # pair ids ascend, so each step's pairs are one slice
-            step_bounds = np.searchsorted(pair_steps, np.arange(ctx.n_steps + 1))
+            step_bounds = np.searchsorted(pair_steps, np.arange(s0, s1 + 1))
             pair_area = area[pair_steps, pair_rows]
-            for step in range(ctx.n_steps):
+            for step in range(n_span):
                 lo, hi = step_bounds[step], step_bounds[step + 1]
                 if lo == hi:
                     continue
+                step_overlaps = overlaps[:, lo:hi, None]
+                step_values = np.take(values, pair_ids[lo:hi], axis=0)
+                if not finite:
+                    step_values = np.where(step_overlaps > 0.0, step_values, 0.0)
                 # scalar operation order: (value * overlap) / area
-                weights = np.take(values, pair_ids[lo:hi], axis=0) * overlaps[:, lo:hi, None]
+                weights = step_values * step_overlaps
                 weights /= pair_area[lo:hi, None]
-                weights[skipped[:, lo:hi]] = 0.0
                 out_by_row[targets[:, lo:hi]] += weights
             continue
 
         # elements: the active flat ids run in (step, row, col) order, the
-        # scalar loop's order; flat = (step * block_rows + row) * n_cols + col
+        # scalar loop's order; flat = pair id * n_cols + col
         flat = np.flatnonzero(active)
-        table = np.zeros((width, ctx.n_steps * block_rows), dtype=np.float64)
+        table = np.zeros((width, n_span * block_rows), dtype=np.float64)
         table[:, pair_ids] = overlaps
         # output offset of each pair's first window bin
-        pair_offsets = np.zeros(ctx.n_steps * block_rows, dtype=np.int64)
+        pair_offsets = np.zeros(n_span * block_rows, dtype=np.int64)
         pair_offsets[pair_ids] = bins[0] * plane
-        block_area = area[:, band].reshape(-1)
+        block_area = area[s0:s1, band].reshape(-1)
         block_diffs = diffs.reshape(-1)
         pixel_start = (ctx.row_offset + block_start) * ctx.n_cols
         block_pixels = block_rows * ctx.n_cols
@@ -567,11 +611,10 @@ def depth_resolve_chunk_fused(
                 # what keeps the fused kernel bitwise-identical to the
                 # reference loop
                 column = np.take(table[k], pairs)
-                column *= values
+                # as in the row form, a batch holding an infinite value
+                # gives it a zero value in the bins the scalar loop skips
+                column *= values if finite else np.where(column > 0.0, values, 0.0)
                 column /= element_area
-                if not finite:
-                    # skip the bins the scalar loop skips (overlap <= 0)
-                    column[np.take(table[k], pairs) <= 0.0] = 0.0
                 weights[:m, k] = column
                 np.add(first_slots, k * plane, out=slots[:m, k])
             # (element, bin) order: every slot receives its contributions in

@@ -172,6 +172,18 @@ def trapezoid_overlap(lo, hi, d1, d2, d3, d4):
     )
 
 
+def _edge_overlaps(edges, d1, d2, d3, d4, axis=0):
+    """Overlaps of unit-height trapezoids with the intervals between consecutive edges.
+
+    One cumulative-integral pass at *edges* (which broadcast against the
+    corner arrays), differenced along *axis*: interval ``k`` is
+    ``[edges[k], edges[k + 1]]``.  Each integral is evaluated once, so this
+    is bit for bit :func:`trapezoid_overlap` at ``(edges[k], edges[k + 1])``
+    for a fraction of the work.
+    """
+    return np.diff(_cumulative_integral(edges, d1, d2, d3, d4), axis=axis)
+
+
 def trapezoid_bin_overlaps(
     grid: DepthGrid,
     d1,
@@ -200,7 +212,6 @@ def trapezoid_bin_overlaps(
     d3 = np.atleast_1d(np.asarray(d3, dtype=np.float64))
     d4 = np.atleast_1d(np.asarray(d4, dtype=np.float64))
     edges = grid.edges  # (n_bins + 1,)
-    cumulative = _cumulative_integral(
-        edges[None, :], d1[:, None], d2[:, None], d3[:, None], d4[:, None]
+    return _edge_overlaps(
+        edges[None, :], d1[:, None], d2[:, None], d3[:, None], d4[:, None], axis=1
     )
-    return np.diff(cumulative, axis=1)

@@ -377,6 +377,79 @@ class TestInfPixel:
             assert np.array_equal(result.data, reference.data, equal_nan=True), name
             assert report.n_active_pixels == reference_report.n_active_pixels, name
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("masked", [False, True], ids=["dense-block", "masked-block"])
+    def test_a_lone_infinite_difference_does_not_warn(self, masked):
+        """One infinite difference (position 2 of the noisy stack touches the
+        unusable step 1 and the first usable step 2): the scalar loop skips
+        its bins whose overlap is not positive without a warning, and both
+        forms of the fused kernel must too, never forming the
+        ``inf * 0.0`` (NaN) that warns."""
+        stack = _noisy_stack()
+        stack.images[2, 3, 2] = np.inf
+        if masked:
+            stack.pixel_mask = np.zeros(stack.images.shape[1:], dtype=bool)
+            stack.pixel_mask[:, 2] = True
+        ctx = _context(stack)
+        # the stack is one row block: with every pixel on it takes the row
+        # form, with one column of five the element form
+        active = (np.abs(ctx.images[:-1] - ctx.images[1:]) > 0.0) & ctx.trapezoids[5][:, :, None]
+        if masked:
+            active &= ctx.mask[None]
+        density = np.count_nonzero(active) / (np.count_nonzero(active.any(axis=2)) * ctx.n_cols)
+        assert (density >= 0.5) != masked, density
+        out_scalar = np.zeros((ctx.grid.n_bins, ctx.n_rows, ctx.n_cols))
+        out_fused = np.zeros_like(out_scalar)
+        n_scalar = depth_resolve_chunk_scalar(ctx, out_scalar)
+        assert depth_resolve_chunk_fused(ctx, out_fused) == n_scalar
+        assert np.array_equal(out_fused, out_scalar, equal_nan=True)
+        assert np.isinf(out_scalar).any()
+
+
+class TestUnreadPositions:
+    """A row block differences only the steps from its first to its last
+    usable one, so it never reads a position that only unusable steps touch.
+    On the noisy stack (usable steps 2-13 of 16) an ``inf - inf`` at
+    positions 0-1 is never computed: no kernel warns, and every backend
+    matches the reference bit for bit.  The scalar loop differences every
+    element, so the reference runs with that NaN's warning ignored."""
+
+    GRID = DepthGrid.from_range(0.0, 100.0, 25)
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        stack = _noisy_stack()
+        stack.images[0:2, 3, 2] = np.inf
+        return stack
+
+    @pytest.fixture(scope="class")
+    def reference(self, stack):
+        config = ReconstructionConfig(grid=self.GRID, backend="cpu_reference")
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in scalar subtract"):
+            result, _report = get_backend("cpu_reference").reconstruct(stack, config)
+        return result
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("row_block", [None, 1])
+    def test_fused_kernel_matches_the_scalar_loop(self, stack, row_block):
+        ctx = _context(stack, grid=self.GRID)
+        assert not ctx.trapezoids[5][:2].any() and ctx.trapezoids[5][2].all()
+        out_scalar = np.zeros((ctx.grid.n_bins, ctx.n_rows, ctx.n_cols))
+        out_fused = np.zeros_like(out_scalar)
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in scalar subtract"):
+            n_scalar = depth_resolve_chunk_scalar(ctx, out_scalar)
+        assert depth_resolve_chunk_fused(ctx, out_fused, row_block=row_block) == n_scalar
+        assert np.array_equal(out_fused, out_scalar)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows_per_chunk", [None, 2], ids=["in-memory", "chunked"])
+    @pytest.mark.parametrize("run", [name for name in RUNS if name != "cpu_reference"])
+    def test_every_backend_matches_the_reference(self, stack, reference, run, rows_per_chunk):
+        config = _run_config(run, grid=self.GRID, n_workers=2, rows_per_chunk=rows_per_chunk)
+        result, _report = get_backend(config.backend).reconstruct(stack, config)
+        shutdown_shared_thread_pool()
+        assert np.array_equal(result.data, reference.data)
+
 
 class TestBothForms:
     """A row block whose active elements fill at least half of its used
@@ -416,9 +489,8 @@ class TestBothForms:
         assert densities[0] >= 0.5 and densities[2] >= 0.5, densities
         assert densities[1] < 0.5, densities
 
-    # an infinite difference times a zero overlap (before the kernel zeroes
-    # that weight) and inf + -inf in a slot are NumPy invalid-value
-    # RuntimeWarnings (see TestInfPixel)
+    # inf + -inf in a slot is a NumPy invalid-value RuntimeWarning (see
+    # TestInfPixel)
     @pytest.mark.filterwarnings("ignore:invalid value encountered in:RuntimeWarning")
     def test_kernel_matches_the_scalar_loop(self, stack):
         ctx = _context(stack)

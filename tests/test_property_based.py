@@ -6,15 +6,17 @@ accumulation buffers.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.depth_grid import DepthGrid
 from repro.core.depth_mapping import critical_wire_z_for_depth, pixel_yz_to_depth_scalar
 from repro.core.trapezoid import (
     MIN_TRAPEZOID_AREA,
+    _edge_overlaps,
     trapezoid_bin_overlaps,
     trapezoid_from_depths,
     trapezoid_height,
+    trapezoid_overlap,
 )
 from repro.cudasim.atomic import atomic_add
 from repro.cudasim.kernel import LaunchConfig
@@ -106,6 +108,47 @@ def test_distribute_intensity_conserves_signal(corners, intensity):
         assert np.isclose(weights.sum(), intensity, rtol=1e-7, atol=1e-7)
     else:
         assert np.allclose(overlaps, 0.0)
+
+
+@settings(**COMMON_SETTINGS)
+@given(
+    corners=st.lists(corner_strategy, min_size=1, max_size=6),
+    start=st.floats(min_value=-1e3, max_value=1e3),
+    step=st.floats(min_value=1e-3, max_value=1e2),
+    n_bins=st.integers(1, 40),
+    width=st.integers(1, 40),
+    firsts=st.lists(st.integers(0, 40), min_size=6, max_size=6),
+)
+# a window past the grid's last bin, shifted left to end on it, beside one
+# that fits
+@example(
+    corners=[[1.0, 2.0, 3.0, 4.0], [-5.0, 0.5, 7.0, 9.5]],
+    start=0.0,
+    step=1.0,
+    n_bins=8,
+    width=3,
+    firsts=[7, 1, 0, 0, 0, 0],
+)
+def test_window_overlaps_match_per_bin_integrals(corners, start, step, n_bins, width, firsts):
+    """The fused kernel's windows: one integral pass at a window's
+    ``width + 1`` edges, differenced, is :func:`trapezoid_overlap` at each
+    bin's own two edges, bit for bit, for windows the kernel shifts left
+    against the grid's last bin too.  No overlap is negative: the kernel
+    adds a finite value's +-0.0 weight in a bin the scalar loop skips
+    (overlap <= 0), which a negative overlap would make nonzero."""
+    d1, d2, d3, d4 = np.sort(np.array(corners, dtype=np.float64), axis=1).T
+    grid = DepthGrid(start=start, step=step, n_bins=n_bins)
+    width = min(width, n_bins)
+    first = np.minimum(firsts[: d1.size], n_bins)
+    # bin-major window edges, built as depth_resolve_chunk_fused builds them
+    window_edges = np.minimum(first, n_bins - width) + np.arange(width + 1)[:, None]
+    overlaps = _edge_overlaps(grid.edges[window_edges], d1, d2, d3, d4)
+    assert overlaps.shape == (width, d1.size)
+    assert (overlaps >= 0.0).all()
+    for k in range(width):
+        lo, hi = grid.edges[window_edges[k]], grid.edges[window_edges[k + 1]]
+        expected = trapezoid_overlap(lo, hi, d1, d2, d3, d4)
+        assert overlaps[k].tobytes() == expected.tobytes(), k
 
 
 # --------------------------------------------------------------------------- #
