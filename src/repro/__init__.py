@@ -72,18 +72,7 @@ from repro.core import (
 # imported from the ops module directly (not via repro.core) so the
 # repro.core.analysis and repro.core.ops submodules stay reachable as
 # attributes; at this level no submodule name collides
-from repro.core.ops import analysis, ops, register_reduce_op
-
-# the DAG analysis engine; importing it also registers the cross-run science
-# ops (aperture_total, zernike_moments, integrated_estimate, scaling_fit,
-# sample_stats) in the op registry
-from repro import analysisgraph
-from repro.analysisgraph import (
-    AnalysisGraph,
-    GraphAnalysisResult,
-    GraphBatchResult,
-    graph,
-)
+from repro.core.ops import analysis, ops
 
 # the one version definition lives in repro._version (setup.py parses that
 # file textually); this is a re-export, never a second definition
@@ -123,15 +112,9 @@ __all__ = [
     "AnalysisPipeline",
     "AnalysisResult",
     "BatchAnalysisResult",
-    "analysisgraph",
-    "graph",
-    "AnalysisGraph",
-    "GraphAnalysisResult",
-    "GraphBatchResult",
     "ops",
     "available_ops",
     "register_op",
-    "register_reduce_op",
     "unregister_op",
     "OpInfo",
     "backends",

@@ -22,10 +22,8 @@ Nine small tools mirror the original workflow:
     depth-resolved run files and emit the JSON analysis record — for a
     single file, byte-identical to
     ``repro.analysis(...).apply(path).to_json()``.  A glob or directory
-    input analyses the whole sample (per-item error table on stderr and a
-    nonzero exit when any item fails); ``--graph`` switches the specs to
-    DAG node objects, unlocking batch-scope reduce ops such as
-    ``scaling_fit`` and ``integrated_estimate``.
+    input analyses every run in it (per-item error table on stderr and a
+    nonzero exit when any item fails).
 ``repro-cache``
     Administer the content-addressed result cache: ``stats``, ``prune``
     (``--max-bytes`` / ``--older-than``), ``clear`` and ``verify`` (which
@@ -305,19 +303,6 @@ def _parse_op_spec(token: str):
     return (name, params)
 
 
-def _parse_node_spec(token: str):
-    """Parse a CLI graph-node token: a JSON node object or an op-name sugar."""
-    if token.lstrip().startswith("{"):
-        try:
-            spec = json.loads(token)
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"invalid JSON node spec {token!r}: {exc}") from None
-        if not isinstance(spec, dict):
-            raise SystemExit(f"graph node spec must be a JSON object, got {token!r}")
-        return spec
-    return _parse_op_spec(token)
-
-
 def _analyze_inputs(input_token: str):
     """``(paths, is_batch)`` for the analyze CLI's input token.
 
@@ -345,32 +330,27 @@ def _analyze_inputs(input_token: str):
 
 @_one_line_errors
 def main_analyze(argv: Optional[Sequence[str]] = None) -> int:
-    """Apply analysis ops (or a DAG graph) to saved depth-resolved run files."""
+    """Apply analysis ops to saved depth-resolved run files."""
     parser = argparse.ArgumentParser(
         prog="repro-analyze",
         description="Run named analysis ops on saved depth-resolved .h5lite files "
                     "(a file, a glob or a directory) and emit the JSON analysis "
-                    "record.  With --graph, specs are DAG node objects and batch "
-                    "inputs may include reduce ops over the whole sample.",
+                    "record.",
     )
     parser.add_argument("input", nargs="?",
                         help="a depth-resolved .h5lite file (as written by RunResult.save "
                              "or repro-reconstruct -o), a glob, or a directory of runs")
     parser.add_argument("ops", nargs="*",
                         help="op names, optionally parameterized as "
-                             "name:'{\"param\": value}' (see --list); with --graph, "
-                             "JSON node specs like "
-                             "'{\"name\": \"fit\", \"op\": \"scaling_fit\", \"inputs\": [...]}'")
-    parser.add_argument("--graph", action="store_true", dest="as_graph",
-                        help="treat the specs as DAG node specs (named nodes, "
-                             "declared inputs, reduce ops at batch scope)")
+                             "name:'{\"param\": value}' (see --list)")
     parser.add_argument("--list", action="store_true", dest="list_ops",
                         help="list the registered analysis ops and exit")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="with --list, emit the op registry as JSON")
     parser.add_argument("-o", "--output",
                         help="write the JSON analysis record here instead of stdout")
-    # intermixed: `repro-analyze runs/ tot --graph` parses like `--graph runs/ tot`
+    # intermixed: `repro-analyze run.h5lite -o out.json peaks` parses like
+    # `repro-analyze -o out.json run.h5lite peaks`
     args = parser.parse_intermixed_args(argv)
     configure_logging()
 
@@ -390,15 +370,7 @@ def main_analyze(argv: Optional[Sequence[str]] = None) -> int:
     if not args.ops:
         parser.error("at least one op name is required (see --list)")
 
-    if args.as_graph:
-        from repro.analysisgraph import graph as build_graph
-
-        try:
-            analyzer = build_graph(*[_parse_node_spec(token) for token in args.ops])
-        except ValidationError as exc:
-            raise SystemExit(str(exc)) from None
-    else:
-        analyzer = analysis(*[_parse_op_spec(token) for token in args.ops])
+    analyzer = analysis(*[_parse_op_spec(token) for token in args.ops])
 
     paths, is_batch = _analyze_inputs(args.input)
     if is_batch:

@@ -78,7 +78,6 @@ from repro.core.ops import (
     available_ops,
     register_op,
     register_op_info,
-    register_reduce_op,
     unregister_op,
 )
 
@@ -141,6 +140,5 @@ __all__ = [
     "available_ops",
     "register_op",
     "register_op_info",
-    "register_reduce_op",
     "unregister_op",
 ]

@@ -148,8 +148,8 @@ class ResultCache:
     def __init__(self, root: Optional[str] = None):
         self.root = str(root) if root is not None else default_cache_root()
         #: guards the probe counters — one cache object is probed from the
-        #: serve daemon's admission/compute executors and the analysisgraph
-        #: pool concurrently, and `+=` is not atomic across threads
+        #: serve daemon's admission/compute executors and from batch worker
+        #: threads concurrently, and `+=` is not atomic across threads
         self._lock = threading.Lock()
         #: probe counters for this cache object's lifetime (CLI + tests)
         self.n_hits = 0
@@ -433,77 +433,6 @@ class ResultCache:
         return outcome
 
     # ------------------------------------------------------------------ #
-    # node-level memoization (the analysisgraph engine)
-    def node_memo_key(self, run_key: str, node_signature: str) -> str:
-        """The storage key for one graph node's value on one run.
-
-        Prefixed distinctly from whole-pipeline memo keys so a node memo and
-        a pipeline memo can never collide on the same document, even when a
-        single-node graph and a single-op pipeline share their op sequence.
-        """
-        return hashlib.sha256(
-            f"node:{run_key}:{node_signature}".encode("utf-8")
-        ).hexdigest()
-
-    def memo_get(self, memo_key: str) -> Optional[Dict]:
-        """Load the node-memo document stored under *memo_key*, or ``None``.
-
-        Node memos live beside the whole-pipeline analysis memos under
-        ``<root>/analysis/`` but carry ``{"kind": "node_memo", "value": ...}``
-        documents; anything unparsable or of the wrong shape is repaired
-        (deleted) exactly like a corrupt run entry and reported as a miss.
-        """
-        path = self._analysis_path(memo_key)
-        if not os.path.isfile(path):
-            with self._lock:
-                self.n_misses += 1
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                document = json.load(fh)
-            if not isinstance(document, dict) or document.get("kind") != "node_memo" \
-                    or "value" not in document:
-                raise ValueError("not a node-memo document")
-            with self._lock:
-                self.n_hits += 1
-            return document
-        except (ValueError, KeyError, TypeError, OSError) as exc:
-            _LOG.warning("cache: repairing unusable node memo %s (%s)", path, exc)
-            self._discard(path)
-            with self._lock:
-                self.n_repaired += 1
-                self.n_misses += 1
-            return None
-
-    def memo_put(self, memo_key: str, document: Dict) -> bool:
-        """Store a node-memo *document* under *memo_key*; ``False`` on failure.
-
-        Mirrors :meth:`analyze`'s store semantics: an unwritable memo is
-        logged and skipped — it must never fail the analysis that produced
-        the value.
-        """
-        payload = dict(document)
-        payload["kind"] = "node_memo"
-        path = self._analysis_path(memo_key)
-        text = json.dumps(payload, sort_keys=True, indent=2)
-
-        def _write(tmp: str) -> None:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-
-        try:
-            self._atomic_write(path, _write)
-        except Exception as exc:
-            _LOG.warning(
-                "cache: failed to store node memo %s (%s: %s)",
-                path, type(exc).__name__, exc,
-            )
-            return False
-        with self._lock:
-            self.n_stores += 1
-        return True
-
-    # ------------------------------------------------------------------ #
     # administration (the repro-cache CLI surface)
     def counters(self) -> Dict:
         """This cache object's probe counters as one JSON-safe record.
@@ -614,8 +543,10 @@ class ResultCache:
         """Check every entry end-to-end; delete (repair) the unverifiable.
 
         Run entries are fully loaded and digest-checked through the same
-        path a hit takes; analysis memos are parsed.  Returns counts plus
-        the repaired paths, so operators can see *what* was bad.
+        path a hit takes; analysis memos are parsed, and any document that
+        is not a whole-pipeline memo (such as the per-node memos older
+        versions wrote, which nothing reads) is deleted.  Returns counts
+        plus the repaired paths, so operators can see *what* was bad.
         """
         checked = 0
         repaired: List[str] = []
@@ -631,10 +562,8 @@ class ResultCache:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     document = json.load(fh)
-                if isinstance(document, dict) and document.get("kind") == "node_memo":
-                    if "value" not in document:
-                        raise ValueError("node memo missing value block")
-                elif "results" not in document or "provenance" not in document:
+                if not isinstance(document, dict) or "results" not in document \
+                        or "provenance" not in document:
                     raise ValueError("missing results/provenance blocks")
             except (ValueError, OSError):
                 self._discard(path)

@@ -58,7 +58,6 @@ from repro.utils.version import package_version
 __all__ = [
     "OpInfo",
     "register_op",
-    "register_reduce_op",
     "register_op_info",
     "unregister_op",
     "op_info",
@@ -87,56 +86,30 @@ class OpInfo:
     name:
         Registry name the op resolves under (pipeline step names).
     func:
-        ``func(result: DepthResolvedStack, **params) -> JSON-safe value`` for
-        per-run ops; reduce ops take collected batch-level inputs instead
-        (see :func:`register_reduce_op`).
+        ``func(result: DepthResolvedStack, **params) -> JSON-safe value``.
     description:
         One-line human description for the ``repro-analyze --list`` CLI.
-    kind:
-        ``"run"`` for per-run ops (one depth-resolved stack in), ``"reduce"``
-        for ops consuming a whole batch or the collected outputs of a
-        per-run node across a batch.  Reduce ops only resolve inside DAG
-        analysis graphs (:func:`repro.graph`), never in linear pipelines.
     """
 
     name: str
     func: Callable
     description: str = ""
-    kind: str = "run"
 
     @property
     def module(self) -> str:
         """Module the op is defined in (provenance/CLI)."""
         return getattr(self.func, "__module__", "?")
 
-    @property
-    def n_inputs(self) -> int:
-        """Positional data inputs the op consumes (DAG arity validation).
-
-        Per-run ops take one (the stack); a reduce op may take several
-        collected sequences (``scaling_fit(x_values, y_values)`` takes two).
-        Counted as the function's parameters without a default that can be
-        filled positionally.
-        """
-        count = 0
-        for parameter in inspect.signature(self.func).parameters.values():
-            if parameter.kind in (
-                inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD
-            ) and parameter.default is inspect.Parameter.empty:
-                count += 1
-        return count
-
     def parameters(self) -> Dict[str, object]:
         """The op's keyword parameters and their defaults.
 
-        The data inputs (the leading parameters without defaults — the stack
-        for per-run ops, the collected sequences for reduce ops) are omitted;
-        remaining parameters without a default are reported as the string
-        ``"<required>"`` (distinct from a genuine ``None`` default);
-        ``*args``/``**kwargs`` catch-alls are omitted.
+        The first parameter (the stack) is omitted; parameters without a
+        default are reported as the string ``"<required>"`` (distinct from a
+        genuine ``None`` default); ``*args``/``**kwargs`` catch-alls are
+        omitted.
         """
         params = {}
-        items = list(inspect.signature(self.func).parameters.items())[self.n_inputs:]
+        items = list(inspect.signature(self.func).parameters.items())[1:]
         for name, parameter in items:
             if parameter.kind in (
                 inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD
@@ -152,7 +125,6 @@ class OpInfo:
         """JSON-safe summary (the ``repro-analyze --list --json`` payload)."""
         return {
             "name": self.name,
-            "kind": self.kind,
             "module": self.module,
             "description": self.description,
             "parameters": self.parameters(),
@@ -200,43 +172,6 @@ def register_op(name=None, *, description: str = "", replace: bool = False):
         return func
 
     if callable(name):  # bare @register_op on a function
-        func = name
-        return decorate(func, func.__name__)
-    return lambda func: decorate(func, name or func.__name__)
-
-
-def register_reduce_op(name=None, *, description: str = "", replace: bool = False):
-    """Function decorator registering a batch-level **reduce** op under *name*.
-
-    Where a per-run op takes one depth-resolved stack, a reduce op consumes
-    batch-level inputs: each required positional parameter is fed either the
-    whole :class:`~repro.core.session.BatchRunResult` (graph input
-    ``"batch"``) or the collected outputs of a per-run node across the batch
-    (graph input naming that node).  Keyword parameters bind from the node
-    spec exactly like per-run ops::
-
-        from repro.core.ops import register_reduce_op
-
-        @register_reduce_op("mean_of", description="sample mean of a derived quantity")
-        def mean_of(values):
-            return sum(values) / len(values)
-
-    Reduce ops only resolve inside DAG analysis graphs (``repro.graph``);
-    linear :func:`analysis` pipelines reject them at build time because a
-    chain has no batch scope to collect over.
-    """
-
-    def decorate(func, op_name):
-        about = description
-        if not about and func.__doc__:
-            about = func.__doc__.strip().splitlines()[0]
-        register_op_info(
-            OpInfo(name=op_name, func=func, description=about, kind="reduce"),
-            replace=replace,
-        )
-        return func
-
-    if callable(name):  # bare @register_reduce_op on a function
         func = name
         return decorate(func, func.__name__)
     return lambda func: decorate(func, name or func.__name__)
@@ -474,13 +409,6 @@ class AnalysisPipeline:
         steps = tuple(steps)
         for step in steps:
             info = op_info(step.op)
-            if info.kind != "run":
-                raise ValidationError(
-                    f"op {step.op!r} is a {info.kind} op (it consumes batch-level "
-                    "inputs, not a single stack); linear pipelines chain per-run "
-                    "ops only — build a DAG with repro.graph(...) and give it a "
-                    f"node like {{'name': ..., 'op': {step.op!r}, 'inputs': [...]}}"
-                )
             try:
                 inspect.signature(info.func).bind(None, **step.params_dict)
             except TypeError as exc:
@@ -580,16 +508,13 @@ class AnalysisPipeline:
                 "empty analysis pipeline; add ops with repro.analysis('peaks', ...) "
                 "or .then('peaks')"
             )
-        # Linear chains compile to a serial DAG: same ops, same order, raw
-        # error propagation, and the record shape below is assembled here so
-        # the AnalysisResult JSON (and therefore memo-cache signatures) are
-        # byte-identical to the pre-DAG implementation.
-        from repro.analysisgraph import compile_linear
-
-        values = compile_linear(self).execute_chain(stack)
         results: List[Dict] = [
-            {"op": step.op, "params": step.params_dict, "value": value}
-            for step, value in zip(self._steps, values)
+            {
+                "op": step.op,
+                "params": step.params_dict,
+                "value": _json_value(op_info(step.op).func(stack, **step.params_dict)),
+            }
+            for step in self._steps
         ]
         return AnalysisResult(results=results, run=run)
 

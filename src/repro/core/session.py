@@ -202,18 +202,16 @@ class RunResult:
         *single* op: ``run.analyze("peaks", min_relative_height=0.2)``; for
         per-op parameters build the pipeline explicitly with
         :func:`repro.analysis`.  A prebuilt
-        :class:`~repro.analysisgraph.AnalysisGraph` (or
-        :class:`~repro.core.ops.AnalysisPipeline`) is applied as-is:
-        ``run.analyze(repro.graph(...))``.
+        :class:`~repro.core.ops.AnalysisPipeline` is applied as-is:
+        ``run.analyze(repro.analysis(...))``.
         """
-        from repro.analysisgraph import AnalysisGraph
         from repro.core.ops import AnalysisPipeline, analysis
 
-        if len(ops) == 1 and isinstance(ops[0], (AnalysisGraph, AnalysisPipeline)):
+        if len(ops) == 1 and isinstance(ops[0], AnalysisPipeline):
             if single_op_params:
                 raise ValidationError(
                     "keyword parameters do not combine with a prebuilt "
-                    "pipeline/graph; bind parameters on its nodes instead"
+                    "pipeline; bind parameters on its steps instead"
                 )
             self.analysis = self._apply_analysis(ops[0])
             return self.analysis
@@ -241,17 +239,11 @@ class RunResult:
         return self
 
     def _apply_analysis(self, pipeline):
-        """Apply an analysis pipeline or graph, memoized when cache-bound.
+        """Apply an analysis pipeline, memoized when cache-bound.
 
-        Pipelines memoize whole-outcome per (run key, pipeline signature) —
-        the pre-DAG scheme, kept so existing memo entries still hit; graphs
-        memoize per node inside the graph engine (the bound cache is picked
-        up there), so a parameter change recomputes only its dirty subgraph.
+        The whole outcome is memoized per (run key, pipeline signature) in
+        the cache this run went through.
         """
-        from repro.analysisgraph import AnalysisGraph
-
-        if isinstance(pipeline, AnalysisGraph):
-            return pipeline.apply(self)
         cache = getattr(self, "_bound_cache", None)
         if cache is not None and self.cache_stats is not None:
             return cache.analyze(self, pipeline)
@@ -314,28 +306,22 @@ class BatchRunResult(BatchReport):
 
     config: Optional[ReconstructionConfig] = None
     source: Dict = field(default_factory=dict)
-    #: outcome of the last :meth:`analyze` / ``run_many(analyze=...)`` —
-    #: a BatchAnalysisResult (pipeline fan-out) or GraphBatchResult (DAG)
+    #: the BatchAnalysisResult of the last :meth:`analyze` /
+    #: ``run_many(analyze=...)``
     analysis: Optional[object] = None
 
-    def analyze(self, *specs, executor: str = "auto",
-                max_workers: Optional[int] = None) -> "object":
-        """Run a batch-scope analysis over this batch and return the outcome.
+    def analyze(self, *specs) -> "object":
+        """Fan an analysis pipeline out over this batch and return the outcome.
 
-        A prebuilt :class:`~repro.analysisgraph.AnalysisGraph` executes with
-        per-run nodes fanned out over the items (in parallel) and reduce
-        nodes consuming the collected outputs; anything else builds a linear
-        pipeline exactly like :meth:`RunResult.analyze` and fans it out
-        item-wise.  The outcome is kept on :attr:`analysis` and returned.
+        The specs build a linear pipeline exactly like
+        :meth:`RunResult.analyze` (or pass a prebuilt
+        :class:`~repro.core.ops.AnalysisPipeline`); it is applied item-wise
+        with per-item error capture.  The outcome is kept on
+        :attr:`analysis` and returned.
         """
-        from repro.analysisgraph import AnalysisGraph
         from repro.core.ops import AnalysisPipeline, analysis as build_analysis
 
-        if len(specs) == 1 and isinstance(specs[0], AnalysisGraph):
-            self.analysis = specs[0].apply(
-                self, executor=executor, max_workers=max_workers
-            )
-        elif len(specs) == 1 and isinstance(specs[0], AnalysisPipeline):
+        if len(specs) == 1 and isinstance(specs[0], AnalysisPipeline):
             self.analysis = specs[0].apply(self)
         else:
             self.analysis = build_analysis(*specs).apply(self)
@@ -469,16 +455,10 @@ class BatchRunResult(BatchReport):
 
 def _analyze_batch(outcome: BatchRunResult, analyze) -> BatchRunResult:
     """Run the ``run_many(analyze=...)`` spec on a finished batch, if any."""
-    if analyze is None:
-        return outcome
-    single_spec = (
-        isinstance(analyze, tuple) and len(analyze) == 2
-        and isinstance(analyze[0], str) and isinstance(analyze[1], dict)
-    )
-    if isinstance(analyze, (list, tuple)) and not single_spec:
-        outcome.analyze(*analyze)
-    else:
-        outcome.analyze(analyze)
+    if analyze is not None:
+        from repro.core.ops import as_pipeline
+
+        outcome.analyze(as_pipeline(analyze))
     return outcome
 
 
@@ -721,13 +701,9 @@ class Session:
         if output_path is not None:
             run.save(output_path)
         if analyze is not None:
-            from repro.analysisgraph import AnalysisGraph
             from repro.core.ops import as_pipeline
 
-            if isinstance(analyze, AnalysisGraph):
-                run.analysis = run._apply_analysis(analyze)
-            else:
-                run.analysis = run._apply_analysis(as_pipeline(analyze))
+            run.analysis = run._apply_analysis(as_pipeline(analyze))
         return run
 
     def run_many(
@@ -786,12 +762,10 @@ class Session:
             scheduled — worker count and the memory-budget gate are planned
             over the recomputed items alone.
         analyze:
-            Batch-scope analysis to run on the finished batch — an
-            :class:`~repro.analysisgraph.AnalysisGraph` (per-run nodes fan
-            out, reduce nodes consume the collected outputs, values memoized
-            per node when a cache is active), a prebuilt pipeline, or
-            linear op specs.  The outcome lands on
-            :attr:`BatchRunResult.analysis`.
+            Analysis to fan out over the finished batch — op specs or a
+            prebuilt :class:`~repro.core.ops.AnalysisPipeline`, as for
+            :meth:`run`.  The :class:`~repro.core.ops.BatchAnalysisResult`
+            lands on :attr:`BatchRunResult.analysis`.
         """
         if isinstance(srcs, (list, tuple)):
             # per-entry isolation: an entry that cannot even be normalized

@@ -123,9 +123,8 @@ def format_backend_table(infos) -> str:
 def format_ops_table(infos) -> str:
     """Fixed-width table for the ``repro-analyze --list`` CLI.
 
-    One row per :class:`~repro.core.ops.OpInfo` with its kind (``run`` ops
-    consume one depth-resolved result; ``reduce`` ops consume a whole batch),
-    keyword parameters (and defaults) and description.
+    One row per :class:`~repro.core.ops.OpInfo` with its keyword parameters
+    (and defaults) and description.
     """
     rendered = [
         ", ".join(f"{key}={value!r}" for key, value in info.parameters().items()) or "-"
@@ -133,12 +132,11 @@ def format_ops_table(infos) -> str:
     ]
     name_width = max([20] + [len(info.name) + 2 for info in infos])
     params_width = max([12] + [len(params) for params in rendered])
-    header = f"{'op':<{name_width}s}{'kind':<8s}{'parameters':<{params_width}s}  description"
+    header = f"{'op':<{name_width}s}{'parameters':<{params_width}s}  description"
     lines = [header, "-" * max(len(header), 72)]
     for info, params in zip(infos, rendered):
         lines.append(
-            f"{info.name:<{name_width}s}{info.kind:<8s}"
-            f"{params:<{params_width}s}  {info.description}"
+            f"{info.name:<{name_width}s}{params:<{params_width}s}  {info.description}"
         )
     lines.append("-" * max(len(header), 72))
     lines.append(f"{len(infos)} op(s) registered")
@@ -149,8 +147,7 @@ def format_analysis_failures(items) -> str:
     """Fixed-width per-item error table for a failed batch analysis.
 
     *items* are the ``failed`` entries of a
-    :class:`~repro.core.ops.BatchAnalysisResult` or
-    :class:`~repro.analysisgraph.GraphBatchResult` — anything with an
+    :class:`~repro.core.ops.BatchAnalysisResult` — anything with an
     ``input_path`` and an ``error``.  ``repro-analyze`` prints this on stderr
     before exiting nonzero.
     """

@@ -110,7 +110,6 @@ class ServeClient:
         config: Optional[object] = None,
         session: Optional[object] = None,
         analyze: Optional[List] = None,
-        graph: Optional[object] = None,
         priority: int = 0,
         timeout_s: Optional[float] = None,
         client: Optional[str] = None,
@@ -120,23 +119,17 @@ class ServeClient:
         ``config`` may be a :class:`~repro.core.config.ReconstructionConfig`
         or its ``to_dict`` form; passing a :class:`~repro.core.session.Session`
         as ``session`` uses its config (fluent-pipeline friendly).  Exactly
-        one of the two must be given.  ``analyze`` sends linear op specs;
-        ``graph`` sends a DAG — an
-        :class:`~repro.analysisgraph.AnalysisGraph` or its node-spec list
-        (reduce-free: serve jobs are single-run).
+        one of the two must be given.  ``analyze`` sends op specs for the
+        analysis pipeline applied to the finished run.
         """
         if (config is None) == (session is None):
             raise ValueError("pass exactly one of config= or session=")
-        if analyze is not None and graph is not None:
-            raise ValueError("pass either analyze= (linear) or graph= (DAG), not both")
         if session is not None:
             config = session.config
         config_dict = config.to_dict() if hasattr(config, "to_dict") else dict(config)
         body: Dict = {"source": {"path": str(source)}, "config": config_dict}
         if analyze is not None:
             body["analyze"] = [list(spec) if isinstance(spec, tuple) else spec for spec in analyze]
-        if graph is not None:
-            body["graph"] = graph.to_spec() if hasattr(graph, "to_spec") else list(graph)
         if priority:
             body["priority"] = int(priority)
         if timeout_s is not None:

@@ -183,14 +183,15 @@ def parse_submission(body: Dict) -> Job:
         raise ValidationError("submission requires a config object (ReconstructionConfig.to_dict form)")
     config = ReconstructionConfig.from_dict(config_dict)
 
+    if "graph" in body:
+        # rejected, not ignored: ignoring it would run the job without the
+        # analysis the client asked for
+        raise ValidationError(
+            "submission key 'graph' is no longer supported; send linear op "
+            "specs under 'analyze' instead"
+        )
     pipeline = None
     analyze_specs = body.get("analyze")
-    graph_specs = body.get("graph")
-    if analyze_specs is not None and graph_specs is not None:
-        raise ValidationError(
-            "submission takes either analyze (linear op specs) or graph "
-            "(DAG node specs), not both"
-        )
     if analyze_specs is not None:
         if not isinstance(analyze_specs, list) or not analyze_specs:
             raise ValidationError("analyze must be a non-empty list of op specs")
@@ -200,21 +201,6 @@ def parse_submission(body: Dict) -> Job:
         pipeline = analysis(*[
             tuple(spec) if isinstance(spec, list) else spec for spec in analyze_specs
         ])
-    elif graph_specs is not None:
-        if not isinstance(graph_specs, list) or not graph_specs:
-            raise ValidationError("graph must be a non-empty list of node specs")
-        from repro.analysisgraph import graph as build_graph
-
-        # full DAG validation now (unknown ops/inputs, cycles, arity → 400)
-        pipeline = build_graph(*graph_specs)
-        if pipeline.has_reduce:
-            reduce_names = [node.name for node in pipeline.reduce_nodes()]
-            raise ValidationError(
-                f"graph has reduce node(s) {reduce_names}; serve jobs "
-                "reconstruct a single source, so only per-run nodes apply — "
-                "run batch-scope reductions through Session.run_many(analyze=...)"
-            )
-        analyze_specs = pipeline.to_spec()
 
     priority = body.get("priority", 0)
     if not isinstance(priority, int) or isinstance(priority, bool):

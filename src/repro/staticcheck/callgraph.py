@@ -8,7 +8,7 @@ builds the missing global view:
 
 * **Nodes** — every function, method and nested function under the linted
   tree, keyed by module-qualified name (``repro.core.cache.ResultCache.get``,
-  ``repro.analysisgraph.execute._run_ready_set.<locals>.compute``).
+  ``repro.core.session.Session.run_many.<locals>.run_one``).
 * **Edges** — resolved call relationships.  Resolution is deliberately
   syntactic but annotation-aware: plain names resolve through the lexical
   scope chain and the import table; ``self.method()`` resolves within the
@@ -19,8 +19,7 @@ builds the missing global view:
   unique-method-name match when exactly one project class defines the
   method.
 * **Entry points** — functions and classes carrying registry decorators
-  (``register_op`` / ``register_reduce_op`` / ``register_backend`` /
-  ``register_rule``) are marked: they are called by machinery, not by
+  (``register_op`` / ``register_backend`` / ``register_rule``) are marked: they are called by machinery, not by
   name, so reachability analyses must treat them as roots.
 * **Submission sites** — every place a callable escapes onto another
   thread: ``pool.submit(fn)``, ``loop.run_in_executor(executor, fn)``
@@ -65,7 +64,6 @@ DEFAULT_CALLGRAPH = "callgraph.json"
 #: decorator base names that mark a def (or a whole class) as machinery-invoked
 _ENTRY_DECORATORS = {
     "register_op",
-    "register_reduce_op",
     "register_backend",
     "register_rule",
 }
@@ -841,11 +839,10 @@ class _Builder:
         """Resolve submissions of the form ``pool.submit(fn)`` where ``fn``
         is a parameter, by inspecting the submitting function's call sites.
 
-        One level of forwarding covers the project's real patterns: the
-        analysisgraph ready-set scheduler receives its ``compute`` closure
-        as an argument, and every ``ThreadPool.submit(fn)`` forwards the
-        callable its caller chose.  Each resolution appends a new site with
-        the same location and a filled-in callee.
+        One level of forwarding covers the project's real pattern: every
+        ``ThreadPool.submit(fn)`` forwards the callable its caller chose
+        (the threaded backend's ``_reconstruct_band``).  Each resolution
+        appends a new site with the same location and a filled-in callee.
         """
         if not self.forwarded_sites:
             return

@@ -1,11 +1,10 @@
 """``kernel-determinism``: numerical kernels must be bitwise-reproducible.
 
 Every benchmark gate in this repository (streamed-vs-in-memory, cache
-hits, fused-vs-scalar kernels, linear-vs-DAG analysis) asserts *bitwise*
-identity, and the content-addressed cache serves results keyed on inputs
-alone — one hidden source of nondeterminism in a kernel silently poisons
-all of it.  Modules under ``core/kernels`` and
-``analysisgraph/science_ops`` (plus the Zernike basis they share) may not:
+hits, fused-vs-scalar kernels) asserts *bitwise* identity, and the
+content-addressed cache serves results keyed on inputs alone — one hidden
+source of nondeterminism in a kernel silently poisons all of it.  Modules
+under ``core/kernels`` may not:
 
 * read clocks (``time.time``/``perf_counter``/``datetime.now`` ...) —
   timing lives in :mod:`repro.perf`, outside the numerical path;
@@ -40,11 +39,7 @@ from repro.staticcheck.model import Finding, ModuleContext, ProjectContext
 from repro.staticcheck.registry import register_rule
 
 #: path fragments selecting the modules this rule governs
-_TARGET_FRAGMENTS = (
-    "core/kernels",
-    "analysisgraph/science_ops",
-    "analysisgraph/zernike",
-)
+_TARGET_FRAGMENTS = ("core/kernels",)
 
 _CLOCK_CALLS = {
     "time.time", "time.time_ns", "time.perf_counter", "time.perf_counter_ns",

@@ -13,10 +13,10 @@ contracts have each been broken at least once during growth:
   ``repro-analyze --list`` and provenance records, and a non-literal
   default (an object, a call, a module attribute) breaks the JSON document
   and hides the real default from introspection;
-* **registry-expected arity** — per-run ops receive the stack as their
-  first positional argument, reduce ops at least one collected sequence,
-  and backends must be classes (the factory protocol).  Registering the
-  wrong shape fails deep inside a pipeline instead of at import.
+* **registry-expected arity** — ops receive the stack as their first
+  positional argument, and backends must be classes (the factory
+  protocol).  Registering the wrong shape fails deep inside a pipeline
+  instead of at import.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.staticcheck.registry import register_rule
 #: registrar name → what it must decorate
 _REGISTRARS = {
     "register_op": "function",
-    "register_reduce_op": "function",
     "register_backend": "class",
 }
 
@@ -87,14 +86,10 @@ def _check_op_function(ctx: ModuleContext, node, registrar: str) -> Iterator[Fin
         )
     positional = _positional_params(node.args)
     if not positional:
-        what = (
-            "the depth-resolved stack" if registrar == "register_op"
-            else "at least one collected batch input"
-        )
         yield ctx.finding(
             node,
             f"@{registrar} op {node.name!r} takes no positional parameter; "
-            f"the registry passes {what} as the first argument",
+            "the registry passes the depth-resolved stack as the first argument",
         )
     # keyword parameters = positional-with-default + kwonly-with-default
     defaulted = list(zip(
@@ -129,7 +124,7 @@ def _check_backend_class(ctx: ModuleContext, node, registrar: str) -> Iterator[F
 @register_rule(
     "registry-contract",
     severity="error",
-    description="@register_op/@register_reduce_op/@register_backend targets must be "
+    description="@register_op/@register_backend targets must be "
                 "top-level, correctly shaped, with JSON-literal keyword defaults",
 )
 def check_registry_contract(ctx: ModuleContext) -> Iterator[Finding]:

@@ -4,8 +4,8 @@ The whole-program companion to ``lock-discipline``.  Starting from every
 **submission site** the call graph records (``pool.submit(fn)``,
 ``loop.run_in_executor(...)``, ``future.add_done_callback(fn)``,
 ``threading.Thread(target=fn)`` — including callables forwarded through a
-parameter, which is how the analysisgraph ready-set scheduler and
-``ThreadPool.submit`` hand work over), it computes the set of functions
+parameter, which is how ``ThreadPool.submit`` hands work over), it
+computes the set of functions
 that can execute on a thread other than the one that created the shared
 state, and inside that set flags:
 

@@ -2,7 +2,7 @@
 
 The static rule proves that pool-reachable code *syntactically* guards its
 shared writes; this module checks the same contract *at runtime* while the
-real test suites exercise the threaded executor, the analysis graph and
+real test suites exercise the threaded executor, the result cache and
 the serve daemon.  Enable it with ``REPRO_RACE_SANITIZER=1`` — the pytest
 hook in the repository ``conftest.py`` then calls :func:`install`, and an
 autouse fixture fails any test during which an unsynchronized cross-thread

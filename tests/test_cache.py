@@ -15,10 +15,12 @@ The cache's contract, in order of importance:
 from __future__ import annotations
 
 import glob
+import hashlib
 import json
 import os
 import threading
 
+import numpy as np
 import pytest
 
 import repro
@@ -32,6 +34,7 @@ from repro.core.cache import (
 )
 from repro.core.config import ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
+from repro.core.result import DepthResolvedStack
 from repro.io.image_stack import save_wire_scan
 from repro.synthetic.workloads import make_point_source_stack
 from repro.utils.validation import ValidationError
@@ -119,6 +122,26 @@ class TestHitIdentity:
         assert warm.cache_stats.hit
         assert os.path.isfile(out) and os.path.isfile(text)
         assert repro.load(out).result.data.tobytes() == warm.result.data.tobytes()
+
+    @pytest.mark.parametrize("layout", ["transposed", "big-endian"])
+    def test_content_digest_matches_the_copied_bytes_form(self, grid, layout):
+        # entries store the digest of the cube's C-order bytes; hashing the
+        # buffer in place must give the same hex digest, or stored entries
+        # would stop verifying
+        cube = np.random.default_rng(3).random((grid.n_bins, 5, 7))
+        stack = DepthResolvedStack(data=cube, grid=grid)
+        # assigned after construction, which would convert to native order
+        if layout == "transposed":
+            stack.data = cube.transpose(0, 2, 1)
+        else:
+            stack.data = cube.astype(">f8")
+        assert not stack.data.flags.c_contiguous or not stack.data.dtype.isnative
+        expected = hashlib.sha256()
+        expected.update(np.ascontiguousarray(stack.data).tobytes())
+        expected.update(
+            f"|grid={grid.start!r},{grid.step!r},{grid.n_bins}".encode("utf-8")
+        )
+        assert stack.content_digest() == expected.hexdigest()
 
     def test_cold_run_without_cache_has_no_cache_stats(self, small_stack, grid):
         run = repro.session(grid=grid).run(small_stack)
@@ -340,6 +363,43 @@ class TestAnalysisMemoization:
         warm = sess.run(small_stack, analyze="total_intensity")
         assert cold.analysis.to_json() == warm.analysis.to_json()
         assert sess.cache.stats()["n_analyses"] == 1
+
+    def test_verify_deletes_node_memos_and_keeps_pipeline_memos(
+        self, cache_root, small_stack, grid
+    ):
+        sess = repro.session(grid=grid).cached(cache_root)
+        cold = sess.run(small_stack)
+        cold.analyze("peaks", "fwhm")
+        pipeline_memos = glob.glob(os.path.join(cache_root, "analysis", "*", "*.json"))
+        assert len(pipeline_memos) == 1
+        # a per-node memo of the retired analysis-graph engine, keyed and
+        # shaped as that engine stored them beside the pipeline memos
+        run_key = cold.cache_stats.key
+        memo_key = hashlib.sha256(f"node:{run_key}:{'0' * 64}".encode("utf-8")).hexdigest()
+        node_memo = os.path.join(cache_root, "analysis", memo_key[:2], f"{memo_key}.json")
+        os.makedirs(os.path.dirname(node_memo), exist_ok=True)
+        with open(node_memo, "w", encoding="utf-8") as fh:
+            json.dump({"kind": "node_memo", "node": "tot", "op": "total_intensity",
+                       "node_signature": "0" * 64, "run_key": run_key, "value": 1.5}, fh)
+        repaired_before = sess.cache.n_repaired
+        outcome = sess.cache.verify()
+        assert outcome["checked"] == 3
+        assert outcome["n_repaired"] == 1 and outcome["repaired"] == [node_memo]
+        assert sess.cache.n_repaired == repaired_before + 1
+        assert not os.path.exists(node_memo) and os.path.isfile(pipeline_memos[0])
+        # the whole-pipeline memo still hits: nothing is recomputed
+        warm = sess.run(small_stack)
+        hits, stores = sess.cache.n_hits, sess.cache.n_stores
+        warm.analyze("peaks", "fwhm")
+        assert sess.cache.n_hits == hits + 1 and sess.cache.n_stores == stores
+
+    def test_verify_repairs_a_memo_that_is_not_an_object(self, cache_root):
+        path = os.path.join(cache_root, "analysis", "ab", "ab" + "0" * 62 + ".json")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("5")
+        outcome = ResultCache(cache_root).verify()
+        assert outcome["repaired"] == [path] and not os.path.exists(path)
 
     def test_pipeline_signature_depends_on_ops_order_and_params(self):
         a = repro.analysis("peaks", "fwhm")

@@ -2,7 +2,7 @@
 
 Covers module naming, node/edge construction on synthetic packages,
 registry-decorated entry points, submission-site detection (including the
-parameter-forwarding resolution the analysis-graph executor needs),
+parameter-forwarding resolution ``ThreadPool.submit`` needs),
 reachability, and the byte-determinism of the JSON artifact that CI
 uploads as ``callgraph.json``.
 """
@@ -70,7 +70,7 @@ class TestGraphConstruction:
         root = _write_pkg(tmp_path, {
             "pkg/__init__.py": "",
             "pkg/ops.py": """
-                from repro.analysisgraph.registry import register_op
+                from repro.core.ops import register_op
 
                 @register_op("fixture-op")
                 def fixture_op(run):
@@ -119,10 +119,19 @@ class TestGraphConstruction:
 class TestProjectGraph:
     """The repository's own source tree as the fixture."""
 
-    def test_forwarded_submission_resolves_analysisgraph_compute(self):
+    def test_forwarded_submission_resolves_thread_pool_band(self):
+        # ThreadPool.submit(fn) forwards its parameter to executor.submit on
+        # two lines (first try and respawn); both resolve to the callable
+        # the threaded backend hands it
         graph = build_call_graph([str(REPO_ROOT / "src")])
-        roots = graph.submission_roots()
-        assert "repro.analysisgraph.execute.execute_run_graph.<locals>.compute" in roots
+        band = "repro.core.backends.threaded._reconstruct_band"
+        lines = {
+            site.line for site in graph.submission_sites
+            if site.caller == "repro.core.workerpool.ThreadPool.submit"
+            and site.api == "submit" and site.callee == band
+        }
+        assert len(lines) == 2
+        assert band in graph.submission_roots()
 
     def test_every_edge_endpoint_is_known(self):
         # callers are always functions; callees may also be classes

@@ -252,6 +252,26 @@ class TestAnalyzeCli:
         with pytest.raises(SystemExit, match="must be a JSON object"):
             main_analyze([str(depth_file), "peaks:[1]"])
 
+    def test_graph_flag_is_unrecognized(self, depth_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main_analyze([str(depth_file), "peaks", "--graph"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --graph" in capsys.readouterr().err
+
+    def test_directory_input_reports_failed_items(self, depth_file, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "good.h5lite").write_bytes(depth_file.read_bytes())
+        assert main_analyze([str(runs), "total_intensity"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_ok"] == 1 and payload["n_failed"] == 0
+
+        (runs / "corrupt.h5lite").write_text("junk")
+        assert main_analyze([str(runs), "total_intensity"]) == 1
+        err = capsys.readouterr().err
+        assert "corrupt.h5lite" in err
+        assert "1 of 2 item(s) failed" in err
+
 
 class TestCache:
     def _generate(self, tmp_path):

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 import repro
+from repro.cli import main_analyze
+from repro.core.cache import ResultCache
 from repro.core.depth_grid import DepthGrid
 from repro.core.ops import (
     AnalysisPipeline,
     OpInfo,
+    _json_value,
     analysis,
     as_pipeline,
     available_ops,
@@ -21,6 +24,7 @@ from repro.core.ops import (
 )
 from repro.core.result import DepthResolvedStack
 from repro.core.session import session
+from repro.io.image_stack import save_wire_scan
 from repro.utils.validation import ValidationError
 
 BUILTIN_OPS = {
@@ -38,6 +42,30 @@ def grid():
 def run(point_source_stack, grid):
     stack, _ = point_source_stack
     return session(grid=grid).run(stack)
+
+
+@pytest.fixture()
+def saved_batch(tmp_path, point_source_stack, grid):
+    """Four saved wire-scan files plus the session that reconstructs them."""
+    stack, _ = point_source_stack
+    paths = []
+    for index in range(4):
+        path = tmp_path / f"scan_{index}.h5lite"
+        save_wire_scan(str(path), stack)
+        paths.append(str(path))
+    return paths, session(grid=grid)
+
+
+@pytest.fixture()
+def required_param_op():
+    """An op with a required keyword parameter after the stack."""
+
+    @register_op("scaled_threshold", description="test: required keyword parameter")
+    def scaled_threshold(result, threshold, scale=2.0):
+        return float(threshold) * float(scale)
+
+    yield "scaled_threshold"
+    unregister_op("scaled_threshold")
 
 
 # --------------------------------------------------------------------------- #
@@ -97,6 +125,13 @@ class TestRegistry:
     def test_unregister_unknown_rejected(self):
         with pytest.raises(ValidationError, match="cannot unregister"):
             unregister_op("nope")
+
+    def test_required_keyword_parameter_is_listed(self, required_param_op, capsys):
+        expected = {"threshold": "<required>", "scale": 2.0}
+        assert op_info(required_param_op).parameters() == expected
+        assert main_analyze(["--list", "--json"]) == 0
+        by_name = {entry["name"]: entry for entry in json.loads(capsys.readouterr().out)}
+        assert by_name[required_param_op]["parameters"] == expected
 
 
 # --------------------------------------------------------------------------- #
@@ -242,6 +277,30 @@ class TestBatchApply:
         outcome = repro.analysis("fwhm").apply(batch)
         assert outcome.n_ok == 1
 
+    def test_batch_analyze_linear_fans_out(self, saved_batch):
+        paths, sess = saved_batch
+        batch = sess.run_many(paths)
+        outcome = batch.analyze("peaks", "fwhm")
+        assert outcome.n_ok == len(paths)
+        assert batch.analysis is outcome
+        assert json.loads(batch.to_json())["analysis"]["n_ok"] == len(paths)
+
+    def test_run_many_analyze_op_names(self, saved_batch):
+        paths, sess = saved_batch
+        batch = sess.run_many(paths, analyze=["peaks", "fwhm"])
+        assert batch.analysis.n_ok == len(paths)
+        assert batch.analysis.pipeline == analysis("peaks", "fwhm").op_sequence()
+        for item in batch.analysis.items:
+            assert item.analysis.op_names() == ["peaks", "fwhm"]
+
+    def test_run_many_analyze_single_spec_with_params(self, saved_batch):
+        paths, sess = saved_batch
+        batch = sess.run_many(paths, analyze=("peaks", {"min_relative_height": 0.2}))
+        assert batch.analysis.n_ok == len(paths)
+        assert batch.analysis.pipeline == [
+            {"op": "peaks", "params": {"min_relative_height": 0.2}}
+        ]
+
 
 # --------------------------------------------------------------------------- #
 class TestSurfaces:
@@ -257,6 +316,10 @@ class TestSurfaces:
     def test_run_result_analyze_kwargs_need_single_op(self, run):
         with pytest.raises(ValidationError, match="exactly one op"):
             run.analyze("peaks", "fwhm", min_relative_height=0.3)
+
+    def test_run_result_analyze_rejects_pipeline_with_kwargs(self, run):
+        with pytest.raises(ValidationError, match="prebuilt pipeline"):
+            run.analyze(repro.analysis("peaks"), min_relative_height=0.5)
 
     def test_session_run_analyze(self, point_source_stack, grid):
         stack, _ = point_source_stack
@@ -288,6 +351,55 @@ class TestSurfaces:
         assert callable(ops_module.register_op)
         assert repro.core.analysis is analysis_module
         assert repro.core.ops is ops_module
+
+
+# --------------------------------------------------------------------------- #
+class TestLinearCompat:
+    """Pipeline outputs and memo keys stay what earlier versions stored."""
+
+    def test_pipeline_json_matches_direct_ops(self, run):
+        pipe = analysis("peaks", ("fwhm", {}), "total_intensity")
+        outcome = pipe.apply(run)
+        for record in outcome.results:
+            assert record["value"] == _json_value(op_info(record["op"]).func(run.result))
+        document = json.loads(outcome.to_json())
+        assert [r["op"] for r in document["results"]] == ["peaks", "fwhm", "total_intensity"]
+        assert all(set(r) == {"op", "params", "value"} for r in document["results"])
+
+    def test_signature_digests_are_pinned(self):
+        # analysis memos are stored under these digests: a change to them
+        # orphans every memo already in a cache root
+        assert analysis("peaks", "fwhm").signature() == (
+            "ea9437be4d6a4184b63f9e64ced6b61a98e4c09def683c25f306cc5f675db4b5"
+        )
+        assert analysis(("peaks", {"min_relative_height": 0.2}), "total_intensity").signature() == (
+            "2a2ceda758f059e832a2aacddcf069ef8cd1085552673784fff21c2e14a89368"
+        )
+
+    def test_repeated_pipeline_memo_hits(self, tmp_path, point_source_stack, grid):
+        stack, _ = point_source_stack
+        src = tmp_path / "scan.h5lite"
+        save_wire_scan(str(src), stack)
+        cache = ResultCache(str(tmp_path / "cache"))
+        sess = session(grid=grid).cached(cache)
+        pipe = analysis("peaks", "fwhm")
+        run = sess.run(repro.open(str(src)))
+        first = cache.analyze(run, pipe)
+        hits_before = cache.n_hits
+        second = cache.analyze(run, pipe)
+        assert cache.n_hits == hits_before + 1
+        assert first.to_json() == second.to_json()
+
+    def test_op_errors_propagate_unwrapped(self, run):
+        @register_op("always_boom", description="test: raises")
+        def always_boom(result):
+            raise RuntimeError("boom")
+
+        try:
+            with pytest.raises(RuntimeError, match="boom"):
+                analysis("always_boom").apply(run)
+        finally:
+            unregister_op("always_boom")
 
 
 class TestParamNormalization:

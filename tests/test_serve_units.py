@@ -224,6 +224,17 @@ class TestParseSubmission:
                 "analyze": ["definitely-not-an-op"],
             })
 
+    def test_graph_key_rejected_at_admission(self, source_file, config_dict):
+        with pytest.raises(ValidationError) as info:
+            parse_submission({
+                "source": {"path": source_file},
+                "config": config_dict,
+                "graph": [{"name": "peaks", "op": "peaks"}],
+            })
+        message = str(info.value)
+        assert "\n" not in message
+        assert "'graph'" in message and "'analyze'" in message
+
     def test_bool_priority_rejected(self, source_file, config_dict):
         with pytest.raises(ValidationError):
             parse_submission({
