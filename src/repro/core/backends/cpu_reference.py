@@ -8,7 +8,8 @@ truth the faster backends are validated against.
 
 The chunk loop, accounting and reporting live in the shared engine; this
 module only supplies the scalar per-chunk compute, which writes each chunk's
-rows of the run's output cube in place.
+rows of the run's output cube in place.  It differences every element, so
+its chunks read every wire position (the default plan).
 """
 
 from __future__ import annotations

@@ -75,7 +75,12 @@ class GpuSimExecutor(ChunkExecutor):
         return Device(self._device_properties, memory_limit_bytes=config.device_memory_limit)
 
     def plan(self, source: ChunkSource, config: ReconstructionConfig) -> ExecutionPlan:
-        """Chunks sized to the simulated device memory (the Fig. 2 constraint)."""
+        """Chunks sized to the simulated device memory (the Fig. 2 constraint).
+
+        Every chunk reads all its positions: the paper's program copies the
+        whole chunk slab host to device, so the launch batches below index
+        the uploaded slab from position 0.
+        """
         self.device = self._make_device(config)
         self._layout = get_layout(config.layout)
         self._kernel = make_set_two_kernel(

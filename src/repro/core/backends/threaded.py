@@ -56,7 +56,9 @@ __all__ = ["ThreadedExecutor"]
 def _band_context(ctx: KernelContext, band_start: int, band_stop: int) -> KernelContext:
     """The kernel context of one row band — pure views, nothing copied.
 
-    Its rows map to the output rows ``ctx.row_offset + band_start`` onwards.
+    Its rows map to the output rows ``ctx.row_offset + band_start`` onwards,
+    and its slab holds the chunk slab's positions: a band's spans lie inside
+    its chunk's, so a trimmed window holds every position the band reads.
     """
     return KernelContext(
         images=ctx.images[:, band_start:band_stop, :],
@@ -70,6 +72,7 @@ def _band_context(ctx: KernelContext, band_start: int, band_stop: int) -> Kernel
         intensity_cutoff=ctx.intensity_cutoff,
         mask=None if ctx.mask is None else ctx.mask[band_start:band_stop],
         row_offset=ctx.row_offset + band_start,
+        position_start=ctx.position_start,
     )
 
 
@@ -104,7 +107,7 @@ class ThreadedExecutor(ChunkExecutor):
 
     # ------------------------------------------------------------------ #
     def plan(self, source: ChunkSource, config: ReconstructionConfig) -> ExecutionPlan:
-        return build_execution_plan(source, config, strategy="threaded")
+        return build_execution_plan(source, config, strategy="threaded", trim_positions=True)
 
     def prepare(
         self, source: ChunkSource, config: ReconstructionConfig, plan: ExecutionPlan

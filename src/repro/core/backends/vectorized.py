@@ -10,7 +10,9 @@ module only supplies the vectorised per-chunk compute.  The per-chunk kernel
 is the fused single-pass form (:func:`depth_resolve_chunk_fused`), the one
 production kernel; it reads the run's trapezoid table like the scalar
 reference does, so the two are bitwise identical.  It distributes each chunk
-straight into that chunk's rows of the plan's output cube.
+straight into that chunk's rows of the plan's output cube.  The kernel never
+differences a step its rows cannot use, so both executors plan trimmed
+windows: each chunk reads only the wire positions its usable steps span.
 
 ``config.executor`` selects where the kernel runs, an axis orthogonal to
 the backend: ``serial`` in the calling thread (:class:`VectorizedExecutor`)
@@ -25,7 +27,7 @@ from typing import Dict, Iterable, List
 from repro.core.backends.base import Backend, register_backend
 from repro.core.backends.threaded import ThreadedExecutor
 from repro.core.config import ReconstructionConfig
-from repro.core.engine import ChunkExecutor, ChunkSource, ExecutionPlan
+from repro.core.engine import ChunkExecutor, ChunkSource, ExecutionPlan, build_execution_plan
 from repro.core.kernels import KernelContext, depth_resolve_chunk_fused
 
 __all__ = ["VectorizedBackend", "VectorizedExecutor"]
@@ -40,6 +42,10 @@ class VectorizedExecutor(ChunkExecutor):
     def __init__(self):
         self._n_launches = 0
         self._n_threads = 0
+
+    def plan(self, source: ChunkSource, config: ReconstructionConfig) -> ExecutionPlan:
+        """The host plan, each chunk reading only the positions its span needs."""
+        return build_execution_plan(source, config, trim_positions=True)
 
     def prepare(
         self, source: ChunkSource, config: ReconstructionConfig, plan: ExecutionPlan

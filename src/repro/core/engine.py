@@ -8,7 +8,9 @@ run the per-chunk compute.  This module extracts that loop into one place:
     Where the image slabs come from.  :class:`StackChunkSource` serves an
     in-memory :class:`~repro.core.stack.WireScanStack`;
     :class:`repro.io.streaming.StreamingWireScanSource` serves row windows
-    straight from an h5lite file without ever materialising the cube.
+    straight from an h5lite file without ever materialising the cube.  A
+    window holds the wire positions the plan gives its chunk, which may be
+    fewer than the scan's.
 
 ``ExecutionPlan``
     The row-chunk schedule (built from
@@ -18,8 +20,12 @@ run the per-chunk compute.  This module extracts that loop into one place:
     (wire-step, row) pair, each computed once over the *whole* detector — so
     every backend, chunking and streaming mode subtracts the same background
     and distributes with the same geometry — the zeroed
-    ``(n_bins, n_rows, n_cols)`` output cube of the run, and the chunking
-    strategy note.
+    ``(n_bins, n_rows, n_cols)`` output cube of the run, the chunking
+    strategy note, and the range of wire positions each chunk reads.  For
+    an executor whose kernel skips unusable steps (the ``vectorized``
+    backend, on either executor) that range holds only the positions the
+    chunk's usable steps difference, and a chunk with none reads nothing;
+    the other executors read every position.
 
 ``ChunkExecutor``
     What a backend actually contributes: how to plan its chunks, optional
@@ -31,9 +37,10 @@ run the per-chunk compute.  This module extracts that loop into one place:
     whenever it is ready and draining the rest at the end.
 
 ``execute``
-    The engine loop: plan → prepare → per chunk (load slab, build context,
-    execute) → report.  Every chunk writes its own rows of the one output
-    cube, which becomes the result without a copy.
+    The engine loop: plan → prepare → per chunk (load the chunk's window
+    of positions, build context, execute) → report.  Every chunk writes its
+    own rows of the one output cube, which becomes the result without a
+    copy.
 
 The engine also owns the run accounting that used to be duplicated: every
 report's notes carry the plan summary so cross-backend comparisons are
@@ -54,7 +61,7 @@ import numpy as np
 
 from repro.core.chunking import ChunkPlan, plan_row_chunks
 from repro.core.config import ReconstructionConfig
-from repro.core.kernels import KernelContext, _trapezoid_table
+from repro.core.kernels import KernelContext, _step_span, _trapezoid_table
 from repro.core.registry import get_backend
 from repro.core.result import DepthResolvedStack, ReconstructionReport
 from repro.core.stack import WireScanStack
@@ -96,7 +103,11 @@ class ChunkSource(abc.ABC):
 
     A source exposes the problem dimensions and geometry up front (cheaply —
     for a file-backed source this is header data only) and serves the
-    intensity slab of any detector-row window on demand.
+    intensity slab of any detector-row window on demand.  The engine asks
+    for a window's slab through :meth:`load_window`, with the range of wire
+    positions its plan gives the chunk; a source implements
+    :meth:`load_rows` and may override :meth:`load_window` to read only
+    that range.
     """
 
     #: True when slabs are loaded from out-of-core storage, so planners
@@ -128,6 +139,18 @@ class ChunkSource(abc.ABC):
     @abc.abstractmethod
     def load_rows(self, row_start: int, row_stop: int) -> np.ndarray:
         """The intensity slab ``(n_positions, row_stop - row_start, n_cols)``."""
+
+    def load_window(
+        self, row_start: int, row_stop: int, position_start: int, position_stop: int
+    ) -> np.ndarray:
+        """The slab of positions ``position_start:position_stop`` of rows
+        ``row_start:row_stop``, shape ``(position_stop - position_start,
+        row_stop - row_start, n_cols)``.
+
+        By default those positions of :meth:`load_rows`' slab (a view of it
+        when it is one); a source that can read fewer bytes overrides it.
+        """
+        return self.load_rows(row_start, row_stop)[position_start:position_stop]
 
     @abc.abstractmethod
     def mask_rows(self, row_start: int, row_stop: int) -> Optional[np.ndarray]:
@@ -190,6 +213,11 @@ class ExecutionPlan:
     #: the run's zeroed ``(n_bins, n_rows, n_cols)`` output cube: executors
     #: distribute every chunk into its own rows, and the result wraps it
     output: np.ndarray
+    #: the ``(position_start, position_stop)`` range of wire positions each
+    #: chunk reads, parallel to :attr:`chunks`: every position, or in a
+    #: trimmed plan the positions its usable steps difference (``(0, 0)``
+    #: when it has none)
+    position_ranges: Tuple[Tuple[int, int], ...]
     #: per-image background levels, shape ``(n_positions, 1, 1)``; ``None``
     #: when ``subtract_background`` is off
     background: Optional[np.ndarray] = None
@@ -222,6 +250,7 @@ def build_execution_plan(
     device_memory_bytes: int = HOST_MEMORY_BYTES,
     rows_per_chunk: Optional[int] = None,
     strategy: str = "host",
+    trim_positions: bool = False,
 ) -> ExecutionPlan:
     """Build an :class:`ExecutionPlan` for *source* under *config*.
 
@@ -234,8 +263,15 @@ def build_execution_plan(
 
     The per-run state is computed here, once: the background levels, the
     source's edge tables for every detector row, the trapezoid table, whose
-    geometry comes from those edge tables and the wire trajectory, and the
-    zeroed output cube.
+    geometry comes from those edge tables and the wire trajectory, the
+    zeroed output cube, and each chunk's range of wire positions.
+
+    With ``trim_positions`` a chunk's range holds only positions ``s0`` to
+    ``s1``, where steps ``s0`` to ``s1 - 1`` are the span the fused kernel
+    gives the chunk's rows (:func:`~repro.core.kernels._step_span`), and a
+    chunk with no usable step reads nothing.  Only an executor whose kernel
+    skips unusable steps may ask for it; the scalar reference differences
+    every element, and the simulated device copies whole chunks.
     """
     if rows_per_chunk is None:
         rows_per_chunk = config.rows_per_chunk
@@ -259,10 +295,18 @@ def build_execution_plan(
         config.wire_edge,
         config.grid,
     )
+    if trim_positions:
+        pair_active = trapezoids[5]
+        spans = [_step_span(pair_active, slice(*chunk)) for chunk in chunk_plan.chunks]
+        # steps s0 to s1 - 1 difference positions s0 to s1; no step, no position
+        position_ranges = tuple((s0, s1 + 1) if s1 > s0 else (0, 0) for s0, s1 in spans)
+    else:
+        position_ranges = ((0, source.n_positions),) * chunk_plan.n_chunks
     return ExecutionPlan(
         chunk_plan=chunk_plan,
         row_edges=(back_edges, front_edges),
         trapezoids=trapezoids,
+        position_ranges=position_ranges,
         output=np.zeros((config.grid.n_bins, source.n_rows, source.n_cols)),
         background=compute_stack_background(source, config),
         strategy=strategy,
@@ -362,23 +406,29 @@ def build_chunk_context(
     plan: ExecutionPlan,
     row_start: int,
     row_stop: int,
-    slab: Optional[np.ndarray] = None,
+    positions: Optional[Tuple[int, int]] = None,
 ) -> KernelContext:
     """Kernel inputs for detector rows ``row_start:row_stop`` of *source*.
 
-    *slab* lets the caller pass a window it has already loaded (the engine
-    loads each chunk exactly once); otherwise it is read from the source.
-    The plan's whole-stack background levels are subtracted from the slab
-    when set, the context views the plan's edge and trapezoid tables at
-    these rows (no geometry is recomputed per chunk), and its
-    ``row_offset`` maps its first row to output row ``row_start``.
+    The slab holds wire positions ``positions = (position_start,
+    position_stop)``, every position when omitted; the engine passes the
+    chunk's range from the plan.  It is read once, with
+    :meth:`ChunkSource.load_window`, and an empty range reads nothing.  The
+    plan's whole-stack background levels of those positions are subtracted
+    from the slab when set, the context views the plan's edge and trapezoid
+    tables at these rows (no geometry is recomputed per chunk), its
+    ``position_start`` is the slab's first position, and its ``row_offset``
+    maps its first row to output row ``row_start``.
     """
     if not (0 <= row_start < row_stop <= source.n_rows):
         raise ValidationError(f"invalid row range [{row_start}, {row_stop})")
-    if slab is None:
-        slab = source.load_rows(row_start, row_stop)
+    position_start, position_stop = (0, source.n_positions) if positions is None else positions
+    if position_stop > position_start:
+        slab = source.load_window(row_start, row_stop, position_start, position_stop)
+    else:
+        slab = np.empty((0, row_stop - row_start, source.n_cols))
     if plan.background is not None:
-        slab = slab - plan.background
+        slab = slab - plan.background[position_start:position_stop]
     back_edges, front_edges = plan.row_edges
     return KernelContext(
         images=slab,
@@ -392,6 +442,7 @@ def build_chunk_context(
         intensity_cutoff=config.intensity_cutoff,
         mask=source.mask_rows(row_start, row_stop),
         row_offset=row_start,
+        position_start=position_start,
     )
 
 
@@ -415,9 +466,8 @@ def execute(
     # and no band stays queued on the pool after a failed run
     try:
         executor.prepare(source, config, plan)
-        for row_start, row_stop in plan.chunks:
-            slab = source.load_rows(row_start, row_stop)
-            ctx = build_chunk_context(source, config, plan, row_start, row_stop, slab=slab)
+        for (row_start, row_stop), positions in zip(plan.chunks, plan.position_ranges):
+            ctx = build_chunk_context(source, config, plan, row_start, row_stop, positions)
             n_active += sum(executor.execute_chunk(ctx, row_start, row_stop))
         n_active += sum(executor.drain())
     finally:

@@ -102,18 +102,26 @@ class KernelContext:
     Parameters
     ----------
     images:
-        Intensity slab of shape ``(n_positions, rows, n_cols)``.
+        Intensity slab of shape ``(n_positions, rows, n_cols)``: wire
+        positions ``position_start`` to ``position_start + n_positions - 1``
+        of the scan.  A full window holds every position; a trimmed one only
+        the positions its rows' usable steps difference (see
+        :func:`_step_span`).
     back_edge_yz, front_edge_yz:
         Per-row pixel-edge coordinates, shape ``(rows, 2)`` — the
         ``firstedge``/``edge`` tables of the original kernel.
     wire_positions_yz:
-        Wire-centre positions, shape ``(n_positions, 2)``.
+        Wire-centre positions, shape ``(n_steps + 1, 2)``: every position of
+        the trapezoid table's steps, whatever the slab holds.
     trapezoids:
-        The slab's slice of the run's trapezoid table (see
+        The slab's rows of the run's trapezoid table (see
         :func:`_trapezoid_table`): ``(d1, d2, d3, d4, area, active)``, each
-        of shape ``(n_positions - 1, rows)``.  The kernels read the response
-        geometry from here only; the edge and wire tables above are what the
-        simulated device uploads.
+        of shape ``(n_steps, rows)``, every wire step of the scan (or of a
+        simulated launch batch).  The kernels read the response geometry
+        from here only; the edge and wire tables above are what the
+        simulated device uploads.  ``n_steps`` comes from this table, not
+        from the slab, so a trimmed window counts the same steps as a full
+        one.
     grid:
         Depth grid to accumulate onto.
     wire_edge:
@@ -131,6 +139,12 @@ class KernelContext:
         ``row_start``, a thread band's adds the band start to it, and a
         simulated launch batch, which writes a chunk-sized device buffer,
         holds 0.
+    position_start:
+        The scan position the slab's first image is: step ``s`` differences
+        slab images ``s - position_start`` and ``s - position_start + 1``.
+        The slab must lie inside the table's positions, and a step a kernel
+        differences must lie inside the slab; either miss raises
+        :class:`~repro.utils.validation.ValidationError`.
     """
 
     def __init__(
@@ -146,6 +160,7 @@ class KernelContext:
         intensity_cutoff: float = 0.0,
         mask: Optional[np.ndarray] = None,
         row_offset: int = 0,
+        position_start: int = 0,
     ):
         self.images = np.asarray(images, dtype=np.float64)
         self.back_edge_yz = np.asarray(back_edge_yz, dtype=np.float64)
@@ -161,13 +176,21 @@ class KernelContext:
         if self.row_offset < 0:
             raise ValidationError(f"row_offset must be non-negative, got {self.row_offset}")
 
+        self.position_start = int(position_start)
+
         self.n_positions, self.n_rows, self.n_cols = self.images.shape
-        self.n_steps = self.n_positions - 1
+        self.n_steps = len(self.trapezoids[0]) if self.trapezoids else 0
         if len(self.trapezoids) != 6 or any(
             part.shape != (self.n_steps, self.n_rows) for part in self.trapezoids
         ):
             raise ValidationError(
-                f"trapezoids must be six ({self.n_steps}, {self.n_rows}) arrays"
+                f"trapezoids must be six (n_steps, {self.n_rows}) arrays of one shape"
+            )
+        if self.position_start < 0 or self.position_start + self.n_positions > self.n_steps + 1:
+            raise ValidationError(
+                f"a slab of {self.n_positions} position(s) from position "
+                f"{self.position_start} does not fit the {self.n_steps + 1} positions "
+                f"of the trapezoid table"
             )
         #: sign applied to (I[i] - I[i+1]) so that "signal appears" is positive
         #: for the selected edge
@@ -176,11 +199,38 @@ class KernelContext:
     # ------------------------------------------------------------------ #
     def signed_difference(self, step: int, row: int, col: int) -> float:
         """Edge-signed intensity difference for one element (scalar path)."""
-        diff = self.images[step, row, col] - self.images[step + 1, row, col]
+        index = step - self.position_start
+        if not 0 <= index < self.n_positions - 1:
+            raise ValidationError(_outside_slab(self, step, step + 1))
+        diff = self.images[index, row, col] - self.images[index + 1, row, col]
         value = self.edge_sign * diff
         if self.difference_mode is DifferenceMode.RECTIFIED:
             value = max(value, 0.0)
         return value
+
+
+def _outside_slab(ctx: KernelContext, first: int, last: int) -> str:
+    """The error for steps reading positions *first* to *last* outside the slab."""
+    return (
+        f"positions {first} to {last} lie outside the slab's positions "
+        f"{ctx.position_start} to {ctx.position_start + ctx.n_positions - 1}"
+    )
+
+
+def _step_span(pair_active: np.ndarray, rows: slice) -> Tuple[int, int]:
+    """The span of wire steps detector rows *rows* can use: ``(s0, s1)``.
+
+    Steps ``s0`` to ``s1 - 1`` run from the first to the last step that some
+    row of *rows* can use (*pair_active* is the trapezoid table's ``active``
+    flag), and they difference positions ``s0`` to ``s1``.  A step outside
+    the span holds only inactive elements.  ``(0, 0)`` when no row can use
+    any step.  The one span rule: the fused kernel takes each row block's
+    span from it, and a trimmed execution plan each chunk's position range.
+    """
+    usable = np.flatnonzero(pair_active[:, rows].any(axis=1))
+    if usable.size == 0:
+        return 0, 0
+    return int(usable[0]), int(usable[-1]) + 1
 
 
 def _scalar_cumulative_integral(x: float, d1: float, d2: float, d3: float, d4: float) -> float:
@@ -402,11 +452,15 @@ def depth_resolve_chunk_fused(
 
     One pass per chunk, in row blocks.  Each block first finds its *span*:
     steps ``s0`` to ``s1 - 1``, the first to the last step that some row of
-    the block can use (the trapezoid table's ``active`` flag); a block with
-    no usable step is skipped.  It then computes the span's slab of signed
-    differences on the fly, from positions ``s0`` to ``s1`` only (no
-    ``(n_steps, rows, cols)`` difference cube is ever materialised, and a
-    position only steps outside the span touch is never read), and finds
+    the block can use (the trapezoid table's ``active`` flag, through
+    :func:`_step_span`); a block with no usable step is skipped.  It then
+    computes the span's slab of signed differences on the fly, from
+    positions ``s0`` to ``s1`` only (no ``(n_steps, rows, cols)``
+    difference cube is ever materialised, and a position only steps outside
+    the span touch is never read).  A trimmed slab holds only the positions
+    its rows' spans need: its indices start at ``ctx.position_start``, and
+    a span the slab does not hold raises
+    :class:`~repro.utils.validation.ValidationError`.  The block then finds
     its *used* (step, row) pairs, the pairs holding an active element.  The
     trapezoid integral runs once per used pair, not once per active
     element, and only over the pair's window: the bins
@@ -495,20 +549,24 @@ def depth_resolve_chunk_fused(
         # (s0 to s1 - 1, positions s0 to s1).  A step outside it holds only
         # inactive elements, so it is never differenced, and the positions
         # only such steps touch are never read.
-        usable = np.flatnonzero(pair_active[:, band].any(axis=1))
-        if usable.size == 0:
+        s0, s1 = _step_span(pair_active, band)
+        if s0 == s1:
             continue
-        s0, s1 = int(usable[0]), int(usable[-1]) + 1
         n_span = s1 - s0
+        # positions s0 to s1 as slab indices p0 to p1: a trimmed slab starts
+        # at ctx.position_start, and a span it does not hold would wrap
+        p0, p1 = s0 - ctx.position_start, s1 - ctx.position_start
+        if p0 < 0 or p1 >= ctx.n_positions:
+            raise ValidationError(_outside_slab(ctx, s0, s1))
         # the fused difference pass: the span of this block's slab is read
         # once, here.  Subtracting in edge order is the edge-signed
         # difference without a sign multiply: IEEE subtraction rounds
         # symmetrically, so b - a == -1.0 * (a - b) bit for bit whenever
         # a != b (and a zero difference is never active).
         if ctx.edge_sign > 0:
-            diffs = ctx.images[s0:s1, band, :] - ctx.images[s0 + 1:s1 + 1, band, :]
+            diffs = ctx.images[p0:p1, band, :] - ctx.images[p0 + 1:p1 + 1, band, :]
         else:
-            diffs = ctx.images[s0 + 1:s1 + 1, band, :] - ctx.images[s0:s1, band, :]
+            diffs = ctx.images[p0 + 1:p1 + 1, band, :] - ctx.images[p0:p1, band, :]
         if ctx.difference_mode is DifferenceMode.RECTIFIED:
             np.maximum(diffs, 0.0, out=diffs)
 

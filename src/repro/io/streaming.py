@@ -4,9 +4,12 @@
 :class:`~repro.core.engine.ChunkSource` protocol against a wire-scan file on
 disk.  Geometry, mask and metadata are read from the header once; the image
 cube itself is never materialised — each engine chunk triggers one windowed
-read (:meth:`repro.io.h5lite.Dataset.read_window`) of exactly the rows that
-chunk processes, so the peak resident image memory is one chunk slab (plus
-one full detector image during the optional background pass).
+read (:meth:`repro.io.h5lite.Dataset.read_window`) of the rows that chunk
+processes, restricted to the range of wire positions its plan gives it: every
+position, or on a trimmed plan only the positions the chunk's usable steps
+difference (a chunk with no usable step is not read at all).  So the peak
+resident image memory is one chunk slab (plus one full detector image during
+the optional background pass).
 
 The source keeps simple accounting (``max_resident_rows``,
 ``n_window_reads``, ``bytes_read``) that the streaming tests and the batch
@@ -29,10 +32,11 @@ __all__ = ["StreamingWireScanSource"]
 class StreamingWireScanSource(ChunkSource):
     """Serves engine chunks from a wire-scan file without loading the cube.
 
-    Each :meth:`load_rows` is one windowed read whose image rows land in
-    place in a fresh slab.  The slab is never reused: the ``threads``
-    executor keeps several row bands of earlier windows in flight, and each
-    band views its window's slab.  A file shorter than its header says raises
+    Each :meth:`load_window` (and :meth:`load_rows`, every position of a
+    window) is one windowed read whose image rows land in place in a fresh
+    slab.  The slab is never reused: the ``threads`` executor keeps several
+    row bands of earlier windows in flight, and each band views its
+    window's slab.  A file shorter than its header says raises
     :class:`~repro.io.h5lite.H5LiteError` from the read that reaches the
     missing bytes.
     """
@@ -75,7 +79,12 @@ class StreamingWireScanSource(ChunkSource):
         return self.detector.row_edges_yz(rows)
 
     def load_rows(self, row_start: int, row_stop: int) -> np.ndarray:
-        slab = self._images.read_window(sub_start=row_start, sub_stop=row_stop)
+        return self.load_window(row_start, row_stop, 0, self.n_positions)
+
+    def load_window(
+        self, row_start: int, row_stop: int, position_start: int, position_stop: int
+    ) -> np.ndarray:
+        slab = self._images.read_window(position_start, position_stop, row_start, row_stop)
         self.n_window_reads += 1
         self.max_resident_rows = max(self.max_resident_rows, row_stop - row_start)
         self.bytes_read += int(slab.nbytes)

@@ -11,6 +11,8 @@ import json
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.staticcheck.callgraph import (
     build_call_graph,
     module_name_for_path,
@@ -19,6 +21,13 @@ from repro.staticcheck.callgraph import (
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 RACEPKG = REPO_ROOT / "tests" / "fixtures" / "racepkg"
+
+
+@pytest.fixture(scope="module")
+def project_graph():
+    """The call graph of the repository's ``src/`` tree, built once for every
+    test that only reads it."""
+    return build_call_graph([str(REPO_ROOT / "src")])
 
 
 def _write_pkg(tmp_path, files):
@@ -119,11 +128,11 @@ class TestGraphConstruction:
 class TestProjectGraph:
     """The repository's own source tree as the fixture."""
 
-    def test_forwarded_submission_resolves_thread_pool_band(self):
+    def test_forwarded_submission_resolves_thread_pool_band(self, project_graph):
         # ThreadPool.submit(fn) forwards its parameter to executor.submit on
         # two lines (first try and respawn); both resolve to the callable
         # the threaded backend hands it
-        graph = build_call_graph([str(REPO_ROOT / "src")])
+        graph = project_graph
         band = "repro.core.backends.threaded._reconstruct_band"
         lines = {
             site.line for site in graph.submission_sites
@@ -133,10 +142,10 @@ class TestProjectGraph:
         assert len(lines) == 2
         assert band in graph.submission_roots()
 
-    def test_every_edge_endpoint_is_known(self):
+    def test_every_edge_endpoint_is_known(self, project_graph):
         # callers are always functions; callees may also be classes
         # (a constructor call is an edge to the class qualname)
-        graph = build_call_graph([str(REPO_ROOT / "src")])
+        graph = project_graph
         for caller, callees in graph.edges.items():
             assert caller in graph.functions
             for callee in callees:
@@ -147,8 +156,9 @@ class TestProjectGraph:
 
 # --------------------------------------------------------------------------- #
 class TestDeterminism:
-    def test_two_fresh_builds_are_byte_identical(self):
-        first = build_call_graph([str(REPO_ROOT / "src")]).to_json()
+    def test_two_fresh_builds_are_byte_identical(self, project_graph):
+        # the module's shared graph is one independent build, this the other
+        first = project_graph.to_json()
         second = build_call_graph([str(REPO_ROOT / "src")]).to_json()
         assert first == second
         assert "0x" not in first  # no leaked object ids

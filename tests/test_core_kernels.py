@@ -6,6 +6,8 @@ import pytest
 from repro.core.config import DifferenceMode, ReconstructionConfig
 from repro.core.engine import StackChunkSource, build_chunk_context, build_execution_plan
 from repro.core.kernels import (
+    KernelContext,
+    _step_span,
     depth_resolve_chunk_fused,
     depth_resolve_chunk_scalar,
     depth_resolve_element,
@@ -64,6 +66,79 @@ class TestKernelContext:
         config = ReconstructionConfig(grid=depth_grid, difference_mode=DifferenceMode.RECTIFIED)
         ctx = _context(stack, config)
         assert np.all(_differences(ctx) >= 0)
+
+
+def _trimmed(ctx, position_start, position_stop):
+    """*ctx* with only positions ``position_start:position_stop`` of its slab."""
+    return KernelContext(
+        images=ctx.images[position_start:position_stop],
+        back_edge_yz=ctx.back_edge_yz,
+        front_edge_yz=ctx.front_edge_yz,
+        wire_positions_yz=ctx.wire_positions_yz,
+        trapezoids=ctx.trapezoids,
+        grid=ctx.grid,
+        wire_edge=ctx.wire_edge,
+        difference_mode=ctx.difference_mode,
+        intensity_cutoff=ctx.intensity_cutoff,
+        mask=ctx.mask,
+        position_start=position_start,
+    )
+
+
+class TestTrimmedSlab:
+    """A slab may hold only the positions its rows' span of usable steps
+    differences; ``position_start`` says which, and no step may read a
+    position the slab does not hold."""
+
+    def test_span_slab_equals_the_full_slab(self, context_and_grid):
+        ctx, grid = context_and_grid
+        s0, s1 = _step_span(ctx.trapezoids[5], slice(None))
+        assert 0 < s0 < s1 < ctx.n_steps  # the point-source scan trims both ends
+        trimmed = _trimmed(ctx, s0, s1 + 1)
+        assert trimmed.n_steps == ctx.n_steps and trimmed.n_positions == s1 + 1 - s0
+        full = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
+        span = np.zeros_like(full)
+        assert depth_resolve_chunk_fused(trimmed, span) == depth_resolve_chunk_fused(ctx, full)
+        assert np.array_equal(span, full)
+        assert trimmed.signed_difference(s0, 2, 1) == ctx.signed_difference(s0, 2, 1)
+
+    @pytest.mark.parametrize(
+        "position_start,n_images", [(-1, 3), (1, None)], ids=["negative-start", "past-the-table"]
+    )
+    def test_context_refuses_a_slab_outside_the_table(
+        self, context_and_grid, position_start, n_images
+    ):
+        ctx, _ = context_and_grid
+        with pytest.raises(ValidationError, match="does not fit the .* positions"):
+            KernelContext(
+                images=ctx.images[:n_images],
+                back_edge_yz=ctx.back_edge_yz,
+                front_edge_yz=ctx.front_edge_yz,
+                wire_positions_yz=ctx.wire_positions_yz,
+                trapezoids=ctx.trapezoids,
+                grid=ctx.grid,
+                position_start=position_start,
+            )
+
+    @pytest.mark.parametrize("cut", ["first", "last"])
+    def test_fused_kernel_refuses_a_span_outside_the_slab(self, context_and_grid, cut):
+        """A slab one position short of the span would wrap a negative index
+        or read short; the kernel raises and writes nothing."""
+        ctx, grid = context_and_grid
+        s0, s1 = _step_span(ctx.trapezoids[5], slice(None))
+        trimmed = _trimmed(ctx, s0 + 1, s1 + 1) if cut == "first" else _trimmed(ctx, s0, s1)
+        out = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
+        with pytest.raises(ValidationError, match="outside the slab"):
+            depth_resolve_chunk_fused(trimmed, out)
+        assert not out.any()
+
+    def test_signed_difference_refuses_a_step_outside_the_slab(self, context_and_grid):
+        ctx, _ = context_and_grid
+        trimmed = _trimmed(ctx, 2, 10)
+        assert trimmed.signed_difference(8, 1, 1) == ctx.signed_difference(8, 1, 1)
+        for step in (1, 9):  # reads position 1, or position 10
+            with pytest.raises(ValidationError, match="outside the slab"):
+                trimmed.signed_difference(step, 1, 1)
 
 
 class TestScalarVsVectorized:

@@ -25,6 +25,9 @@ from repro.core.engine import (
     execute_backend,
 )
 from repro.core.session import _output_names, session
+from repro.core.stack import WireScanStack
+from repro.geometry.beam import Beam
+from repro.geometry.detector import Detector
 from repro.io.h5lite import H5LiteError
 from repro.io.image_stack import (
     load_depth_resolved,
@@ -34,6 +37,7 @@ from repro.io.image_stack import (
     save_wire_scan,
 )
 from repro.io.streaming import StreamingWireScanSource
+from repro.synthetic.forward_model import design_scan_for_depth_range
 from repro.utils.validation import ValidationError
 from tests.helpers import RUNS, make_tiny_stack
 
@@ -45,6 +49,24 @@ def _noisy_stack(n_rows=7, n_cols=5, n_positions=17, masked=False, seed=11):
     stack.images = stack.images + rng.random(stack.images.shape) * 5.0
     if masked:
         stack.pixel_mask = rng.random((n_rows, n_cols)) > 0.3
+    return stack
+
+
+def _partly_usable_stack(masked=False, seed=3):
+    """A noisy stack whose rows can use different spans of wire steps.
+
+    The detector is steep (large pixels close to the sample) and its wire
+    scan is designed for rows 0-3 only: every row's span of usable steps
+    (see ``repro.core.kernels._step_span``) leaves out positions at one end
+    or the other, and rows 6-7 can use no step at all.
+    """
+    detector = Detector(n_rows=8, n_cols=3, pixel_size=2000.0, distance=51_000.0)
+    scan = design_scan_for_depth_range(detector.row_window(0, 4), (0.0, 100.0), n_points=17)
+    rng = np.random.default_rng(seed)
+    images = np.linspace(10.0, 0.0, 17)[:, None, None] + rng.random((17, 8, 3)) * 5.0
+    stack = WireScanStack(images=images, scan=scan, detector=detector, beam=Beam())
+    if masked:
+        stack.pixel_mask = rng.random((8, 3)) > 0.3
     return stack
 
 
@@ -133,6 +155,36 @@ class TestOutOfCore:
         assert accounting["n_window_reads"] == report.n_chunks == 4  # ceil(7 / 2)
         assert result.total_intensity() > 0
 
+    def test_an_unusable_chunk_reads_nothing(self, tmp_path):
+        """A chunk whose rows can use no wire step is not read at all, and
+        is not counted as a window read; the others read their span only."""
+        stack = _partly_usable_stack()
+        path = str(tmp_path / "scan.h5lite")
+        save_wire_scan(path, stack)
+        config = ReconstructionConfig(
+            grid=DepthGrid.from_range(0.0, 100.0, 20), backend="vectorized", rows_per_chunk=2
+        )
+        plan = build_execution_plan(StackChunkSource(stack), config, trim_positions=True)
+        assert plan.position_ranges == ((0, 12), (5, 17), (11, 17), (0, 0))
+        windows = []
+
+        class RecordingSource(StreamingWireScanSource):
+            def load_window(self, row_start, row_stop, position_start, position_stop):
+                windows.append((row_start, row_stop, position_start, position_stop))
+                return super().load_window(row_start, row_stop, position_start, position_stop)
+
+        source = RecordingSource(path)
+        result, report = execute_backend(source, config)
+        assert windows == [(0, 2, 0, 12), (2, 4, 5, 17), (4, 6, 11, 17)]
+        accounting = source.accounting()
+        assert accounting["n_window_reads"] == report.n_chunks - 1 == 3
+        assert accounting["bytes_read"] == (12 + 12 + 6) * 2 * stack.n_cols * 8
+        reference, _report = get_backend("cpu_reference").reconstruct(
+            stack, config.with_backend("cpu_reference")
+        )
+        assert np.array_equal(result.data, reference.data)
+        assert not result.data[:, 6:].any()
+
     def test_default_streaming_plan_is_bounded(self, scan_file, monkeypatch):
         """Without rows_per_chunk, an out-of-core run must still chunk once the
         cube exceeds the streaming slab budget (never one full-cube read)."""
@@ -184,6 +236,70 @@ class TestOutOfCore:
         scan, detector, beam, metadata = read_wire_scan_geometry(path)
         assert detector.shape == (stack.n_rows, stack.n_cols)
         assert scan.n_points == stack.n_positions
+
+
+class TestTrimmedWindows:
+    """The vectorized backend's plans give each chunk only the positions its
+    usable steps difference; ``cpu_reference`` (the scalar loop, which
+    differences every element) and gpusim (whole-chunk copies) read every
+    position.  Every backend and executor still matches the full-window
+    reference bit for bit, with the same active count."""
+
+    GRID = DepthGrid.from_range(0.0, 100.0, 20)
+
+    @pytest.fixture(scope="class")
+    def scan(self, tmp_path_factory):
+        stack = _partly_usable_stack(masked=True)
+        path = str(tmp_path_factory.mktemp("trimmed") / "scan.h5lite")
+        save_wire_scan(path, stack)
+        return stack, path
+
+    @pytest.mark.parametrize("subtract_background", [False, True], ids=["raw", "background"])
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mode", ["in-memory", "streamed"])
+    def test_every_run_matches_the_reference(self, scan, mode, rows_per_chunk, subtract_background):
+        stack, path = scan
+        config = ReconstructionConfig(
+            grid=self.GRID, rows_per_chunk=rows_per_chunk,
+            subtract_background=subtract_background, n_workers=2,
+        )
+        ranges = build_execution_plan(StackChunkSource(stack), config, trim_positions=True).position_ranges
+        assert any(stop - start < stack.n_positions for start, stop in ranges)
+        # rows 6-7 can use no step: a chunk of them alone reads nothing
+        assert ((0, 0) in ranges) == (rows_per_chunk < 4)
+        runs = {}
+        for run in RUNS:
+            source = StreamingWireScanSource(path) if mode == "streamed" else StackChunkSource(stack)
+            runs[run] = execute_backend(source, config.with_overrides(**RUNS[run]))
+        reference, reference_report = runs["cpu_reference"]
+        assert reference_report.n_active_pixels > 0
+        for run, (result, report) in runs.items():
+            assert np.array_equal(result.data, reference.data), run
+            assert report.n_active_pixels == reference_report.n_active_pixels, run
+
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    def test_trimmed_streamed_runs_launch_what_full_windows_launch(self, scan, executor):
+        """``n_kernel_launches`` and ``n_threads_launched`` are functions of
+        the plan's chunks and the scan's steps, not of the slabs read."""
+        stack, path = scan
+        config = ReconstructionConfig(
+            grid=self.GRID, rows_per_chunk=3, executor=executor, n_workers=2
+        )
+        base = ThreadedExecutor if executor == "threads" else VectorizedExecutor
+        kwargs = {"min_elements_per_dispatch": 1} if executor == "threads" else {}
+
+        class FullWindows(base):
+            def plan(self, source, config):
+                return build_execution_plan(source, config)
+
+        full, full_report = engine_execute(StackChunkSource(stack), config, FullWindows(**kwargs))
+        source = StreamingWireScanSource(path)
+        trimmed, trimmed_report = engine_execute(source, config, base(**kwargs))
+        assert source.accounting()["bytes_read"] < stack.images.nbytes
+        assert np.array_equal(trimmed.data, full.data)
+        assert full_report.n_kernel_launches > full_report.n_chunks or executor == "serial"
+        for field in ("n_active_pixels", "n_kernel_launches", "n_threads_launched"):
+            assert getattr(trimmed_report, field) == getattr(full_report, field), field
 
 
 class TestTruncatedScan:

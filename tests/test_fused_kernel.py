@@ -412,7 +412,9 @@ class TestUnreadPositions:
     On the noisy stack (usable steps 2-13 of 16) an ``inf - inf`` at
     positions 0-1 is never computed: no kernel warns, and every backend
     matches the reference bit for bit.  The scalar loop differences every
-    element, so the reference runs with that NaN's warning ignored."""
+    element, so the reference runs with that NaN's warning ignored.  A
+    streamed vectorized run does not even read those positions: its chunks'
+    windows hold only their spans."""
 
     GRID = DepthGrid.from_range(0.0, 100.0, 25)
 
@@ -449,6 +451,41 @@ class TestUnreadPositions:
         result, _report = get_backend(config.backend).reconstruct(stack, config)
         shutdown_shared_thread_pool()
         assert np.array_equal(result.data, reference.data)
+
+    @pytest.fixture(scope="class")
+    def streamed(self, stack, tmp_path_factory):
+        """The stack with -inf also at positions 15-16, past every usable step,
+        on disk, and the reference over it."""
+        stack = dataclasses.replace(stack, images=stack.images.copy())
+        stack.images[15:17, 4, 1] = -np.inf
+        path = str(tmp_path_factory.mktemp("unread") / "scan.h5lite")
+        save_wire_scan(path, stack)
+        config = ReconstructionConfig(grid=self.GRID, backend="cpu_reference")
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in scalar subtract"):
+            reference, _report = get_backend("cpu_reference").reconstruct(stack, config)
+        return stack, path, reference
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
+    @pytest.mark.parametrize("run", ["vectorized", "threaded"])
+    def test_streamed_windows_skip_the_infinite_positions(self, streamed, run, rows_per_chunk):
+        """A streamed window holds only the positions its chunk's span
+        covers, so the ±inf positions are never read at all."""
+        stack, path, reference = streamed
+        config = _run_config(run, grid=self.GRID, n_workers=2, rows_per_chunk=rows_per_chunk)
+        plan = build_execution_plan(StackChunkSource(stack), config, trim_positions=True)
+        infinite = {int(position) for position in np.flatnonzero(np.isinf(stack.images).any(axis=(1, 2)))}
+        assert infinite == {0, 1, 15, 16}
+        for start, stop in plan.position_ranges:
+            assert not infinite & set(range(start, stop))
+        source = StreamingWireScanSource(path)
+        result, _report = execute_backend(source, config)
+        shutdown_shared_thread_pool()
+        assert np.array_equal(result.data, reference.data)
+        assert source.bytes_read == sum(
+            (stop - start) * (row_stop - row_start) * stack.n_cols * stack.images.itemsize
+            for (row_start, row_stop), (start, stop) in zip(plan.chunks, plan.position_ranges)
+        )
 
 
 class TestBothForms:
