@@ -366,6 +366,11 @@ class ChunkExecutor(abc.ABC):
     band they finish; a synchronous executor yields its own chunk's count
     immediately, an asynchronous one may buffer work and yield completed
     counts in any order.  The engine sums them into ``n_active_pixels``.
+    Work may also finish in ``drain`` after its count was yielded: the
+    serial ``vectorized`` executor yields each chunk's count at once but
+    leaves the chunk's sparse row blocks in the run's element batch, and
+    its ``drain`` distributes what the batch still holds.  ``close`` drops
+    whatever a failed run left.
     """
 
     #: the executor's name in the engine's debug log

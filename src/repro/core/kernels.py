@@ -25,23 +25,28 @@ form below is bitwise identical to the scalar reference by construction.
     wire steps from the first to the last that some row of the block can
     use (the paper's threads whose trapezoid misses the depth grid do no
     work; a block with no usable step is skipped), block by block on the
-    fly, so a position only unusable steps touch is never read.  It
-    integrates each used (step, row) pair's depth-bin overlaps once, over
-    the bin range the scalar loop visits for that pair, in one
-    cumulative-integral pass at the range's edges.  It then distributes a
-    block in one of two forms, chosen by the block's density (active
-    elements per slot of its used pairs' rows):
+    fly, so a position only unusable steps touch is never read.  Each used
+    (step, row) pair's depth-bin overlaps are integrated once, over the bin
+    range the scalar loop visits for that pair, in one cumulative-integral
+    pass at the range's edges, never per element.  A block takes one of
+    two forms, chosen by its density (active elements per slot of its used
+    pairs' rows):
 
-    - *rows*, for a dense block: one wire step at a time, the step's
-      weights are added into whole cube rows with one buffered ``+=``.
-      Within one step the ``setTwo`` threads' ``atomicAdd`` targets are
-      distinct — a pair is one detector row, and its bins are distinct — so
-      a buffered add loses nothing;
-    - *elements*, for any other block: the active elements in batches, each
-      gathered one window bin at a time and handed to one ``atomic_add``.
+    - *rows*, for a dense block: it integrates its pairs, then one wire
+      step at a time adds the step's weights into whole cube rows with one
+      buffered ``+=``.  Within one step the ``setTwo`` threads'
+      ``atomicAdd`` targets are distinct — a pair is one detector row, and
+      its bins are distinct — so a buffered add loses nothing;
+    - *elements*, for any other block: it only *collects* its used pairs'
+      corners and its active elements into an element batch, and the batch
+      *distributes*: one integral pass over every pair it holds, then its
+      elements in groups, each gathered one window bin at a time and
+      handed to one ``atomic_add``.  The serial executor keeps one batch
+      for a whole run and distributes it once, so, as with the paper's
+      per-element threads, a sparse block that holds little costs little.
 
-    Neither form integrates a trapezoid per element, and both are bitwise
-    identical to the scalar loop.
+    Both forms are bitwise identical to the scalar loop; the kernel's
+    docstring says why, also for work the batch distributes later.
 
 ``set_two_vectorized``
     The GPU-sim launch body over explicit thread-coordinate arrays: the
@@ -50,7 +55,8 @@ form below is bitwise identical to the scalar reference by construction.
 Every form accumulates with atomic-add semantics into a C-contiguous
 ``(n_bins, out_rows, cols)`` depth-resolved cube, at the output rows
 starting from :attr:`KernelContext.row_offset`, and counts the *active*
-elements it distributed — elements that pass the pixel mask, whose
+elements it distributes (the fused kernel's may wait in an element batch
+its caller flushes) — elements that pass the pixel mask, whose
 edge-signed difference ``d`` passes the intensity cutoff
 (``|d| > max(cutoff, 0)``, which a zero or NaN ``d`` never does), and whose
 pair's trapezoid is finite, non-degenerate and overlaps the depth grid.  The
@@ -277,7 +283,9 @@ def _trapezoid_table(
     (step ``s``, row ``r``) is the critical depth of one of row ``r``'s pixel
     edges at one of the wire positions ``s`` and ``s + 1`` — the
     ``partial_start`` / ``partial_end`` / ``full_start`` / ``full_end``
-    solves of the paper's ``setTwo`` kernel.
+    solves of the paper's ``setTwo`` kernel.  Steps ``s - 1`` and ``s``
+    share position ``s``, so each edge's depth is solved once per position
+    and read by both steps: two solves, not the kernel's four per step.
 
     Returns ``(d1, d2, d3, d4, area, active)``, each of shape
     ``(n_positions - 1, rows)``.  A pair is active when its four critical
@@ -288,19 +296,18 @@ def _trapezoid_table(
     front_edge_yz = np.asarray(front_edge_yz, dtype=np.float64)
     wire_positions_yz = np.asarray(wire_positions_yz, dtype=np.float64)
     edge = int(wire_edge)
-    back_y = back_edge_yz[:, 0][None, :]
-    back_z = back_edge_yz[:, 1][None, :]
-    front_y = front_edge_yz[:, 0][None, :]
-    front_z = front_edge_yz[:, 1][None, :]
-    wire_start_y = wire_positions_yz[:-1, 0][:, None]
-    wire_start_z = wire_positions_yz[:-1, 1][:, None]
-    wire_end_y = wire_positions_yz[1:, 0][:, None]
-    wire_end_z = wire_positions_yz[1:, 1][:, None]
-
-    partial_start = pixel_yz_to_depth(front_y, front_z, wire_start_y, wire_start_z, wire_radius, edge)
-    partial_end = pixel_yz_to_depth(back_y, back_z, wire_end_y, wire_end_z, wire_radius, edge)
-    full_start = pixel_yz_to_depth(back_y, back_z, wire_start_y, wire_start_z, wire_radius, edge)
-    full_end = pixel_yz_to_depth(front_y, front_z, wire_end_y, wire_end_z, wire_radius, edge)
+    wire_y = wire_positions_yz[:, 0][:, None]
+    wire_z = wire_positions_yz[:, 1][:, None]
+    # each edge's critical depth at every wire position, shape
+    # (n_positions, rows), solved once: step s reads positions s and s + 1
+    front = pixel_yz_to_depth(
+        front_edge_yz[:, 0][None, :], front_edge_yz[:, 1][None, :], wire_y, wire_z, wire_radius, edge
+    )
+    back = pixel_yz_to_depth(
+        back_edge_yz[:, 0][None, :], back_edge_yz[:, 1][None, :], wire_y, wire_z, wire_radius, edge
+    )
+    partial_start, full_end = front[:-1], front[1:]
+    full_start, partial_end = back[:-1], back[1:]
 
     corners = np.stack([partial_start, partial_end, full_start, full_end], axis=0)
     corners_valid = np.all(np.isfinite(corners), axis=0)
@@ -400,10 +407,13 @@ def depth_resolve_chunk_scalar(ctx: KernelContext, out: np.ndarray) -> int:
 
 
 #: Target size of the per-row-block difference temporary of the fused kernel.
-#: Every block's temporaries are bounded by it (a block differences only its
-#: span of usable steps, so they are often smaller), and the row form's
-#: Python loop runs once per wire step of every block's span, so larger
-#: blocks pay that loop fewer times, for more memory.  Kernel only, on a
+#: Every block's difference and activity temporaries are bounded by it (a
+#: block differences only its span of usable steps, so they are often
+#: smaller), and the row form's Python loop runs once per wire step of every
+#: dense block's span, so larger blocks pay that loop fewer times, for more
+#: memory.  A sparse block only appends to the element batch, whose buffers
+#: ``element_batch`` bounds, so the block size costs it nothing per block.
+#: Kernel only, on a
 #: 2-vCPU Xeon (2 MiB L2 per core), the four every-pixel 49x87x176
 #: benchmark scans ran in 6.8-9.7 ms per file at 1 MiB, 5.9-6.5 ms at
 #: 2 MiB, 5.8-7.5 ms at 4 MiB and 5.7-6.7 ms at 8 MiB (one block per scan),
@@ -419,21 +429,32 @@ FUSED_ROW_BLOCK_BYTES = 2 * 1024 * 1024
 
 #: A row block whose active elements fill at least this share of its used
 #: pairs' ``n_cols``-slot rows is distributed in whole rows, one wire step at
-#: a time; any other block element by element.  The row form's work grows
-#: with the used rows, the element form's with the active elements.  Kernel
-#: only, on one 49x87x176 benchmark scan with pixels masked at random, three
-#: sweeps on a 2-vCPU Xeon, medians of 7: the row form ran 5.9-7.8 ms at
-#: every density from 0.05 to 1; the element form 2.3-2.4 ms at 0.05,
-#: 5.9-6.5 ms at 0.4, 6.7-7.7 ms at 0.5, 7.6-7.8 ms at 0.6 and 11.3-12.0 ms
-#: at 1.  They cross between 0.5 and 0.6, and one half sits at that edge.
-#: Skipping each block's unusable steps did not move the crossover: the
-#: kernel that differenced every step, swept between them, crossed between
-#: 0.5 and 0.6 too (between 0.45 and 0.6 in earlier sweeps), because the
-#: work the skipping saves, the difference pass and the window integrals,
-#: is shared by both forms.  The benchmark corpora's blocks sit far from it
-#: (perfbench seed 1): 0.92-1.00 on the every-pixel scans, 0.02-0.04 on the
-#: quarter-masked scans and 0.002-0.012 in the streamed windows.
+#: a time; any other block collects its elements into an element batch.  The
+#: row form's work grows with the used rows, the element form's with the
+#: active elements.  Kernel only, one call per point (its own batch, which
+#: a 31-row block of this scan fills at once, so it flushes once per block),
+#: on one 49x87x176 benchmark scan with pixels masked at random, three
+#: sweeps on a 2-vCPU Xeon, medians of 7: the row form ran 6.9-10.7 ms at
+#: every density from 0.05 to 1 (one point 12.9 ms); the element form
+#: 2.7-3.8 ms at 0.05, 5.8-6.7 ms at 0.2, 8.7-10.4 ms at 0.45, 8.4-11.2 ms
+#: at 0.5, 9.6-11.7 ms at 0.55, 10.6-13.1 ms at 0.6 and 16.2-19.0 ms at 1.
+#: The sweeps crossed between 0.45 and 0.5, 0.5 and 0.55, and 0.4 and 0.45;
+#: the kernel that integrated each sparse block itself, swept alternately
+#: with them, crossed between 0.45 and 0.5 twice and 0.55 and 0.6 once.
+#: From 0.45 to 0.55 the two forms differ by less than the sweeps' spread,
+#: so one half stays.  Batching moved no crossover here because these
+#: blocks are large: what it saves, an integral pass, two tables and an
+#: ``atomic_add`` per block, shows where many small sparse blocks share a
+#: batch, as the streamed windows do.  The benchmark corpora's blocks sit
+#: far from the rule (perfbench seed 1): 0.92-1.00 on the every-pixel
+#: scans, 0.02-0.04 on the quarter-masked scans and 0.002-0.012 in the
+#: streamed windows.
 _ROW_FORM_MIN_DENSITY = 0.5
+
+
+#: Elements an element batch distributes per ``atomic_add``, and the count
+#: at which the fused kernel flushes it: the default of every batch.
+_ELEMENT_BATCH = 16384
 
 
 def _fused_row_block(n_steps: int, n_cols: int) -> int:
@@ -442,11 +463,124 @@ def _fused_row_block(n_steps: int, n_cols: int) -> int:
     return max(1, FUSED_ROW_BLOCK_BYTES // bytes_per_row)
 
 
+def _window_overlaps(grid: DepthGrid, c1, c2, c3, c4) -> Tuple[np.ndarray, np.ndarray]:
+    """Each pair's window of depth bins and its overlaps there, bin-major.
+
+    A pair's window is the bins :func:`depth_resolve_element` visits,
+    ``floor((d1 - start) / step)`` to ``floor((d4 - start) / step)``
+    clipped to the grid (clipped as floats, so a huge corner cannot
+    overflow the int cast).  Windows are padded to *width*, the widest,
+    with zero overlaps; one cumulative-integral pass at their ``width + 1``
+    ``grid.edges``, differenced, gives the overlaps (the pass
+    :func:`~repro.core.trapezoid.trapezoid_bin_overlaps` makes over the
+    whole grid).  Returns ``(bins, overlaps)``, each of shape
+    ``(width, pairs)``: row ``k`` holds every pair's ``k``-th window bin.
+    Bin ``b``'s overlap is the integral at edge ``b + 1`` minus the one at
+    edge ``b``, whatever the window's start or width.
+    """
+    first = np.clip(np.floor((c1 - grid.start) / grid.step), 0, grid.n_bins).astype(np.int64)
+    last = np.clip(np.floor((c4 - grid.start) / grid.step), -1, grid.n_bins - 1).astype(np.int64)
+    width = max(1, int((last - first).max()) + 1)
+    window_edges = np.minimum(first, grid.n_bins - width) + np.arange(width + 1)[:, None]
+    bins = window_edges[:-1]
+    overlaps = _edge_overlaps(grid.edges[window_edges], c1, c2, c3, c4)
+    overlaps[(bins < first) | (bins > last)] = 0.0
+    return bins, overlaps
+
+
+class _ElementBatch:
+    """Active elements of sparse row blocks, held for one distribution pass.
+
+    The element form of :func:`depth_resolve_chunk_fused` collects here: for
+    each used (step, row) pair its sorted corners and area, and for each
+    active element its value, the index of its pair and its absolute output
+    pixel ``(row_offset + row) * n_cols + col`` in the cube *out*.
+    :meth:`flush` distributes what the batch holds, *element_batch*
+    elements per ``atomic_add``.  The kernel flushes as soon as the batch
+    holds *element_batch* elements or more, so a batch never holds more
+    than that plus one row block's; a batch the kernel is given is flushed
+    by its owner after the last kernel call (the serial executor's
+    ``drain``), and :meth:`clear` drops what a failed run left.
+    """
+
+    def __init__(self, out: np.ndarray, grid: DepthGrid, element_batch: int = _ELEMENT_BATCH):
+        self.out = out
+        self.grid = grid
+        self.element_batch = max(1, int(element_batch))
+        #: active elements held, not yet distributed
+        self.n_elements = 0
+        self._n_pairs = 0
+        self._pairs: list = []
+        self._elements: list = []
+
+    def add(self, corners, area, values, pairs, pixels) -> None:
+        """Hold one row block: its used pairs' ``(c1, c2, c3, c4)`` corners
+        and *area*, and its active elements' *values*, *pairs* (indices into
+        the block's pairs) and output *pixels*, in (step, row, col) order."""
+        if self._n_pairs:
+            pairs = pairs + self._n_pairs
+        self._pairs.append((*corners, area))
+        self._elements.append((values, pairs, pixels))
+        self._n_pairs += len(area)
+        self.n_elements += len(values)
+
+    def clear(self) -> None:
+        """Drop every element held."""
+        self._pairs, self._elements = [], []
+        self._n_pairs = self.n_elements = 0
+
+    def flush(self) -> None:
+        """Distribute every element held into *out*, then hold none."""
+        if not self.n_elements:
+            return
+        # one block's arrays are used as they are, several blocks' joined
+        c1, c2, c3, c4, area, values, pairs, pixels = (
+            part[0] if len(part) == 1 else np.concatenate(part)
+            for part in (*zip(*self._pairs), *zip(*self._elements))
+        )
+        self.clear()
+        bins, overlaps = _window_overlaps(self.grid, c1, c2, c3, c4)
+        width = len(bins)
+        plane = self.out.shape[1] * self.out.shape[2]
+        # output offset of each pair's first window bin
+        pair_slots = bins[0] * plane
+        flat_out = self.out.reshape(-1)
+        size = min(self.element_batch, len(values))
+        weights = np.empty((size, width), dtype=np.float64)
+        slots = np.empty((size, width), dtype=np.int64)
+        for start in range(0, len(values), size):
+            element_pairs = pairs[start:start + size]
+            element_values = values[start:start + size]
+            m = len(element_pairs)
+            finite = np.isfinite(element_values).all()
+            element_area = np.take(area, element_pairs)
+            first_slots = np.take(pair_slots, element_pairs)
+            first_slots += pixels[start:start + size]
+            # fill the (element, bin) buffers one window bin at a time
+            for k in range(width):
+                # scalar operation order: (value * overlap) / area — this is
+                # what keeps the fused kernel bitwise-identical to the
+                # reference loop
+                column = np.take(overlaps[k], element_pairs)
+                # a bin the scalar loop skips has a zero overlap, where a
+                # finite value's weight is +-0.0; an infinite one's would be
+                # inf * 0.0, NaN, so a batch holding one gives it a zero
+                # value there
+                column *= element_values if finite else np.where(column > 0.0, element_values, 0.0)
+                column /= element_area
+                weights[:m, k] = column
+                np.add(first_slots, k * plane, out=slots[:m, k])
+            # (element, bin) order: every slot receives its contributions in
+            # ascending step order, as from the scalar loop
+            atomic_add(flat_out, slots[:m].reshape(-1), weights[:m].reshape(-1))
+
+
 def depth_resolve_chunk_fused(
     ctx: KernelContext,
     out: np.ndarray,
-    element_batch: int = 16384,
+    element_batch: int = _ELEMENT_BATCH,
     row_block: Optional[int] = None,
+    batch: Optional[_ElementBatch] = None,
 ) -> int:
     """Fused signed-difference + depth-distribute kernel over a row chunk.
 
@@ -463,34 +597,40 @@ def depth_resolve_chunk_fused(
     :class:`~repro.utils.validation.ValidationError`.  The block then finds
     its *used* (step, row) pairs, the pairs holding an active element.  The
     trapezoid integral runs once per used pair, not once per active
-    element, and only over the pair's window: the bins
-    :func:`depth_resolve_element` visits, ``floor((d1 - start) / step)`` to
-    ``floor((d4 - start) / step)`` clipped to the grid.  Windows are padded
-    with zero overlaps to *width*, the block's widest, and one
-    cumulative-integral pass at their ``width + 1`` ``grid.edges``,
-    differenced, gives the overlaps (the pass
-    :func:`~repro.core.trapezoid.trapezoid_bin_overlaps` makes over the
-    whole grid); they are bin-major, shape ``(width, used pairs)``.
+    element, and only over the pair's window (:func:`_window_overlaps`):
+    the bins :func:`depth_resolve_element` visits, padded with zero
+    overlaps to the widest window, bin-major.
 
-    A block is then distributed in one of two forms.  Its density is its
+    A block is then handled in one of two forms.  Its density is its
     active elements ÷ (used pairs × ``n_cols``); see
     ``_ROW_FORM_MIN_DENSITY`` for the one-half rule and its measured
     crossover.
 
-    *Rows*, for a dense block.  One wire step at a time, in ascending
-    order, the step's difference rows (inactive elements zeroed) become
-    ``(width, pairs, n_cols)`` weights, added into the cube viewed as
-    ``(n_bins * out_rows, n_cols)`` rows with one buffered ``+=``.  A
-    buffered add keeps only one addend per target, but within one step
-    every (window bin, pair) has its own (bin, row) target: a pair is one
-    detector row, and its window bins are distinct.
+    *Rows*, for a dense block.  The block integrates its pairs' windows.
+    Then one wire step at a time, in ascending order, the step's difference
+    rows (inactive elements zeroed) become ``(width, pairs, n_cols)``
+    weights, added into the cube viewed as ``(n_bins * out_rows, n_cols)``
+    rows with one buffered ``+=``.  A buffered add keeps only one addend
+    per target, but within one step every (window bin, pair) has its own
+    (bin, row) target: a pair is one detector row, and its window bins are
+    distinct.
 
-    *Elements*, for any other block.  The active elements in batches of
-    *element_batch*: a batch derives its values, pair ids and output
-    offsets from its slice of the block's active flat ids, fills two
-    ``(batch, width)`` buffers (weights and slots) allocated once per block
-    one window bin at a time, and hands them to one ``atomic_add``, flat
-    in (element, bin) order.
+    *Elements*, for any other block.  The block only collects: it appends
+    its used pairs' corners and areas, and its active elements' values,
+    pair indices and output pixels, to an element *batch*
+    (:class:`_ElementBatch`).  The batch distributes: one window pass over
+    every pair it holds, at its widest window, then its elements
+    *element_batch* at a time, each group filling ``(group, width)``
+    weight and slot buffers one window bin at a time and handed to one
+    ``atomic_add``, flat in (element, bin) order.  The kernel flushes the
+    batch whenever it holds *element_batch* elements or more.  Without a
+    *batch* the kernel makes one of *element_batch* elements and flushes
+    it before it returns.  A *batch* the caller passes has its own size
+    and stays with the caller, who flushes what is left after the last
+    call: the serial executor passes one batch to every chunk of a run, so
+    a sparse block costs a few appends, not an integral pass, two tables
+    and an ``atomic_add`` of its own.  A batch made for another cube or
+    grid raises :class:`~repro.utils.validation.ValidationError`.
 
     Bitwise identical to :func:`depth_resolve_chunk_scalar` in both forms:
     steps outside a block's span hold only inactive elements, so skipping
@@ -501,28 +641,44 @@ def depth_resolve_chunk_fused(
     order (``value * overlap / area``); and every output slot receives its
     contributions in ascending wire-step order, as from the scalar loop —
     step by step in the row form, in each ``atomic_add``'s (element, bin)
-    order in the element form.  What either form adds beyond the scalar
-    loop's contributions is +-0.0 (bins of zero overlap, zeroed inactive
-    elements), which leaves a slot unchanged: slots accumulate from +0.0
-    and never hold -0.0.  The cumulative integral is monotone in floating
-    point, so no overlap is negative, and the bins the scalar loop skips
-    (overlap <= 0) are the padding and other zero-overlap bins.  A finite
-    value's weight there is +-0.0; an infinite one's would be
-    ``inf * 0.0``, NaN, with an invalid-value warning, so a row block or
-    element batch holding an infinite value gives it a zero value in those
-    bins before the product.  ``inf + -inf`` meeting in a slot still warns,
-    as in the scalar loop.
+    order in the element form.  Distributing later, in a batch, changes
+    none of that:
+
+    - blocks and chunks cover disjoint rows, so no slot receives
+      contributions from two blocks, and deferring one block past later
+      ones reorders nothing;
+    - the batch appends elements in (chunk, step, row, col) order, so each
+      ``atomic_add`` still gives every slot its contributions in ascending
+      step order;
+    - bin ``k``'s overlap is ``I(edge[k + 1]) - I(edge[k])``, whatever the
+      window's start or width, so a batch's wider window integrates the
+      same overlaps;
+    - the batch's ``isfinite`` zeroing (below) can change only +-0.0
+      weights.
+
+    What either form adds beyond the scalar loop's contributions is +-0.0
+    (bins of zero overlap, zeroed inactive elements), which leaves a slot
+    unchanged: slots accumulate from +0.0 and never hold -0.0.  The
+    cumulative integral is monotone in floating point, so no overlap is
+    negative, and the bins the scalar loop skips (overlap <= 0) are the
+    padding and other zero-overlap bins.  A finite value's weight there is
+    +-0.0; an infinite one's would be ``inf * 0.0``, NaN, with an
+    invalid-value warning, so a row block or element group holding an
+    infinite value gives it a zero value in those bins before the product.
+    ``inf + -inf`` meeting in a slot still warns, as in the scalar loop.
     (One ``add.at`` per window bin would change the element order, and
     ``np.bincount`` would sum a slot's contributions before adding them to
-    its earlier value.)  Results do not depend on *row_block* or
-    *element_batch*; both only bound temporary sizes.
+    its earlier value.)  Results do not depend on *row_block*,
+    *element_batch* or *batch*; they only bound temporary sizes and decide
+    when the work is done.
 
     *out* is a C-contiguous float64 ``(n_bins, out_rows, n_cols)`` cube; the
     chunk's rows land at ``ctx.row_offset`` onwards, so a chunk or band
     writes its own rows of a whole-detector cube.  Any other *out* raises
     :class:`~repro.utils.validation.ValidationError`.
 
-    Returns the number of active elements distributed.
+    Returns the number of active elements the call found: distributed, or
+    held in a *batch* the caller flushes.
     """
     grid = ctx.grid
     d1, d2, d3, d4, area, pair_active = ctx.trapezoids
@@ -532,12 +688,14 @@ def depth_resolve_chunk_fused(
     row_block = max(1, int(row_block))
 
     _check_out(ctx, out)
-    flat_out = out.reshape(-1)
+    own_batch = batch is None
+    if own_batch:
+        batch = _ElementBatch(out, grid, element_batch)
+    elif batch.out is not out or batch.grid != grid:
+        raise ValidationError("an element batch distributes into the cube and grid it was made for")
     out_rows = out.shape[1]
     # row bin * out_rows + r of this view is output row r in depth bin `bin`
     out_by_row = out.reshape(-1, ctx.n_cols)
-    plane = out_rows * ctx.n_cols
-    edges = grid.edges
     cutoff = max(ctx.intensity_cutoff, 0.0)
     n_active = 0
 
@@ -580,7 +738,8 @@ def depth_resolve_chunk_fused(
         # the (step, row) pairs (pair id (step - s0) * block_rows + row, so
         # in ascending step order) that hold an active element; no other
         # pair is ever integrated or gathered
-        pair_ids = np.flatnonzero(active.any(axis=2))
+        used = active.any(axis=2).reshape(-1)
+        pair_ids = np.flatnonzero(used)
         if pair_ids.size == 0:
             continue
         n_block_active = int(np.count_nonzero(active))
@@ -592,92 +751,56 @@ def depth_resolve_chunk_fused(
         c2 = d2[pair_steps, pair_rows]
         c3 = d3[pair_steps, pair_rows]
         c4 = d4[pair_steps, pair_rows]
+        pair_area = area[pair_steps, pair_rows]
 
-        # each pair's window: the bins depth_resolve_element visits, clipped
-        # as floats so a huge corner cannot overflow the int cast.  A pair
-        # whose range is narrower than `width` gets zero overlaps for the
-        # padding bins.
-        first = np.clip(np.floor((c1 - grid.start) / grid.step), 0, grid.n_bins).astype(np.int64)
-        last = np.clip(np.floor((c4 - grid.start) / grid.step), -1, grid.n_bins - 1).astype(np.int64)
-        width = max(1, int((last - first).max()) + 1)
-        # bin-major: window edge k of every pair is the contiguous row k, and
-        # one integral pass at the width + 1 edges, differenced, gives the
-        # width bins' overlaps
-        window_edges = np.minimum(first, grid.n_bins - width) + np.arange(width + 1)[:, None]
-        bins = window_edges[:-1]
-        overlaps = _edge_overlaps(edges[window_edges], c1, c2, c3, c4)
-        overlaps[(bins < first) | (bins > last)] = 0.0
-
-        if n_block_active >= _ROW_FORM_MIN_DENSITY * pair_ids.size * ctx.n_cols:
-            # rows: one buffered += per wire step, steps in ascending order
-            targets = bins * out_rows + (ctx.row_offset + pair_rows)
-            # an inactive element adds a +-0.0 weight; the slab is not read
-            # again, so zero it in place
-            np.copyto(diffs, 0.0, where=~active)
-            values = diffs.reshape(-1, ctx.n_cols)
-            # a bin the scalar loop skips has a zero overlap, where a finite
-            # value's weight is +-0.0; an infinite one's would be inf * 0.0,
-            # NaN, so a block holding one gives it a zero value there
-            finite = np.isfinite(values).all()
-            # pair ids ascend, so each step's pairs are one slice
-            step_bounds = np.searchsorted(pair_steps, np.arange(s0, s1 + 1))
-            pair_area = area[pair_steps, pair_rows]
-            for step in range(n_span):
-                lo, hi = step_bounds[step], step_bounds[step + 1]
-                if lo == hi:
-                    continue
-                step_overlaps = overlaps[:, lo:hi, None]
-                step_values = np.take(values, pair_ids[lo:hi], axis=0)
-                if not finite:
-                    step_values = np.where(step_overlaps > 0.0, step_values, 0.0)
-                # scalar operation order: (value * overlap) / area
-                weights = step_values * step_overlaps
-                weights /= pair_area[lo:hi, None]
-                out_by_row[targets[:, lo:hi]] += weights
+        if n_block_active < _ROW_FORM_MIN_DENSITY * pair_ids.size * ctx.n_cols:
+            # elements: the active flat ids run in (step, row, col) order,
+            # the scalar loop's order; flat = pair id * n_cols + col, and
+            # flat % (block_rows * n_cols) is the element's pixel in the block
+            flat = np.flatnonzero(active)
+            # each pair id's index among the used pairs
+            pair_index = np.cumsum(used) - 1
+            pixels = flat % (block_rows * ctx.n_cols)
+            pixels += (ctx.row_offset + block_start) * ctx.n_cols
+            batch.add(
+                (c1, c2, c3, c4),
+                pair_area,
+                np.take(diffs, flat),
+                np.take(pair_index, flat // ctx.n_cols),
+                pixels,
+            )
+            if batch.n_elements >= batch.element_batch:
+                batch.flush()
             continue
 
-        # elements: the active flat ids run in (step, row, col) order, the
-        # scalar loop's order; flat = pair id * n_cols + col
-        flat = np.flatnonzero(active)
-        table = np.zeros((width, n_span * block_rows), dtype=np.float64)
-        table[:, pair_ids] = overlaps
-        # output offset of each pair's first window bin
-        pair_offsets = np.zeros(n_span * block_rows, dtype=np.int64)
-        pair_offsets[pair_ids] = bins[0] * plane
-        block_area = area[s0:s1, band].reshape(-1)
-        block_diffs = diffs.reshape(-1)
-        pixel_start = (ctx.row_offset + block_start) * ctx.n_cols
-        block_pixels = block_rows * ctx.n_cols
-
-        # each batch fills these (element, bin) buffers one window bin at a
-        # time, then hands them to atomic_add in one call
-        batch = min(element_batch, flat.size)
-        weights = np.empty((batch, width), dtype=np.float64)
-        slots = np.empty((batch, width), dtype=np.int64)
-        for start in range(0, flat.size, element_batch):
-            ids = flat[start:start + element_batch]
-            m = ids.size
-            values = np.take(block_diffs, ids)
-            finite = np.isfinite(values).all()
-            pairs = ids // ctx.n_cols
-            element_area = np.take(block_area, pairs)
-            first_slots = np.take(pair_offsets, pairs)
-            first_slots += ids % block_pixels
-            first_slots += pixel_start
-            for k in range(width):
-                # scalar operation order: (value * overlap) / area — this is
-                # what keeps the fused kernel bitwise-identical to the
-                # reference loop
-                column = np.take(table[k], pairs)
-                # as in the row form, a batch holding an infinite value
-                # gives it a zero value in the bins the scalar loop skips
-                column *= values if finite else np.where(column > 0.0, values, 0.0)
-                column /= element_area
-                weights[:m, k] = column
-                np.add(first_slots, k * plane, out=slots[:m, k])
-            # (element, bin) order: every slot receives its contributions in
-            # ascending step order, as from the scalar loop
-            atomic_add(flat_out, slots[:m].reshape(-1), weights[:m].reshape(-1))
+        # rows: one buffered += per wire step, steps in ascending order, over
+        # the bins of each pair's window
+        bins, overlaps = _window_overlaps(grid, c1, c2, c3, c4)
+        targets = bins * out_rows + (ctx.row_offset + pair_rows)
+        # an inactive element adds a +-0.0 weight; the slab is not read
+        # again, so zero it in place
+        np.copyto(diffs, 0.0, where=~active)
+        values = diffs.reshape(-1, ctx.n_cols)
+        # a bin the scalar loop skips has a zero overlap, where a finite
+        # value's weight is +-0.0; an infinite one's would be inf * 0.0,
+        # NaN, so a block holding one gives it a zero value there
+        finite = np.isfinite(values).all()
+        # pair ids ascend, so each step's pairs are one slice
+        step_bounds = np.searchsorted(pair_steps, np.arange(s0, s1 + 1))
+        for step in range(n_span):
+            lo, hi = step_bounds[step], step_bounds[step + 1]
+            if lo == hi:
+                continue
+            step_overlaps = overlaps[:, lo:hi, None]
+            step_values = np.take(values, pair_ids[lo:hi], axis=0)
+            if not finite:
+                step_values = np.where(step_overlaps > 0.0, step_values, 0.0)
+            # scalar operation order: (value * overlap) / area
+            weights = step_values * step_overlaps
+            weights /= pair_area[lo:hi, None]
+            out_by_row[targets[:, lo:hi]] += weights
+    if own_batch:
+        batch.flush()
     return n_active
 
 

@@ -97,16 +97,38 @@ class RequestContextFilter(logging.Filter):
         return True
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler writing to ``sys.stderr`` as it is when a record is
+    emitted, not as it was when the handler was made (logging's own
+    last-resort handler works the same way).
+
+    A process that swaps ``sys.stderr`` after :func:`configure` (a test
+    capturing output, then closing its stream) would otherwise leave the
+    handler writing to a closed stream, and every later record, such as a
+    serve job's log line from a worker thread, would be lost to a
+    logging-error report.
+    """
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def configure(level: int = logging.INFO, stream=None) -> logging.Logger:
     """Configure console logging for scripts/CLI (idempotent).
 
-    The handler carries a :class:`RequestContextFilter`, so daemon log lines
-    emitted while serving a job automatically carry ``[job=... client=...]``.
+    Records go to *stream*, or, without one, to whatever ``sys.stderr`` is
+    when each record is emitted.  The handler carries a
+    :class:`RequestContextFilter`, so daemon log lines emitted while
+    serving a job automatically carry ``[job=... client=...]``.
     """
     logger = logging.getLogger(_ROOT_NAME)
     logger.setLevel(level)
     if not logger.handlers:
-        handler = logging.StreamHandler(stream or sys.stderr)
+        handler = _StderrHandler() if stream is None else logging.StreamHandler(stream)
         handler.addFilter(RequestContextFilter())
         handler.setFormatter(
             logging.Formatter(

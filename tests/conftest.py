@@ -8,6 +8,9 @@ stacks that are generated once.
 
 from __future__ import annotations
 
+import logging
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,46 @@ from repro.geometry.wire import Wire
 from repro.synthetic.forward_model import design_scan_for_depth_range, simulate_wire_scan
 from repro.synthetic.sample import DepthSourceField
 from repro.synthetic.workloads import make_benchmark_workload, make_point_source_stack
+
+
+#: the logging errors handlers reported during the session
+_LOGGING_ERRORS = pytest.StashKey[list]()
+
+
+def pytest_configure(config):
+    """Record every logging error a handler reports during the session.
+
+    ``logging.Handler.handleError`` prints a report and carries on, so a
+    record lost to, say, a closed stream would leave every test green;
+    :func:`pytest_sessionfinish` fails the run instead.
+    """
+    errors = config.stash[_LOGGING_ERRORS] = []
+    handle_error = logging.Handler.handleError
+
+    def recording_handle_error(handler, record):
+        errors.append(
+            f"{type(handler).__name__} lost {record.msg!r} % {record.args!r} "
+            f"({record.pathname}:{record.lineno}): {sys.exc_info()[1]!r}"
+        )
+        handle_error(handler, record)
+
+    logging.Handler.handleError = recording_handle_error
+    config.add_cleanup(lambda: setattr(logging.Handler, "handleError", handle_error))
+
+
+def pytest_sessionfinish(session):
+    """Fail the run when a handler reported a logging error."""
+    if session.config.stash.get(_LOGGING_ERRORS, None):
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    """List the logging errors that failed the run."""
+    errors = config.stash.get(_LOGGING_ERRORS, None)
+    if errors:
+        terminalreporter.write_sep("=", f"{len(errors)} logging error(s)", red=True)
+        for error in errors:
+            terminalreporter.write_line(error)
 
 
 @pytest.fixture(autouse=True)

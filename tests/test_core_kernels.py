@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 
 from repro.core.config import DifferenceMode, ReconstructionConfig
+from repro.core.depth_grid import DepthGrid
+from repro.core.depth_mapping import pixel_yz_to_depth
 from repro.core.engine import StackChunkSource, build_chunk_context, build_execution_plan
 from repro.core.kernels import (
     KernelContext,
     _step_span,
+    _trapezoid_table,
     depth_resolve_chunk_fused,
     depth_resolve_chunk_scalar,
     depth_resolve_element,
     make_set_two_kernel,
     set_two_vectorized,
 )
+from repro.core.trapezoid import MIN_TRAPEZOID_AREA, trapezoid_area
 from repro.cudasim.kernel import LaunchConfig
-from repro.geometry.wire import WireEdge
+from repro.geometry.detector import Detector
+from repro.geometry.wire import Wire, WireEdge
+from repro.synthetic.forward_model import design_scan_for_depth_range
 from repro.utils.validation import ValidationError
 
 
@@ -242,3 +248,62 @@ class TestKernelFactory:
         base = make_set_two_kernel()
         extra = make_set_two_kernel(extra_flops_per_thread=10.0)
         assert extra.flops_per_thread == base.flops_per_thread + 10.0
+
+
+def _four_solve_table(back, front, wire, radius, edge, grid):
+    """The trapezoid table by its definition: the ``setTwo`` kernel's four
+    critical-depth solves of every step, ``partial_start``,
+    ``partial_end``, ``full_start`` and ``full_end``, step by step."""
+    def solve(pixel_edges, position):
+        y, z = wire[position]
+        return pixel_yz_to_depth(pixel_edges[:, 0], pixel_edges[:, 1], y, z, radius, int(edge))
+
+    steps = range(len(wire) - 1)
+    partial_start = np.array([solve(front, s) for s in steps])
+    partial_end = np.array([solve(back, s + 1) for s in steps])
+    full_start = np.array([solve(back, s) for s in steps])
+    full_end = np.array([solve(front, s + 1) for s in steps])
+    corners = np.stack([partial_start, partial_end, full_start, full_end])
+    corners_valid = np.all(np.isfinite(corners), axis=0)
+    d1, d2, d3, d4 = np.sort(corners, axis=0)
+    area = trapezoid_area(d1, d2, d3, d4)
+    active = corners_valid & (area > MIN_TRAPEZOID_AREA) & (d4 > grid.start) & (d1 < grid.stop)
+    return d1, d2, d3, d4, area, active
+
+
+class TestTrapezoidTable:
+    """The table solves each pixel edge's critical depth once per wire
+    position, which the two steps beside it share; it must equal the four
+    solves per step of the definition byte for byte, in all six arrays."""
+
+    GRID = DepthGrid.from_range(0.0, 100.0, 25)
+
+    @pytest.fixture(scope="class")
+    def geometry(self):
+        """A full-height detector column's pixel edges at the benchmark
+        scans' geometry, plus two rows whose edges lie inside the wire at
+        some of its positions."""
+        detector = Detector(n_rows=87, n_cols=2, pixel_size=200.0, distance=510_000.0)
+        scan = design_scan_for_depth_range(
+            detector, (0.0, 100.0), wire=Wire(radius=26.0), n_points=49
+        )
+        wire = np.asarray(scan.positions, dtype=np.float64)
+        back, front = detector.row_edges_yz(np.arange(detector.n_rows))
+        inside = wire[[10, 30]] + [3.0, 0.0]
+        back = np.vstack([back, inside])
+        front = np.vstack([front, inside + [0.0, 40.0]])
+        return back, front, wire, scan.wire.radius
+
+    @pytest.mark.parametrize("edge", [WireEdge.LEADING, WireEdge.TRAILING])
+    def test_equals_the_four_solve_definition(self, geometry, edge):
+        back, front, wire, radius = geometry
+        table = _trapezoid_table(back, front, wire, radius, edge, self.GRID)
+        expected = _four_solve_table(back, front, wire, radius, edge, self.GRID)
+        for name, part, want in zip(("d1", "d2", "d3", "d4", "area", "active"), table, expected):
+            assert part.shape == (len(wire) - 1, len(back)), name
+            assert part.dtype == want.dtype and part.tobytes() == want.tobytes(), name
+        # the edges inside the wire leave NaN corners, and those pairs unusable
+        d1, d2, d3, d4, _area, active = table
+        nan_pairs = np.isnan(np.stack([d1, d2, d3, d4])).any(axis=0)
+        assert nan_pairs[:, -2:].any() and not active[nan_pairs].any()
+        assert not nan_pairs[:, :-2].any()

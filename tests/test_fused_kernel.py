@@ -7,8 +7,9 @@ weights in the same operation order, the same accumulation order into every
 output slot, results independent of the ``row_block`` / ``element_batch``
 temporaries.  These tests pin that contract across odd shapes, degenerate
 trapezoids, masks, cutoffs, both wire edges, both difference modes, a
-realistic detector geometry, row-offset chunks written into one cube, and
-every backend and executor (chunked and streamed).
+realistic detector geometry, row-offset chunks written into one cube, one
+element batch shared by every chunk of a run (as the serial executor
+shares it), and every backend and executor (chunked and streamed).
 """
 
 import dataclasses
@@ -16,17 +17,24 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.backends import get_backend
 from repro.core.backends.threaded import _band_context
+from repro.core.backends.vectorized import VectorizedExecutor
 from repro.core.config import DifferenceMode, ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
 from repro.core.engine import (
     StackChunkSource,
     build_chunk_context,
     build_execution_plan,
+    execute,
     execute_backend,
 )
-from repro.core.kernels import depth_resolve_chunk_fused, depth_resolve_chunk_scalar
+from repro.core.kernels import (
+    _ElementBatch,
+    depth_resolve_chunk_fused,
+    depth_resolve_chunk_scalar,
+)
 from repro.core.stack import WireScanStack
 from repro.core.workerpool import shutdown_shared_thread_pool
 from repro.geometry.detector import Detector
@@ -584,3 +592,162 @@ class TestActiveCountAcrossBackends:
         expected = depth_resolve_chunk_scalar(ctx, plan.output)
         assert 0 < expected < ctx.n_steps * ctx.n_rows * ctx.n_cols
         assert counts == dict.fromkeys(RUNS, expected)
+
+
+class _RecordingBatch(_ElementBatch):
+    """An element batch that records the rows it is given and every add
+    made while it already held *element_batch* elements or more."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.rows = set()
+        self.overfull = []
+
+    def add(self, corners, area, values, pairs, pixels):
+        if self.n_elements >= self.element_batch:
+            self.overfull.append(self.n_elements)
+        self.rows.update((pixels // self.out.shape[2]).tolist())
+        super().add(corners, area, values, pairs, pixels)
+
+
+class _FailingSource(StackChunkSource):
+    """Serves windows until the *fail_at*-th, which raises ``OSError``,
+    noting how many elements the executor's batch then held."""
+
+    def __init__(self, stack, executor, fail_at):
+        super().__init__(stack)
+        self.executor = executor
+        self.fail_at = fail_at
+        self.windows = 0
+        self.held = None
+
+    def load_window(self, *args):
+        self.windows += 1
+        if self.windows == self.fail_at:
+            self.held = self.executor._batch.n_elements
+            raise OSError(f"window {self.windows} lost")
+        return super().load_window(*args)
+
+
+class TestElementBatch:
+    """Sparse row blocks only collect their active elements into an element
+    batch, and the batch distributes them; the serial executor shares one
+    batch between every chunk of a run and flushes it in ``drain()``.  Rows
+    0-1 of the stack have every pixel on (the row form), rows 2-5 two pixels
+    each (the element form), so dense blocks distribute at once while the
+    sparse blocks beside them wait in the batch.  A +inf starts one row's
+    first usable step, a -inf ends another's last one and a NaN sits in a
+    third, so the batch holds infinite values without ``inf + -inf``
+    meeting in a slot: nothing may warn."""
+
+    GRID = DepthGrid.from_range(0.0, 100.0, 25)
+    #: the chunks the serial executor would run at rows_per_chunk 1-3
+    CHUNKS = [(0, 2), (2, 3), (3, 5), (5, 6)]
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        stack = _noisy_stack(n_rows=6, n_cols=8, n_positions=17)
+        mask = np.zeros((6, 8), dtype=bool)
+        mask[0:2] = True
+        mask[2, [1, 5]] = mask[3, [2, 6]] = mask[4, [0, 7]] = mask[5, [3, 4]] = True
+        stack.pixel_mask = mask
+        usable = _context(stack, grid=self.GRID).trapezoids[5]
+        steps = [np.flatnonzero(usable[:, row]) for row in range(6)]
+        # each of these positions touches one usable step of its row
+        stack.images[steps[0][0], 0, 3] = np.inf
+        stack.images[steps[2][0], 2, 1] = np.inf
+        stack.images[steps[3][-1] + 1, 3, 6] = -np.inf
+        stack.images[8, 4, 7] = np.nan
+        return stack
+
+    @staticmethod
+    def _widest_window(ctx):
+        """The widest bin window of any usable pair of *ctx*."""
+        grid = ctx.grid
+        d1, _d2, _d3, d4, _area, usable = ctx.trapezoids
+        first = np.clip(np.floor((d1[usable] - grid.start) / grid.step), 0, grid.n_bins)
+        last = np.clip(np.floor((d4[usable] - grid.start) / grid.step), -1, grid.n_bins - 1)
+        return int((last - first).max()) + 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("element_batch", [1, 7, 16384])
+    @pytest.mark.parametrize("mode", [DifferenceMode.SIGNED, DifferenceMode.RECTIFIED])
+    def test_chunk_by_chunk_with_one_batch(self, stack, mode, element_batch, monkeypatch):
+        ctx = _context(stack, grid=self.GRID, difference_mode=mode)
+        calls = []
+
+        def recording_atomic_add(array, indices, values):
+            calls.append(len(indices))
+            return atomic_add(array, indices, values)
+
+        atomic_add = kernels.atomic_add
+        monkeypatch.setattr(kernels, "atomic_add", recording_atomic_add)
+        shape = (ctx.grid.n_bins, ctx.n_rows, ctx.n_cols)
+        reference, per_call, shared = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        n_reference = depth_resolve_chunk_scalar(ctx, reference)
+        n_per_call = depth_resolve_chunk_fused(ctx, per_call, element_batch=element_batch)
+        batch = _RecordingBatch(shared, ctx.grid, element_batch)
+        n_shared = sum(
+            depth_resolve_chunk_fused(_band_context(ctx, start, stop), shared, row_block=1, batch=batch)
+            for start, stop in self.CHUNKS
+        )
+        batch.flush()
+        assert batch.n_elements == 0
+        assert n_shared == n_per_call == n_reference
+        assert np.array_equal(per_call, reference, equal_nan=True)
+        assert np.array_equal(shared, reference, equal_nan=True)
+        assert np.isinf(reference).any()
+        # the dense rows never reach the batch; the sparse ones all do
+        assert batch.rows == {2, 3, 4, 5}
+        # a batch is flushed as soon as it holds element_batch elements, so
+        # it never holds more than that plus one block's, and no atomic_add
+        # takes more than element_batch elements' windows
+        assert batch.overfull == []
+        assert calls and max(calls) <= element_batch * self._widest_window(ctx)
+
+    def test_a_batch_for_another_cube_or_grid_raises(self, stack):
+        ctx = _context(stack, grid=self.GRID)
+        out = np.zeros((ctx.grid.n_bins, ctx.n_rows, ctx.n_cols))
+        others = [
+            _ElementBatch(np.zeros_like(out), ctx.grid),
+            _ElementBatch(out, DepthGrid.from_range(0.0, 50.0, 25)),
+        ]
+        for batch in others:
+            with pytest.raises(ValidationError, match="element batch"):
+                depth_resolve_chunk_fused(ctx, out, batch=batch)
+        assert out.sum() == 0.0
+
+    def test_the_serial_executor_distributes_in_drain(self, stack):
+        """``drain()`` is a generator: it flushes when it is iterated, so a
+        traced ``drain`` times the flush."""
+        config = ReconstructionConfig(grid=self.GRID, rows_per_chunk=2)
+        source = StackChunkSource(stack)
+        executor = VectorizedExecutor()
+        plan = executor.plan(source, config)
+        executor.prepare(source, config, plan)
+        n_active = 0
+        for (start, stop), positions in zip(plan.chunks, plan.position_ranges):
+            ctx = build_chunk_context(source, config, plan, start, stop, positions)
+            n_active += sum(executor.execute_chunk(ctx, start, stop))
+        batch = executor._batch
+        assert batch.n_elements > 0
+        drain = executor.drain()
+        assert batch.n_elements > 0
+        assert list(drain) == [] and batch.n_elements == 0
+        executor.close()
+        reference, report = get_backend("cpu_reference").reconstruct(
+            stack, ReconstructionConfig(grid=self.GRID, backend="cpu_reference")
+        )
+        assert np.array_equal(plan.output, reference.data, equal_nan=True)
+        assert n_active == report.n_active_pixels
+
+    def test_close_after_a_failing_chunk_leaves_nothing_pending(self, stack):
+        executor = VectorizedExecutor()
+        # rows 0-2 are read and run (row 2 into the batch); row 3's window fails
+        source = _FailingSource(stack, executor, fail_at=4)
+        config = ReconstructionConfig(grid=self.GRID, rows_per_chunk=1)
+        with pytest.raises(OSError, match="window 4 lost"):
+            execute(source, config, executor)
+        assert source.held > 0
+        assert executor._batch.n_elements == 0
+        assert not executor._batch._pairs and not executor._batch._elements

@@ -9,6 +9,7 @@ import asyncio
 import contextvars
 import io
 import logging
+import sys
 import threading
 
 from repro.utils.logging import (
@@ -155,3 +156,29 @@ class TestConfigure:
             assert any(isinstance(f, RequestContextFilter) for f in handler.filters)
         finally:
             logger.handlers = existing
+
+    def test_default_handler_writes_to_the_current_stderr(self, monkeypatch):
+        """Configured under one ``sys.stderr`` that is then closed and
+        replaced, the handler must write a later record, logged from a
+        thread as a serve job's is, to the new stream: a handler bound to
+        the closed one reports a logging error there instead."""
+        logger = logging.getLogger("repro")
+        existing, level = list(logger.handlers), logger.level
+        first, second = io.StringIO(), io.StringIO()
+        try:
+            logger.handlers = []
+            monkeypatch.setattr(sys, "stderr", first)
+            configure(level=logging.INFO)
+            first.close()
+            monkeypatch.setattr(sys, "stderr", second)
+            thread = threading.Thread(
+                target=get_logger("test.ctx.stderr").info, args=("job %s done", "j9")
+            )
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            logger.handlers = existing
+            logger.setLevel(level)
+        written = second.getvalue()
+        assert "job j9 done" in written and "Logging error" not in written
