@@ -3,7 +3,10 @@
 :class:`ThreadedExecutor` runs the vectorized backend's kernel when
 ``config.executor`` is ``threads``; it is an executor, not a backend (the
 retired ``threaded`` backend name resolves to ``backend="vectorized",
-executor="threads"``).
+executor="threads"``).  It extends the serial
+:class:`~repro.core.backends.vectorized.VectorizedExecutor`: with one worker
+there is no pool, and every chunk takes the serial path, the run's element
+batch included.
 
 The fused kernel (:func:`~repro.core.kernels.depth_resolve_chunk_fused`)
 spends its time inside NumPy ufunc loops, which release the GIL.  That makes
@@ -35,18 +38,14 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import Future
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.backends.vectorized import VectorizedExecutor
 from repro.core.chunking import DEFAULT_MIN_ELEMENTS_PER_DISPATCH, plan_worker_bands
-from repro.core.config import AUTO, ReconstructionConfig
-from repro.core.engine import (
-    ChunkExecutor,
-    ChunkSource,
-    ExecutionPlan,
-    build_execution_plan,
-)
+from repro.core.config import ReconstructionConfig
+from repro.core.engine import ChunkSource, ExecutionPlan, build_execution_plan
 from repro.core.kernels import KernelContext, depth_resolve_chunk_fused
 from repro.core.workerpool import ThreadPool, shared_thread_pool
 
@@ -86,22 +85,21 @@ def _reconstruct_band(ctx: KernelContext, band_start: int, band_stop: int, out: 
     return depth_resolve_chunk_fused(_band_context(ctx, band_start, band_stop), out)
 
 
-class ThreadedExecutor(ChunkExecutor):
-    """Row bands on the shared thread pool, bounded bands in flight."""
+class ThreadedExecutor(VectorizedExecutor):
+    """Row bands on the shared thread pool, bounded bands in flight; the
+    serial executor's path when there is one worker."""
 
     name = "threaded"
 
     def __init__(self, min_elements_per_dispatch: int = DEFAULT_MIN_ELEMENTS_PER_DISPATCH):
+        super().__init__()
         #: band granularity floor; tests pass 1 to split tiny stacks into
         #: several bands
         self._min_elements = min_elements_per_dispatch
         self._pool: Optional[ThreadPool] = None
         self._pending: Deque[Future] = deque()
-        self._out: Optional[np.ndarray] = None
         self._n_workers = 1
         self._max_inflight = 1
-        self._n_bands = 0
-        self._n_threads = 0
         #: peak number of bands simultaneously pending in the pool
         self.peak_inflight = 0
 
@@ -112,11 +110,8 @@ class ThreadedExecutor(ChunkExecutor):
     def prepare(
         self, source: ChunkSource, config: ReconstructionConfig, plan: ExecutionPlan
     ) -> None:
-        self._out = plan.output
-        # an unresolved "auto" runs one worker in line, as an unresolved
-        # executor="auto" runs serially: the session resolves both before
-        # the engine runs, so seeing one here means the caller bypassed it
-        requested = 1 if config.n_workers == AUTO else int(config.n_workers)
+        super().prepare(source, config, plan)
+        requested = int(config.n_workers)
         self._n_workers = max(1, min(requested, source.n_rows))
         self._max_inflight = 2 * self._n_workers
         self.peak_inflight = 0
@@ -133,13 +128,11 @@ class ThreadedExecutor(ChunkExecutor):
 
     def execute_chunk(self, ctx: KernelContext, row_start: int, row_stop: int) -> Iterable[int]:
         if self._pool is None:
-            # single-worker fall-back: fused kernel inline, no dispatch at all
-            self._n_bands += 1
-            self._n_threads += ctx.n_steps * ctx.n_rows * ctx.n_cols
-            yield depth_resolve_chunk_fused(ctx, self._out)
+            # one worker: the serial path, into the run's element batch
+            yield from super().execute_chunk(ctx, row_start, row_stop)
             return
         for band_start, band_stop in self._bands(ctx):
-            self._n_bands += 1
+            self._n_launches += 1
             self._n_threads += ctx.n_steps * (band_stop - band_start) * ctx.n_cols
             self._pending.append(
                 self._pool.submit(_reconstruct_band, ctx, band_start, band_stop, self._out)
@@ -163,22 +156,19 @@ class ThreadedExecutor(ChunkExecutor):
     def drain(self) -> Iterable[int]:
         while self._pending:
             yield self._collect(self._pending.popleft())
+        # the one-worker path's batch; bands distribute their own
+        yield from super().drain()
 
     def close(self) -> None:
         """Drop per-run state; the shared thread pool itself stays alive."""
         self._cancel_pending()
         self._pool = None
+        super().close()
 
     # ------------------------------------------------------------------ #
-    def report_extras(self) -> Dict:
-        return {
-            "n_kernel_launches": self._n_bands,
-            "n_threads_launched": self._n_threads,
-        }
-
     def notes(self) -> List[str]:
         mode = "thread-pool" if self._n_workers > 1 else "in-line"
         return [
-            f"{self._n_workers} worker thread(s), {self._n_bands} row band(s), "
+            f"{self._n_workers} worker thread(s), {self._n_launches} row band(s), "
             f"{mode} fused dispatch"
         ]

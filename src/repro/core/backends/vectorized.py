@@ -19,7 +19,8 @@ windows: each chunk reads only the wire positions its usable steps span.
 ``config.executor`` selects where the kernel runs, an axis orthogonal to
 the backend: ``serial`` in the calling thread (:class:`VectorizedExecutor`)
 or ``threads`` on the shared GIL-releasing thread pool
-(:class:`~repro.core.backends.threaded.ThreadedExecutor`).
+(:class:`~repro.core.backends.threaded.ThreadedExecutor`, which extends the
+serial executor and takes its path at one worker).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.backends.base import Backend, register_backend
-from repro.core.backends.threaded import ThreadedExecutor
 from repro.core.config import ReconstructionConfig
 from repro.core.engine import ChunkExecutor, ChunkSource, ExecutionPlan, build_execution_plan
 from repro.core.kernels import KernelContext, _ElementBatch, depth_resolve_chunk_fused
@@ -97,13 +97,10 @@ class VectorizedBackend(Backend):
     name = "vectorized"
 
     def make_executor(self, config: ReconstructionConfig) -> ChunkExecutor:
-        """The executor for ``config.executor``: threads, or serial.
-
-        An unresolved ``auto`` runs serially: the session resolves ``auto``
-        against the tuner cache *before* execution, so seeing it here means
-        the caller bypassed the session, and serial is the one choice every
-        machine can honour.
-        """
+        """The executor for ``config.executor``: threads, or serial."""
         if config.executor == "threads":
+            # imported here: the threads executor extends this module's
+            from repro.core.backends.threaded import ThreadedExecutor
+
             return ThreadedExecutor()
         return VectorizedExecutor()

@@ -5,33 +5,32 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.core.depth_grid import DepthGrid
 from repro.geometry.wire import WireEdge
 from repro.utils.validation import ValidationError, ensure_non_negative
 
-__all__ = ["DifferenceMode", "ReconstructionConfig", "EXECUTOR_CHOICES", "AUTO"]
-
-#: Sentinel accepted by ``n_workers`` and ``executor`` for auto-tuned values.
-AUTO = "auto"
+__all__ = ["DifferenceMode", "ReconstructionConfig", "EXECUTOR_CHOICES"]
 
 #: Executor strategies for the host-parallel hot path: how the vectorised
 #: compute is dispatched.  ``serial`` runs in the calling thread; ``threads``
 #: fans row bands out to the shared thread pool (the fused kernels release
-#: the GIL inside their ufunc loops); ``auto`` lets the auto-tuner pick from
-#: a cached throughput probe.
-EXECUTOR_CHOICES = ("serial", "threads", AUTO)
+#: the GIL inside their ufunc loops).
+EXECUTOR_CHOICES = ("serial", "threads")
 
 #: Retired names still accepted, per field: ``{field: {old: current fields}}``.
 #: Saved provenance records, cache entries and serve submissions all rebuild
 #: configs through the constructor, so mapping here (with a warning) keeps
-#: records that name a retired backend or executor loadable.  The retired
-#: ``threaded`` (and before it ``multiprocess``) backend ran the vectorized
-#: kernel on the thread pool whatever ``executor`` said, so it sets both;
-#: ``executor`` comes first, so a record naming both retired names warns twice.
+#: records that name a retired backend, executor or worker count loadable.
+#: The retired ``threaded`` (and before it ``multiprocess``) backend ran the
+#: vectorized kernel on the thread pool whatever ``executor`` said, so it
+#: sets both; ``executor`` comes first, so a record naming both retired names
+#: warns twice.  The retired auto-tuner's ``"auto"`` maps to what an
+#: unresolved ``"auto"`` ran: serial, one worker.
 _RETIRED_NAMES = {
-    "executor": {"processes": {"executor": "threads"}},
+    "executor": {"processes": {"executor": "threads"}, "auto": {"executor": "serial"}},
+    "n_workers": {"auto": {"n_workers": 1}},
     "backend": dict.fromkeys(
         ("threaded", "multiprocess"), {"backend": "vectorized", "executor": "threads"}
     ),
@@ -89,15 +88,13 @@ class ReconstructionConfig:
         Optional override (bytes) of the simulated device memory, used to
         scale the 6 GB constraint down to laptop-sized problems.
     n_workers:
-        Worker count for the ``threads`` executor.  The string ``"auto"``
-        asks the auto-tuner for a calibrated count (resolved by the session
-        before execution; an unresolved ``"auto"`` runs one worker in line).
+        Worker count (``>= 1``) for the ``threads`` executor.  The retired
+        ``"auto"`` resolves to ``1`` with a :class:`DeprecationWarning`.
     executor:
         Where the vectorized backend's kernel runs: ``serial`` (in the
-        calling thread, the default), ``threads`` (row bands on the shared
-        GIL-releasing thread pool) or ``auto`` (pick from the cached
-        throughput probe of :mod:`repro.perf.autotune`).  The retired
-        ``processes`` resolves to ``threads`` with a
+        calling thread, the default) or ``threads`` (row bands on the shared
+        GIL-releasing thread pool).  The retired ``processes`` resolves to
+        ``threads`` and ``auto`` to ``serial``, each with a
         :class:`DeprecationWarning`.
     subtract_background:
         If true, a constant per-image background (the median of the whole
@@ -119,7 +116,7 @@ class ReconstructionConfig:
     layout: str = "flat1d"
     rows_per_chunk: Optional[int] = None
     device_memory_limit: Optional[int] = None
-    n_workers: Union[int, str] = 2
+    n_workers: int = 2
     executor: str = "serial"
     subtract_background: bool = False
     streaming: bool = False
@@ -150,13 +147,8 @@ class ReconstructionConfig:
             raise ValidationError("rows_per_chunk must be >= 1 when given")
         if self.device_memory_limit is not None and int(self.device_memory_limit) < 1:
             raise ValidationError("device_memory_limit must be positive when given")
-        if isinstance(self.n_workers, str):
-            if self.n_workers != AUTO:
-                raise ValidationError(
-                    f"n_workers must be an int >= 1 or 'auto', got {self.n_workers!r}"
-                )
-        elif int(self.n_workers) < 1:
-            raise ValidationError("n_workers must be >= 1")
+        if isinstance(self.n_workers, str) or int(self.n_workers) < 1:
+            raise ValidationError(f"n_workers must be an int >= 1, got {self.n_workers!r}")
         if self.executor not in EXECUTOR_CHOICES:
             raise ValidationError(
                 f"unknown executor {self.executor!r}; expected one of {EXECUTOR_CHOICES}"
@@ -176,10 +168,15 @@ class ReconstructionConfig:
     # ------------------------------------------------------------------ #
     def with_backend(self, backend: str, **overrides) -> "ReconstructionConfig":
         """Return a copy of this config with a different backend (and overrides)."""
-        return replace(self, backend=backend, **overrides)
+        return self.with_overrides(backend=backend, **overrides)
 
     def with_overrides(self, **overrides) -> "ReconstructionConfig":
-        """Return a copy with arbitrary fields replaced."""
+        """Return a copy with arbitrary fields replaced.
+
+        A name that is not a field raises :class:`ValidationError`, as in
+        :meth:`from_dict`.
+        """
+        _reject_unknown_fields(overrides)
         return replace(self, **overrides)
 
     # ------------------------------------------------------------------ #
@@ -199,7 +196,7 @@ class ReconstructionConfig:
             "layout": self.layout,
             "rows_per_chunk": self.rows_per_chunk,
             "device_memory_limit": self.device_memory_limit,
-            "n_workers": self.n_workers if isinstance(self.n_workers, str) else int(self.n_workers),
+            "n_workers": int(self.n_workers),
             "executor": self.executor,
             "subtract_background": bool(self.subtract_background),
             "streaming": bool(self.streaming),
@@ -214,10 +211,7 @@ class ReconstructionConfig:
         validation — including the registry backend check — runs as usual.
         """
         data = dict(data)
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValidationError(f"unknown config field(s): {unknown}; known: {sorted(known)}")
+        _reject_unknown_fields(data)
         if "grid" not in data:
             raise ValidationError("config dict requires a 'grid' entry")
         grid = data["grid"]
@@ -242,3 +236,12 @@ class ReconstructionConfig:
                     f"{[m.value for m in DifferenceMode]}"
                 ) from None
         return cls(**data)
+
+
+def _reject_unknown_fields(names) -> None:
+    """Raise :class:`ValidationError` naming every entry of *names* that is
+    not a :class:`ReconstructionConfig` field."""
+    known = {f.name for f in fields(ReconstructionConfig)}
+    unknown = sorted(set(names) - known)
+    if unknown:
+        raise ValidationError(f"unknown config field(s): {unknown}; known: {sorted(known)}")

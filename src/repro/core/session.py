@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import CacheStats, ResultCache, compute_cache_key, resolve_cache
-from repro.core.config import AUTO, ReconstructionConfig
+from repro.core.config import ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
 from repro.core.engine import execute as engine_execute
 from repro.core.pipeline import BatchItem, BatchReport
@@ -541,19 +541,9 @@ class Session:
     def configure(self, **overrides) -> "Session":
         """A session with arbitrary config fields replaced.
 
-        ``workers=`` is accepted as a convenience alias: an integer sets
-        ``n_workers``; the string ``"auto"`` turns on the auto-tuner for both
-        the worker count *and* the executor strategy
-        (``Session.configure(workers="auto")`` is the one-stop surface for
-        tuned host parallelism).
+        A name that is not a config field raises
+        :class:`~repro.utils.validation.ValidationError`.
         """
-        if "workers" in overrides:
-            workers = overrides.pop("workers")
-            if workers == AUTO:
-                overrides.setdefault("n_workers", AUTO)
-                overrides.setdefault("executor", AUTO)
-            else:
-                overrides.setdefault("n_workers", int(workers))
         return self._with_config(self.config.with_overrides(**overrides))
 
     def cached(self, cache=True) -> "Session":
@@ -647,21 +637,11 @@ class Session:
         """One uncached reconstruction of an already-opened single source."""
         created = time.time()
         chunk_source = source.chunk_source(self.config)
-        # resolve "auto" markers against the tuner cache *before* the engine
-        # runs: executors must only ever see concrete worker counts.  The
-        # run's provenance keeps the user's config (the cache key was
-        # computed from it); the resolution is recorded in the notes.
-        config, decision = self._resolve_auto(chunk_source)
-        backend = get_backend(config.backend)
-        _LOG.debug("session: %s via %s", chunk_source.describe(), config.backend)
+        backend = get_backend(self.config.backend)
+        _LOG.debug("session: %s via %s", chunk_source.describe(), self.config.backend)
         result, report = engine_execute(
-            chunk_source, config, backend.make_executor(config)
+            chunk_source, self.config, backend.make_executor(self.config)
         )
-        if decision is not None:
-            report.notes.append(
-                f"autotune: executor={decision.executor} n_workers={decision.n_workers} "
-                f"({decision.reason})"
-            )
         accounting_note = getattr(chunk_source, "accounting_note", None)
         if accounting_note is not None:
             report.notes.append(accounting_note())
@@ -671,21 +651,6 @@ class Session:
             config=self.config,
             source=source.identity(),
             created_unix=created,
-        )
-
-    def _resolve_auto(self, chunk_source):
-        """Concrete (config, decision) for this run; no-op without ``auto``."""
-        if self.config.executor != AUTO and self.config.n_workers != AUTO:
-            return self.config, None
-        from repro.perf.autotune import resolve_auto_config
-
-        root = self.cache.root if self.cache is not None else None
-        return resolve_auto_config(
-            self.config,
-            chunk_source.n_positions,
-            chunk_source.n_rows,
-            chunk_source.n_cols,
-            root=root,
         )
 
     @staticmethod
@@ -1017,14 +982,15 @@ def session(
         Depth grid (required when *config* is not given).
     **overrides:
         Any :class:`~repro.core.config.ReconstructionConfig` field, applied
-        on top of the defaults when *config* is not given.
+        on top of the defaults when *config* is not given; any other name
+        raises :class:`~repro.utils.validation.ValidationError`.
     """
     if config is None:
         if grid is None:
             raise ValidationError(
                 "either a ReconstructionConfig or a DepthGrid (grid=...) must be provided"
             )
-        config = ReconstructionConfig(grid=grid, **overrides)
+        config = ReconstructionConfig(grid=grid).with_overrides(**overrides)
     elif overrides or grid is not None:
         raise ValidationError("pass either a full config or grid+overrides, not both")
     return Session(config=config)

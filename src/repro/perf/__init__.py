@@ -1,4 +1,4 @@
-"""Paper-figure sweeps, paper-style reporting and the executor auto-tuner.
+"""Paper-figure sweeps and paper-style reporting.
 
 ``repro-benchmark`` and the ``benchmarks/`` figure sweeps are built from
 these modules (the end-to-end and per-layer benchmark lives in
@@ -13,17 +13,13 @@ these modules (the end-to-end and per-layer benchmark lives in
   of the CPU time" headline);
 * :mod:`repro.perf.modelruns` — evaluates the analytic device/host models at
   the paper's full data-set sizes so measured laptop-scale trends can be put
-  side by side with paper-scale predictions;
-* :mod:`repro.perf.autotune` — the throughput microprobe that calibrates
-  executor strategy and worker count per (machine, workload shape), cached
-  in the result-cache root and surfaced as ``Session.configure(workers="auto")``.
+  side by side with paper-scale predictions.
 """
 
 from repro.perf.sweep import SweepRecord, run_backend_sweep
 from repro.perf.metrics import speedup, time_ratio, summarize_ratio_range
 from repro.perf.reporting import format_series_table, format_figure_report
 from repro.perf.modelruns import paper_scale_prediction, predict_figure8, predict_figure9
-from repro.perf.autotune import TuningDecision, resolve_auto_config, run_throughput_probe, tune
 
 __all__ = [
     "SweepRecord",
@@ -36,8 +32,4 @@ __all__ = [
     "paper_scale_prediction",
     "predict_figure8",
     "predict_figure9",
-    "TuningDecision",
-    "tune",
-    "resolve_auto_config",
-    "run_throughput_probe",
 ]

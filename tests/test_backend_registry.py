@@ -26,8 +26,9 @@ from repro.core.registry import (
     register_backend_info,
     unregister_backend,
 )
-from repro.core.session import session
+from repro.core.session import load, session
 from repro.geometry.wire import WireEdge
+from repro.io.image_stack import save_depth_resolved
 from repro.utils.validation import ValidationError
 from tests.helpers import make_tiny_stack
 
@@ -201,6 +202,28 @@ class TestConfigRoundTrip:
         with pytest.raises(ValidationError, match="unknown config field"):
             ReconstructionConfig.from_dict(data)
 
+    def test_with_overrides_rejects_unknown_fields(self, depth_grid):
+        config = ReconstructionConfig(grid=depth_grid)
+        with pytest.raises(ValidationError, match=r"unknown config field\(s\): \['workers'\]; known: "):
+            config.with_overrides(workers=2)
+
+    def test_with_backend_rejects_unknown_fields(self, depth_grid):
+        config = ReconstructionConfig(grid=depth_grid)
+        with pytest.raises(ValidationError, match=r"unknown config field\(s\): \['gpu_count'\]"):
+            config.with_backend("gpusim", gpu_count=8)
+
+    def test_session_configure_rejects_unknown_fields(self, depth_grid):
+        # the retired workers= alias is no longer special: it fails at once
+        # instead of setting an n_workers the serial executor ignores
+        with pytest.raises(ValidationError, match=r"unknown config field\(s\): \['workers'\]"):
+            session(grid=depth_grid).configure(workers=2)
+
+    def test_session_overrides_reject_unknown_fields(self, depth_grid):
+        with pytest.raises(
+            ValidationError, match=r"unknown config field\(s\): \['chunk_rows', 'workers'\]"
+        ):
+            session(grid=depth_grid, workers=2, chunk_rows=4)
+
     def test_from_dict_rejects_bad_enum_strings(self, depth_grid):
         data = ReconstructionConfig(grid=depth_grid).to_dict()
         data["wire_edge"] = "sideways"
@@ -229,7 +252,7 @@ class TestRetiredNames:
     def test_constructor_resolves_with_warning(self, depth_grid):
         # the retired backends ran on threads whatever executor was named
         for old in ("threaded", "multiprocess"):
-            for executor in ("serial", "threads", "auto"):
+            for executor in ("serial", "threads"):
                 with pytest.warns(DeprecationWarning, match=old):
                     config = ReconstructionConfig(grid=depth_grid, backend=old, executor=executor)
                 assert (config.backend, config.executor) == ("vectorized", "threads")
@@ -251,6 +274,34 @@ class TestRetiredNames:
         assert len(caught) == 2
         assert (config.backend, config.executor) == ("vectorized", "threads")
         assert config.to_dict() == dict(data, backend="vectorized", executor="threads")
+
+    def test_auto_resolves_to_serial_and_one_worker(self, depth_grid):
+        # what an "auto" that no tuner resolved ran: serial, one worker
+        for field, current in (("executor", "serial"), ("n_workers", 1)):
+            with pytest.warns(DeprecationWarning, match=f"{field}='auto' is retired"):
+                config = ReconstructionConfig(grid=depth_grid, **{field: "auto"})
+            assert getattr(config, field) == current
+            data = ReconstructionConfig(grid=depth_grid).to_dict()
+            data[field] = "auto"
+            with pytest.warns(DeprecationWarning, match=f"{field}='auto' is retired"):
+                config = ReconstructionConfig.from_dict(data)
+            assert config.to_dict() == dict(data, **{field: current})
+
+    def test_saved_run_naming_auto_loads(self, depth_grid, tmp_path):
+        stack = make_tiny_stack(n_rows=6, n_cols=4, n_positions=21)
+        run = session(grid=depth_grid, n_workers=1).run(stack)
+        # the record a run configured with workers="auto" saved: the
+        # literal "auto" in both fields
+        record = run._run_record()
+        record["config"].update(executor="auto", n_workers="auto")
+        path = str(tmp_path / "auto.h5lite")
+        save_depth_resolved(path, run.result, run_record=record)
+        with pytest.warns(DeprecationWarning) as caught:
+            loaded = load(path)
+        assert len(caught) == 2
+        assert loaded.config == run.config
+        assert (loaded.config.executor, loaded.config.n_workers) == ("serial", 1)
+        assert loaded.result.data.tobytes() == run.result.data.tobytes()
 
     def test_session_on_old_name_is_bitwise_threaded(self, depth_grid):
         stack = make_tiny_stack(n_rows=6, n_cols=4, n_positions=21)

@@ -13,13 +13,14 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.backends import get_backend
 from repro.core.backends.threaded import (
     ThreadedExecutor,
     _band_context,
     _reconstruct_band,
 )
-from repro.core.config import AUTO, ReconstructionConfig
+from repro.core.config import ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
 from repro.core.kernels import depth_resolve_chunk_fused
 from repro.core.engine import (
@@ -33,6 +34,7 @@ from repro.core.workerpool import (
     shared_thread_pool,
     shutdown_shared_thread_pool,
 )
+from repro.cudasim.atomic import atomic_add
 from repro.io.image_stack import save_wire_scan
 from repro.io.streaming import StreamingWireScanSource
 from tests.helpers import make_tiny_stack
@@ -217,6 +219,34 @@ class TestPoolLifecycle:
         reference = _serial_reference(stack, _grid())
         assert np.array_equal(reference.data, result.data)
 
+    def test_single_worker_shares_the_run_element_batch(self, monkeypatch):
+        """One worker takes the serial path: the sparse elements of every
+        chunk collect in one batch per run, not one per chunk."""
+        calls = []
+
+        def recording_atomic_add(array, indices, values):
+            calls.append(len(indices))
+            return atomic_add(array, indices, values)
+
+        monkeypatch.setattr(kernels, "atomic_add", recording_atomic_add)
+        stack = _noisy_stack()
+        runs = {}
+        for executor in ("serial", "threads"):
+            config = ReconstructionConfig(
+                grid=_grid(), intensity_cutoff=3.0, rows_per_chunk=1,
+                executor=executor, n_workers=1,
+            )
+            calls.clear()
+            result, report = execute_backend(StackChunkSource(stack), config)
+            runs[executor] = (result.data, report, len(calls))
+        (serial, serial_report, serial_adds), (threads, report, adds) = runs.values()
+        assert report.n_chunks == 7
+        assert adds == serial_adds == 1
+        assert threads.tobytes() == serial.tobytes()
+        assert report.n_active_pixels == serial_report.n_active_pixels > 0
+        assert report.n_kernel_launches == serial_report.n_kernel_launches == 7
+        assert report.n_threads_launched == serial_report.n_threads_launched
+
 
 class TestConcurrentWidths:
     def test_runs_of_different_widths_share_the_pool(self):
@@ -285,17 +315,20 @@ class TestStrategyPlumbing:
         assert np.array_equal(reference.data, result.data)
 
     def test_unresolved_auto_falls_back_to_serial(self):
-        config = ReconstructionConfig(grid=_grid(), backend="vectorized", executor=AUTO)
+        """The retired ``executor="auto"`` runs serially, with a warning."""
+        with pytest.warns(DeprecationWarning, match="executor='auto'"):
+            config = ReconstructionConfig(grid=_grid(), backend="vectorized", executor="auto")
         executor = get_backend("vectorized").make_executor(config)
         assert executor.name == "vectorized"
 
     def test_unresolved_auto_width_runs_one_worker_in_line(self):
-        """An unresolved ``n_workers="auto"`` runs one worker in line, as an
-        unresolved ``executor="auto"`` runs serially."""
+        """The retired ``n_workers="auto"`` runs one worker in line, with a
+        warning."""
         stack = _noisy_stack(masked=True)
         grid = _grid()
         reference = _serial_reference(stack, grid)
-        config = _threads(grid=grid, n_workers=AUTO)
+        with pytest.warns(DeprecationWarning, match="n_workers='auto'"):
+            config = _threads(grid=grid, n_workers="auto")
         result, report = execute_backend(StackChunkSource(stack), config)
         assert report.backend == "vectorized"
         assert "1 worker thread(s)" in " ".join(report.notes)
@@ -304,8 +337,8 @@ class TestStrategyPlumbing:
 
     def test_executor_field_round_trips_config(self):
         config = ReconstructionConfig(
-            grid=_grid(), backend="vectorized", executor="threads", n_workers=AUTO
+            grid=_grid(), backend="vectorized", executor="threads", n_workers=3
         )
         clone = ReconstructionConfig.from_dict(config.to_dict())
         assert clone.executor == "threads"
-        assert clone.n_workers == AUTO
+        assert clone.n_workers == 3

@@ -94,6 +94,16 @@ class TestLogging:
         assert get_logger("repro.io").name == "repro.io"
 
     def test_configure_adds_single_handler(self):
-        root = configure(level=logging.DEBUG)
-        configure(level=logging.DEBUG)
-        assert len(root.handlers) == 1
+        # restore the logger afterwards: a handler left at DEBUG would make
+        # every later test format and write the debug records
+        logger = logging.getLogger("repro")
+        existing, level = list(logger.handlers), logger.level
+        try:
+            logger.handlers = []
+            root = configure(level=logging.DEBUG)
+            configure(level=logging.DEBUG)
+            assert root is logger
+            assert len(root.handlers) == 1
+        finally:
+            logger.handlers = existing
+            logger.setLevel(level)
