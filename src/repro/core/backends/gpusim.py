@@ -3,9 +3,11 @@
 Follows the structure of the original CUDA program step by step:
 
 1. plan how many detector rows fit on the device per chunk (Fig. 2);
+   only this module models device memory;
 2. for each chunk: allocate device buffers, ``cudaMemcpy`` the image slab
    (with the configured array layout — flat 1-D or pointer-based 3-D),
-   geometry tables and the output slab host→device;
+   geometry tables (the chunk's rows of the plan's pixel-edge tables and
+   the wire trajectory) and the output slab host→device;
 3. launch the ``setTwo`` kernel over a ``(cols, rows, steps)`` thread
    lattice;
 4. copy the depth-resolved slab back device→host into a host staging slab,
@@ -32,6 +34,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.backends.base import Backend, register_backend
+from repro.core.chunking import plan_row_chunks
 from repro.core.config import ReconstructionConfig
 from repro.core.engine import ChunkExecutor, ChunkSource, ExecutionPlan, build_execution_plan
 from repro.core.kernels import KernelContext, make_set_two_kernel
@@ -62,6 +65,7 @@ class GpuSimExecutor(ChunkExecutor):
         self.device: Optional[Device] = None
         self._layout = None
         self._kernel = None
+        self._device_plan = None
         self._h2d_bytes = 0
         self._d2h_bytes = 0
         self._n_launches = 0
@@ -77,26 +81,37 @@ class GpuSimExecutor(ChunkExecutor):
     def plan(self, source: ChunkSource, config: ReconstructionConfig) -> ExecutionPlan:
         """Chunks sized to the simulated device memory (the Fig. 2 constraint).
 
-        Every chunk reads all its positions: the paper's program copies the
-        whole chunk slab host to device, so the launch batches below index
-        the uploaded slab from position 0.
+        :func:`~repro.core.chunking.plan_row_chunks` fits a chunk's device
+        working set in ``config.layout`` to the device (or checks that
+        ``config.rows_per_chunk`` fits), and the engine's plan takes its
+        rows.  Every chunk reads all its positions: the paper's program
+        copies the whole chunk slab host to device, so the launch batches
+        below index the uploaded slab from position 0.
         """
         self.device = self._make_device(config)
         self._layout = get_layout(config.layout)
         self._kernel = make_set_two_kernel(
             extra_flops_per_thread=self._layout.index_arithmetic_flops
         )
-        return build_execution_plan(
-            source,
-            config,
+        self._device_plan = plan_row_chunks(
+            n_rows=source.n_rows,
+            n_cols=source.n_cols,
+            n_positions=source.n_positions,
+            n_depth_bins=config.grid.n_bins,
             device_memory_bytes=self.device.memory.capacity_bytes,
-            strategy="gpusim",
+            layout=config.layout,
+            rows_per_chunk=config.rows_per_chunk,
+        )
+        return build_execution_plan(
+            source, config, rows_per_chunk=self._device_plan.rows_per_chunk, strategy="gpusim"
         )
 
     def prepare(
         self, source: ChunkSource, config: ReconstructionConfig, plan: ExecutionPlan
     ) -> None:
         self._out = plan.output
+        self._row_edges = plan.row_edges
+        self._wire_positions = source.wire_positions_yz
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -111,9 +126,6 @@ class GpuSimExecutor(ChunkExecutor):
         """
         return KernelContext(
             images=device_images[step_start:step_stop + 1],
-            back_edge_yz=ctx.back_edge_yz,
-            front_edge_yz=ctx.front_edge_yz,
-            wire_positions_yz=ctx.wire_positions_yz[step_start:step_stop + 1],
             trapezoids=tuple(part[step_start:step_stop] for part in ctx.trapezoids),
             grid=ctx.grid,
             wire_edge=ctx.wire_edge,
@@ -131,11 +143,12 @@ class GpuSimExecutor(ChunkExecutor):
         upload = self._layout.upload(device, ctx.images)
         self._h2d_bytes += upload.bytes_transferred
 
+        back_edges, front_edges = self._row_edges
         geometry_host = np.concatenate(
             [
-                ctx.back_edge_yz.reshape(-1),
-                ctx.front_edge_yz.reshape(-1),
-                ctx.wire_positions_yz.reshape(-1),
+                back_edges[row_start:row_stop].reshape(-1),
+                front_edges[row_start:row_stop].reshape(-1),
+                self._wire_positions.reshape(-1),
             ]
         )
         geometry_buf = device.memory.allocate(geometry_host.shape, geometry_host.dtype)
@@ -208,7 +221,11 @@ class GpuSimExecutor(ChunkExecutor):
         }
 
     def notes(self) -> List[str]:
-        return [f"device: {self.device.properties.name}"]
+        plan = self._device_plan
+        return [
+            f"device: {self.device.properties.name}, {plan.bytes_per_chunk} device bytes per "
+            f"chunk (limit {plan.device_memory_bytes}), layout={plan.layout}"
+        ]
 
 
 @register_backend(

@@ -61,9 +61,6 @@ def _band_context(ctx: KernelContext, band_start: int, band_stop: int) -> Kernel
     """
     return KernelContext(
         images=ctx.images[:, band_start:band_stop, :],
-        back_edge_yz=ctx.back_edge_yz[band_start:band_stop],
-        front_edge_yz=ctx.front_edge_yz[band_start:band_stop],
-        wire_positions_yz=ctx.wire_positions_yz,
         trapezoids=tuple(part[:, band_start:band_stop] for part in ctx.trapezoids),
         grid=ctx.grid,
         wire_edge=ctx.wire_edge,

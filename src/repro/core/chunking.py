@@ -1,4 +1,4 @@
-"""Row-chunk streaming planner.
+"""The simulated device's row-chunk planner, and the threads executor's bands.
 
 The paper's data sets (2.1–5.2 GB) do not fit in the Tesla M2070's 6 GB
 device memory together with the temporaries, so the image cube is streamed
@@ -6,16 +6,17 @@ to the device a few detector rows at a time (Fig. 2: "each time only
 processing 2 rows"), and the per-chunk results are stitched back together on
 the host.
 
-``plan_row_chunks`` chooses the chunk size: either the caller fixes
-``rows_per_chunk`` (as the original program does) or the planner picks the
-largest number of rows whose device working set — input cube slab, output
-histogram slab, geometry tables and layout overhead — fits in the available
-device memory.
+``plan_row_chunks`` chooses the chunk size for the ``gpusim`` executor,
+its one caller in the engine (host plans hold no device buffers): either
+the caller fixes ``rows_per_chunk`` (as the original program does) or the
+planner picks the largest number of rows whose device working set — input
+cube slab, output histogram slab, geometry tables and layout overhead —
+fits in the available device memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.layouts import get_layout
@@ -135,7 +136,6 @@ class ChunkPlan:
     bytes_per_chunk: int
     device_memory_bytes: int
     layout: str = "flat1d"
-    notes: Tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def n_chunks(self) -> int:
@@ -201,7 +201,6 @@ def plan_row_chunks(
         raise ValidationError("memory_safety_fraction must lie in (0, 1]")
 
     budget = int(device_memory_bytes * memory_safety_fraction)
-    notes: List[str] = []
 
     def fits(rows: int) -> bool:
         return estimate_chunk_device_bytes(rows, n_cols, n_positions, n_depth_bins, layout) <= budget
@@ -222,7 +221,6 @@ def plan_row_chunks(
                 f"requested rows_per_chunk={rows_per_chunk} does not fit in device memory"
             )
         chosen = min(rows_per_chunk, n_rows)
-        notes.append("rows_per_chunk fixed by caller")
     else:
         # binary search for the largest chunk that fits
         lo, hi = 1, n_rows
@@ -233,7 +231,6 @@ def plan_row_chunks(
             else:
                 hi = mid - 1
         chosen = lo
-        notes.append("rows_per_chunk chosen by memory fit")
 
     chunks = tuple(
         (start, min(start + chosen, n_rows)) for start in range(0, n_rows, chosen)
@@ -245,5 +242,4 @@ def plan_row_chunks(
         bytes_per_chunk=estimate_chunk_device_bytes(chosen, n_cols, n_positions, n_depth_bins, layout),
         device_memory_bytes=int(device_memory_bytes),
         layout=layout,
-        notes=tuple(notes),
     )

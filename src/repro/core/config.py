@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional
@@ -35,6 +36,20 @@ _RETIRED_NAMES = {
         ("threaded", "multiprocess"), {"backend": "vectorized", "executor": "threads"}
     ),
 }
+
+
+def _caller_stacklevel() -> int:
+    """The ``warnings.warn`` stack level, counted from this function's caller,
+    of the first frame outside ``repro`` and ``dataclasses``: the line of a
+    script or ``python -c`` that named a retired name through the session,
+    ``from_dict`` or ``dataclasses.replace``, where the default filters show
+    the warning."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] in (
+        "repro", "dataclasses"
+    ):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 class DifferenceMode(enum.Enum):
@@ -130,7 +145,7 @@ class ReconstructionConfig:
                 warnings.warn(
                     f"{name}={old!r} is retired; using {spelled}",
                     DeprecationWarning,
-                    stacklevel=3,
+                    stacklevel=_caller_stacklevel(),
                 )
                 for field, value in current.items():
                     object.__setattr__(self, field, value)

@@ -13,19 +13,22 @@ run the per-chunk compute.  This module extracts that loop into one place:
     fewer than the scan's.
 
 ``ExecutionPlan``
-    The row-chunk schedule (built from
-    :func:`~repro.core.chunking.plan_row_chunks`) plus the per-run shared
-    state the chunks must agree on: the per-image background levels, the
-    pixel-edge tables of every detector row and the trapezoid table of every
-    (wire-step, row) pair, each computed once over the *whole* detector — so
-    every backend, chunking and streaming mode subtracts the same background
-    and distributes with the same geometry — the zeroed
+    The row-chunk schedule plus the per-run shared state the chunks must
+    agree on: the per-image background levels, the pixel-edge tables of
+    every detector row and the trapezoid table of every (wire-step, row)
+    pair, each computed once over the *whole* detector — so every backend,
+    chunking and streaming mode subtracts the same background and
+    distributes with the same geometry — the zeroed
     ``(n_bins, n_rows, n_cols)`` output cube of the run, the chunking
-    strategy note, and the range of wire positions each chunk reads.  For
-    an executor whose kernel skips unusable steps (the ``vectorized``
-    backend, on either executor) that range holds only the positions the
-    chunk's usable steps difference, and a chunk with none reads nothing;
-    the other executors read every position.
+    strategy note, and the range of wire positions each chunk reads.  A
+    host plan takes its rows per chunk from the caller or the config, else
+    every row, or on an out-of-core source as many rows as fit one
+    :data:`STREAMING_CHUNK_BYTES` slab; the simulated device sizes its
+    chunks to its own memory and passes the rows on.  For an executor whose
+    kernel skips unusable steps (the ``vectorized`` backend, on either
+    executor) the position range holds only the positions the chunk's
+    usable steps difference, and a chunk with none reads nothing; the other
+    executors read every position.
 
 ``ChunkExecutor``
     What a backend actually contributes: how to plan its chunks, optional
@@ -59,7 +62,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.chunking import ChunkPlan, plan_row_chunks
 from repro.core.config import ReconstructionConfig
 from repro.core.kernels import KernelContext, _step_span, _trapezoid_table
 from repro.core.registry import get_backend
@@ -73,11 +75,9 @@ __all__ = [
     "StackChunkSource",
     "ExecutionPlan",
     "ChunkExecutor",
-    "HOST_MEMORY_BYTES",
     "STREAMING_CHUNK_BYTES",
     "build_chunk_context",
     "build_execution_plan",
-    "streaming_budget_bytes",
     "compute_stack_background",
     "execute",
     "execute_backend",
@@ -85,14 +85,10 @@ __all__ = [
 
 _LOG = get_logger(__name__)
 
-#: Chunk-planning budget for host-resident executors: effectively unbounded,
-#: so a host plan without an explicit ``rows_per_chunk`` is a single chunk.
-HOST_MEMORY_BYTES = 1 << 62
-
-#: Chunk-planning budget for host executors reading from an *out-of-core*
-#: source with no explicit ``rows_per_chunk``: a single chunk would pull the
-#: whole cube into RAM, defeating streaming, so slabs are capped at this many
-#: bytes (grown as needed so at least one row always fits).
+#: Slab budget of a host plan over an *out-of-core* source with no
+#: ``rows_per_chunk``: a single chunk would pull the whole cube into RAM,
+#: defeating streaming, so a window holds the most rows whose float64
+#: ``(n_positions, rows, n_cols)`` slab fits this many bytes, and at least one.
 STREAMING_CHUNK_BYTES = 256 * 1024 * 1024
 
 
@@ -200,11 +196,14 @@ class StackChunkSource(ChunkSource):
 class ExecutionPlan:
     """A chunk schedule plus the per-run shared state every chunk agrees on."""
 
-    chunk_plan: ChunkPlan
+    #: ``(row_start, row_stop)`` pairs tiling the detector in order
+    chunks: Tuple[Tuple[int, int], ...]
+    #: chunk size (the last chunk may be smaller)
+    rows_per_chunk: int
     #: the ``(back, front)`` pixel-edge (y, z) tables of every detector row,
     #: each of shape ``(n_rows, 2)``: the source's ``row_edges_yz`` of all
-    #: rows, computed once; the trapezoid table is built from them and chunk
-    #: contexts view their rows of them
+    #: rows, computed once; the trapezoid table is built from them and the
+    #: simulated device uploads their rows with each chunk
     row_edges: Tuple[np.ndarray, np.ndarray]
     #: the trapezoid table ``(d1, d2, d3, d4, area, active)`` of every
     #: (wire-step, detector-row) pair, each of shape ``(n_steps, n_rows)``;
@@ -225,41 +224,32 @@ class ExecutionPlan:
     strategy: str = "host"
 
     @property
-    def chunks(self) -> Tuple[Tuple[int, int], ...]:
-        """``(row_start, row_stop)`` pairs tiling the detector."""
-        return self.chunk_plan.chunks
-
-    @property
     def n_chunks(self) -> int:
         """Number of row chunks."""
-        return self.chunk_plan.n_chunks
-
-    @property
-    def rows_per_chunk(self) -> int:
-        """Chunk size (last chunk may be smaller)."""
-        return self.chunk_plan.rows_per_chunk
+        return len(self.chunks)
 
     def summary(self) -> str:
         """One-line plan description shared by every backend's report."""
-        return f"plan[{self.strategy}]: {self.chunk_plan.summary()}"
+        return (
+            f"plan[{self.strategy}]: {self.n_chunks} chunk(s) of up to "
+            f"{self.rows_per_chunk} row(s)"
+        )
 
 
 def build_execution_plan(
     source: ChunkSource,
     config: ReconstructionConfig,
-    device_memory_bytes: int = HOST_MEMORY_BYTES,
     rows_per_chunk: Optional[int] = None,
     strategy: str = "host",
     trim_positions: bool = False,
 ) -> ExecutionPlan:
     """Build an :class:`ExecutionPlan` for *source* under *config*.
 
-    ``rows_per_chunk`` falls back to ``config.rows_per_chunk``; when both are
-    ``None`` the planner picks the largest chunk that fits
-    ``device_memory_bytes``.  For host executors that budget is effectively
-    unbounded — one full chunk — *except* on an out-of-core source, where the
-    slab budget is capped at :data:`STREAMING_CHUNK_BYTES` so streaming never
-    pulls the whole cube into RAM.
+    Rows per chunk come from ``rows_per_chunk``, else
+    ``config.rows_per_chunk``, else every row — except on an out-of-core
+    source, where a chunk holds the most rows whose float64
+    ``(n_positions, rows, n_cols)`` slab fits :data:`STREAMING_CHUNK_BYTES`,
+    and at least one, so streaming never pulls the whole cube into RAM.
 
     The per-run state is computed here, once: the background levels, the
     source's edge tables for every detector row, the trapezoid table, whose
@@ -275,16 +265,14 @@ def build_execution_plan(
     """
     if rows_per_chunk is None:
         rows_per_chunk = config.rows_per_chunk
-    if rows_per_chunk is None and source.out_of_core and device_memory_bytes >= HOST_MEMORY_BYTES:
-        device_memory_bytes = streaming_budget_bytes(source, config)
-    chunk_plan = plan_row_chunks(
-        n_rows=source.n_rows,
-        n_cols=source.n_cols,
-        n_positions=source.n_positions,
-        n_depth_bins=config.grid.n_bins,
-        device_memory_bytes=device_memory_bytes,
-        layout=config.layout,
-        rows_per_chunk=rows_per_chunk,
+    if rows_per_chunk is None and source.out_of_core:
+        row_bytes = source.n_positions * source.n_cols * np.dtype(np.float64).itemsize
+        rows_per_chunk = max(1, STREAMING_CHUNK_BYTES // row_bytes)
+    rows = source.n_rows if rows_per_chunk is None else min(int(rows_per_chunk), source.n_rows)
+    if rows < 1:
+        raise ValidationError(f"rows_per_chunk must be >= 1, got {rows_per_chunk!r}")
+    chunks = tuple(
+        (start, min(start + rows, source.n_rows)) for start in range(0, source.n_rows, rows)
     )
     back_edges, front_edges = source.row_edges_yz(np.arange(source.n_rows))
     trapezoids = _trapezoid_table(
@@ -297,13 +285,14 @@ def build_execution_plan(
     )
     if trim_positions:
         pair_active = trapezoids[5]
-        spans = [_step_span(pair_active, slice(*chunk)) for chunk in chunk_plan.chunks]
+        spans = [_step_span(pair_active, slice(*chunk)) for chunk in chunks]
         # steps s0 to s1 - 1 difference positions s0 to s1; no step, no position
         position_ranges = tuple((s0, s1 + 1) if s1 > s0 else (0, 0) for s0, s1 in spans)
     else:
-        position_ranges = ((0, source.n_positions),) * chunk_plan.n_chunks
+        position_ranges = ((0, source.n_positions),) * len(chunks)
     return ExecutionPlan(
-        chunk_plan=chunk_plan,
+        chunks=chunks,
+        rows_per_chunk=rows,
         row_edges=(back_edges, front_edges),
         trapezoids=trapezoids,
         position_ranges=position_ranges,
@@ -311,20 +300,6 @@ def build_execution_plan(
         background=compute_stack_background(source, config),
         strategy=strategy,
     )
-
-
-def streaming_budget_bytes(source: ChunkSource, config: ReconstructionConfig) -> int:
-    """Slab budget for planning chunks over an out-of-core source.
-
-    :data:`STREAMING_CHUNK_BYTES`, grown when a single detector row (plus the
-    planner's head-room) would not fit, so a plan always exists.
-    """
-    from repro.core.chunking import estimate_chunk_device_bytes
-
-    one_row = estimate_chunk_device_bytes(
-        1, source.n_cols, source.n_positions, config.grid.n_bins, config.layout
-    )
-    return max(STREAMING_CHUNK_BYTES, int(one_row / 0.9) + 1)
 
 
 def compute_stack_background(
@@ -377,7 +352,7 @@ class ChunkExecutor(abc.ABC):
     name: str = ""
 
     def plan(self, source: ChunkSource, config: ReconstructionConfig) -> ExecutionPlan:
-        """Chunk schedule for this executor (host single-chunk by default)."""
+        """Chunk schedule for this executor (the host plan by default)."""
         return build_execution_plan(source, config)
 
     def prepare(self, source: ChunkSource, config: ReconstructionConfig, plan: ExecutionPlan) -> None:
@@ -420,8 +395,8 @@ def build_chunk_context(
     chunk's range from the plan.  It is read once, with
     :meth:`ChunkSource.load_window`, and an empty range reads nothing.  The
     plan's whole-stack background levels of those positions are subtracted
-    from the slab when set, the context views the plan's edge and trapezoid
-    tables at these rows (no geometry is recomputed per chunk), its
+    from the slab when set, the context views the plan's trapezoid table at
+    these rows (no geometry is recomputed per chunk), its
     ``position_start`` is the slab's first position, and its ``row_offset``
     maps its first row to output row ``row_start``.
     """
@@ -434,12 +409,8 @@ def build_chunk_context(
         slab = np.empty((0, row_stop - row_start, source.n_cols))
     if plan.background is not None:
         slab = slab - plan.background[position_start:position_stop]
-    back_edges, front_edges = plan.row_edges
     return KernelContext(
         images=slab,
-        back_edge_yz=back_edges[row_start:row_stop],
-        front_edge_yz=front_edges[row_start:row_stop],
-        wire_positions_yz=source.wire_positions_yz,
         trapezoids=tuple(part[:, row_start:row_stop] for part in plan.trapezoids),
         grid=config.grid,
         wire_edge=config.wire_edge,

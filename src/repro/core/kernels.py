@@ -113,21 +113,13 @@ class KernelContext:
         of the scan.  A full window holds every position; a trimmed one only
         the positions its rows' usable steps difference (see
         :func:`_step_span`).
-    back_edge_yz, front_edge_yz:
-        Per-row pixel-edge coordinates, shape ``(rows, 2)`` — the
-        ``firstedge``/``edge`` tables of the original kernel.
-    wire_positions_yz:
-        Wire-centre positions, shape ``(n_steps + 1, 2)``: every position of
-        the trapezoid table's steps, whatever the slab holds.
     trapezoids:
         The slab's rows of the run's trapezoid table (see
         :func:`_trapezoid_table`): ``(d1, d2, d3, d4, area, active)``, each
         of shape ``(n_steps, rows)``, every wire step of the scan (or of a
         simulated launch batch).  The kernels read the response geometry
-        from here only; the edge and wire tables above are what the
-        simulated device uploads.  ``n_steps`` comes from this table, not
-        from the slab, so a trimmed window counts the same steps as a full
-        one.
+        from here only.  ``n_steps`` comes from this table, not from the
+        slab, so a trimmed window counts the same steps as a full one.
     grid:
         Depth grid to accumulate onto.
     wire_edge:
@@ -156,9 +148,6 @@ class KernelContext:
     def __init__(
         self,
         images: np.ndarray,
-        back_edge_yz: np.ndarray,
-        front_edge_yz: np.ndarray,
-        wire_positions_yz: np.ndarray,
         trapezoids: Tuple[np.ndarray, ...],
         grid: DepthGrid,
         wire_edge: WireEdge = WireEdge.LEADING,
@@ -169,9 +158,6 @@ class KernelContext:
         position_start: int = 0,
     ):
         self.images = np.asarray(images, dtype=np.float64)
-        self.back_edge_yz = np.asarray(back_edge_yz, dtype=np.float64)
-        self.front_edge_yz = np.asarray(front_edge_yz, dtype=np.float64)
-        self.wire_positions_yz = np.asarray(wire_positions_yz, dtype=np.float64)
         self.trapezoids = tuple(trapezoids)
         self.grid = grid
         self.wire_edge = wire_edge
@@ -270,9 +256,9 @@ def _scalar_trapezoid_overlap(lo: float, hi: float, d1: float, d2: float, d3: fl
 
 
 def _trapezoid_table(
-    back_edge_yz: np.ndarray,
-    front_edge_yz: np.ndarray,
-    wire_positions_yz: np.ndarray,
+    back_edges: np.ndarray,
+    front_edges: np.ndarray,
+    wire_positions: np.ndarray,
     wire_radius: float,
     wire_edge: WireEdge,
     grid: DepthGrid,
@@ -292,19 +278,19 @@ def _trapezoid_table(
     depths are finite and its trapezoid is non-degenerate and overlaps the
     grid.
     """
-    back_edge_yz = np.asarray(back_edge_yz, dtype=np.float64)
-    front_edge_yz = np.asarray(front_edge_yz, dtype=np.float64)
-    wire_positions_yz = np.asarray(wire_positions_yz, dtype=np.float64)
+    back_edges = np.asarray(back_edges, dtype=np.float64)
+    front_edges = np.asarray(front_edges, dtype=np.float64)
+    wire_positions = np.asarray(wire_positions, dtype=np.float64)
     edge = int(wire_edge)
-    wire_y = wire_positions_yz[:, 0][:, None]
-    wire_z = wire_positions_yz[:, 1][:, None]
+    wire_y = wire_positions[:, 0][:, None]
+    wire_z = wire_positions[:, 1][:, None]
     # each edge's critical depth at every wire position, shape
     # (n_positions, rows), solved once: step s reads positions s and s + 1
     front = pixel_yz_to_depth(
-        front_edge_yz[:, 0][None, :], front_edge_yz[:, 1][None, :], wire_y, wire_z, wire_radius, edge
+        front_edges[:, 0][None, :], front_edges[:, 1][None, :], wire_y, wire_z, wire_radius, edge
     )
     back = pixel_yz_to_depth(
-        back_edge_yz[:, 0][None, :], back_edge_yz[:, 1][None, :], wire_y, wire_z, wire_radius, edge
+        back_edges[:, 0][None, :], back_edges[:, 1][None, :], wire_y, wire_z, wire_radius, edge
     )
     partial_start, full_end = front[:-1], front[1:]
     full_start, partial_end = back[:-1], back[1:]

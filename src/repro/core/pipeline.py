@@ -52,9 +52,10 @@ def estimate_source_resident_bytes(source, config: ReconstructionConfig) -> Opti
     For a file source this is a header-only probe (geometry, never images):
     the input term is the full cube when the item will be loaded in memory,
     or one streaming chunk slab (:data:`~repro.core.engine.STREAMING_CHUNK_BYTES`,
-    the same budget the engine plans row chunks with) when ``config.streaming``
-    is set; the output term is the full depth-resolved cube, which exists
-    either way; background subtraction briefly doubles the input slab.
+    the slab budget a host plan sizes its default streamed windows by) when
+    ``config.streaming`` is set; the output term is the full depth-resolved
+    cube, which exists either way; background subtraction briefly doubles
+    the input slab.
     Returns ``None`` when the item's dimensions cannot be probed cheaply —
     an unreadable file surfaces as that *item's* failure at run time, never
     as a scheduling error.

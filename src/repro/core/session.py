@@ -905,12 +905,12 @@ class Session:
 
         Every backend name is validated (and each backend instantiated)
         *before* any reconstruction runs, so a typo in the last name cannot
-        waste the runs before it.  Each report's notes additionally carry a
-        reference engine plan summary for this source/config.  With
-        ``config.rows_per_chunk`` fixed, every backend runs that exact
-        chunking and the comparison is attributable to identical chunks;
-        when it is unset the note says so explicitly and each backend's own
-        plan note records what it actually ran.
+        waste the runs before it.  Each backend runs on the source as
+        opened, exactly as :meth:`run` would, so a file keeps its identity
+        in each run's record and a cached session serves and stores the
+        same entries :meth:`run` does.  Each report's own plan note records
+        the chunking it ran; with ``config.rows_per_chunk`` fixed, every
+        backend runs that exact chunking.
         """
         source = open_source(src)
         if source.is_batch:
@@ -918,52 +918,7 @@ class Session:
         names = [str(name) for name in backends]
         for name in names:
             get_backend(name)  # validates (with did-you-mean) up front
-
-        from repro.core.chunking import plan_row_chunks
-        from repro.core.engine import HOST_MEMORY_BYTES
-
-        # reference chunking for the notes; background (if any) is computed by
-        # each run itself, so no extra pass over the data happens here.
-        if isinstance(source, FileSource):
-            if self.config.streaming:
-                # header-only probe; each backend's run streams for itself
-                from repro.io.streaming import StreamingWireScanSource
-
-                probe = StreamingWireScanSource(source.path)
-            else:
-                # load the cube once and share it across every backend run,
-                # instead of re-reading the file per backend
-                from repro.core.source import StackSource
-                from repro.io.image_stack import load_wire_scan
-
-                source = StackSource(load_wire_scan(source.path))
-                probe = source.chunk_source(self.config)
-        else:
-            probe = source.chunk_source(self.config)
-        reference = plan_row_chunks(
-            n_rows=probe.n_rows,
-            n_cols=probe.n_cols,
-            n_positions=probe.n_positions,
-            n_depth_bins=self.config.grid.n_bins,
-            device_memory_bytes=HOST_MEMORY_BYTES,
-            layout=self.config.layout,
-            rows_per_chunk=self.config.rows_per_chunk,
-        )
-        if self.config.rows_per_chunk is not None:
-            shared_note = f"compare_backends shared plan: {reference.summary()}"
-        else:
-            shared_note = (
-                f"compare_backends reference plan: {reference.summary()} "
-                "(rows_per_chunk unset: backends may chunk differently; "
-                "each report's own plan note is authoritative)"
-            )
-
-        out: Dict[str, RunResult] = {}
-        for name in names:
-            run = self.on(name).run(source)
-            run.report.notes.append(shared_note)
-            out[name] = run
-        return out
+        return {name: self.on(name).run(source) for name in names}
 
 
 def session(

@@ -8,10 +8,14 @@ through the session, the registry CLI and ``Session.compare``.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.backends.base import Backend
 from repro.core.backends.vectorized import VectorizedExecutor
 from repro.core.config import DifferenceMode, ReconstructionConfig
@@ -302,6 +306,37 @@ class TestRetiredNames:
         assert loaded.config == run.config
         assert (loaded.config.executor, loaded.config.n_workers) == ("serial", 1)
         assert loaded.result.data.tobytes() == run.result.data.tobytes()
+
+    SCRIPT = "\n".join([
+        "import repro",
+        "from repro.core.config import ReconstructionConfig",
+        "grid = repro.DepthGrid.from_range(0.0, 100.0, 10)",
+        "repro.session(grid=grid, backend='threaded')",
+        "repro.session(grid=grid).on('threaded')",
+        "repro.session(grid=grid).configure(executor='processes')",
+        "data = dict(ReconstructionConfig(grid=grid).to_dict(), executor='processes')",
+        "ReconstructionConfig.from_dict(data)",
+    ])
+
+    @pytest.mark.parametrize("form", ["file", "-c"])
+    def test_front_door_warnings_reach_a_script(self, tmp_path, form):
+        """Under Python's default filters each front-door call that names a
+        retired name shows its warning, at the script's own line."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = src
+        script = tmp_path / "script.py"
+        script.write_text(self.SCRIPT, encoding="utf-8")
+        argv = [str(script)] if form == "file" else ["-c", self.SCRIPT]
+        done = subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True, timeout=120,
+            cwd=str(tmp_path), env=env, check=True,
+        )
+        warned = [line for line in done.stderr.splitlines() if "DeprecationWarning" in line]
+        caller = str(script) if form == "file" else "<string>"
+        assert [line.split(":")[:2] for line in warned] == [
+            [caller, str(line)] for line in (4, 5, 6, 8)
+        ], done.stderr
 
     def test_session_on_old_name_is_bitwise_threaded(self, depth_grid):
         stack = make_tiny_stack(n_rows=6, n_cols=4, n_positions=21)

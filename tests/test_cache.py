@@ -100,6 +100,21 @@ class TestHitIdentity:
         assert sess.run(path).cache_stats.hit
         assert sess.stream(rows_per_chunk=2).run(path).cache_stats.hit
 
+    def test_compare_runs_the_file_as_opened(self, cache_root, tmp_path, grid):
+        """Each backend of a file compare runs on the file: its record names
+        the file, and it serves and stores the entries ``run(path)`` does."""
+        path = str(tmp_path / "scan.h5lite")
+        _save_scan(path)
+        sess = repro.session(grid=grid).cached(cache_root)
+        cold = sess.run(path)
+        runs = sess.compare(path, ["vectorized", "gpusim"])
+        for run in runs.values():
+            assert run.source["kind"] == "file" and run.source["path"] == path
+        assert runs["vectorized"].cache_stats.hit
+        assert runs["vectorized"].cache_stats.key == cold.cache_stats.key
+        assert not runs["gpusim"].cache_stats.hit
+        assert sess.on("gpusim").run(path).cache_stats.hit
+
     def test_hit_records_key_stored_at_and_verified_digest(self, cache_root, small_stack, grid):
         sess = repro.session(grid=grid).cached(cache_root)
         cold = sess.run(small_stack)

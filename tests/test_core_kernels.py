@@ -53,7 +53,7 @@ class TestKernelContext:
         ctx, _ = context_and_grid
         assert ctx.n_positions == ctx.images.shape[0]
         assert ctx.n_steps == ctx.n_positions - 1
-        assert ctx.back_edge_yz.shape == (ctx.n_rows, 2)
+        assert all(part.shape == (ctx.n_steps, ctx.n_rows) for part in ctx.trapezoids)
 
     def test_signed_difference_scalar_matches_array(self, context_and_grid):
         ctx, _ = context_and_grid
@@ -78,9 +78,6 @@ def _trimmed(ctx, position_start, position_stop):
     """*ctx* with only positions ``position_start:position_stop`` of its slab."""
     return KernelContext(
         images=ctx.images[position_start:position_stop],
-        back_edge_yz=ctx.back_edge_yz,
-        front_edge_yz=ctx.front_edge_yz,
-        wire_positions_yz=ctx.wire_positions_yz,
         trapezoids=ctx.trapezoids,
         grid=ctx.grid,
         wire_edge=ctx.wire_edge,
@@ -118,9 +115,6 @@ class TestTrimmedSlab:
         with pytest.raises(ValidationError, match="does not fit the .* positions"):
             KernelContext(
                 images=ctx.images[:n_images],
-                back_edge_yz=ctx.back_edge_yz,
-                front_edge_yz=ctx.front_edge_yz,
-                wire_positions_yz=ctx.wire_positions_yz,
                 trapezoids=ctx.trapezoids,
                 grid=ctx.grid,
                 position_start=position_start,

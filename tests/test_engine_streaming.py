@@ -26,6 +26,7 @@ from repro.core.engine import (
 )
 from repro.core.session import _output_names, session
 from repro.core.stack import WireScanStack
+from repro.cudasim.device import TESLA_M2070
 from repro.geometry.beam import Beam
 from repro.geometry.detector import Detector
 from repro.io.h5lite import H5LiteError
@@ -200,6 +201,39 @@ class TestOutOfCore:
             assert source.accounting()["max_resident_rows"] < stack.n_rows
             reference = session(config=config.with_overrides(**RUNS[run])).run(path)
             np.testing.assert_array_equal(result.data, reference.result.data)
+
+    @pytest.mark.parametrize("layout", ["flat1d", "pointer3d"])
+    @pytest.mark.parametrize("device_memory_limit", [None, 1 << 20])
+    def test_default_window_is_the_slab_budget(
+        self, tmp_path, monkeypatch, layout, device_memory_limit
+    ):
+        """A host plan sizes a default streamed window by its input slab
+        alone: the most rows whose float64 ``(n_positions, rows, n_cols)``
+        slab fits the budget, whatever the device layout or memory."""
+        import repro.core.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "STREAMING_CHUNK_BYTES", 1_000_000)
+        stack = _noisy_stack(n_rows=64, n_cols=64, n_positions=61)
+        path = str(tmp_path / "scan.h5lite")
+        save_wire_scan(path, stack)
+        rows = 1_000_000 // (61 * 64 * 8)
+        assert rows == 32
+        for run in ("vectorized", "threaded"):
+            config = ReconstructionConfig(
+                grid=DepthGrid.from_range(0.0, 100.0, 20),
+                layout=layout,
+                device_memory_limit=device_memory_limit,
+                **RUNS[run],
+            )
+            source = StreamingWireScanSource(path)
+            result, report = execute_backend(source, config)
+            assert report.notes[0].endswith(f": 2 chunk(s) of up to {rows} row(s)"), run
+            accounting = source.accounting()
+            assert accounting["n_window_reads"] == 2
+            assert accounting["max_resident_rows"] == rows
+            in_memory = session(config=config).run(stack)
+            assert in_memory.report.n_chunks == 1
+            assert result.data.tobytes() == in_memory.result.data.tobytes()
 
     def test_streaming_source_geometry_matches_file(self, scan_file):
         path, stack = scan_file
@@ -384,8 +418,7 @@ class TestEngine:
         plan = build_execution_plan(StackChunkSource(stack), config, strategy="host")
         assert plan.chunks == ((0, 3), (3, 6), (6, 7))
         assert plan.n_chunks == 3 and plan.rows_per_chunk == 3
-        assert plan.summary().startswith("plan[host]")
-        assert plan.chunk_plan.covers_all_rows()
+        assert plan.summary() == "plan[host]: 3 chunk(s) of up to 3 row(s)"
 
     def test_result_hands_over_the_plan_output(self):
         """One zeroed output cube per run, handed over as the result, never copied."""
@@ -415,20 +448,21 @@ class TestEngine:
         with pytest.raises(ValidationError):
             sess.compare(stack, ["vectorized", "no-such-backend"])
 
-    def test_compare_backends_notes_shared_plan(self, scan_file):
+    def test_only_the_device_notes_device_bytes(self, scan_file):
+        """A host plan names its chunks only; gpusim's note adds the device
+        bytes per chunk, the limit and the layout (the Fig. 2 numbers)."""
         _path, stack = scan_file
-        sess = session(
-            grid=DepthGrid.from_range(0.0, 100.0, 10), rows_per_chunk=2
-        )
-        results = sess.compare(stack, ["vectorized", "gpusim"])
-        for _name, run in results.items():
-            assert any("compare_backends shared plan:" in note for note in run.report.notes)
-        # without a fixed chunk size the note must not claim shared chunking
-        loose = session(grid=DepthGrid.from_range(0.0, 100.0, 10))
-        results = loose.compare(stack, ["vectorized", "gpusim"])
-        for _name, run in results.items():
-            (note,) = [n for n in run.report.notes if "compare_backends" in n]
-            assert "reference plan" in note and "may chunk differently" in note
+        grid = DepthGrid.from_range(0.0, 100.0, 10)
+        for run, fields in RUNS.items():
+            report = session(grid=grid, rows_per_chunk=2, **fields).run(stack).report
+            assert report.notes[0].endswith(": 4 chunk(s) of up to 2 row(s)"), run
+            device_notes = [note for note in report.notes if "device bytes" in note]
+            if run != "gpusim":
+                assert not device_notes, run
+                continue
+            (note,) = device_notes
+            assert f"(limit {TESLA_M2070.total_memory_bytes})" in note
+            assert note.endswith("layout=flat1d")
 
 
 # --------------------------------------------------------------------------- #
