@@ -4,9 +4,11 @@
 ``config.executor`` is ``threads``; it is an executor, not a backend (the
 retired ``threaded`` backend name resolves to ``backend="vectorized",
 executor="threads"``).  It extends the serial
-:class:`~repro.core.backends.vectorized.VectorizedExecutor`: with one worker
-there is no pool, and every chunk takes the serial path, the run's element
-batch included.
+:class:`~repro.core.backends.vectorized.VectorizedExecutor`, and the pool
+gets only the chunks it splits: a chunk that
+:func:`~repro.core.chunking.plan_worker_bands` leaves as one band runs in
+the calling thread on the serial path, into the run's one element batch.
+With one worker every chunk is one band, so there is no pool at all.
 
 The fused kernel (:func:`~repro.core.kernels.depth_resolve_chunk_fused`)
 spends its time inside NumPy ufunc loops, which release the GIL.  That makes
@@ -17,13 +19,23 @@ chunk slab and writes straight into the band's own rows of the run's output
 cube, so dispatch cost is a ``submit()`` call and nothing else.  Depth
 reconstruction is embarrassingly parallel across rows because every
 (pixel, step) element writes only to its own pixel's depth profile: bands
-cover disjoint rows, so no two threads ever write the same output slot.
+and in-line chunks cover disjoint rows, so no two threads ever write the
+same output slot.
 
 Band granularity comes from :func:`~repro.core.chunking.plan_worker_bands`:
 one near-equal band per worker, coarsened so every dispatch carries at least
 a minimum number of ``(step, row, col)`` elements — tiny bands would make
 the per-dispatch bookkeeping (Python-level, GIL-holding) rival the kernel
-time and bend the scaling curve back down.
+time and bend the scaling curve back down.  A chunk below two bands' worth
+of elements runs in the calling thread, into the run's one element batch.
+On the pool it would pay for a batch of its own and contend for the GIL
+with the calling thread, but it would compute while that thread read and
+submitted the next chunks, up to ``n_workers`` one-band chunks at once.  So
+a plan made only of such chunks (streamed windows, or a small
+``rows_per_chunk`` in memory) runs on one thread, as ``serial`` does: no
+read overlaps the kernel and no two chunks compute together.  Whether that
+concurrency would have paid depends on the host's cores; a wider
+``rows_per_chunk`` gives the chunks bands.
 
 The pool is the persistent :func:`~repro.core.workerpool.shared_thread_pool`,
 reused across runs and files; thread start-up is cheap but not free, and a
@@ -84,7 +96,7 @@ def _reconstruct_band(ctx: KernelContext, band_start: int, band_stop: int, out: 
 
 class ThreadedExecutor(VectorizedExecutor):
     """Row bands on the shared thread pool, bounded bands in flight; the
-    serial executor's path when there is one worker."""
+    serial executor's path for a chunk that is one band."""
 
     name = "threaded"
 
@@ -97,6 +109,8 @@ class ThreadedExecutor(VectorizedExecutor):
         self._pending: Deque[Future] = deque()
         self._n_workers = 1
         self._max_inflight = 1
+        #: chunks run in the calling thread; every other launch is a pool band
+        self._n_inline = 0
         #: peak number of bands simultaneously pending in the pool
         self.peak_inflight = 0
 
@@ -124,11 +138,14 @@ class ThreadedExecutor(VectorizedExecutor):
         )
 
     def execute_chunk(self, ctx: KernelContext, row_start: int, row_stop: int) -> Iterable[int]:
-        if self._pool is None:
-            # one worker: the serial path, into the run's element batch
+        bands = self._bands(ctx)
+        if len(bands) == 1:
+            # one band (always, with one worker): the serial path, into the
+            # run's element batch
+            self._n_inline += 1
             yield from super().execute_chunk(ctx, row_start, row_stop)
             return
-        for band_start, band_stop in self._bands(ctx):
+        for band_start, band_stop in bands:
             self._n_launches += 1
             self._n_threads += ctx.n_steps * (band_stop - band_start) * ctx.n_cols
             self._pending.append(
@@ -153,7 +170,7 @@ class ThreadedExecutor(VectorizedExecutor):
     def drain(self) -> Iterable[int]:
         while self._pending:
             yield self._collect(self._pending.popleft())
-        # the one-worker path's batch; bands distribute their own
+        # the in-line chunks' batch; bands distribute their own
         yield from super().drain()
 
     def close(self) -> None:
@@ -164,8 +181,8 @@ class ThreadedExecutor(VectorizedExecutor):
 
     # ------------------------------------------------------------------ #
     def notes(self) -> List[str]:
-        mode = "thread-pool" if self._n_workers > 1 else "in-line"
+        n_bands = self._n_launches - self._n_inline
         return [
-            f"{self._n_workers} worker thread(s), {self._n_launches} row band(s), "
-            f"{mode} fused dispatch"
+            f"{self._n_workers} worker thread(s): {n_bands} row band(s) on the "
+            f"thread pool, {self._n_inline} chunk(s) in-line"
         ]

@@ -20,7 +20,9 @@ windows: each chunk reads only the wire positions its usable steps span.
 the backend: ``serial`` in the calling thread (:class:`VectorizedExecutor`)
 or ``threads`` on the shared GIL-releasing thread pool
 (:class:`~repro.core.backends.threaded.ThreadedExecutor`, which extends the
-serial executor and takes its path at one worker).
+serial executor and sends the pool only the chunks it splits into row
+bands; a chunk that stays one band, every chunk at one worker, takes the
+serial path).
 """
 
 from __future__ import annotations

@@ -236,6 +236,28 @@ class ExecutionPlan:
         )
 
 
+def host_chunk_rows(
+    n_positions: int,
+    n_rows: int,
+    n_cols: int,
+    rows_per_chunk: Optional[int],
+    out_of_core: bool,
+) -> int:
+    """Rows per chunk of a host plan over a ``(n_positions, n_rows, n_cols)``
+    scan: *rows_per_chunk*, else every row — except out of core, where a
+    chunk holds the most rows whose float64 ``(n_positions, rows, n_cols)``
+    slab fits :data:`STREAMING_CHUNK_BYTES`, and at least one.  Never more
+    than *n_rows*.
+    """
+    if rows_per_chunk is None and out_of_core:
+        row_bytes = n_positions * n_cols * np.dtype(np.float64).itemsize
+        rows_per_chunk = max(1, STREAMING_CHUNK_BYTES // row_bytes)
+    rows = n_rows if rows_per_chunk is None else min(int(rows_per_chunk), n_rows)
+    if rows < 1:
+        raise ValidationError(f"rows_per_chunk must be >= 1, got {rows_per_chunk!r}")
+    return rows
+
+
 def build_execution_plan(
     source: ChunkSource,
     config: ReconstructionConfig,
@@ -245,11 +267,11 @@ def build_execution_plan(
 ) -> ExecutionPlan:
     """Build an :class:`ExecutionPlan` for *source* under *config*.
 
-    Rows per chunk come from ``rows_per_chunk``, else
-    ``config.rows_per_chunk``, else every row — except on an out-of-core
-    source, where a chunk holds the most rows whose float64
-    ``(n_positions, rows, n_cols)`` slab fits :data:`STREAMING_CHUNK_BYTES`,
-    and at least one, so streaming never pulls the whole cube into RAM.
+    Rows per chunk follow :func:`host_chunk_rows` from ``rows_per_chunk``,
+    else ``config.rows_per_chunk``: every row when neither is set, except
+    on an out-of-core source, whose windows fit
+    :data:`STREAMING_CHUNK_BYTES`, so streaming never pulls the whole cube
+    into RAM.
 
     The per-run state is computed here, once: the background levels, the
     source's edge tables for every detector row, the trapezoid table, whose
@@ -265,12 +287,9 @@ def build_execution_plan(
     """
     if rows_per_chunk is None:
         rows_per_chunk = config.rows_per_chunk
-    if rows_per_chunk is None and source.out_of_core:
-        row_bytes = source.n_positions * source.n_cols * np.dtype(np.float64).itemsize
-        rows_per_chunk = max(1, STREAMING_CHUNK_BYTES // row_bytes)
-    rows = source.n_rows if rows_per_chunk is None else min(int(rows_per_chunk), source.n_rows)
-    if rows < 1:
-        raise ValidationError(f"rows_per_chunk must be >= 1, got {rows_per_chunk!r}")
+    rows = host_chunk_rows(
+        source.n_positions, source.n_rows, source.n_cols, rows_per_chunk, source.out_of_core
+    )
     chunks = tuple(
         (start, min(start + rows, source.n_rows)) for start in range(0, source.n_rows, rows)
     )

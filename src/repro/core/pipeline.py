@@ -51,11 +51,13 @@ def estimate_source_resident_bytes(source, config: ReconstructionConfig) -> Opti
 
     For a file source this is a header-only probe (geometry, never images):
     the input term is the full cube when the item will be loaded in memory,
-    or one streaming chunk slab (:data:`~repro.core.engine.STREAMING_CHUNK_BYTES`,
-    the slab budget a host plan sizes its default streamed windows by) when
-    ``config.streaming`` is set; the output term is the full depth-resolved
-    cube, which exists either way; background subtraction briefly doubles
-    the input slab.
+    or one window slab of every wire position when ``config.streaming`` is
+    set, its rows chosen by the host plan's own rule
+    (:func:`~repro.core.engine.host_chunk_rows`: ``config.rows_per_chunk``,
+    else as many rows as fit
+    :data:`~repro.core.engine.STREAMING_CHUNK_BYTES`); the output term is
+    the full depth-resolved cube, which exists either way; background
+    subtraction briefly doubles the input slab.
     Returns ``None`` when the item's dimensions cannot be probed cheaply —
     an unreadable file surfaces as that *item's* failure at run time, never
     as a scheduling error.
@@ -78,11 +80,14 @@ def estimate_source_resident_bytes(source, config: ReconstructionConfig) -> Opti
     else:
         return None
 
-    from repro.core.engine import STREAMING_CHUNK_BYTES
+    from repro.core.engine import host_chunk_rows
 
     float_bytes = 8
-    cube = n_positions * n_rows * n_cols * float_bytes
-    input_bytes = min(cube, STREAMING_CHUNK_BYTES) if streaming_input else cube
+    if streaming_input:
+        rows = host_chunk_rows(n_positions, n_rows, n_cols, config.rows_per_chunk, True)
+    else:
+        rows = n_rows
+    input_bytes = n_positions * rows * n_cols * float_bytes
     if config.subtract_background:
         input_bytes *= 2  # the background-subtracted slab copy
     output_bytes = config.grid.n_bins * n_rows * n_cols * float_bytes

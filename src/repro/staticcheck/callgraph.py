@@ -22,7 +22,8 @@ builds the missing global view:
   (``register_op`` / ``register_backend`` / ``register_rule``) are marked: they are called by machinery, not by
   name, so reachability analyses must treat them as roots.
 * **Submission sites** — every place a callable escapes onto another
-  thread: ``pool.submit(fn)``, ``loop.run_in_executor(executor, fn)``
+  thread: ``pool.submit(fn)``, ``pool.map(fn, items)``,
+  ``loop.run_in_executor(executor, fn)``
   (including the ``contextvars`` idiom ``run_in_executor(executor,
   context.run, fn)``), ``future.add_done_callback(fn)`` and
   ``threading.Thread(target=fn)``.  The ``thread-escape`` rule seeds its
@@ -69,7 +70,7 @@ _ENTRY_DECORATORS = {
 }
 
 #: attribute names whose call hands a positional callable to another thread
-_SUBMIT_APIS = ("submit", "run_in_executor", "add_done_callback")
+_SUBMIT_APIS = ("submit", "map", "run_in_executor", "add_done_callback")
 
 
 def module_name_for_path(path: str) -> str:
@@ -127,7 +128,7 @@ class SubmissionSite:
 
     #: qualname of the function containing the submission
     caller: str
-    #: which API carried it: ``submit`` / ``run_in_executor`` / ...
+    #: which API carried it: ``submit`` / ``map`` / ``run_in_executor`` / ...
     api: str
     #: resolved qualname of the escaping callable (``None`` if unresolved)
     callee: Optional[str]
@@ -721,7 +722,7 @@ class _Builder:
     def _submitted_expr(self, call: ast.Call, api: str) -> Optional[ast.AST]:
         """The callable argument escaping through a submission API."""
         args = call.args
-        if api == "submit" or api == "add_done_callback":
+        if api in ("submit", "map", "add_done_callback"):
             return args[0] if args else None
         if api == "run_in_executor":
             if len(args) < 2:

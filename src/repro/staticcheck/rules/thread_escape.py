@@ -2,7 +2,8 @@
 
 The whole-program companion to ``lock-discipline``.  Starting from every
 **submission site** the call graph records (``pool.submit(fn)``,
-``loop.run_in_executor(...)``, ``future.add_done_callback(fn)``,
+``pool.map(fn, items)``, ``loop.run_in_executor(...)``,
+``future.add_done_callback(fn)``,
 ``threading.Thread(target=fn)`` — including callables forwarded through a
 parameter, which is how ``ThreadPool.submit`` hands work over), it
 computes the set of functions

@@ -86,6 +86,31 @@ def _race_sanitizer_gate():
 
 
 @pytest.fixture()
+def pool_bands(monkeypatch):
+    """Give every ``threads`` executor built during the test an element floor
+    of 1, so each chunk of two or more rows splits into row bands on the
+    shared pool.
+
+    At the default floor every chunk of these small test stacks is one band,
+    which runs in the calling thread on the serial path, so an identity test
+    of the ``threads`` executor would compare the serial path with itself.
+    Returns the list of executors built, for
+    :func:`tests.helpers.sent_bands_to_the_pool`.
+    """
+    from repro.core.backends.threaded import ThreadedExecutor
+
+    built = []
+    init = ThreadedExecutor.__init__
+
+    def init_at_floor_one(self, min_elements_per_dispatch=1):
+        init(self, min_elements_per_dispatch)
+        built.append(self)
+
+    monkeypatch.setattr(ThreadedExecutor, "__init__", init_at_floor_one)
+    return built
+
+
+@pytest.fixture()
 def rng() -> np.random.Generator:
     """A deterministic random generator."""
     return np.random.default_rng(1234)

@@ -20,6 +20,12 @@ RUNS = {
 }
 
 
+def sent_bands_to_the_pool(executors) -> bool:
+    """Whether *executors* (the ``pool_bands`` fixture's list) holds a
+    ``threads`` executor and every one sent row bands to the shared pool."""
+    return bool(executors) and all(executor.peak_inflight > 0 for executor in executors)
+
+
 def make_tiny_stack(n_rows: int = 3, n_cols: int = 2, n_positions: int = 9) -> WireScanStack:
     """Hand-rolled minimal stack used by tests that only need valid shapes."""
     detector = Detector(n_rows=n_rows, n_cols=n_cols, pixel_size=200.0, distance=510_000.0)

@@ -34,7 +34,7 @@ from repro.core.session import load, session
 from repro.geometry.wire import WireEdge
 from repro.io.image_stack import save_depth_resolved
 from repro.utils.validation import ValidationError
-from tests.helpers import make_tiny_stack
+from tests.helpers import make_tiny_stack, sent_bands_to_the_pool
 
 ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim")
 
@@ -338,7 +338,7 @@ class TestRetiredNames:
             [caller, str(line)] for line in (4, 5, 6, 8)
         ], done.stderr
 
-    def test_session_on_old_name_is_bitwise_threaded(self, depth_grid):
+    def test_session_on_old_name_is_bitwise_threaded(self, depth_grid, pool_bands):
         stack = make_tiny_stack(n_rows=6, n_cols=4, n_positions=21)
         base = session(grid=depth_grid, n_workers=2)
         serial = base.run(stack)
@@ -353,6 +353,7 @@ class TestRetiredNames:
             assert run.report.backend == "vectorized"
             assert run.result.data.tobytes() == threads.result.data.tobytes()
         assert np.array_equal(threads.result.data, serial.result.data)
+        assert len(pool_bands) == 3 and sent_bands_to_the_pool(pool_bands)
 
 
 class TestToyBackendEndToEnd:

@@ -16,6 +16,7 @@ from repro.cli import (
 )
 from repro.core.session import load
 from repro.io.image_stack import load_depth_resolved, load_wire_scan
+from tests.helpers import sent_bands_to_the_pool
 
 
 class TestGenerate:
@@ -91,7 +92,7 @@ class TestReconstruct:
         streamed = load_depth_resolved(stream_path)
         np.testing.assert_array_equal(streamed.data, mem.data)
 
-    def test_executor_flag_and_retired_backend_match_serial(self, tmp_path, capsys):
+    def test_executor_flag_and_retired_backend_match_serial(self, tmp_path, capsys, pool_bands):
         """``--executor threads`` and the retired ``--backend threaded``, which
         now means the same run, write the serial run's output bit for bit."""
         scan_path = tmp_path / "scan.h5lite"
@@ -113,6 +114,7 @@ class TestReconstruct:
             run = load(str(path))
             assert (run.config.backend, run.config.executor) == ("vectorized", "threads")
             assert run.result.data.tobytes() == serial.result.data.tobytes()
+        assert len(pool_bands) == 2 and sent_bands_to_the_pool(pool_bands)
 
 
 class TestBenchmarkCli:

@@ -191,6 +191,33 @@ class TestThreadEscape:
         assert _rules_fired(report) == {"thread-escape"}
         assert "_TICKS" in report.gating[0].message
 
+    def test_global_rebind_in_mapped_callable_flagged(self, tmp_path):
+        """``Executor.map`` hands its first argument to pool threads, passed
+        directly or forwarded through a parameter."""
+        for name, mapped in (("direct", "tick"), ("forwarded", "work")):
+            report = lint_paths([_write_pkg(tmp_path / name, {
+                "pkg/__init__.py": "",
+                "pkg/mod.py": """
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    _TICKS = 0
+
+                    def tick(item):
+                        global _TICKS
+                        _TICKS += item
+
+                    def run_all(work, items):
+                        with ThreadPoolExecutor(max_workers=2) as threads:
+                            return list(threads.map(%s, items))
+
+                    def run():
+                        return run_all(tick, [1, 2, 3])
+                """ % mapped,
+            })], rule_ids=self.RULE)
+            assert _rules_fired(report) == {"thread-escape"}, name
+            (finding,) = report.gating
+            assert "_TICKS" in finding.message and "map" in finding.message, name
+
     def test_unsubmitted_function_not_governed(self, tmp_path):
         # the same unlocked global rebind is fine when nothing threads it
         report = lint_paths([_write_pkg(tmp_path, {

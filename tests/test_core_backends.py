@@ -10,7 +10,7 @@ from repro.core.depth_grid import DepthGrid
 from repro.core.engine import StackChunkSource, build_chunk_context, build_execution_plan
 from repro.cudasim.device import Device, GENERIC_LAPTOP_GPU
 from repro.utils.validation import ValidationError
-from tests.helpers import RUNS
+from tests.helpers import RUNS, sent_bands_to_the_pool
 
 ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim")
 
@@ -44,13 +44,16 @@ class TestBackendEquivalence:
         return result
 
     @pytest.mark.parametrize("run", ["vectorized", "gpusim", "threaded"])
-    def test_backend_matches_reference(self, run, point_source_stack, default_config, reference_result):
+    def test_backend_matches_reference(
+        self, run, point_source_stack, default_config, reference_result, pool_bands
+    ):
         stack, _ = point_source_stack
         config = default_config.with_overrides(**RUNS[run])
         result, report = get_backend(config.backend).reconstruct(stack, config)
         assert np.array_equal(result.data, reference_result.data)
         assert report.backend == config.backend  # "vectorized" for the threads run
         assert report.wall_time >= 0
+        assert sent_bands_to_the_pool(pool_bands) == (run == "threaded")
 
     def test_gpusim_layouts_agree(self, point_source_stack, default_config):
         stack, _ = point_source_stack
@@ -76,12 +79,14 @@ class TestBackendEquivalence:
         assert report.n_chunks > 1
         assert result.total_intensity() > 0
 
-    def test_threaded_worker_counts_agree(self, point_source_stack, default_config):
+    def test_threaded_worker_counts_agree(self, point_source_stack, default_config, pool_bands):
         stack, _ = point_source_stack
         threads = default_config.with_overrides(executor="threads")
         one, _ = get_backend("vectorized").reconstruct(stack, threads.with_overrides(n_workers=1))
         three, _ = get_backend("vectorized").reconstruct(stack, threads.with_overrides(n_workers=3))
         assert np.array_equal(one.data, three.data)
+        # one worker runs in the caller; three split the chunk on the pool
+        assert [executor.peak_inflight > 0 for executor in pool_bands] == [False, True]
 
 
 class TestGpuSimAccounting:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import engine
 from repro.core.backends import get_backend
 from repro.core.backends.threaded import ThreadedExecutor
 from repro.core.backends.vectorized import VectorizedExecutor
@@ -24,7 +25,9 @@ from repro.core.engine import (
     execute as engine_execute,
     execute_backend,
 )
+from repro.core.pipeline import estimate_source_resident_bytes
 from repro.core.session import _output_names, session
+from repro.core.source import FileSource
 from repro.core.stack import WireScanStack
 from repro.cudasim.device import TESLA_M2070
 from repro.geometry.beam import Beam
@@ -40,7 +43,7 @@ from repro.io.image_stack import (
 from repro.io.streaming import StreamingWireScanSource
 from repro.synthetic.forward_model import design_scan_for_depth_range
 from repro.utils.validation import ValidationError
-from tests.helpers import RUNS, make_tiny_stack
+from tests.helpers import RUNS, make_tiny_stack, sent_bands_to_the_pool
 
 
 def _noisy_stack(n_rows=7, n_cols=5, n_positions=17, masked=False, seed=11):
@@ -83,7 +86,7 @@ def scan_file(tmp_path):
 class TestStreamedEqualsInMemory:
     @pytest.mark.parametrize("run", RUNS)
     @pytest.mark.parametrize("rows_per_chunk", [1, 3, None])
-    def test_bitwise_identical(self, tmp_path, run, rows_per_chunk):
+    def test_bitwise_identical(self, tmp_path, run, rows_per_chunk, pool_bands):
         stack = _noisy_stack(masked=True)
         path = tmp_path / "scan.h5lite"
         save_wire_scan(path, stack)
@@ -97,6 +100,7 @@ class TestStreamedEqualsInMemory:
         streamed = session(config=config.with_overrides(streaming=True)).run(str(path))
         np.testing.assert_array_equal(streamed.result.data, in_memory.result.data)
         assert streamed.report.n_chunks == in_memory.report.n_chunks
+        assert sent_bands_to_the_pool(pool_bands) == (run == "threaded" and rows_per_chunk != 1)
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -126,7 +130,7 @@ class TestStreamedEqualsInMemory:
         streamed = session(config=config).run(str(path))
         np.testing.assert_array_equal(streamed.result.data, reference.data)
 
-    def test_streamed_background_matches_every_backend(self, scan_file):
+    def test_streamed_background_matches_every_backend(self, scan_file, pool_bands):
         """With subtract_background on, every backend and executor agrees
         bit-for-bit (a per-chunk median would make the chunked runs diverge)."""
         path, _stack = scan_file
@@ -140,6 +144,7 @@ class TestStreamedEqualsInMemory:
             results[run] = session(config=config).run(path).result.data
         for run in RUNS:
             np.testing.assert_array_equal(results[run], results["cpu_reference"])
+        assert sent_bands_to_the_pool(pool_bands)
 
 
 class TestOutOfCore:
@@ -186,7 +191,7 @@ class TestOutOfCore:
         assert np.array_equal(result.data, reference.data)
         assert not result.data[:, 6:].any()
 
-    def test_default_streaming_plan_is_bounded(self, scan_file, monkeypatch):
+    def test_default_streaming_plan_is_bounded(self, scan_file, monkeypatch, pool_bands):
         """Without rows_per_chunk, an out-of-core run must still chunk once the
         cube exceeds the streaming slab budget (never one full-cube read)."""
         import repro.core.engine as engine_module
@@ -201,11 +206,12 @@ class TestOutOfCore:
             assert source.accounting()["max_resident_rows"] < stack.n_rows
             reference = session(config=config.with_overrides(**RUNS[run])).run(path)
             np.testing.assert_array_equal(result.data, reference.result.data)
+        assert sent_bands_to_the_pool(pool_bands)
 
     @pytest.mark.parametrize("layout", ["flat1d", "pointer3d"])
     @pytest.mark.parametrize("device_memory_limit", [None, 1 << 20])
     def test_default_window_is_the_slab_budget(
-        self, tmp_path, monkeypatch, layout, device_memory_limit
+        self, tmp_path, monkeypatch, layout, device_memory_limit, pool_bands
     ):
         """A host plan sizes a default streamed window by its input slab
         alone: the most rows whose float64 ``(n_positions, rows, n_cols)``
@@ -234,6 +240,7 @@ class TestOutOfCore:
             in_memory = session(config=config).run(stack)
             assert in_memory.report.n_chunks == 1
             assert result.data.tobytes() == in_memory.result.data.tobytes()
+        assert sent_bands_to_the_pool(pool_bands)
 
     def test_streaming_source_geometry_matches_file(self, scan_file):
         path, stack = scan_file
@@ -291,7 +298,9 @@ class TestTrimmedWindows:
     @pytest.mark.parametrize("subtract_background", [False, True], ids=["raw", "background"])
     @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3, 4])
     @pytest.mark.parametrize("mode", ["in-memory", "streamed"])
-    def test_every_run_matches_the_reference(self, scan, mode, rows_per_chunk, subtract_background):
+    def test_every_run_matches_the_reference(
+        self, scan, mode, rows_per_chunk, subtract_background, pool_bands
+    ):
         stack, path = scan
         config = ReconstructionConfig(
             grid=self.GRID, rows_per_chunk=rows_per_chunk,
@@ -310,6 +319,7 @@ class TestTrimmedWindows:
         for run, (result, report) in runs.items():
             assert np.array_equal(result.data, reference.data), run
             assert report.n_active_pixels == reference_report.n_active_pixels, run
+        assert sent_bands_to_the_pool(pool_bands) == (rows_per_chunk > 1)
 
     @pytest.mark.parametrize("executor", ["serial", "threads"])
     def test_trimmed_streamed_runs_launch_what_full_windows_launch(self, scan, executor):
@@ -480,7 +490,9 @@ class TestThreadedParallel:
 
     def test_chunk_failure_cancels_pending(self):
         """A chunk raising mid-run surfaces its error and leaves no band
-        pending in the shared pool."""
+        pending in the shared pool.  The chunks split into bands (two rows,
+        no element floor): a chunk left as one band runs in the caller and
+        never reaches the pool."""
 
         class ExplodingSource(StackChunkSource):
             def __init__(self, stack, fail_at):
@@ -495,19 +507,23 @@ class TestThreadedParallel:
                 return super().load_rows(row_start, row_stop)
 
         stack = _noisy_stack(n_rows=10, seed=9)
-        source = ExplodingSource(stack, fail_at=5)
-        executor = ThreadedExecutor()
+        source = ExplodingSource(stack, fail_at=3)
+        executor = ThreadedExecutor(min_elements_per_dispatch=1)
         with pytest.raises(RuntimeError, match="disk died"):
-            engine_execute(source, self._config(rows_per_chunk=1), executor)
+            engine_execute(source, self._config(rows_per_chunk=2), executor)
         assert executor.peak_inflight > 1  # bands were in flight when it failed
         assert not executor._pending  # nothing left pending after the failure
         # the shared pool survives the failed run
-        recovered = session(config=self._config()).run(stack)
+        executor = ThreadedExecutor(min_elements_per_dispatch=1)
+        recovered, _report = engine_execute(
+            StackChunkSource(stack), self._config(rows_per_chunk=2), executor
+        )
+        assert executor.peak_inflight > 0
         reference = session(config=self._config(executor="serial")).run(stack)
-        np.testing.assert_array_equal(recovered.result.data, reference.result.data)
+        np.testing.assert_array_equal(recovered.data, reference.result.data)
 
     @pytest.mark.parametrize("streaming", [False, True])
-    def test_batched_threaded_matches_reference(self, tmp_path, streaming):
+    def test_batched_threaded_matches_reference(self, tmp_path, streaming, pool_bands):
         """Bitwise identity holds through run_many too (both in-memory and
         streamed), not just single runs."""
         paths = []
@@ -524,6 +540,7 @@ class TestThreadedParallel:
                 config=config.with_overrides(executor="serial", streaming=False)
             ).run(path)
             np.testing.assert_array_equal(item.result.data, reference.result.data)
+        assert len(pool_bands) == 2 and sent_bands_to_the_pool(pool_bands)
 
 
 # --------------------------------------------------------------------------- #
@@ -550,6 +567,34 @@ class TestBatch:
         assert roomy.max_workers == 3
         for a, b in zip(clamped.items, roomy.items):
             np.testing.assert_array_equal(a.result.data, b.result.data)
+
+    def test_admission_estimate_covers_the_largest_window(self, tmp_path, monkeypatch):
+        """A streamed item is charged the window the engine reads: a fixed
+        ``rows_per_chunk`` wider than the slab budget, else the rows that
+        fit the budget."""
+        monkeypatch.setattr(engine, "STREAMING_CHUNK_BYTES", 1_000_000)
+        path = str(tmp_path / "scan.h5lite")
+        save_wire_scan(path, make_tiny_stack(n_rows=64, n_cols=64, n_positions=61))
+        grid = DepthGrid.from_range(0.0, 100.0, 14)
+        output_bytes = grid.n_bins * 64 * 64 * 8
+        windows = []
+
+        class RecordingSource(StreamingWireScanSource):
+            def load_window(self, *window):
+                slab = super().load_window(*window)
+                windows.append(slab.nbytes)
+                return slab
+
+        for rows_per_chunk, rows in ((64, 64), (None, 1_000_000 // (61 * 64 * 8))):
+            config = ReconstructionConfig(grid=grid, streaming=True, rows_per_chunk=rows_per_chunk)
+            source = RecordingSource(path)
+            windows.clear()
+            engine_execute(source, config, VectorizedExecutor())
+            assert source.max_resident_rows == rows
+            input_bytes = estimate_source_resident_bytes(FileSource(path), config) - output_bytes
+            assert input_bytes >= max(windows)
+            # every position of the widest window, as a whole-window executor reads it
+            assert input_bytes == 61 * rows * 64 * 8
 
     def test_batch_processes_files_concurrently(self, tmp_path):
         paths = self._make_files(tmp_path, n=3)

@@ -45,7 +45,7 @@ from repro.io.streaming import StreamingWireScanSource
 from repro.synthetic.forward_model import design_scan_for_depth_range
 from repro.synthetic.workloads import make_grain_sample_stack, make_point_source_stack
 from repro.utils.validation import ValidationError
-from tests.helpers import RUNS, make_tiny_stack
+from tests.helpers import RUNS, make_tiny_stack, sent_bands_to_the_pool
 
 #: Retired backend names the config still resolves, with a deprecation warning.
 RETIRED_BACKENDS = ("multiprocess",)
@@ -217,20 +217,22 @@ class TestBackendsBitwise:
         return stack, grid, result
 
     @pytest.mark.parametrize("run", ("vectorized", "threaded") + RETIRED_BACKENDS)
-    def test_backend_bitwise_identical(self, reference_run, run):
+    def test_backend_bitwise_identical(self, reference_run, run, pool_bands):
         stack, grid, reference = reference_run
         config = _run_config(run, grid=grid, n_workers=2)
         result, _report = get_backend(config.backend).reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
         shutdown_shared_thread_pool()
+        assert sent_bands_to_the_pool(pool_bands) == (config.executor == "threads")
 
     @pytest.mark.parametrize("run", ("vectorized", "threaded") + RETIRED_BACKENDS)
-    def test_backend_bitwise_identical_chunked(self, reference_run, run):
+    def test_backend_bitwise_identical_chunked(self, reference_run, run, pool_bands):
         stack, grid, reference = reference_run
         config = _run_config(run, grid=grid, n_workers=2, rows_per_chunk=2)
         result, _report = get_backend(config.backend).reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
         shutdown_shared_thread_pool()
+        assert sent_bands_to_the_pool(pool_bands) == (config.executor == "threads")
 
     def test_backend_bitwise_identical_streamed(self, reference_run, tmp_path):
         stack, grid, reference = reference_run
@@ -289,7 +291,7 @@ class TestRealisticGeometry:
 
     @pytest.mark.parametrize("run,extra", CASES)
     @pytest.mark.parametrize("mode", ["in-memory", "chunked", "streamed"])
-    def test_bitwise_identical_to_reference(self, scan, mode, run, extra):
+    def test_bitwise_identical_to_reference(self, scan, mode, run, extra, pool_bands):
         stack, path, grid, reference = scan
         config = _run_config(
             run, grid=grid, rows_per_chunk=None if mode == "in-memory" else 2, **extra
@@ -301,6 +303,7 @@ class TestRealisticGeometry:
         shutdown_shared_thread_pool()
         differing = int(np.count_nonzero(result.data != reference.data))
         assert differing == 0, f"{differing} of {reference.data.size} slots differ"
+        assert sent_bands_to_the_pool(pool_bands) == (config.executor == "threads")
 
 
 class TestNoisyGrainScan:
@@ -320,7 +323,7 @@ class TestNoisyGrainScan:
         return stack, grid, reference, report
 
     @pytest.mark.parametrize("run,extra", TestRealisticGeometry.CASES)
-    def test_bitwise_identical_to_reference(self, scan, run, extra):
+    def test_bitwise_identical_to_reference(self, scan, run, extra, pool_bands):
         stack, grid, reference, reference_report = scan
         config = _run_config(run, grid=grid, **extra)
         result, report = get_backend(config.backend).reconstruct(stack, config)
@@ -328,6 +331,7 @@ class TestNoisyGrainScan:
         differing = int(np.count_nonzero(result.data != reference.data))
         assert differing == 0, f"{differing} of {reference.data.size} slots differ"
         assert report.n_active_pixels == reference_report.n_active_pixels
+        assert sent_bands_to_the_pool(pool_bands) == (config.executor == "threads")
 
 
 def _every_run(stack, rows_per_chunk):
@@ -351,7 +355,7 @@ class TestNanPixel:
     pixel touches, and none writes a NaN."""
 
     @pytest.mark.parametrize("rows_per_chunk", [None, 2], ids=["in-memory", "chunked"])
-    def test_every_backend_skips_the_nan_pixel(self, rows_per_chunk):
+    def test_every_backend_skips_the_nan_pixel(self, rows_per_chunk, pool_bands):
         stack = _noisy_stack()
         stack.images[8, 3, 2] = np.nan
         results = _every_run(stack, rows_per_chunk)
@@ -360,6 +364,7 @@ class TestNanPixel:
         for name, (result, report) in results.items():
             assert np.array_equal(result.data, reference.data), name
             assert report.n_active_pixels == reference_report.n_active_pixels, name
+        assert sent_bands_to_the_pool(pool_bands)
 
 
 class TestInfPixel:
@@ -375,7 +380,7 @@ class TestInfPixel:
     @pytest.mark.filterwarnings("ignore:invalid value encountered in:RuntimeWarning")
     @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
     @pytest.mark.parametrize("rows_per_chunk", [None, 2], ids=["in-memory", "chunked"])
-    def test_every_backend_matches_the_reference(self, rows_per_chunk, value):
+    def test_every_backend_matches_the_reference(self, rows_per_chunk, value, pool_bands):
         stack = _noisy_stack()
         stack.images[8, 3, 2] = value
         results = _every_run(stack, rows_per_chunk)
@@ -384,6 +389,7 @@ class TestInfPixel:
         for name, (result, report) in results.items():
             assert np.array_equal(result.data, reference.data, equal_nan=True), name
             assert report.n_active_pixels == reference_report.n_active_pixels, name
+        assert sent_bands_to_the_pool(pool_bands)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("masked", [False, True], ids=["dense-block", "masked-block"])
@@ -454,11 +460,14 @@ class TestUnreadPositions:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rows_per_chunk", [None, 2], ids=["in-memory", "chunked"])
     @pytest.mark.parametrize("run", [name for name in RUNS if name != "cpu_reference"])
-    def test_every_backend_matches_the_reference(self, stack, reference, run, rows_per_chunk):
+    def test_every_backend_matches_the_reference(
+        self, stack, reference, run, rows_per_chunk, pool_bands
+    ):
         config = _run_config(run, grid=self.GRID, n_workers=2, rows_per_chunk=rows_per_chunk)
         result, _report = get_backend(config.backend).reconstruct(stack, config)
         shutdown_shared_thread_pool()
         assert np.array_equal(result.data, reference.data)
+        assert sent_bands_to_the_pool(pool_bands) == (run == "threaded")
 
     @pytest.fixture(scope="class")
     def streamed(self, stack, tmp_path_factory):
@@ -476,7 +485,9 @@ class TestUnreadPositions:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
     @pytest.mark.parametrize("run", ["vectorized", "threaded"])
-    def test_streamed_windows_skip_the_infinite_positions(self, streamed, run, rows_per_chunk):
+    def test_streamed_windows_skip_the_infinite_positions(
+        self, streamed, run, rows_per_chunk, pool_bands
+    ):
         """A streamed window holds only the positions its chunk's span
         covers, so the ±inf positions are never read at all."""
         stack, path, reference = streamed
@@ -494,6 +505,7 @@ class TestUnreadPositions:
             (stop - start) * (row_stop - row_start) * stack.n_cols * stack.images.itemsize
             for (row_start, row_stop), (start, stop) in zip(plan.chunks, plan.position_ranges)
         )
+        assert sent_bands_to_the_pool(pool_bands) == (run == "threaded" and rows_per_chunk > 1)
 
 
 class TestBothForms:
@@ -548,12 +560,13 @@ class TestBothForms:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in:RuntimeWarning")
     @pytest.mark.parametrize("rows_per_chunk", [None, 2], ids=["in-memory", "chunked"])
-    def test_every_backend_matches_the_reference(self, stack, rows_per_chunk):
+    def test_every_backend_matches_the_reference(self, stack, rows_per_chunk, pool_bands):
         results = _every_run(stack, rows_per_chunk)
         reference, reference_report = results["cpu_reference"]
         for name, (result, report) in results.items():
             assert np.array_equal(result.data, reference.data, equal_nan=True), name
             assert report.n_active_pixels == reference_report.n_active_pixels, name
+        assert sent_bands_to_the_pool(pool_bands)
 
 
 class TestActiveCountAcrossBackends:
@@ -567,7 +580,7 @@ class TestActiveCountAcrossBackends:
         return stack, path
 
     @pytest.mark.parametrize("mode", ["in-memory", "chunked", "streamed"])
-    def test_every_backend_reports_the_same_count(self, scan, mode):
+    def test_every_backend_reports_the_same_count(self, scan, mode, pool_bands):
         stack, path = scan
         config = ReconstructionConfig(
             grid=DepthGrid.from_range(0.0, 100.0, 25),
@@ -592,6 +605,7 @@ class TestActiveCountAcrossBackends:
         expected = depth_resolve_chunk_scalar(ctx, plan.output)
         assert 0 < expected < ctx.n_steps * ctx.n_rows * ctx.n_cols
         assert counts == dict.fromkeys(RUNS, expected)
+        assert sent_bands_to_the_pool(pool_bands)
 
 
 class _RecordingBatch(_ElementBatch):

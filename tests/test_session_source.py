@@ -21,7 +21,7 @@ from repro.io.h5lite import H5LiteError
 from repro.io.image_stack import load_depth_resolved, save_wire_scan
 from repro.io.text_output import read_depth_profiles
 from repro.utils.validation import ValidationError
-from tests.helpers import RUNS, make_tiny_stack
+from tests.helpers import RUNS, make_tiny_stack, sent_bands_to_the_pool
 
 
 
@@ -377,7 +377,7 @@ class TestFileRuns:
 
     @pytest.mark.parametrize("run", RUNS)
     @pytest.mark.parametrize("streaming", [False, True])
-    def test_file_run_equals_in_memory_run(self, run, streaming, grid, tmp_path):
+    def test_file_run_equals_in_memory_run(self, run, streaming, grid, tmp_path, pool_bands):
         stack = _noisy_stack(masked=True)
         path = tmp_path / "scan.h5lite"
         save_wire_scan(path, stack)
@@ -391,6 +391,7 @@ class TestFileRuns:
         assert from_file.report.n_active_pixels == in_memory.report.n_active_pixels
         streamed = any("streamed from disk" in note for note in from_file.report.notes)
         assert streamed == streaming
+        assert sent_bands_to_the_pool(pool_bands) == (run == "threaded")
 
     def test_new_api_emits_no_warnings(self, grid, tmp_path):
         path = tmp_path / "scan.h5lite"

@@ -37,7 +37,7 @@ from repro.core.workerpool import (
 from repro.cudasim.atomic import atomic_add
 from repro.io.image_stack import save_wire_scan
 from repro.io.streaming import StreamingWireScanSource
-from tests.helpers import make_tiny_stack
+from tests.helpers import make_tiny_stack, sent_bands_to_the_pool
 
 
 @pytest.fixture(autouse=True)
@@ -70,7 +70,21 @@ def _threads(**kwargs):
     return ReconstructionConfig(backend="vectorized", executor="threads", **kwargs)
 
 
+def _split_run(source, config):
+    """*config*'s run of *source* on a ``threads`` executor whose element
+    floor is 1, so a chunk of two or more rows splits into a band per worker
+    on the pool; returns the result and the executor."""
+    executor = ThreadedExecutor(min_elements_per_dispatch=1)
+    result, _report = execute(source, config, executor)
+    return result, executor
+
+
 class TestIdentity:
+    """Every case runs at element floor 1, where a chunk of two or more rows
+    splits into bands on the pool; all but the tiny-band case also run at
+    the default floor, where every chunk of these small stacks is one band
+    and runs in the caller."""
+
     @pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
     def test_bitwise_identical_to_serial(self, n_workers):
         stack = _noisy_stack(masked=True)
@@ -80,6 +94,9 @@ class TestIdentity:
         result, report = get_backend("vectorized").reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
         assert report.backend == result.metadata["backend"] == "vectorized"
+        split, executor = _split_run(StackChunkSource(stack), config)
+        assert np.array_equal(reference.data, split.data)
+        assert (executor.peak_inflight > 0) == (n_workers > 1)  # no pool at one worker
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3, 100])
     def test_bitwise_identical_chunked(self, rows_per_chunk):
@@ -89,6 +106,9 @@ class TestIdentity:
         config = _threads(grid=grid, n_workers=2, rows_per_chunk=rows_per_chunk)
         result, _report = get_backend("vectorized").reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
+        split, executor = _split_run(StackChunkSource(stack), config)
+        assert np.array_equal(reference.data, split.data)
+        assert (executor.peak_inflight > 0) == (rows_per_chunk > 1)  # a 1-row chunk never splits
 
     def test_bitwise_identical_streamed(self, tmp_path):
         stack = _noisy_stack(masked=True)
@@ -102,6 +122,11 @@ class TestIdentity:
         assert source.accounting()["max_resident_rows"] == 2
         assert report.n_chunks == 4  # ceil(7 / 2)
         assert np.array_equal(reference.data, result.data)
+        source = StreamingWireScanSource(path)
+        split, executor = _split_run(source, config)
+        assert source.accounting()["max_resident_rows"] == 2
+        assert np.array_equal(reference.data, split.data)
+        assert executor.peak_inflight > 0
 
     def test_tiny_band_floor_does_not_change_result(self):
         """Forcing 1-row bands (floor disabled) still reproduces serial."""
@@ -120,6 +145,9 @@ class TestIdentity:
         config = _threads(grid=grid, n_workers=2, subtract_background=True)
         result, _report = get_backend("vectorized").reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
+        split, executor = _split_run(StackChunkSource(stack), config)
+        assert np.array_equal(reference.data, split.data)
+        assert executor.peak_inflight > 0
 
 
 class TestBandDispatch:
@@ -167,15 +195,17 @@ class TestBandDispatch:
         executor.close()
 
     def test_bounded_inflight_during_streamed_run(self, tmp_path):
-        """A streamed run never queues more than 2 x workers bands."""
+        """A streamed run never queues more than 2 x workers bands (its
+        2-row windows split in two, so their bands reach the pool)."""
         stack = _noisy_stack(n_rows=12, n_cols=5, n_positions=9)
         path = str(tmp_path / "scan.h5lite")
         save_wire_scan(path, stack)
-        config = _threads(grid=_grid(), n_workers=2, rows_per_chunk=1)
+        config = _threads(grid=_grid(), n_workers=2, rows_per_chunk=2)
         executor = ThreadedExecutor(min_elements_per_dispatch=1)
         source = StreamingWireScanSource(path)
         execute(source, config, executor)
         assert executor.peak_inflight <= 2 * 2
+        assert executor.peak_inflight > 0
 
     def test_report_extras_count_bands_and_elements(self):
         stack = _noisy_stack(n_rows=8)
@@ -196,7 +226,7 @@ class TestBandDispatch:
 
 
 class TestPoolLifecycle:
-    def test_shared_pool_reused_across_runs(self):
+    def test_shared_pool_reused_across_runs(self, pool_bands):
         stack = _noisy_stack()
         config = _threads(grid=_grid(), n_workers=2)
         backend = get_backend("vectorized")
@@ -206,6 +236,7 @@ class TestPoolLifecycle:
         backend.reconstruct(stack, config)
         assert shared_thread_pool(2) is pool
         assert pool.n_spawns == spawns_before  # no new threadpool spawn
+        assert spawns_before == 1 and sent_bands_to_the_pool(pool_bands)
 
     def test_single_worker_runs_inline(self):
         stack = _noisy_stack()
@@ -221,7 +252,9 @@ class TestPoolLifecycle:
 
     def test_single_worker_shares_the_run_element_batch(self, monkeypatch):
         """One worker takes the serial path: the sparse elements of every
-        chunk collect in one batch per run, not one per chunk."""
+        chunk collect in one batch per run, not one per chunk.  So does a
+        chunk two workers leave as one band: at the default element floor
+        every 1-row chunk here is one band, and none reaches the pool."""
         calls = []
 
         def recording_atomic_add(array, indices, values):
@@ -230,22 +263,48 @@ class TestPoolLifecycle:
 
         monkeypatch.setattr(kernels, "atomic_add", recording_atomic_add)
         stack = _noisy_stack()
-        runs = {}
-        for executor in ("serial", "threads"):
-            config = ReconstructionConfig(
-                grid=_grid(), intensity_cutoff=3.0, rows_per_chunk=1,
-                executor=executor, n_workers=1,
-            )
+        config = ReconstructionConfig(grid=_grid(), intensity_cutoff=3.0, rows_per_chunk=1)
+        result, serial_report = execute_backend(StackChunkSource(stack), config)
+        serial, serial_adds = result.data, len(calls)
+        for n_workers in (1, 2):
+            executor = ThreadedExecutor()
             calls.clear()
-            result, report = execute_backend(StackChunkSource(stack), config)
-            runs[executor] = (result.data, report, len(calls))
-        (serial, serial_report, serial_adds), (threads, report, adds) = runs.values()
-        assert report.n_chunks == 7
-        assert adds == serial_adds == 1
-        assert threads.tobytes() == serial.tobytes()
+            result, report = execute(
+                StackChunkSource(stack),
+                config.with_overrides(executor="threads", n_workers=n_workers),
+                executor,
+            )
+            assert report.n_chunks == 7
+            assert len(calls) == serial_adds == 1
+            assert executor.peak_inflight == 0
+            assert result.data.tobytes() == serial.tobytes()
+            assert report.n_active_pixels == serial_report.n_active_pixels > 0
+            assert report.n_kernel_launches == serial_report.n_kernel_launches == 7
+            assert report.n_threads_launched == serial_report.n_threads_launched
+
+    def test_split_and_whole_chunks_mix_in_one_streamed_run(self, tmp_path):
+        """2-row windows split into pool bands while the last, 1-row window
+        runs in the caller, into the run's element batch, as the bands
+        write other rows of the cube: bitwise serial, the same counts."""
+        stack = _noisy_stack(masked=True)
+        grid = _grid()
+        path = str(tmp_path / "scan.h5lite")
+        save_wire_scan(path, stack)
+        serial, serial_report = execute_backend(
+            StreamingWireScanSource(path), ReconstructionConfig(grid=grid, rows_per_chunk=2)
+        )
+        executor = ThreadedExecutor(min_elements_per_dispatch=1)
+        result, report = execute(
+            StreamingWireScanSource(path), _threads(grid=grid, n_workers=2, rows_per_chunk=2), executor
+        )
+        assert report.n_chunks == serial_report.n_chunks == 4  # rows 2, 2, 2, 1
+        assert executor.peak_inflight > 0
+        assert result.data.tobytes() == serial.data.tobytes()
         assert report.n_active_pixels == serial_report.n_active_pixels > 0
-        assert report.n_kernel_launches == serial_report.n_kernel_launches == 7
         assert report.n_threads_launched == serial_report.n_threads_launched
+        # three chunks of two bands each, and one chunk in-line
+        assert serial_report.n_kernel_launches == 4
+        assert report.n_kernel_launches == 3 * 2 + 1
 
 
 class TestConcurrentWidths:
@@ -257,16 +316,18 @@ class TestConcurrentWidths:
         grid = _grid()
         reference = _serial_reference(stack, grid)
         start = threading.Barrier(2)
-        results, errors = {}, []
+        results, peaks, errors = {}, {}, []
 
         def run(n_workers):
-            config = _threads(grid=grid, n_workers=n_workers, rows_per_chunk=1)
+            # 3-row chunks split into a band per worker at either width
+            config = _threads(grid=grid, n_workers=n_workers, rows_per_chunk=3)
             try:
                 start.wait(timeout=30)
                 for _ in range(25):
                     executor = ThreadedExecutor(min_elements_per_dispatch=1)
                     result, _report = execute(StackChunkSource(stack), config, executor)
                     results.setdefault(n_workers, []).append(result.data)
+                    peaks.setdefault(n_workers, []).append(executor.peak_inflight)
             except BaseException as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
@@ -286,11 +347,12 @@ class TestConcurrentWidths:
         for outputs in results.values():
             assert len(outputs) == 25
             assert all(np.array_equal(reference.data, data) for data in outputs)
+        assert all(peak > 0 for run_peaks in peaks.values() for peak in run_peaks)
         assert shared_thread_pool(1).max_workers == 3  # grown once, never shrunk
 
 
 class TestStrategyPlumbing:
-    def test_executor_strategy_threads_on_vectorized_backend(self):
+    def test_executor_strategy_threads_on_vectorized_backend(self, pool_bands):
         stack = _noisy_stack(masked=True)
         grid = _grid()
         reference = _serial_reference(stack, grid)
@@ -300,8 +362,9 @@ class TestStrategyPlumbing:
         assert report.backend == "vectorized"
         assert "2 worker thread(s)" in " ".join(report.notes)
         assert np.array_equal(reference.data, result.data)
+        assert sent_bands_to_the_pool(pool_bands)
 
-    def test_executor_strategy_processes_on_vectorized_backend(self):
+    def test_executor_strategy_processes_on_vectorized_backend(self, pool_bands):
         """The retired ``processes`` strategy runs on threads, with a warning."""
         stack = _noisy_stack(masked=True)
         grid = _grid()
@@ -313,6 +376,7 @@ class TestStrategyPlumbing:
         result, report = execute_backend(StackChunkSource(stack), config)
         assert report.backend == "vectorized"
         assert np.array_equal(reference.data, result.data)
+        assert sent_bands_to_the_pool(pool_bands)
 
     def test_unresolved_auto_falls_back_to_serial(self):
         """The retired ``executor="auto"`` runs serially, with a warning."""
@@ -334,6 +398,26 @@ class TestStrategyPlumbing:
         assert "1 worker thread(s)" in " ".join(report.notes)
         assert "in-line" in " ".join(report.notes)
         assert np.array_equal(reference.data, result.data)
+
+    def test_notes_count_pool_bands_and_inline_chunks(self):
+        """The note counts what reached the pool: nothing, at two workers,
+        when the element floor leaves every chunk one band."""
+        stack = _noisy_stack()
+        notes = {}
+        for n_workers, floor in ((2, 1), (2, 65536), (1, 1)):
+            config = _threads(grid=_grid(), n_workers=n_workers, rows_per_chunk=2)
+            executor = ThreadedExecutor(min_elements_per_dispatch=floor)
+            _result, report = execute(StackChunkSource(stack), config, executor)
+            notes[n_workers, floor] = report.notes[-1]
+        assert notes[2, 1] == (
+            "2 worker thread(s): 6 row band(s) on the thread pool, 1 chunk(s) in-line"
+        )
+        assert notes[2, 65536] == (
+            "2 worker thread(s): 0 row band(s) on the thread pool, 4 chunk(s) in-line"
+        )
+        assert notes[1, 1] == (
+            "1 worker thread(s): 0 row band(s) on the thread pool, 4 chunk(s) in-line"
+        )
 
     def test_executor_field_round_trips_config(self):
         config = ReconstructionConfig(
