@@ -18,7 +18,7 @@ import abc
 from typing import Tuple
 
 from repro.core.config import ReconstructionConfig
-from repro.core.engine import ChunkExecutor, StackChunkSource, execute
+from repro.core.engine import ChunkExecutor, StackChunkSource, execute, host_chunk_rows
 from repro.core.registry import available_backends, get_backend, register_backend
 from repro.core.result import DepthResolvedStack, ReconstructionReport
 from repro.core.stack import WireScanStack
@@ -35,6 +35,16 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def make_executor(self, config: ReconstructionConfig) -> ChunkExecutor:
         """Build the per-run executor carrying this backend's chunk compute."""
+
+    def chunk_rows(
+        self, n_positions: int, n_rows: int, n_cols: int, config: ReconstructionConfig
+    ) -> int:
+        """Rows of a streamed window this backend's executors plan for a
+        ``(n_positions, n_rows, n_cols)`` scan under *config*: the host
+        plan's out-of-core rule, :func:`~repro.core.engine.host_chunk_rows`,
+        unless the backend plans by another.  The batch scheduler sizes a
+        streamed item's window with it."""
+        return host_chunk_rows(n_positions, n_rows, n_cols, config.rows_per_chunk, True)
 
     def reconstruct(
         self, stack: WireScanStack, config: ReconstructionConfig

@@ -29,38 +29,64 @@ the scalability argument of Figs. 8/9 are about.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from repro.core.backends.base import Backend, register_backend
-from repro.core.chunking import plan_row_chunks
+from repro.core.chunking import ChunkPlan, plan_row_chunks
 from repro.core.config import ReconstructionConfig
 from repro.core.engine import ChunkExecutor, ChunkSource, ExecutionPlan, build_execution_plan
 from repro.core.kernels import KernelContext, make_set_two_kernel
 from repro.core.layouts import get_layout
-from repro.cudasim.device import Device, DeviceProperties, TESLA_M2070
+from repro.cudasim.device import Device, TESLA_M2070
 from repro.cudasim.kernel import LaunchConfig, launch
 from repro.cudasim.transfer import memcpy_device_to_host, memcpy_host_to_device
 
 __all__ = ["GpuSimBackend", "GpuSimExecutor"]
 
+#: ``setTwo``'s thread block: 32 columns x 4 rows x 8 wire steps (the
+#: Tesla M2070's one-deep grid z dimension makes the 8 steps per launch)
+_BLOCK_DIM = (32, 4, 8)
+
+
+def _run_device(device: Optional[Device], config: ReconstructionConfig) -> Device:
+    """The injected *device*, else a Tesla M2070 capped at ``config.device_memory_limit``."""
+    if device is not None:
+        return device
+    return Device(TESLA_M2070, memory_limit_bytes=config.device_memory_limit)
+
+
+def _device_row_plan(
+    n_positions: int, n_rows: int, n_cols: int, config: ReconstructionConfig, device: Device
+) -> ChunkPlan:
+    """The Fig. 2 constraint, gpusim's row rule: :func:`~repro.core.chunking.plan_row_chunks`
+    fits a chunk's device working set in ``config.layout`` to *device* (or
+    checks that ``config.rows_per_chunk`` fits), in memory and out of core."""
+    return plan_row_chunks(
+        n_rows=n_rows,
+        n_cols=n_cols,
+        n_positions=n_positions,
+        n_depth_bins=config.grid.n_bins,
+        device_memory_bytes=device.memory.capacity_bytes,
+        layout=config.layout,
+        rows_per_chunk=config.rows_per_chunk,
+    )
+
 
 class GpuSimExecutor(ChunkExecutor):
-    """Upload → launch → download execution of each chunk on the simulated device."""
+    """Upload → launch → download execution of each chunk on the simulated device.
+
+    The device is a Tesla M2070 (:data:`~repro.cudasim.device.TESLA_M2070`,
+    its memory capped at ``config.device_memory_limit``) unless *device*
+    injects one, and every launch uses ``setTwo``'s ``(32, 4, 8)`` block.
+    *launch_mode* picks the vectorised or the per-thread ``setTwo`` body.
+    """
 
     name = "gpusim"
 
-    def __init__(
-        self,
-        device: Optional[Device] = None,
-        device_properties: DeviceProperties = TESLA_M2070,
-        block_dim: Tuple[int, int, int] = (32, 4, 8),
-        launch_mode: str = "vectorized",
-    ):
+    def __init__(self, device: Optional[Device] = None, launch_mode: str = "vectorized"):
         self._external_device = device
-        self._device_properties = device_properties
-        self.block_dim = block_dim
         self.launch_mode = launch_mode
         self.device: Optional[Device] = None
         self._layout = None
@@ -72,35 +98,22 @@ class GpuSimExecutor(ChunkExecutor):
         self._n_threads = 0
 
     # ------------------------------------------------------------------ #
-    def _make_device(self, config: ReconstructionConfig) -> Device:
-        if self._external_device is not None:
-            self._external_device.reset_clock()
-            return self._external_device
-        return Device(self._device_properties, memory_limit_bytes=config.device_memory_limit)
-
     def plan(self, source: ChunkSource, config: ReconstructionConfig) -> ExecutionPlan:
         """Chunks sized to the simulated device memory (the Fig. 2 constraint).
 
-        :func:`~repro.core.chunking.plan_row_chunks` fits a chunk's device
-        working set in ``config.layout`` to the device (or checks that
-        ``config.rows_per_chunk`` fits), and the engine's plan takes its
-        rows.  Every chunk reads all its positions: the paper's program
-        copies the whole chunk slab host to device, so the launch batches
-        below index the uploaded slab from position 0.
+        The engine's plan takes the rows of :func:`_device_row_plan`.  Every
+        chunk reads all its positions: the paper's program copies the whole
+        chunk slab host to device, so the launch batches below index the
+        uploaded slab from position 0.
         """
-        self.device = self._make_device(config)
+        self.device = _run_device(self._external_device, config)
+        self.device.reset_clock()
         self._layout = get_layout(config.layout)
         self._kernel = make_set_two_kernel(
             extra_flops_per_thread=self._layout.index_arithmetic_flops
         )
-        self._device_plan = plan_row_chunks(
-            n_rows=source.n_rows,
-            n_cols=source.n_cols,
-            n_positions=source.n_positions,
-            n_depth_bins=config.grid.n_bins,
-            device_memory_bytes=self.device.memory.capacity_bytes,
-            layout=config.layout,
-            rows_per_chunk=config.rows_per_chunk,
+        self._device_plan = _device_row_plan(
+            source.n_positions, source.n_rows, source.n_cols, config, self.device
         )
         return build_execution_plan(
             source, config, rows_per_chunk=self._device_plan.rows_per_chunk, strategy="gpusim"
@@ -167,12 +180,12 @@ class GpuSimExecutor(ChunkExecutor):
         # only supports a one-deep grid z dimension, so the wire-step axis is
         # covered by several launches when it exceeds blockDim.z * gridDim.z.
         device_images = self._layout.read_cube(upload, (ctx.n_positions, chunk_rows, ctx.n_cols))
-        steps_per_launch = self.block_dim[2] * device.properties.max_grid_dim[2]
+        steps_per_launch = _BLOCK_DIM[2] * device.properties.max_grid_dim[2]
         for step_start in range(0, ctx.n_steps, steps_per_launch):
             step_stop = min(step_start + steps_per_launch, ctx.n_steps)
             batch_ctx = self._batch_context(ctx, device_images, step_start, step_stop)
             launch_cfg = LaunchConfig.for_volume(
-                (ctx.n_cols, chunk_rows, step_stop - step_start), block_dim=self.block_dim
+                (ctx.n_cols, chunk_rows, step_stop - step_start), block_dim=_BLOCK_DIM
             )
             launch(
                 device,
@@ -234,26 +247,23 @@ class GpuSimExecutor(ChunkExecutor):
     description="the paper's CUDA design on the simulated device (Fig. 4 layouts)",
 )
 class GpuSimBackend(Backend):
-    """Row-chunked reconstruction on the simulated CUDA device."""
+    """Row-chunked reconstruction on the simulated CUDA device.
+
+    *device* and *launch_mode* pass to each run's :class:`GpuSimExecutor`.
+    """
 
     name = "gpusim"
 
-    def __init__(
-        self,
-        device: Optional[Device] = None,
-        device_properties: DeviceProperties = TESLA_M2070,
-        block_dim: Tuple[int, int, int] = (32, 4, 8),
-        launch_mode: str = "vectorized",
-    ):
+    def __init__(self, device: Optional[Device] = None, launch_mode: str = "vectorized"):
         self._external_device = device
-        self._device_properties = device_properties
-        self.block_dim = block_dim
         self.launch_mode = launch_mode
 
     def make_executor(self, config: ReconstructionConfig) -> ChunkExecutor:
-        return GpuSimExecutor(
-            device=self._external_device,
-            device_properties=self._device_properties,
-            block_dim=self.block_dim,
-            launch_mode=self.launch_mode,
-        )
+        return GpuSimExecutor(device=self._external_device, launch_mode=self.launch_mode)
+
+    def chunk_rows(
+        self, n_positions: int, n_rows: int, n_cols: int, config: ReconstructionConfig
+    ) -> int:
+        """Rows per chunk of the device plan, the rule :meth:`GpuSimExecutor.plan` uses."""
+        device = _run_device(self._external_device, config)
+        return _device_row_plan(n_positions, n_rows, n_cols, config, device).rows_per_chunk

@@ -34,6 +34,10 @@ __all__ = [
 _FLOAT_BYTES = 8
 _MASK_BYTES = 1
 
+#: Fraction of device memory a chunk's working set may occupy (head-room for
+#: kernel scratch space, as on a real card).
+_MEMORY_SAFETY_FRACTION = 0.9
+
 #: Floor on (step, row, col) elements per dispatched work unit.  Below
 #: this, dispatch overhead (a pool submit + a future wait) rivals the kernel
 #: time of the unit itself and the scaling curve bends down.
@@ -142,15 +146,6 @@ class ChunkPlan:
         """Number of row chunks."""
         return len(self.chunks)
 
-    def covers_all_rows(self) -> bool:
-        """True if the chunks tile ``[0, n_rows)`` exactly, in order, no overlap."""
-        expected = 0
-        for start, stop in self.chunks:
-            if start != expected or stop <= start:
-                return False
-            expected = stop
-        return expected == self.n_rows
-
     def summary(self) -> str:
         """One-line description of the plan."""
         return (
@@ -168,7 +163,6 @@ def plan_row_chunks(
     device_memory_bytes: int,
     layout: str = "flat1d",
     rows_per_chunk: Optional[int] = None,
-    memory_safety_fraction: float = 0.9,
 ) -> ChunkPlan:
     """Build a :class:`ChunkPlan` for streaming the cube through the device.
 
@@ -182,10 +176,8 @@ def plan_row_chunks(
         Device array layout name (affects the per-chunk footprint).
     rows_per_chunk:
         Fixed chunk size; when ``None`` the planner picks the largest size
-        that fits within ``memory_safety_fraction`` of device memory.
-    memory_safety_fraction:
-        Fraction of device memory the working set may occupy (head-room for
-        kernel scratch space, as on a real card).
+        whose working set fits in ``_MEMORY_SAFETY_FRACTION`` (90 %) of
+        device memory.
 
     Raises
     ------
@@ -197,10 +189,8 @@ def plan_row_chunks(
         raise ValidationError("invalid problem dimensions for chunk planning")
     if device_memory_bytes < 1:
         raise ValidationError("device_memory_bytes must be positive")
-    if not (0.0 < memory_safety_fraction <= 1.0):
-        raise ValidationError("memory_safety_fraction must lie in (0, 1]")
 
-    budget = int(device_memory_bytes * memory_safety_fraction)
+    budget = int(device_memory_bytes * _MEMORY_SAFETY_FRACTION)
 
     def fits(rows: int) -> bool:
         return estimate_chunk_device_bytes(rows, n_cols, n_positions, n_depth_bins, layout) <= budget

@@ -493,9 +493,10 @@ def execute_backend(
 ) -> Tuple[DepthResolvedStack, ReconstructionReport]:
     """Run *source* through the backend named by ``config.backend``.
 
-    This is the entry point the streaming pipeline uses: it resolves the
-    backend from the registry and hands its executor to :func:`execute`, so
-    file-backed and in-memory runs share the identical engine path.
+    :meth:`Session.run <repro.core.session.Session.run>` reconstructs
+    through it: it resolves the backend from the registry and hands its
+    executor to :func:`execute`, so file-backed and in-memory runs share the
+    identical engine path.
     """
     backend = get_backend(config.backend)
     return execute(source, config, backend.make_executor(config))

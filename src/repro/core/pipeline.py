@@ -26,6 +26,7 @@ from typing import Callable, List, Optional, Sequence
 from repro.core.config import ReconstructionConfig
 from repro.core.result import DepthResolvedStack, ReconstructionReport
 from repro.utils.logging import get_logger
+from repro.utils.validation import ValidationError
 
 __all__ = [
     "BatchItem",
@@ -52,15 +53,16 @@ def estimate_source_resident_bytes(source, config: ReconstructionConfig) -> Opti
     For a file source this is a header-only probe (geometry, never images):
     the input term is the full cube when the item will be loaded in memory,
     or one window slab of every wire position when ``config.streaming`` is
-    set, its rows chosen by the host plan's own rule
-    (:func:`~repro.core.engine.host_chunk_rows`: ``config.rows_per_chunk``,
-    else as many rows as fit
-    :data:`~repro.core.engine.STREAMING_CHUNK_BYTES`); the output term is
-    the full depth-resolved cube, which exists either way; background
-    subtraction briefly doubles the input slab.
+    set, its rows chosen by the rule the item's own backend plans with
+    (:meth:`~repro.core.backends.base.Backend.chunk_rows`: on the host,
+    ``config.rows_per_chunk``, else as many rows as fit
+    :data:`~repro.core.engine.STREAMING_CHUNK_BYTES`; on ``gpusim``, the
+    rows that fit the simulated device); the output term is the full
+    depth-resolved cube, which exists either way; background subtraction
+    briefly doubles the input slab.
     Returns ``None`` when the item's dimensions cannot be probed cheaply —
-    an unreadable file surfaces as that *item's* failure at run time, never
-    as a scheduling error.
+    an unreadable file, or a window no chunk plan admits, surfaces as that
+    *item's* failure at run time, never as a scheduling error.
     """
     from repro.core.source import FileSource, StackSource
 
@@ -80,11 +82,15 @@ def estimate_source_resident_bytes(source, config: ReconstructionConfig) -> Opti
     else:
         return None
 
-    from repro.core.engine import host_chunk_rows
-
     float_bytes = 8
     if streaming_input:
-        rows = host_chunk_rows(n_positions, n_rows, n_cols, config.rows_per_chunk, True)
+        from repro.core.registry import get_backend
+
+        backend = get_backend(config.backend)
+        try:
+            rows = backend.chunk_rows(n_positions, n_rows, n_cols, config)
+        except ValidationError:
+            return None
     else:
         rows = n_rows
     input_bytes = n_positions * rows * n_cols * float_bytes

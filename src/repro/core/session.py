@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.cache import CacheStats, ResultCache, compute_cache_key, resolve_cache
 from repro.core.config import ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
-from repro.core.engine import execute as engine_execute
+from repro.core.engine import execute_backend
 from repro.core.pipeline import BatchItem, BatchReport
 from repro.core.registry import get_backend
 from repro.core.result import DepthResolvedStack, ReconstructionReport
@@ -637,11 +637,8 @@ class Session:
         """One uncached reconstruction of an already-opened single source."""
         created = time.time()
         chunk_source = source.chunk_source(self.config)
-        backend = get_backend(self.config.backend)
         _LOG.debug("session: %s via %s", chunk_source.describe(), self.config.backend)
-        result, report = engine_execute(
-            chunk_source, self.config, backend.make_executor(self.config)
-        )
+        result, report = execute_backend(chunk_source, self.config)
         accounting_note = getattr(chunk_source, "accounting_note", None)
         if accounting_note is not None:
             report.notes.append(accounting_note())

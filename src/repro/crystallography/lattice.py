@@ -75,16 +75,6 @@ class Lattice:
 
     # ------------------------------------------------------------------ #
     @property
-    def direct_matrix(self) -> np.ndarray:
-        """Direct lattice vectors as rows, shape ``(3, 3)`` (Å)."""
-        return self._direct.copy()
-
-    @property
-    def reciprocal_matrix(self) -> np.ndarray:
-        """Reciprocal lattice vectors as rows, shape ``(3, 3)`` (1/Å, includes 2π)."""
-        return self._reciprocal.copy()
-
-    @property
     def volume(self) -> float:
         """Unit-cell volume in Å³."""
         return float(abs(np.linalg.det(self._direct)))
@@ -98,11 +88,3 @@ class Lattice:
         """
         hkl = np.asarray(hkl, dtype=np.float64)
         return hkl @ self._reciprocal
-
-    def d_spacing(self, hkl) -> np.ndarray:
-        """Interplanar spacing d_hkl in Å."""
-        g = self.g_vector(hkl)
-        g_norm = np.linalg.norm(np.atleast_2d(g), axis=-1)
-        with np.errstate(divide="ignore"):
-            d = 2.0 * np.pi / g_norm
-        return d if np.asarray(hkl).ndim > 1 else float(d[0])

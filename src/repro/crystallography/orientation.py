@@ -9,9 +9,7 @@ import numpy as np
 from repro.geometry.rotations import (
     is_rotation_matrix,
     matrix_to_quaternion,
-    misorientation_angle,
     random_rotation,
-    rotation_from_euler,
 )
 from repro.utils.validation import ValidationError
 
@@ -37,13 +35,6 @@ class Orientation:
         return cls(np.eye(3))
 
     @classmethod
-    def from_euler(cls, phi1: float, theta: float, phi2: float, degrees: bool = True) -> "Orientation":
-        """Build from Bunge Euler angles."""
-        if degrees:
-            phi1, theta, phi2 = np.radians([phi1, theta, phi2])
-        return cls(rotation_from_euler(phi1, theta, phi2))
-
-    @classmethod
     def random(cls, rng: np.random.Generator) -> "Orientation":
         """Uniformly random orientation."""
         return cls(random_rotation(rng))
@@ -57,10 +48,6 @@ class Orientation:
     def quaternion(self) -> np.ndarray:
         """Quaternion ``(x, y, z, w)`` of this orientation."""
         return matrix_to_quaternion(self.matrix)
-
-    def misorientation_to(self, other: "Orientation") -> float:
-        """Misorientation angle to another orientation, radians."""
-        return misorientation_angle(self.matrix, other.matrix)
 
     def perturbed(self, axis, angle: float) -> "Orientation":
         """A new orientation rotated by *angle* radians about *axis* (lab frame)."""

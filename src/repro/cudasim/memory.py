@@ -59,11 +59,6 @@ class DeviceBuffer:
         """Opaque allocation id (the simulated device pointer)."""
         return self._handle
 
-    @property
-    def is_freed(self) -> bool:
-        """True once :meth:`free` has been called."""
-        return self._freed
-
     # ------------------------------------------------------------------ #
     def _check_alive(self) -> None:
         if self._freed:
@@ -100,7 +95,6 @@ class MemoryPool:
         self._used = 0
         self._next_handle = 1
         self._live: Dict[int, int] = {}
-        self._peak = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -117,16 +111,6 @@ class MemoryPool:
     def free_bytes(self) -> int:
         """Bytes currently available."""
         return self._capacity - self._used
-
-    @property
-    def peak_bytes(self) -> int:
-        """High-water mark of allocated bytes."""
-        return self._peak
-
-    @property
-    def n_live_allocations(self) -> int:
-        """Number of buffers not yet freed."""
-        return len(self._live)
 
     # ------------------------------------------------------------------ #
     def allocate(self, shape: Tuple[int, ...], dtype=np.float64) -> DeviceBuffer:
@@ -151,7 +135,6 @@ class MemoryPool:
         buffer = DeviceBuffer(self, handle, shape, dtype)
         self._live[handle] = nbytes
         self._used += nbytes
-        self._peak = max(self._peak, self._used)
         return buffer
 
     def _release(self, buffer: DeviceBuffer) -> None:
@@ -163,7 +146,3 @@ class MemoryPool:
         """Free everything (used between independent experiments)."""
         self._live.clear()
         self._used = 0
-
-    def can_fit(self, n_bytes: int) -> bool:
-        """True if an allocation of *n_bytes* would currently succeed."""
-        return n_bytes <= self.free_bytes

@@ -15,22 +15,14 @@ occlusion geometry lives in the (y, z) plane — exactly the
 ``pixel_to_wireCenter_y / _z / _len`` formulation of the paper's CUDA kernel.
 """
 
-from repro.geometry.vectors import normalize, perpendicular_distance_2d
-from repro.geometry.rotations import (
-    rotation_about_axis,
-    rotation_from_euler,
-    random_rotation,
-)
+from repro.geometry.rotations import rotation_about_axis, random_rotation
 from repro.geometry.beam import Beam
 from repro.geometry.detector import Detector
 from repro.geometry.wire import Wire, WireEdge
 from repro.geometry.scan import WireScan
 
 __all__ = [
-    "normalize",
-    "perpendicular_distance_2d",
     "rotation_about_axis",
-    "rotation_from_euler",
     "random_rotation",
     "Beam",
     "Detector",

@@ -67,29 +67,6 @@ class Beam:
         """Beam origin as a float64 array."""
         return np.asarray(self.origin, dtype=np.float64)
 
-    def point_at_depth(self, depth) -> np.ndarray:
-        """Lab coordinates of the beam point(s) at the given depth(s).
-
-        Parameters
-        ----------
-        depth:
-            Scalar or array of depths (same length unit as the geometry,
-            micrometres by convention).
-
-        Returns
-        -------
-        numpy.ndarray
-            Shape ``(3,)`` for scalar input, ``(n, 3)`` for array input.
-        """
-        depth = np.asarray(depth, dtype=np.float64)
-        pts = self.origin_array + np.multiply.outer(depth, self._dir_arr)
-        return pts
-
-    def depth_of_point(self, point) -> np.ndarray:
-        """Signed depth of the orthogonal projection of *point* onto the beam."""
-        point = np.asarray(point, dtype=np.float64)
-        return (point - self.origin_array) @ self._dir_arr
-
     def is_canonical(self, atol: float = 1e-12) -> bool:
         """True if the beam is the canonical +z beam through the origin.
 

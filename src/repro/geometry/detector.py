@@ -115,10 +115,6 @@ class Detector:
             pts = (pts - centre) @ self._tilt_arr.T + centre
         return pts
 
-    def pixel_position(self, row: int, col: int) -> np.ndarray:
-        """Lab coordinates of a single pixel centre, shape ``(3,)``."""
-        return self.pixel_positions([row], [col])[0, 0]
-
     def row_yz(self, rows=None) -> np.ndarray:
         """(y, z) coordinates of pixel rows in the occlusion plane.
 

@@ -1,4 +1,4 @@
-"""Rotation utilities (matrices, axis-angle, Euler, quaternions).
+"""Rotation utilities (matrices, axis-angle, quaternions).
 
 Used by the crystallography subpackage to orient grains and by the geometry
 subpackage to allow tilted detectors.  Only the pieces the reconstruction and
@@ -14,12 +14,10 @@ from repro.utils.validation import ValidationError
 
 __all__ = [
     "rotation_about_axis",
-    "rotation_from_euler",
     "random_rotation",
     "quaternion_to_matrix",
     "matrix_to_quaternion",
     "is_rotation_matrix",
-    "misorientation_angle",
 ]
 
 
@@ -40,14 +38,6 @@ def rotation_about_axis(axis, angle: float) -> np.ndarray:
         ],
         dtype=np.float64,
     )
-
-
-def rotation_from_euler(phi1: float, theta: float, phi2: float) -> np.ndarray:
-    """Rotation matrix from Bunge Euler angles (Z-X-Z convention, radians)."""
-    rz1 = rotation_about_axis((0.0, 0.0, 1.0), phi1)
-    rx = rotation_about_axis((1.0, 0.0, 0.0), theta)
-    rz2 = rotation_about_axis((0.0, 0.0, 1.0), phi2)
-    return rz1 @ rx @ rz2
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -127,10 +117,3 @@ def is_rotation_matrix(rot: np.ndarray, atol: float = 1e-8) -> bool:
     if not np.allclose(rot @ rot.T, np.eye(3), atol=atol):
         return False
     return bool(np.isclose(np.linalg.det(rot), 1.0, atol=atol))
-
-
-def misorientation_angle(rot_a: np.ndarray, rot_b: np.ndarray) -> float:
-    """Rotation angle (radians) between two orientations."""
-    delta = np.asarray(rot_a, dtype=np.float64) @ np.asarray(rot_b, dtype=np.float64).T
-    cos_angle = (np.trace(delta) - 1.0) / 2.0
-    return float(np.arccos(np.clip(cos_angle, -1.0, 1.0)))

@@ -16,7 +16,6 @@ plane are supported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
 
 import numpy as np
 
@@ -110,13 +109,3 @@ class WireScan:
     def n_steps(self) -> int:
         """Number of adjacent-position differences (= depth-resolving steps)."""
         return self._pos.shape[0] - 1
-
-    def step_pair(self, step: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Wire positions bounding scan step *step* (``0 <= step < n_steps``)."""
-        if not (0 <= step < self.n_steps):
-            raise ValidationError(f"step {step} out of range [0, {self.n_steps})")
-        return self._pos[step].copy(), self._pos[step + 1].copy()
-
-    def step_size(self) -> float:
-        """Mean distance between consecutive wire positions."""
-        return float(np.mean(np.linalg.norm(np.diff(self._pos, axis=0), axis=1)))

@@ -103,27 +103,3 @@ class Wire:
         closest_z = sz + t * dz
         dist_sq = (closest_y - cy) ** 2 + (closest_z - cz) ** 2
         return dist_sq < self.radius * self.radius
-
-    def tangent_angles(
-        self, pixel_yz: np.ndarray, center_yz: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Return (theta, dphi) of the pixel→wire tangent construction.
-
-        ``theta`` is the angle of the pixel→centre direction in the (y, z)
-        plane (measured from +y towards +z) and ``dphi`` the half-opening
-        angle of the tangent pencil, ``asin(radius / |pixel - centre|)``.
-        These are the ``Dphi`` / direction quantities of the paper's
-        ``device_pixel_xyz_to_depth``.
-        """
-        pixel_yz = np.asarray(pixel_yz, dtype=np.float64)
-        center_yz = np.asarray(center_yz, dtype=np.float64)
-        dy = center_yz[..., 0] - pixel_yz[..., 0]
-        dz = center_yz[..., 1] - pixel_yz[..., 1]
-        length = np.hypot(dy, dz)
-        if np.any(length <= self.radius):
-            raise ValidationError(
-                "pixel lies on or inside the wire; tangent construction undefined"
-            )
-        theta = np.arctan2(dz, dy)
-        dphi = np.arcsin(self.radius / length)
-        return theta, dphi

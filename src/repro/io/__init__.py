@@ -6,15 +6,16 @@ available in this offline environment, so ``h5lite`` implements a small,
 self-contained hierarchical container with the features the pipeline needs:
 groups, n-dimensional datasets, attributes and chunked storage along the
 leading axis.  ``image_stack`` maps the experiment objects to/from that
-container, and ``text_output`` reproduces the per-pixel depth-profile text
-files the CPU side of the original program produces.
+container, ``streaming`` reads a scan's detector-row windows for the
+out-of-core engine (``Dataset.read_window``, never the whole cube), and
+``text_output`` reproduces the per-pixel depth-profile text files the CPU
+side of the original program produces.
 """
 
 from repro.io.h5lite import H5LiteFile, Dataset, Group, H5LiteError
 from repro.io.image_stack import (
     save_wire_scan,
     load_wire_scan,
-    load_wire_scan_window,
     read_wire_scan_geometry,
     save_depth_resolved,
     load_depth_resolved,
@@ -30,7 +31,6 @@ __all__ = [
     "H5LiteError",
     "save_wire_scan",
     "load_wire_scan",
-    "load_wire_scan_window",
     "read_wire_scan_geometry",
     "StreamingWireScanSource",
     "save_depth_resolved",

@@ -38,7 +38,6 @@ from repro.io.h5lite import H5LiteFile, H5LiteError
 __all__ = [
     "save_wire_scan",
     "load_wire_scan",
-    "load_wire_scan_window",
     "read_wire_scan_geometry",
     "save_depth_resolved",
     "load_depth_resolved",
@@ -150,35 +149,6 @@ def load_wire_scan(path) -> WireScanStack:
             images=images,
             scan=scan,
             detector=detector,
-            beam=beam,
-            pixel_mask=pixel_mask,
-            metadata=metadata,
-        )
-
-
-def load_wire_scan_window(path, row_start: int, row_stop: int) -> WireScanStack:
-    """Read only detector rows ``row_start:row_stop`` of a wire-scan file.
-
-    Returns a :class:`WireScanStack` whose detector is the matching row
-    window of the full detector (same lab geometry), reading just the bytes
-    of the requested rows — the windowed counterpart of
-    :func:`load_wire_scan` used by the out-of-core streaming path.
-    """
-    with H5LiteFile(path, "r") as fh:
-        entry = _wire_scan_entry(fh, path)
-        scan, detector, beam, metadata = _read_entry_geometry(entry)
-        if not (0 <= row_start < row_stop <= detector.n_rows):
-            raise H5LiteError(
-                f"invalid row window [{row_start}, {row_stop}) for {detector.n_rows} rows"
-            )
-        images = entry["data/images"].read_window(sub_start=row_start, sub_stop=row_stop)
-        pixel_mask = None
-        if "data/pixel_mask" in entry:
-            pixel_mask = entry["data/pixel_mask"][row_start:row_stop].astype(bool)
-        return WireScanStack(
-            images=images,
-            scan=scan,
-            detector=detector.row_window(row_start, row_stop),
             beam=beam,
             pixel_mask=pixel_mask,
             metadata=metadata,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
-__all__ = ["speedup", "time_ratio", "summarize_ratio_range", "relative_change"]
+__all__ = ["speedup", "time_ratio", "summarize_ratio_range"]
 
 
 def speedup(baseline_time: float, candidate_time: float) -> float:
@@ -19,13 +19,6 @@ def time_ratio(candidate_time: float, baseline_time: float) -> float:
     if baseline_time <= 0:
         raise ValueError("baseline_time must be positive")
     return candidate_time / baseline_time
-
-
-def relative_change(old: float, new: float) -> float:
-    """Relative change (new - old) / old."""
-    if old == 0:
-        raise ValueError("old value must be non-zero")
-    return (new - old) / old
 
 
 def summarize_ratio_range(pairs: Iterable[Tuple[float, float]]) -> Dict[str, float]:

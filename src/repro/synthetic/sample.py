@@ -85,10 +85,6 @@ class DepthSourceField:
         """Wire-free detector image (depth integral of the source)."""
         return self.source.sum(axis=0)
 
-    def true_depth_profile(self, row: int, col: int) -> np.ndarray:
-        """Ground-truth emission vs depth for one pixel."""
-        return self.source[:, int(row), int(col)].copy()
-
     def true_centroid_depth(self) -> np.ndarray:
         """Ground-truth intensity-weighted mean depth per pixel (NaN when dark)."""
         total = self.source.sum(axis=0)
@@ -133,11 +129,6 @@ class Grain:
             raise ValidationError("grain depth_stop must exceed depth_start")
         if self.emission <= 0:
             raise ValidationError("grain emission must be positive")
-
-    @property
-    def thickness(self) -> float:
-        """Depth extent of the grain."""
-        return self.depth_stop - self.depth_start
 
     @property
     def center_depth(self) -> float:

@@ -1,33 +1,11 @@
-"""Shared utilities: validation helpers, logging, array helpers."""
+"""Shared utilities: argument validation, logging, byte formatting and the
+package version."""
 
-from repro.utils.validation import (
-    ensure_positive,
-    ensure_shape,
-    ensure_dtype,
-    ensure_in_range,
-    ensure_unit_vector,
-    ValidationError,
-)
-from repro.utils.arrays import (
-    as_float64,
-    as_contiguous,
-    ravel_index_3d,
-    unravel_index_3d,
-    chunk_ranges,
-)
+from repro.utils.validation import ensure_positive, ValidationError
 from repro.utils.version import package_version
 
 __all__ = [
     "ensure_positive",
-    "ensure_shape",
-    "ensure_dtype",
-    "ensure_in_range",
-    "ensure_unit_vector",
     "ValidationError",
-    "as_float64",
-    "as_contiguous",
-    "ravel_index_3d",
-    "unravel_index_3d",
-    "chunk_ranges",
     "package_version",
 ]

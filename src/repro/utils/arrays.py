@@ -1,75 +1,12 @@
 """Array helpers shared across the library.
 
-Includes the 3-D <-> 1-D index mapping that is at the heart of the paper's
-"1-D array vs 3-D array" layout discussion (Fig. 4): the flattened layout
-requires converting a ``(row, col, image)`` triple into a linear offset and
-back, which costs a little arithmetic per element but avoids shipping pointer
-tables to the device.
+The paper's 3-D <-> 1-D index mapping (Fig. 4, the "1-D array vs 3-D array"
+layout discussion) is modelled by :mod:`repro.core.layouts`, not here.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
-
-import numpy as np
-
-__all__ = [
-    "as_float64",
-    "as_contiguous",
-    "ravel_index_3d",
-    "unravel_index_3d",
-    "chunk_ranges",
-    "bytes_to_human",
-]
-
-
-def as_float64(array: np.ndarray) -> np.ndarray:
-    """Return *array* as a float64 ndarray (no copy if already float64)."""
-    return np.asarray(array, dtype=np.float64)
-
-
-def as_contiguous(array: np.ndarray) -> np.ndarray:
-    """Return a C-contiguous view/copy of *array*.
-
-    The simulated device only accepts contiguous buffers, mirroring the fact
-    that ``cudaMemcpy`` of a strided host array would require staging.
-    """
-    return np.ascontiguousarray(array)
-
-
-def ravel_index_3d(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray,
-                   nx: int, ny: int) -> np.ndarray:
-    """Map a 3-D index ``(ix, iy, iz)`` to the flat offset used by the paper.
-
-    The paper's kernel computes ``gsl_offset = idx + idy*DATAXSIZE +
-    DATAYSIZE*DATAXSIZE*idz``; this is exactly that mapping with
-    ``nx = DATAXSIZE`` and ``ny = DATAYSIZE``.
-    """
-    return np.asarray(ix) + np.asarray(iy) * nx + np.asarray(iz) * (nx * ny)
-
-
-def unravel_index_3d(offset: np.ndarray, nx: int, ny: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of :func:`ravel_index_3d`."""
-    offset = np.asarray(offset)
-    iz = offset // (nx * ny)
-    rem = offset - iz * (nx * ny)
-    iy = rem // nx
-    ix = rem - iy * nx
-    return ix, iy, iz
-
-
-def chunk_ranges(total: int, chunk: int) -> Iterator[Tuple[int, int]]:
-    """Yield ``(start, stop)`` pairs covering ``range(total)`` in chunks.
-
-    The final chunk may be smaller.  ``chunk`` must be positive.
-    """
-    if chunk <= 0:
-        raise ValueError(f"chunk must be positive, got {chunk}")
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        yield start, stop
-        start = stop
+__all__ = ["bytes_to_human"]
 
 
 def bytes_to_human(n_bytes: float) -> str:

@@ -29,7 +29,6 @@ __all__ = [
     "get_logger",
     "configure",
     "request_context",
-    "current_request",
     "RequestContextFilter",
 ]
 
@@ -70,11 +69,6 @@ def request_context(job_id: Optional[str] = None, client_id: Optional[str] = Non
     finally:
         _JOB_ID.reset(job_token)
         _CLIENT_ID.reset(client_token)
-
-
-def current_request() -> dict:
-    """The request ids bound in this context (values ``None`` when unbound)."""
-    return {"job_id": _JOB_ID.get(), "client_id": _CLIENT_ID.get()}
 
 
 class RequestContextFilter(logging.Filter):

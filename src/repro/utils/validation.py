@@ -8,21 +8,12 @@ while still giving users actionable error messages.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 __all__ = [
     "ValidationError",
     "ensure_positive",
     "ensure_non_negative",
-    "ensure_shape",
-    "ensure_ndim",
-    "ensure_dtype",
-    "ensure_in_range",
-    "ensure_unit_vector",
-    "ensure_finite",
-    "ensure_monotonic_increasing",
 ]
 
 
@@ -50,88 +41,3 @@ def ensure_non_negative(value: float, name: str = "value") -> float:
     if not np.isfinite(value) or value < 0:
         raise ValidationError(f"{name} must be a finite non-negative number, got {value!r}")
     return float(value)
-
-
-def ensure_shape(array: np.ndarray, shape: Sequence[int | None], name: str = "array") -> np.ndarray:
-    """Check that *array* has the given shape.
-
-    ``None`` entries in *shape* act as wildcards for that axis.
-    """
-    array = np.asarray(array)
-    if array.ndim != len(shape):
-        raise ValidationError(
-            f"{name} must have {len(shape)} dimensions, got {array.ndim} (shape {array.shape})"
-        )
-    for axis, (actual, expected) in enumerate(zip(array.shape, shape)):
-        if expected is not None and actual != expected:
-            raise ValidationError(
-                f"{name} has shape {array.shape}, expected axis {axis} to be {expected}"
-            )
-    return array
-
-
-def ensure_ndim(array: np.ndarray, ndim: int, name: str = "array") -> np.ndarray:
-    """Check that *array* has exactly *ndim* dimensions."""
-    array = np.asarray(array)
-    if array.ndim != ndim:
-        raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {array.shape}")
-    return array
-
-
-def ensure_dtype(array: np.ndarray, dtype: np.dtype | type, name: str = "array") -> np.ndarray:
-    """Check that *array* has dtype compatible with *dtype* (cast-free)."""
-    array = np.asarray(array)
-    if array.dtype != np.dtype(dtype):
-        raise ValidationError(
-            f"{name} must have dtype {np.dtype(dtype)}, got {array.dtype}"
-        )
-    return array
-
-
-def ensure_in_range(
-    value: float,
-    low: float,
-    high: float,
-    name: str = "value",
-    inclusive: bool = True,
-) -> float:
-    """Check that a scalar lies inside [low, high] (or (low, high))."""
-    ok = (low <= value <= high) if inclusive else (low < value < high)
-    if not ok:
-        bounds = "[{}, {}]" if inclusive else "({}, {})"
-        raise ValidationError(
-            f"{name} must lie in {bounds.format(low, high)}, got {value!r}"
-        )
-    return float(value)
-
-
-def ensure_unit_vector(vec: Iterable[float], name: str = "vector", atol: float = 1e-9) -> np.ndarray:
-    """Return *vec* as a float64 array after checking it has unit length."""
-    arr = np.asarray(tuple(vec), dtype=np.float64)
-    if arr.shape != (3,):
-        raise ValidationError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > atol:
-        raise ValidationError(f"{name} must have unit length, got |v| = {norm}")
-    return arr
-
-
-def ensure_finite(array: np.ndarray, name: str = "array") -> np.ndarray:
-    """Check that every element of *array* is finite."""
-    array = np.asarray(array)
-    if not np.all(np.isfinite(array)):
-        n_bad = int(np.size(array) - np.count_nonzero(np.isfinite(array)))
-        raise ValidationError(f"{name} contains {n_bad} non-finite values")
-    return array
-
-
-def ensure_monotonic_increasing(array: np.ndarray, name: str = "array", strict: bool = True) -> np.ndarray:
-    """Check that a 1-D array is (strictly) increasing."""
-    array = np.asarray(array)
-    if array.ndim != 1:
-        raise ValidationError(f"{name} must be 1-dimensional")
-    diffs = np.diff(array)
-    ok = np.all(diffs > 0) if strict else np.all(diffs >= 0)
-    if not ok:
-        raise ValidationError(f"{name} must be monotonically increasing")
-    return array

@@ -9,6 +9,7 @@ from repro.core.config import ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
 from repro.core.engine import StackChunkSource, build_chunk_context, build_execution_plan
 from repro.cudasim.device import Device, GENERIC_LAPTOP_GPU
+from repro.synthetic.workloads import make_point_source_stack
 from repro.utils.validation import ValidationError
 from tests.helpers import RUNS, sent_bands_to_the_pool
 
@@ -106,6 +107,27 @@ class TestGpuSimAccounting:
         _, ptr = get_backend("gpusim").reconstruct(stack, default_config.with_backend("gpusim", layout="pointer3d"))
         assert ptr.h2d_bytes > flat.h2d_bytes
         assert ptr.transfer_time > flat.transfer_time
+
+    @pytest.mark.parametrize(
+        "rows_per_chunk, chunks, launches, threads, h2d_bytes, d2h_bytes",
+        [(None, 1, 8, 16_384, 32_464, 12_808), (3, 3, 24, 24_576, 34_416, 12_824)],
+    )
+    def test_launch_geometry(self, rows_per_chunk, chunks, launches, threads, h2d_bytes, d2h_bytes):
+        """setTwo's launches: ceil(60 steps / 8) per chunk (the M2070's grid is
+        one block deep in z), each a 32*ceil(cols/32) x 4*ceil(rows/4) x 8
+        lattice of (32, 4, 8) blocks, on a Tesla M2070."""
+        stack, _ = make_point_source_stack(depth=40.0, n_rows=8, n_cols=8, n_positions=61)
+        config = ReconstructionConfig(
+            grid=DepthGrid.from_range(0.0, 100.0, 25), backend="gpusim", rows_per_chunk=rows_per_chunk
+        )
+        _, report = get_backend("gpusim").reconstruct(stack, config)
+        chunk_rows = [8] if rows_per_chunk is None else [3, 3, 2]
+        assert report.n_chunks == chunks == len(chunk_rows)
+        assert report.n_kernel_launches == launches == 8 * chunks
+        lattice = [32 * -(-8 // 32) * 4 * -(-rows // 4) * 8 for rows in chunk_rows]
+        assert report.n_threads_launched == threads == 8 * sum(lattice)
+        assert (report.h2d_bytes, report.d2h_bytes) == (h2d_bytes, d2h_bytes)
+        assert report.notes[1].startswith("device: Tesla M2070")
 
     def test_device_memory_is_released(self, point_source_stack, default_config):
         stack, _ = point_source_stack

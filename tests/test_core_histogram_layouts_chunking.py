@@ -106,7 +106,9 @@ class TestChunkPlanning:
 
     def test_plan_covers_all_rows(self):
         plan = plan_row_chunks(100, 64, 50, 40, device_memory_bytes=10 * 1024**2)
-        assert plan.covers_all_rows()
+        # the chunks tile [0, n_rows) in order: none empty, no gap, no overlap
+        assert all(stop > start for start, stop in plan.chunks)
+        assert [row for chunk in plan.chunks for row in range(*chunk)] == list(range(100))
 
     def test_fixed_rows_per_chunk(self):
         plan = plan_row_chunks(10, 16, 20, 10, device_memory_bytes=64 * 1024**2, rows_per_chunk=2)
@@ -116,7 +118,8 @@ class TestChunkPlanning:
     def test_auto_rows_respect_memory(self):
         plan = plan_row_chunks(256, 128, 60, 50, device_memory_bytes=2 * 1024**2)
         assert plan.bytes_per_chunk <= 0.9 * 2 * 1024**2
-        assert plan.covers_all_rows()
+        assert all(stop > start for start, stop in plan.chunks)
+        assert [row for chunk in plan.chunks for row in range(*chunk)] == list(range(256))
 
     def test_single_row_does_not_fit(self):
         with pytest.raises(ValidationError):

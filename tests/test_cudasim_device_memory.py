@@ -96,9 +96,9 @@ class TestMemoryPool:
         device = Device(GENERIC_LAPTOP_GPU, memory_limit_bytes=4096)
         a = device.memory.allocate((64,), np.float64)
         b = device.memory.allocate((64,), np.float64)
+        assert device.memory.used_bytes == 1024
         a.free()
         b.free()
-        assert device.memory.peak_bytes == 1024
         assert device.memory.used_bytes == 0
 
     def test_use_after_free_raises(self):
@@ -121,14 +121,11 @@ class TestMemoryPool:
         buf.fill(3.0)
         np.testing.assert_allclose(buf.device_array(), 3.0)
 
-    def test_can_fit(self):
-        device = Device(GENERIC_LAPTOP_GPU, memory_limit_bytes=1000)
-        assert device.memory.can_fit(1000)
-        assert not device.memory.can_fit(1001)
-
     def test_reset(self):
         device = Device(GENERIC_LAPTOP_GPU, memory_limit_bytes=1000)
-        device.memory.allocate((10,), np.float64)
+        buf = device.memory.allocate((10,), np.float64)
         device.memory.reset()
         assert device.memory.used_bytes == 0
-        assert device.memory.n_live_allocations == 0
+        # the pool forgot the live allocation: freeing it releases nothing
+        buf.free()
+        assert device.memory.used_bytes == 0

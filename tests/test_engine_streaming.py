@@ -16,6 +16,7 @@ from repro.core import engine
 from repro.core.backends import get_backend
 from repro.core.backends.threaded import ThreadedExecutor
 from repro.core.backends.vectorized import VectorizedExecutor
+from repro.core.chunking import estimate_chunk_device_bytes
 from repro.core.config import ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
 from repro.core.engine import (
@@ -35,8 +36,6 @@ from repro.geometry.detector import Detector
 from repro.io.h5lite import H5LiteError
 from repro.io.image_stack import (
     load_depth_resolved,
-    load_wire_scan,
-    load_wire_scan_window,
     read_wire_scan_geometry,
     save_wire_scan,
 )
@@ -259,18 +258,6 @@ class TestOutOfCore:
         outcome = session(config=config).run(path)
         assert any("streamed from disk" in note for note in outcome.report.notes)
         assert any(note.startswith("plan[") for note in outcome.report.notes)
-
-    def test_load_wire_scan_window(self, scan_file):
-        path, stack = scan_file
-        window = load_wire_scan_window(path, 2, 6)
-        np.testing.assert_array_equal(window.images, stack.images[:, 2:6, :])
-        np.testing.assert_array_equal(window.pixel_mask, stack.pixel_mask[2:6])
-        assert window.detector.n_rows == 4
-        # the window's rows keep their absolute lab-frame geometry
-        full = load_wire_scan(path)
-        np.testing.assert_allclose(
-            window.detector.row_yz(), full.detector.row_yz(np.arange(2, 6))
-        )
 
     def test_read_wire_scan_geometry_reads_no_images(self, scan_file):
         path, stack = scan_file
@@ -569,9 +556,10 @@ class TestBatch:
             np.testing.assert_array_equal(a.result.data, b.result.data)
 
     def test_admission_estimate_covers_the_largest_window(self, tmp_path, monkeypatch):
-        """A streamed item is charged the window the engine reads: a fixed
-        ``rows_per_chunk`` wider than the slab budget, else the rows that
-        fit the budget."""
+        """A streamed item is charged the window the engine reads, on every
+        backend: a fixed ``rows_per_chunk`` wider than the slab budget, else
+        the rows its backend's plan fits — the host slab budget, or for
+        ``gpusim`` the simulated device memory, which holds every row here."""
         monkeypatch.setattr(engine, "STREAMING_CHUNK_BYTES", 1_000_000)
         path = str(tmp_path / "scan.h5lite")
         save_wire_scan(path, make_tiny_stack(n_rows=64, n_cols=64, n_positions=61))
@@ -585,16 +573,41 @@ class TestBatch:
                 windows.append(slab.nbytes)
                 return slab
 
-        for rows_per_chunk, rows in ((64, 64), (None, 1_000_000 // (61 * 64 * 8))):
-            config = ReconstructionConfig(grid=grid, streaming=True, rows_per_chunk=rows_per_chunk)
-            source = RecordingSource(path)
-            windows.clear()
-            engine_execute(source, config, VectorizedExecutor())
-            assert source.max_resident_rows == rows
-            input_bytes = estimate_source_resident_bytes(FileSource(path), config) - output_bytes
-            assert input_bytes >= max(windows)
-            # every position of the widest window, as a whole-window executor reads it
-            assert input_bytes == 61 * rows * 64 * 8
+        for backend in ("vectorized", "cpu_reference", "gpusim"):
+            fitted_rows = 64 if backend == "gpusim" else 1_000_000 // (61 * 64 * 8)
+            for rows_per_chunk, rows in ((64, 64), (None, fitted_rows)):
+                config = ReconstructionConfig(
+                    grid=grid, backend=backend, streaming=True, rows_per_chunk=rows_per_chunk
+                )
+                source = RecordingSource(path)
+                windows.clear()
+                engine_execute(source, config, get_backend(backend).make_executor(config))
+                assert source.max_resident_rows == rows, backend
+                input_bytes = estimate_source_resident_bytes(FileSource(path), config) - output_bytes
+                assert input_bytes >= max(windows), backend
+                # every position of the widest window, as a whole-window executor reads it
+                assert input_bytes == 61 * rows * 64 * 8, backend
+
+    def test_item_no_device_plan_admits_fails_on_its_own(self, tmp_path):
+        """A streamed gpusim item whose fixed chunk does not fit the device
+        gets no estimate: the batch still schedules at full width and only
+        that item fails, when it runs."""
+        grid = DepthGrid.from_range(0.0, 100.0, 12)
+        narrow, wide = tmp_path / "narrow.h5lite", tmp_path / "wide.h5lite"
+        save_wire_scan(narrow, _noisy_stack(n_rows=2))
+        save_wire_scan(wide, _noisy_stack(n_rows=64))
+        # room for the narrow file's 2-row chunk, not for 64 rows
+        limit = 2 * estimate_chunk_device_bytes(2, 5, 17, grid.n_bins, "flat1d")
+        config = ReconstructionConfig(
+            grid=grid, backend="gpusim", streaming=True, rows_per_chunk=64,
+            device_memory_limit=limit,
+        )
+        assert estimate_source_resident_bytes(FileSource(str(narrow)), config) > 0
+        assert estimate_source_resident_bytes(FileSource(str(wide)), config) is None
+        batch = session(config=config).run_many([str(narrow), str(wide)], max_workers=2)
+        assert batch.max_workers == 2
+        assert [item.ok for item in batch.items] == [True, False]
+        assert "does not fit in device memory" in batch.items[1].error
 
     def test_batch_processes_files_concurrently(self, tmp_path):
         paths = self._make_files(tmp_path, n=3)

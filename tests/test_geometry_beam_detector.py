@@ -13,21 +13,6 @@ class TestBeam:
     def test_default_is_canonical(self):
         assert Beam().is_canonical()
 
-    def test_point_at_depth_scalar(self):
-        p = Beam().point_at_depth(12.0)
-        np.testing.assert_allclose(p, [0.0, 0.0, 12.0])
-
-    def test_point_at_depth_array(self):
-        pts = Beam().point_at_depth([1.0, 2.0, 3.0])
-        assert pts.shape == (3, 3)
-        np.testing.assert_allclose(pts[:, 2], [1.0, 2.0, 3.0])
-
-    def test_depth_of_point_inverts_point_at_depth(self):
-        beam = Beam(direction=(0.0, 0.6, 0.8), origin=(1.0, 2.0, 3.0))
-        depth = 17.0
-        point = beam.point_at_depth(depth)
-        assert np.isclose(beam.depth_of_point(point), depth)
-
     def test_non_canonical_detection(self):
         assert not Beam(direction=(0.0, 1.0, 0.0)).is_canonical()
         assert not Beam(origin=(0.0, 0.0, 5.0)).is_canonical()
@@ -87,11 +72,6 @@ class TestDetector:
         with pytest.raises(ValidationError):
             det.row_yz([5])
 
-    def test_pixel_position_single(self):
-        det = Detector(n_rows=3, n_cols=3)
-        p = det.pixel_position(1, 1)
-        assert p.shape == (3,)
-
     def test_tilted_detector_not_canonical(self):
         tilt = rotation_about_axis((1, 0, 0), 0.1)
         det = Detector(n_rows=3, n_cols=3, tilt=tilt)
@@ -105,7 +85,7 @@ class TestDetector:
         det_tilt = Detector(n_rows=5, n_cols=5, tilt=tilt)
         # the central pixel is on the rotation centre and must not move
         np.testing.assert_allclose(
-            det_tilt.pixel_position(2, 2), det_flat.pixel_position(2, 2), atol=1e-9
+            det_tilt.pixel_positions([2], [2]), det_flat.pixel_positions([2], [2]), atol=1e-9
         )
 
     def test_invalid_dimensions_rejected(self):

@@ -1,4 +1,4 @@
-"""Unit tests for repro.geometry.vectors and repro.geometry.rotations."""
+"""Unit tests for repro.geometry.rotations."""
 
 import numpy as np
 import pytest
@@ -6,55 +6,11 @@ import pytest
 from repro.geometry.rotations import (
     is_rotation_matrix,
     matrix_to_quaternion,
-    misorientation_angle,
     quaternion_to_matrix,
     random_rotation,
     rotation_about_axis,
-    rotation_from_euler,
-)
-from repro.geometry.vectors import (
-    angle_between,
-    normalize,
-    perpendicular_distance_2d,
-    project_point_on_segment_2d,
 )
 from repro.utils.validation import ValidationError
-
-
-class TestVectors:
-    def test_normalize_unit_length(self):
-        v = normalize([3.0, 4.0, 0.0])
-        assert np.isclose(np.linalg.norm(v), 1.0)
-
-    def test_normalize_zero_raises(self):
-        with pytest.raises(ValueError):
-            normalize([0.0, 0.0, 0.0])
-
-    def test_angle_between_orthogonal(self):
-        assert np.isclose(angle_between([1, 0, 0], [0, 1, 0]), np.pi / 2)
-
-    def test_angle_between_antiparallel(self):
-        assert np.isclose(angle_between([1, 0, 0], [-1, 0, 0]), np.pi)
-
-    def test_perpendicular_distance_simple(self):
-        # line along z at y=0; point at y=3
-        dist = perpendicular_distance_2d(3.0, 5.0, 0.0, 0.0, 0.0, 10.0)
-        assert np.isclose(dist, 3.0)
-
-    def test_perpendicular_distance_point_on_line(self):
-        assert np.isclose(perpendicular_distance_2d(0.0, 4.0, 0.0, 0.0, 0.0, 10.0), 0.0)
-
-    def test_perpendicular_distance_degenerate_segment(self):
-        dist = perpendicular_distance_2d(3.0, 4.0, 0.0, 0.0, 0.0, 0.0)
-        assert np.isclose(dist, 5.0)
-
-    def test_projection_parameter(self):
-        t = project_point_on_segment_2d(0.0, 5.0, 0.0, 0.0, 0.0, 10.0)
-        assert np.isclose(t, 0.5)
-
-    def test_projection_outside_segment(self):
-        t = project_point_on_segment_2d(0.0, 15.0, 0.0, 0.0, 0.0, 10.0)
-        assert t > 1.0
 
 
 class TestRotations:
@@ -69,9 +25,6 @@ class TestRotations:
     def test_rotation_zero_axis_raises(self):
         with pytest.raises(ValidationError):
             rotation_about_axis((0, 0, 0), 0.5)
-
-    def test_euler_identity(self):
-        np.testing.assert_allclose(rotation_from_euler(0, 0, 0), np.eye(3), atol=1e-15)
 
     def test_random_rotation_is_proper(self):
         rng = np.random.default_rng(0)
@@ -91,15 +44,6 @@ class TestRotations:
     def test_quaternion_bad_shape(self):
         with pytest.raises(ValidationError):
             quaternion_to_matrix([1, 0, 0])
-
-    def test_misorientation_self_is_zero(self):
-        rot = rotation_about_axis((0, 1, 0), 0.3)
-        assert np.isclose(misorientation_angle(rot, rot), 0.0, atol=1e-7)
-
-    def test_misorientation_known_angle(self):
-        a = np.eye(3)
-        b = rotation_about_axis((0, 0, 1), 0.25)
-        assert np.isclose(misorientation_angle(a, b), 0.25, atol=1e-10)
 
     def test_is_rotation_matrix_rejects_reflection(self):
         reflection = np.diag([1.0, 1.0, -1.0])

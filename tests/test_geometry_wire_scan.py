@@ -66,17 +66,6 @@ class TestWire:
         assert bool(wire.occludes(source, pixel, just_inside))
         assert not bool(wire.occludes(source, pixel, just_outside))
 
-    def test_tangent_angles_basic(self):
-        wire = Wire(radius=26.0)
-        theta, dphi = wire.tangent_angles(np.array([510_000.0, 0.0]), np.array([1_500.0, 50.0]))
-        assert 0 < dphi < np.pi / 2
-        assert np.isclose(dphi, np.arcsin(26.0 / np.hypot(508_500.0, 50.0)))
-
-    def test_tangent_angles_inside_wire_rejected(self):
-        wire = Wire(radius=26.0)
-        with pytest.raises(ValidationError):
-            wire.tangent_angles(np.array([1_500.0, 0.0]), np.array([1_500.0, 10.0]))
-
 
 class TestWireScan:
     def test_linear_scan_counts(self):
@@ -93,20 +82,10 @@ class TestWireScan:
         scan = WireScan.linear(n_points=7, height=2_000.0)
         np.testing.assert_allclose(scan.positions[:, 0], 2_000.0)
 
-    def test_step_pair(self):
-        scan = WireScan.linear(n_points=5)
-        first, second = scan.step_pair(0)
-        np.testing.assert_allclose(first, scan.positions[0])
-        np.testing.assert_allclose(second, scan.positions[1])
-
-    def test_step_pair_out_of_range(self):
-        scan = WireScan.linear(n_points=5)
-        with pytest.raises(ValidationError):
-            scan.step_pair(4)
-
     def test_step_size(self):
         scan = WireScan.linear(n_points=11, z_start=0.0, z_stop=100.0)
-        assert np.isclose(scan.step_size(), 10.0)
+        steps = np.linalg.norm(np.diff(scan.positions, axis=0), axis=1)
+        assert np.isclose(np.mean(steps), 10.0)
 
     def test_invalid_positions_shape(self):
         with pytest.raises(ValidationError):

@@ -15,7 +15,6 @@ import threading
 from repro.utils.logging import (
     RequestContextFilter,
     configure,
-    current_request,
     get_logger,
     request_context,
 )
@@ -31,6 +30,13 @@ class _RecordCollector(logging.Handler):
         self.records.append(record)
 
 
+def _bound_ids():
+    """The ids RequestContextFilter stamps on a record emitted here."""
+    record = logging.makeLogRecord({})
+    RequestContextFilter().filter(record)
+    return {"job_id": record.job_id, "client_id": record.client_id}
+
+
 def _collecting_logger(name):
     logger = get_logger(name)
     logger.setLevel(logging.DEBUG)
@@ -43,16 +49,16 @@ def _collecting_logger(name):
 # --------------------------------------------------------------------------- #
 class TestRequestContext:
     def test_binds_and_restores(self):
-        assert current_request() == {"job_id": None, "client_id": None}
+        assert _bound_ids() == {"job_id": None, "client_id": None}
         with request_context(job_id="j1", client_id="alice"):
-            assert current_request() == {"job_id": "j1", "client_id": "alice"}
-        assert current_request() == {"job_id": None, "client_id": None}
+            assert _bound_ids() == {"job_id": "j1", "client_id": "alice"}
+        assert _bound_ids() == {"job_id": None, "client_id": None}
 
     def test_nesting_restores_the_outer_binding(self):
         with request_context(job_id="outer"):
             with request_context(job_id="inner", client_id="c"):
-                assert current_request()["job_id"] == "inner"
-            assert current_request() == {"job_id": "outer", "client_id": None}
+                assert _bound_ids()["job_id"] == "inner"
+            assert _bound_ids() == {"job_id": "outer", "client_id": None}
 
     def test_restores_on_exception(self):
         try:
@@ -60,7 +66,7 @@ class TestRequestContext:
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
-        assert current_request()["job_id"] is None
+        assert _bound_ids()["job_id"] is None
 
 
 class TestRequestContextFilter:
@@ -121,7 +127,7 @@ class TestContextPropagation:
 
         def compute():
             logger.info("computing")
-            return current_request()
+            return _bound_ids()
 
         with request_context(job_id="jt", client_id="ct"):
             context = contextvars.copy_context()
@@ -136,7 +142,7 @@ class TestContextPropagation:
         """Without copy_context the binding stays with the creating thread."""
         seen = {}
         with request_context(job_id="leaky?"):
-            thread = threading.Thread(target=lambda: seen.update(current_request()))
+            thread = threading.Thread(target=lambda: seen.update(_bound_ids()))
             thread.start()
             thread.join()
         assert seen == {"job_id": None, "client_id": None}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.perf.metrics import relative_change, speedup, summarize_ratio_range, time_ratio
+from repro.perf.metrics import speedup, summarize_ratio_range, time_ratio
 from repro.perf.modelruns import (
     PAPER_FIG8_CPU_SECONDS,
     PAPER_FIG8_GPU_SECONDS,
@@ -30,11 +30,6 @@ class TestMetrics:
         assert summary["min"] < 0.30
         assert summary["max"] < 0.50
         assert summary["count"] == 4
-
-    def test_relative_change(self):
-        assert np.isclose(relative_change(10.0, 12.0), 0.2)
-        with pytest.raises(ValueError):
-            relative_change(0.0, 1.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

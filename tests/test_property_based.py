@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) for the core invariants.
 
 These complement the example-based unit tests by exploring the input space of
-the geometric primitives, the trapezoid integrals, the index mappings and the
-accumulation buffers.
+the geometric primitives, the trapezoid integrals and the accumulation
+buffers.
 """
 
 import numpy as np
@@ -23,43 +23,9 @@ from repro.cudasim.kernel import LaunchConfig
 from repro.geometry.rotations import is_rotation_matrix, matrix_to_quaternion, quaternion_to_matrix
 from repro.geometry.wire import Wire
 from repro.io.h5lite import H5LiteFile
-from repro.utils.arrays import chunk_ranges, ravel_index_3d, unravel_index_3d
 
 # keep hypothesis fast and deterministic enough for CI-style runs
 COMMON_SETTINGS = {"max_examples": 60, "deadline": None}
-
-
-# --------------------------------------------------------------------------- #
-# index mapping
-@settings(**COMMON_SETTINGS)
-@given(
-    nx=st.integers(1, 50),
-    ny=st.integers(1, 50),
-    nz=st.integers(1, 20),
-    data=st.data(),
-)
-def test_ravel_unravel_roundtrip(nx, ny, nz, data):
-    ix = data.draw(st.integers(0, nx - 1))
-    iy = data.draw(st.integers(0, ny - 1))
-    iz = data.draw(st.integers(0, nz - 1))
-    offset = ravel_index_3d(ix, iy, iz, nx, ny)
-    assert 0 <= offset < nx * ny * nz
-    rx, ry, rz = unravel_index_3d(offset, nx, ny)
-    assert (rx, ry, rz) == (ix, iy, iz)
-
-
-@settings(**COMMON_SETTINGS)
-@given(total=st.integers(0, 1000), chunk=st.integers(1, 100))
-def test_chunk_ranges_tile_the_interval(total, chunk):
-    covered = []
-    previous_stop = 0
-    for start, stop in chunk_ranges(total, chunk):
-        assert start == previous_stop
-        assert stop - start <= chunk
-        assert stop > start
-        covered.extend(range(start, stop))
-        previous_stop = stop
-    assert covered == list(range(total))
 
 
 # --------------------------------------------------------------------------- #

@@ -65,7 +65,7 @@ class TestGrainSample:
         assert len(sample.grains) == 4
         boundaries = sample.true_grain_boundaries()
         assert boundaries[0] == 0.0 and boundaries[-1] == 100.0
-        total = sum(g.thickness for g in sample.grains)
+        total = sum(g.depth_stop - g.depth_start for g in sample.grains)
         assert np.isclose(total, 100.0)
 
     def test_material_symbol_resolved(self, rng):

@@ -1,20 +1,8 @@
 """Unit tests for repro.utils.validation."""
 
-import numpy as np
 import pytest
 
-from repro.utils.validation import (
-    ValidationError,
-    ensure_dtype,
-    ensure_finite,
-    ensure_in_range,
-    ensure_monotonic_increasing,
-    ensure_ndim,
-    ensure_non_negative,
-    ensure_positive,
-    ensure_shape,
-    ensure_unit_vector,
-)
+from repro.utils.validation import ValidationError, ensure_non_negative, ensure_positive
 
 
 class TestEnsurePositive:
@@ -45,88 +33,3 @@ class TestEnsureNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             ensure_non_negative(-0.1)
-
-
-class TestEnsureShape:
-    def test_exact_match(self):
-        arr = np.zeros((3, 4))
-        assert ensure_shape(arr, (3, 4)) is not None
-
-    def test_wildcard_axis(self):
-        arr = np.zeros((7, 4))
-        ensure_shape(arr, (None, 4))
-
-    def test_wrong_ndim(self):
-        with pytest.raises(ValidationError):
-            ensure_shape(np.zeros(3), (3, 1))
-
-    def test_wrong_axis_length(self):
-        with pytest.raises(ValidationError):
-            ensure_shape(np.zeros((3, 5)), (3, 4))
-
-
-class TestEnsureNdimAndDtype:
-    def test_ndim_pass(self):
-        ensure_ndim(np.zeros((2, 2)), 2)
-
-    def test_ndim_fail(self):
-        with pytest.raises(ValidationError):
-            ensure_ndim(np.zeros(4), 2)
-
-    def test_dtype_pass(self):
-        ensure_dtype(np.zeros(3, dtype=np.float64), np.float64)
-
-    def test_dtype_fail(self):
-        with pytest.raises(ValidationError):
-            ensure_dtype(np.zeros(3, dtype=np.float32), np.float64)
-
-
-class TestEnsureInRange:
-    def test_inclusive_bounds(self):
-        assert ensure_in_range(1.0, 1.0, 2.0) == 1.0
-        assert ensure_in_range(2.0, 1.0, 2.0) == 2.0
-
-    def test_exclusive_bounds(self):
-        with pytest.raises(ValidationError):
-            ensure_in_range(1.0, 1.0, 2.0, inclusive=False)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            ensure_in_range(3.0, 0.0, 2.0)
-
-
-class TestEnsureUnitVector:
-    def test_unit_vector_ok(self):
-        v = ensure_unit_vector((1.0, 0.0, 0.0))
-        assert v.shape == (3,)
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValidationError):
-            ensure_unit_vector((1.0, 1.0, 0.0))
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValidationError):
-            ensure_unit_vector((1.0, 0.0))
-
-
-class TestEnsureFiniteAndMonotonic:
-    def test_finite_ok(self):
-        ensure_finite(np.arange(5.0))
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValidationError):
-            ensure_finite(np.array([1.0, np.nan]))
-
-    def test_monotonic_ok(self):
-        ensure_monotonic_increasing(np.array([1.0, 2.0, 3.0]))
-
-    def test_monotonic_strict_rejects_ties(self):
-        with pytest.raises(ValidationError):
-            ensure_monotonic_increasing(np.array([1.0, 1.0, 2.0]))
-
-    def test_monotonic_non_strict_allows_ties(self):
-        ensure_monotonic_increasing(np.array([1.0, 1.0, 2.0]), strict=False)
-
-    def test_monotonic_requires_1d(self):
-        with pytest.raises(ValidationError):
-            ensure_monotonic_increasing(np.zeros((2, 2)))
