@@ -12,21 +12,18 @@ losslessly, and named analysis ops (:mod:`repro.core.ops`) chain into
 immutable pipelines via :func:`~repro.core.ops.analysis`.  Backends plug in
 through :mod:`repro.core.registry`, analysis ops through
 :func:`~repro.core.ops.register_op`.  The lower-level pieces — depth
-mapping, trapezoid response, array layouts, row-chunk planning and the
-execution engine, whose plan owns each run's output cube — are exposed for
-tests, benchmarks and users who want to compose them differently.
+mapping (pixel to depth; depth-bin index conversions are
+:class:`~repro.core.depth_grid.DepthGrid` methods), trapezoid response,
+array layouts, row-chunk planning and the execution engine, whose plan owns
+each run's output cube — are exposed for tests, benchmarks and users who
+want to compose them differently.
 """
 
 from repro.core.depth_grid import DepthGrid
 from repro.core.stack import WireScanStack
 from repro.core.result import DepthResolvedStack, ReconstructionReport
 from repro.core.config import ReconstructionConfig, DifferenceMode
-from repro.core.depth_mapping import (
-    pixel_yz_to_depth,
-    pixel_xyz_to_depth,
-    index_to_beam_depth,
-    depth_to_index,
-)
+from repro.core.depth_mapping import pixel_yz_to_depth
 from repro.core.trapezoid import (
     trapezoid_from_depths,
     trapezoid_height,
@@ -89,9 +86,6 @@ __all__ = [
     "ReconstructionConfig",
     "DifferenceMode",
     "pixel_yz_to_depth",
-    "pixel_xyz_to_depth",
-    "index_to_beam_depth",
-    "depth_to_index",
     "trapezoid_from_depths",
     "trapezoid_height",
     "trapezoid_area",

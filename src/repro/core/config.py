@@ -10,7 +10,7 @@ from typing import Dict, Optional
 
 from repro.core.depth_grid import DepthGrid
 from repro.geometry.wire import WireEdge
-from repro.utils.validation import ValidationError, ensure_non_negative
+from repro.utils.validation import ValidationError, _is_count, ensure_non_negative
 
 __all__ = ["DifferenceMode", "ReconstructionConfig", "EXECUTOR_CHOICES"]
 
@@ -96,14 +96,15 @@ class ReconstructionConfig:
         Device array layout for the gpusim backend (``flat1d`` or
         ``pointer3d``) — the Fig. 4 design choice.
     rows_per_chunk:
-        Number of detector rows streamed to the device per chunk.  ``None``
-        lets the chunk planner pick the largest chunk that fits device
-        memory (the paper uses a fixed small number of rows).
+        Number of detector rows (an integer >= 1) streamed to the device per
+        chunk.  ``None`` lets the chunk planner pick the largest chunk that
+        fits device memory (the paper uses a fixed small number of rows).
     device_memory_limit:
-        Optional override (bytes) of the simulated device memory, used to
-        scale the 6 GB constraint down to laptop-sized problems.
+        Optional override (bytes, an integer >= 1) of the simulated device
+        memory, used to scale the 6 GB constraint down to laptop-sized
+        problems.
     n_workers:
-        Worker count (``>= 1``) for the ``threads`` executor.  The retired
+        Worker count (an integer >= 1) for the ``threads`` executor.  The retired
         ``"auto"`` resolves to ``1`` with a :class:`DeprecationWarning`.
     executor:
         Where the vectorized backend's kernel runs: ``serial`` (in the
@@ -158,12 +159,13 @@ class ReconstructionConfig:
         ensure_non_negative(self.intensity_cutoff, "intensity_cutoff")
         if self.layout not in ("flat1d", "pointer3d"):
             raise ValidationError(f"layout must be 'flat1d' or 'pointer3d', got {self.layout!r}")
-        if self.rows_per_chunk is not None and int(self.rows_per_chunk) < 1:
-            raise ValidationError("rows_per_chunk must be >= 1 when given")
-        if self.device_memory_limit is not None and int(self.device_memory_limit) < 1:
-            raise ValidationError("device_memory_limit must be positive when given")
-        if isinstance(self.n_workers, str) or int(self.n_workers) < 1:
-            raise ValidationError(f"n_workers must be an int >= 1, got {self.n_workers!r}")
+        for name in ("rows_per_chunk", "device_memory_limit", "n_workers"):
+            value = getattr(self, name)
+            if value is None and name != "n_workers":
+                continue
+            if not _is_count(value):
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.executor not in EXECUTOR_CHOICES:
             raise ValidationError(
                 f"unknown executor {self.executor!r}; expected one of {EXECUTOR_CHOICES}"
@@ -231,7 +233,12 @@ class ReconstructionConfig:
             raise ValidationError("config dict requires a 'grid' entry")
         grid = data["grid"]
         if isinstance(grid, dict):
-            data["grid"] = DepthGrid(**grid)
+            try:
+                data["grid"] = DepthGrid(**grid)
+            except TypeError:
+                raise ValidationError(
+                    f"config 'grid' entry must hold exactly start, step and n_bins, got {grid!r}"
+                ) from None
         wire_edge = data.get("wire_edge")
         if isinstance(wire_edge, str):
             try:

@@ -2,18 +2,19 @@
 
 Depth is measured along the incident beam from the beam origin (DESIGN.md
 §5).  ``DepthGrid`` owns the ``[start, stop)`` range and bin width and
-provides the two index conversions the paper's kernels use:
-``index_to_beam_depth`` (bin index → depth at the bin centre) and
-``depth_to_index``.
+provides the index conversions: :meth:`DepthGrid.index_to_depth` (bin index
+→ depth at the bin centre, the paper's ``device_index_to_beam_depth``) and
+its inverse :meth:`DepthGrid.depth_to_index`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.validation import ValidationError, ensure_positive
+from repro.utils.validation import ValidationError, _is_count, _is_real, ensure_positive
 
 __all__ = ["DepthGrid"]
 
@@ -25,12 +26,13 @@ class DepthGrid:
     Parameters
     ----------
     start:
-        Depth of the lower edge of the first bin (micrometres).
+        Depth of the lower edge of the first bin (micrometres), a finite
+        number.
     step:
-        Bin width ``dDepth`` (micrometres).
+        Bin width ``dDepth`` (micrometres), a finite positive number.
     n_bins:
-        Number of depth bins (``maxDepth`` index in the paper's kernel is
-        ``n_bins - 1``).
+        Number of depth bins, an integer >= 1 (``maxDepth`` index in the
+        paper's kernel is ``n_bins - 1``).
     """
 
     start: float
@@ -38,9 +40,11 @@ class DepthGrid:
     n_bins: int
 
     def __post_init__(self):
+        if not _is_real(self.start) or not math.isfinite(self.start):
+            raise ValidationError(f"start must be a finite number, got {self.start!r}")
         ensure_positive(self.step, "step")
-        if int(self.n_bins) < 1:
-            raise ValidationError(f"n_bins must be >= 1, got {self.n_bins}")
+        if not _is_count(self.n_bins):
+            raise ValidationError(f"n_bins must be an integer >= 1, got {self.n_bins!r}")
         object.__setattr__(self, "n_bins", int(self.n_bins))
         object.__setattr__(self, "start", float(self.start))
         object.__setattr__(self, "step", float(self.step))
@@ -51,8 +55,8 @@ class DepthGrid:
         """Build a grid covering ``[start, stop)`` with *n_bins* equal bins."""
         if stop <= start:
             raise ValidationError("stop must exceed start")
-        if int(n_bins) < 1:
-            raise ValidationError("n_bins must be >= 1")
+        if not _is_count(n_bins):
+            raise ValidationError(f"n_bins must be an integer >= 1, got {n_bins!r}")
         return cls(start=float(start), step=(float(stop) - float(start)) / int(n_bins), n_bins=int(n_bins))
 
     # ------------------------------------------------------------------ #

@@ -1,8 +1,9 @@
 """Mapping detector pixels to depths along the incident beam.
 
 This module implements the geometric heart of the reconstruction — the
-analogue of the paper's ``device_pixel_xyz_to_depth`` and
-``device_index_to_beam_depth`` functions.
+analogue of the paper's ``device_pixel_xyz_to_depth`` function (its
+``device_index_to_beam_depth`` is
+:meth:`repro.core.depth_grid.DepthGrid.index_to_depth`).
 
 Given a detector pixel P, a wire centre C (radius r) and the choice of wire
 edge, the ray that leaves the sample, grazes that edge of the wire and lands
@@ -29,16 +30,12 @@ import math
 
 import numpy as np
 
-from repro.geometry.beam import Beam
 from repro.geometry.wire import WireEdge
 from repro.utils.validation import ValidationError
 
 __all__ = [
     "pixel_yz_to_depth",
     "pixel_yz_to_depth_scalar",
-    "pixel_xyz_to_depth",
-    "index_to_beam_depth",
-    "depth_to_index",
     "critical_wire_z_for_depth",
 ]
 
@@ -131,70 +128,6 @@ def pixel_yz_to_depth(
         t = np.where(u_y < 0.0, -pixel_y / u_y, np.nan)
         depth = np.where(t > 0.0, pixel_z + t * u_z, np.nan)
     return depth
-
-
-def pixel_xyz_to_depth(
-    pixel_xyz: np.ndarray,
-    wire_center_yz: np.ndarray,
-    wire_radius: float,
-    edge: int = WireEdge.LEADING,
-    beam: Beam | None = None,
-) -> np.ndarray:
-    """Critical depth from full 3-D pixel coordinates.
-
-    The wire axis is along x, so only the (y, z) components of the pixel
-    position enter the tangent construction; the x coordinate is ignored
-    (an infinite-cylinder approximation, identical to the original code).
-
-    Parameters
-    ----------
-    pixel_xyz:
-        Array of shape ``(..., 3)`` with lab pixel coordinates.
-    wire_center_yz:
-        Array of shape ``(..., 2)`` with the wire-centre (y, z).
-    wire_radius:
-        Wire radius.
-    edge:
-        +1 leading, -1 trailing.
-    beam:
-        Only the canonical beam (+z through the origin) is supported by this
-        fast path; a non-canonical beam raises ``ValidationError``.
-    """
-    if beam is not None and not beam.is_canonical():
-        raise ValidationError(
-            "pixel_xyz_to_depth requires the canonical beam (+z through the origin); "
-            "transform coordinates into the beam frame first"
-        )
-    pixel_xyz = np.asarray(pixel_xyz, dtype=np.float64)
-    wire_center_yz = np.asarray(wire_center_yz, dtype=np.float64)
-    if pixel_xyz.shape[-1] != 3:
-        raise ValidationError("pixel_xyz must have a trailing axis of length 3")
-    if wire_center_yz.shape[-1] != 2:
-        raise ValidationError("wire_center_yz must have a trailing axis of length 2")
-    return pixel_yz_to_depth(
-        pixel_xyz[..., 1],
-        pixel_xyz[..., 2],
-        wire_center_yz[..., 0],
-        wire_center_yz[..., 1],
-        wire_radius,
-        edge,
-    )
-
-
-def index_to_beam_depth(index, depth_start: float, depth_step: float) -> np.ndarray:
-    """Depth (bin centre) of depth-resolved image *index*.
-
-    Functional form of ``device_index_to_beam_depth``; prefer
-    :meth:`repro.core.depth_grid.DepthGrid.index_to_depth` in new code.
-    """
-    index = np.asarray(index, dtype=np.float64)
-    return depth_start + (index + 0.5) * float(depth_step)
-
-
-def depth_to_index(depth, depth_start: float, depth_step: float) -> np.ndarray:
-    """Inverse of :func:`index_to_beam_depth` (floor to the containing bin)."""
-    depth = np.asarray(depth, dtype=np.float64)
-    return np.floor((depth - float(depth_start)) / float(depth_step)).astype(np.int64)
 
 
 def critical_wire_z_for_depth(

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.cudasim.device import Device
 from repro.cudasim.memory import DeviceBuffer
-from repro.cudasim.transfer import memcpy_device_to_host, memcpy_host_to_device
+from repro.cudasim.transfer import memcpy_host_to_device
 from repro.utils.validation import ValidationError
 
 __all__ = ["Flat1DLayout", "Pointer3DLayout", "get_layout", "LayoutUpload"]
@@ -75,10 +75,6 @@ class _BaseLayout:
         """
         raise NotImplementedError
 
-    def download(self, device: Device, upload: LayoutUpload, out: np.ndarray) -> int:
-        """Copy the uploaded data back device→host into *out*; returns transfers."""
-        raise NotImplementedError
-
 
 class Flat1DLayout(_BaseLayout):
     """Single flat allocation, offsets computed per element."""
@@ -99,12 +95,6 @@ class Flat1DLayout(_BaseLayout):
 
     def read_cube(self, upload: LayoutUpload, shape: Tuple[int, int, int]) -> np.ndarray:
         return upload.buffers[0].device_array().reshape(shape)
-
-    def download(self, device: Device, upload: LayoutUpload, out: np.ndarray) -> int:
-        flat = np.ascontiguousarray(out).reshape(-1)
-        memcpy_device_to_host(device, flat, upload.buffers[0], label=f"{self.name}:D2H")
-        out[...] = flat.reshape(out.shape)
-        return 1
 
 
 class Pointer3DLayout(_BaseLayout):
@@ -145,15 +135,6 @@ class Pointer3DLayout(_BaseLayout):
     def read_cube(self, upload: LayoutUpload, shape: Tuple[int, int, int]) -> np.ndarray:
         slabs = [buf.device_array().reshape(shape[1], shape[2]) for buf in upload.buffers]
         return np.stack(slabs, axis=0)
-
-    def download(self, device: Device, upload: LayoutUpload, out: np.ndarray) -> int:
-        if out.shape[0] != len(upload.buffers):
-            raise ValidationError("output leading axis does not match the number of slabs")
-        for slab_index, buf in enumerate(upload.buffers):
-            slab = np.ascontiguousarray(out[slab_index])
-            memcpy_device_to_host(device, slab, buf, label=f"{self.name}:D2H:slab{slab_index}")
-            out[slab_index] = slab
-        return len(upload.buffers)
 
 
 _LAYOUTS = {

@@ -111,11 +111,6 @@ class ThreadPool:
         with self._lock:
             self._n_active -= 1
 
-    @property
-    def n_active(self) -> int:
-        """Tasks submitted and not yet finished."""
-        return self._n_active
-
     def utilization(self) -> Dict:
         """JSON-safe snapshot of pool state and load.
 

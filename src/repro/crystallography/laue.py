@@ -29,6 +29,9 @@ __all__ = ["LaueSpot", "predict_laue_spots"]
 #: E[keV] * λ[Å] for photons
 _HC_KEV_ANGSTROM = 12.39842
 
+#: spots weaker than this fraction of the strongest spot are dropped
+_MIN_RELATIVE_INTENSITY = 1e-3
+
 
 @dataclass(frozen=True)
 class LaueSpot:
@@ -41,11 +44,6 @@ class LaueSpot:
     direction: tuple
     intensity: float
 
-    @property
-    def pixel(self) -> tuple:
-        """Nearest integer ``(row, col)`` pixel."""
-        return (int(round(self.row)), int(round(self.col)))
-
 
 def predict_laue_spots(
     material: Material,
@@ -53,7 +51,6 @@ def predict_laue_spots(
     beam: Beam,
     detector: Detector,
     max_hkl: int = 5,
-    min_relative_intensity: float = 1e-3,
 ) -> List[LaueSpot]:
     """Predict the Laue spots of one grain on the detector.
 
@@ -66,18 +63,15 @@ def predict_laue_spots(
     beam:
         Incident polychromatic beam (direction + energy band).
     detector:
-        Detector geometry; only canonical (untilted) detectors are supported.
+        Detector geometry.
     max_hkl:
         Miller indices are enumerated over ``[-max_hkl, max_hkl]^3``.
-    min_relative_intensity:
-        Spots weaker than this fraction of the strongest spot are dropped.
 
     Returns
     -------
-    list of LaueSpot, sorted by decreasing intensity.
+    list of LaueSpot with at least :data:`_MIN_RELATIVE_INTENSITY` of the
+    strongest spot's intensity, sorted by decreasing intensity.
     """
-    if not detector.is_canonical:
-        raise ValidationError("Laue prediction currently supports untilted detectors only")
     if max_hkl < 1:
         raise ValidationError("max_hkl must be >= 1")
 
@@ -141,7 +135,7 @@ def predict_laue_spots(
     max_intensity = float(intensity.max())
     if max_intensity <= 0:
         return spots
-    selected = on_detector & (intensity >= min_relative_intensity * max_intensity)
+    selected = on_detector & (intensity >= _MIN_RELATIVE_INTENSITY * max_intensity)
 
     for index in np.nonzero(selected)[0]:
         spots.append(

@@ -6,11 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.geometry.rotations import (
-    is_rotation_matrix,
-    matrix_to_quaternion,
-    random_rotation,
-)
+from repro.geometry.rotations import is_rotation_matrix, random_rotation
 from repro.utils.validation import ValidationError
 
 __all__ = ["Orientation"]
@@ -44,10 +40,6 @@ class Orientation:
         """Rotate crystal-frame vectors into the lab frame."""
         vectors = np.asarray(vectors, dtype=np.float64)
         return vectors @ self.matrix.T
-
-    def quaternion(self) -> np.ndarray:
-        """Quaternion ``(x, y, z, w)`` of this orientation."""
-        return matrix_to_quaternion(self.matrix)
 
     def perturbed(self, axis, angle: float) -> "Orientation":
         """A new orientation rotated by *angle* radians about *axis* (lab frame)."""

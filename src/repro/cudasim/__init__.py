@@ -32,7 +32,6 @@ from repro.cudasim.errors import (
 )
 from repro.cudasim.device import Device, DeviceProperties, TESLA_M2070, GENERIC_LAPTOP_GPU
 from repro.cudasim.memory import DeviceBuffer, MemoryPool
-from repro.cudasim.transfer import MemcpyKind
 from repro.cudasim.kernel import Kernel, LaunchConfig
 from repro.cudasim.atomic import atomic_add, atomic_add_double_cas
 from repro.cudasim.perfmodel import PerformanceModel, HostPerformanceModel
@@ -49,7 +48,6 @@ __all__ = [
     "GENERIC_LAPTOP_GPU",
     "DeviceBuffer",
     "MemoryPool",
-    "MemcpyKind",
     "Kernel",
     "LaunchConfig",
     "atomic_add",

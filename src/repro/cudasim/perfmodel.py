@@ -80,31 +80,6 @@ class PerformanceModel:
         memory = n_threads * bytes_per_thread / self.memory_bandwidth
         return self.kernel_launch_overhead + max(compute, memory)
 
-    def total_time(
-        self,
-        h2d_bytes: float,
-        d2h_bytes: float,
-        n_threads: int,
-        flops_per_thread: float,
-        bytes_per_thread: float,
-        n_h2d_transfers: int = 1,
-        n_d2h_transfers: int = 1,
-        n_launches: int = 1,
-    ) -> float:
-        """End-to-end modelled time: transfers in + kernels + transfers out."""
-        if n_launches < 1:
-            raise ValueError("n_launches must be >= 1")
-        per_launch_threads = max(1, n_threads // n_launches)
-        kernel = sum(
-            self.kernel_time(per_launch_threads, flops_per_thread, bytes_per_thread)
-            for _ in range(n_launches)
-        )
-        return (
-            self.transfer_time(h2d_bytes, n_h2d_transfers)
-            + kernel
-            + self.transfer_time(d2h_bytes, n_d2h_transfers)
-        )
-
 
 @dataclass(frozen=True)
 class HostPerformanceModel:

@@ -8,23 +8,13 @@ slab plus the pointer tables — is slower end-to-end than a single flat copy.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from repro.cudasim.device import Device
 from repro.cudasim.errors import TransferError
 from repro.cudasim.memory import DeviceBuffer
 
-__all__ = ["MemcpyKind", "memcpy_host_to_device", "memcpy_device_to_host", "memcpy"]
-
-
-class MemcpyKind(enum.Enum):
-    """Direction of a memcpy, mirroring ``cudaMemcpyKind``."""
-
-    HOST_TO_DEVICE = "cudaMemcpyHostToDevice"
-    DEVICE_TO_HOST = "cudaMemcpyDeviceToHost"
-    DEVICE_TO_DEVICE = "cudaMemcpyDeviceToDevice"
+__all__ = ["memcpy_host_to_device", "memcpy_device_to_host"]
 
 
 def _check_compatible(host_array: np.ndarray, buffer: DeviceBuffer) -> None:
@@ -70,29 +60,3 @@ def memcpy_device_to_host(
     seconds = device.perf.transfer_time(dst.nbytes)
     device.advance_clock(seconds, label=label, kind="memcpy_d2h", detail={"bytes": int(dst.nbytes)})
     return seconds
-
-
-def memcpy_device_to_device(
-    device: Device,
-    dst: DeviceBuffer,
-    src: DeviceBuffer,
-    label: str = "D2D",
-) -> float:
-    """Device-to-device copy (costed against device memory bandwidth)."""
-    if dst.dtype != src.dtype or np.prod(dst.shape) != np.prod(src.shape):
-        raise TransferError("device-to-device copy requires matching size and dtype")
-    dst.device_array()[...] = src.device_array().reshape(dst.shape)
-    seconds = 2.0 * src.nbytes / device.perf.memory_bandwidth if hasattr(device.perf, "memory_bandwidth") else 0.0
-    device.advance_clock(seconds, label=label, kind="memcpy_d2d", detail={"bytes": int(src.nbytes)})
-    return seconds
-
-
-def memcpy(device: Device, dst, src, kind: MemcpyKind, label: str | None = None) -> float:
-    """Dispatching memcpy in the style of the CUDA runtime API."""
-    if kind is MemcpyKind.HOST_TO_DEVICE:
-        return memcpy_host_to_device(device, dst, src, label or "H2D")
-    if kind is MemcpyKind.DEVICE_TO_HOST:
-        return memcpy_device_to_host(device, dst, src, label or "D2H")
-    if kind is MemcpyKind.DEVICE_TO_DEVICE:
-        return memcpy_device_to_device(device, dst, src, label or "D2D")
-    raise TransferError(f"unsupported memcpy kind: {kind!r}")

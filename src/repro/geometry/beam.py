@@ -67,13 +67,13 @@ class Beam:
         """Beam origin as a float64 array."""
         return np.asarray(self.origin, dtype=np.float64)
 
-    def is_canonical(self, atol: float = 1e-12) -> bool:
+    def is_canonical(self) -> bool:
         """True if the beam is the canonical +z beam through the origin.
 
-        The fast vectorised kernels assume this configuration (as does the
-        original 34-ID code); the general-geometry path handles the rest.
+        The depth mapping and the forward model assume this configuration
+        (as does the original 34-ID code).
         """
         return bool(
-            np.allclose(self._dir_arr, (0.0, 0.0, 1.0), atol=atol)
-            and np.allclose(self.origin_array, (0.0, 0.0, 0.0), atol=atol)
+            np.allclose(self._dir_arr, (0.0, 0.0, 1.0), atol=1e-12)
+            and np.allclose(self.origin_array, (0.0, 0.0, 0.0), atol=1e-12)
         )

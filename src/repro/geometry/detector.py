@@ -5,16 +5,14 @@ canonical configuration the plane is parallel to the x-z plane at height
 ``y = distance``; detector *columns* run along +x (parallel to the wire axis)
 and detector *rows* run along +z (parallel to the beam), so every detector
 row sees a distinct (y, z) occlusion geometry while all pixels of a row share
-it.  This is the configuration the paper's row-chunked streaming exploits.
-
-A tilt rotation can be applied for non-ideal mounts; the reconstruction only
-requires the lab coordinates of each pixel, so tilted detectors work through
-the same API (at the cost of per-pixel rather than per-row geometry).
+it.  This is the configuration the paper's row-chunked streaming exploits,
+and the only one modelled: a tilted mount would give each pixel its own
+occlusion geometry, which a row-at-a-time reconstruction cannot use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -39,8 +37,6 @@ class Detector:
         micrometres.
     center:
         Lab (x, z) coordinates of the geometric centre of the pixel grid.
-    tilt:
-        Optional 3x3 rotation applied to the detector plane about its centre.
     """
 
     n_rows: int = 256
@@ -48,9 +44,6 @@ class Detector:
     pixel_size: float = 200.0
     distance: float = 510_000.0
     center: Tuple[float, float] = (0.0, 0.0)
-    tilt: np.ndarray | None = None
-
-    _tilt_arr: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if int(self.n_rows) <= 0 or int(self.n_cols) <= 0:
@@ -59,27 +52,12 @@ class Detector:
         object.__setattr__(self, "n_cols", int(self.n_cols))
         ensure_positive(self.pixel_size, "pixel_size")
         ensure_positive(self.distance, "distance")
-        if self.tilt is not None:
-            tilt = np.asarray(self.tilt, dtype=np.float64)
-            if tilt.shape != (3, 3):
-                raise ValidationError("tilt must be a 3x3 rotation matrix")
-            object.__setattr__(self, "_tilt_arr", tilt)
 
     # ------------------------------------------------------------------ #
     @property
     def shape(self) -> Tuple[int, int]:
         """``(n_rows, n_cols)``."""
         return (self.n_rows, self.n_cols)
-
-    @property
-    def n_pixels(self) -> int:
-        """Total pixel count."""
-        return self.n_rows * self.n_cols
-
-    @property
-    def is_canonical(self) -> bool:
-        """True if the detector is untilted (rows along +z, cols along +x)."""
-        return self._tilt_arr is None
 
     # ------------------------------------------------------------------ #
     def pixel_positions(self, rows=None, cols=None) -> np.ndarray:
@@ -102,28 +80,19 @@ class Detector:
         self._check_indices(cols, self.n_cols, "col")
 
         cx, cz = self.center
-        # pixel (row, col) centre before tilt
         x = cx + (cols - (self.n_cols - 1) / 2.0) * self.pixel_size
         z = cz + (rows - (self.n_rows - 1) / 2.0) * self.pixel_size
         xx = np.broadcast_to(x[None, :], (rows.size, cols.size))
         zz = np.broadcast_to(z[:, None], (rows.size, cols.size))
         yy = np.full_like(xx, self.distance, dtype=np.float64)
-        pts = np.stack([xx, yy, zz], axis=-1).astype(np.float64)
-
-        if self._tilt_arr is not None:
-            centre = np.array([cx, self.distance, cz])
-            pts = (pts - centre) @ self._tilt_arr.T + centre
-        return pts
+        return np.stack([xx, yy, zz], axis=-1).astype(np.float64)
 
     def row_yz(self, rows=None) -> np.ndarray:
         """(y, z) coordinates of pixel rows in the occlusion plane.
 
-        Only valid for the canonical (untilted) detector, where all pixels of
-        a row share the same (y, z); this is what the fast reconstruction
-        kernels use.  Shape ``(len(rows), 2)``.
+        All pixels of a row share the same (y, z); this is what the fast
+        reconstruction kernels use.  Shape ``(len(rows), 2)``.
         """
-        if not self.is_canonical:
-            raise ValidationError("row_yz is only defined for untilted detectors")
         rows = np.arange(self.n_rows) if rows is None else np.atleast_1d(np.asarray(rows))
         self._check_indices(rows, self.n_rows, "row")
         cz = self.center[1]
@@ -173,7 +142,6 @@ class Detector:
                 self.center[1]
                 + ((start + stop - 1) / 2.0 - (self.n_rows - 1) / 2.0) * self.pixel_size,
             ),
-            tilt=self.tilt,
         )
 
     # ------------------------------------------------------------------ #

@@ -1,8 +1,7 @@
 """Rotation utilities (matrices, axis-angle, quaternions).
 
-Used by the crystallography subpackage to orient grains and by the geometry
-subpackage to allow tilted detectors.  Only the pieces the reconstruction and
-the synthetic forward model need are implemented — this is not a general
+Used by the crystallography subpackage to orient grains.  Only the pieces
+the synthetic forward model needs are implemented — this is not a general
 orientation library.
 """
 
@@ -16,7 +15,6 @@ __all__ = [
     "rotation_about_axis",
     "random_rotation",
     "quaternion_to_matrix",
-    "matrix_to_quaternion",
     "is_rotation_matrix",
 ]
 
@@ -71,42 +69,6 @@ def quaternion_to_matrix(q) -> np.ndarray:
         ],
         dtype=np.float64,
     )
-
-
-def matrix_to_quaternion(rot: np.ndarray) -> np.ndarray:
-    """Quaternion ``(x, y, z, w)`` from a rotation matrix (Shepperd's method)."""
-    rot = np.asarray(rot, dtype=np.float64)
-    if rot.shape != (3, 3):
-        raise ValidationError(f"rotation matrix must be 3x3, got {rot.shape}")
-    trace = np.trace(rot)
-    if trace > 0:
-        s = 2.0 * np.sqrt(1.0 + trace)
-        w = 0.25 * s
-        x = (rot[2, 1] - rot[1, 2]) / s
-        y = (rot[0, 2] - rot[2, 0]) / s
-        z = (rot[1, 0] - rot[0, 1]) / s
-    else:
-        i = int(np.argmax(np.diag(rot)))
-        if i == 0:
-            s = 2.0 * np.sqrt(1.0 + rot[0, 0] - rot[1, 1] - rot[2, 2])
-            x = 0.25 * s
-            y = (rot[0, 1] + rot[1, 0]) / s
-            z = (rot[0, 2] + rot[2, 0]) / s
-            w = (rot[2, 1] - rot[1, 2]) / s
-        elif i == 1:
-            s = 2.0 * np.sqrt(1.0 + rot[1, 1] - rot[0, 0] - rot[2, 2])
-            x = (rot[0, 1] + rot[1, 0]) / s
-            y = 0.25 * s
-            z = (rot[1, 2] + rot[2, 1]) / s
-            w = (rot[0, 2] - rot[2, 0]) / s
-        else:
-            s = 2.0 * np.sqrt(1.0 + rot[2, 2] - rot[0, 0] - rot[1, 1])
-            x = (rot[0, 2] + rot[2, 0]) / s
-            y = (rot[1, 2] + rot[2, 1]) / s
-            z = 0.25 * s
-            w = (rot[1, 0] - rot[0, 1]) / s
-    q = np.array([x, y, z, w], dtype=np.float64)
-    return q / np.linalg.norm(q)
 
 
 def is_rotation_matrix(rot: np.ndarray, atol: float = 1e-8) -> bool:

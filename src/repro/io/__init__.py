@@ -9,7 +9,9 @@ leading axis.  ``image_stack`` maps the experiment objects to/from that
 container, ``streaming`` reads a scan's detector-row windows for the
 out-of-core engine (``Dataset.read_window``, never the whole cube), and
 ``text_output`` reproduces the per-pixel depth-profile text files the CPU
-side of the original program produces.
+side of the original program produces.  Experiment metadata has no schema of
+its own: a stack's free-form ``metadata`` dict is stored as ``meta_*``
+attributes of the file's ``/entry`` group and read back unchanged.
 """
 
 from repro.io.h5lite import H5LiteFile, Dataset, Group, H5LiteError
@@ -22,7 +24,6 @@ from repro.io.image_stack import (
 )
 from repro.io.streaming import StreamingWireScanSource
 from repro.io.text_output import write_depth_profiles, read_depth_profiles
-from repro.io.metadata import ExperimentMetadata
 
 __all__ = [
     "H5LiteFile",
@@ -37,5 +38,4 @@ __all__ = [
     "load_depth_resolved",
     "write_depth_profiles",
     "read_depth_profiles",
-    "ExperimentMetadata",
 ]

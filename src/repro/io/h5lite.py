@@ -403,14 +403,6 @@ class Group(_JsonAttrs):
         for k, v in self._datasets.items():
             yield k, v
 
-    def groups(self) -> Dict[str, "Group"]:
-        """Immediate sub-groups."""
-        return dict(self._children)
-
-    def datasets(self) -> Dict[str, Dataset]:
-        """Immediate datasets."""
-        return dict(self._datasets)
-
     def visit(self) -> Iterator[object]:
         """Depth-first iteration over every group and dataset below this one."""
         for child in self._children.values():

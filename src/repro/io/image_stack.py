@@ -46,9 +46,19 @@ __all__ = [
     "UnrecognizedFormatError",
 ]
 
+#: wire positions per stored chunk of a scan's image cube
+_IMAGE_CHUNK_POSITIONS = 4
 
-def save_wire_scan(path, stack: WireScanStack, chunk_positions: Optional[int] = 4) -> None:
-    """Write a :class:`WireScanStack` to an h5lite file."""
+#: depth bins per stored chunk of a depth-resolved stack
+_RESULT_CHUNK_BINS = 8
+
+
+def save_wire_scan(path, stack: WireScanStack) -> None:
+    """Write a :class:`WireScanStack` to an h5lite file.
+
+    The image cube is stored in chunks of :data:`_IMAGE_CHUNK_POSITIONS`
+    wire positions.
+    """
     with H5LiteFile(path, "w") as fh:
         entry = fh.create_group("entry")
         entry.attrs["format"] = "repro-wire-scan"
@@ -57,7 +67,7 @@ def save_wire_scan(path, stack: WireScanStack, chunk_positions: Optional[int] = 
             entry.attrs[f"meta_{key}"] = value
 
         data = entry.create_group("data")
-        data.create_dataset("images", stack.images, chunk_rows=chunk_positions)
+        data.create_dataset("images", stack.images, chunk_rows=_IMAGE_CHUNK_POSITIONS)
         if stack.pixel_mask is not None:
             data.create_dataset("pixel_mask", stack.pixel_mask.astype(np.uint8))
 
@@ -172,10 +182,10 @@ class UnrecognizedFormatError(H5LiteError):
 def save_depth_resolved(
     path,
     result: DepthResolvedStack,
-    chunk_bins: Optional[int] = 8,
     run_record: Optional[Dict] = None,
 ) -> None:
-    """Write a :class:`DepthResolvedStack` to an h5lite file.
+    """Write a :class:`DepthResolvedStack` to an h5lite file, in chunks of
+    :data:`_RESULT_CHUNK_BINS` depth bins.
 
     When *run_record* is given (the full provenance record of the run that
     produced the stack — see :meth:`repro.core.session.RunResult.save`), it
@@ -195,7 +205,7 @@ def save_depth_resolved(
         grp.attrs["depth_start"] = result.grid.start
         grp.attrs["depth_step"] = result.grid.step
         grp.attrs["n_bins"] = result.grid.n_bins
-        grp.create_dataset("intensity", result.data, chunk_rows=chunk_bins)
+        grp.create_dataset("intensity", result.data, chunk_rows=_RESULT_CHUNK_BINS)
 
 
 def _depth_resolved_entry(fh: H5LiteFile, path):

@@ -4,14 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
-__all__ = ["speedup", "time_ratio", "summarize_ratio_range"]
-
-
-def speedup(baseline_time: float, candidate_time: float) -> float:
-    """Speed-up of the candidate over the baseline (>1 means faster)."""
-    if candidate_time <= 0:
-        raise ValueError("candidate_time must be positive")
-    return baseline_time / candidate_time
+__all__ = ["time_ratio", "summarize_ratio_range"]
 
 
 def time_ratio(candidate_time: float, baseline_time: float) -> float:

@@ -37,6 +37,9 @@ _SERIAL_HOST_BYTES_PER_SECOND = 8.0e6
 #: calibrated so the modelled CPU totals land in the range Fig. 8 reports.
 _CPU_SECONDS_PER_ELEMENT = 3.5e-6
 
+#: Wire positions of a paper-scale scan.
+_PAPER_N_POSITIONS = 401
+
 
 @dataclass(frozen=True)
 class PaperScalePrediction:
@@ -54,11 +57,11 @@ class PaperScalePrediction:
         return self.gpu_seconds / self.cpu_seconds
 
 
-def _elements_for_bytes(data_bytes: float, n_positions: int = 401) -> float:
-    """Number of (pixel, step) elements in a cube of *data_bytes* bytes."""
+def _elements_for_bytes(data_bytes: float) -> float:
+    """Number of (pixel, step) elements in a paper-scale cube of *data_bytes* bytes."""
     total_elements = data_bytes / 8.0
-    pixels = total_elements / n_positions
-    return pixels * (n_positions - 1)
+    pixels = total_elements / _PAPER_N_POSITIONS
+    return pixels * (_PAPER_N_POSITIONS - 1)
 
 
 def paper_scale_prediction(
@@ -115,12 +118,14 @@ def predict_figure8(**kwargs) -> Dict[str, PaperScalePrediction]:
     }
 
 
-def predict_figure9(size_label: str = "5.2G", **kwargs) -> Dict[str, PaperScalePrediction]:
-    """Modelled Fig. 9 series: CPU vs GPU time vs pixel percentage (largest set)."""
-    data_bytes = PAPER_DATASET_SIZES_GB[size_label] * 1024**3
+def predict_figure9(**kwargs) -> Dict[str, PaperScalePrediction]:
+    """Modelled Fig. 9 series: CPU vs GPU time vs pixel percentage on the
+    largest (5.2 GB) data set."""
+    label = "5.2G"
+    data_bytes = PAPER_DATASET_SIZES_GB[label] * 1024**3
     out: Dict[str, PaperScalePrediction] = {}
     for percentage in (25, 50, 100):
         out[f"{percentage}%"] = paper_scale_prediction(
-            size_label, data_bytes, pixel_fraction=percentage / 100.0, **kwargs
+            label, data_bytes, pixel_fraction=percentage / 100.0, **kwargs
         )
     return out

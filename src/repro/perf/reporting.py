@@ -28,15 +28,14 @@ def records_to_series(
     records: Iterable[SweepRecord],
     x_key: str = "workload",
     variant_key: str = "backend",
-    value_key: str = "wall_time",
 ) -> Dict[str, Dict[str, float]]:
-    """Pivot sweep records into ``{x_value: {variant: value}}``."""
+    """Pivot sweep records into ``{x_value: {variant: wall_time}}``."""
     series: Dict[str, Dict[str, float]] = {}
     for record in records:
         row = record.as_dict()
         x_value = str(row[x_key])
         variant = str(row[variant_key])
-        series.setdefault(x_value, {})[variant] = float(row[value_key])
+        series.setdefault(x_value, {})[variant] = float(row["wall_time"])
     return series
 
 
@@ -44,10 +43,10 @@ def format_series_table(
     series: Dict[str, Dict[str, float]],
     x_label: str,
     variants: Optional[Sequence[str]] = None,
-    value_format: str = "{:10.3f}",
     value_label: str = "time (s)",
 ) -> str:
-    """Format ``{x: {variant: value}}`` as a fixed-width table."""
+    """Format ``{x: {variant: value}}`` as a fixed-width table, each value
+    to three decimals."""
     if variants is None:
         seen: List[str] = []
         for row in series.values():
@@ -61,7 +60,7 @@ def format_series_table(
         cells = []
         for variant in variants:
             if variant in row:
-                cells.append(value_format.format(row[variant]).rjust(14))
+                cells.append(f"{row[variant]:10.3f}".rjust(14))
             else:
                 cells.append(f"{'-':>14s}")
         lines.append(f"{x_value:<16s}" + "".join(cells))
@@ -167,14 +166,13 @@ def format_figure_report(
     records: Iterable[SweepRecord],
     x_key: str = "workload",
     variant_key: str = "backend",
-    value_key: str = "wall_time",
     extra_lines: Optional[Sequence[str]] = None,
 ) -> str:
-    """Full text report for one reproduced figure."""
+    """Full text report of the records' wall times for one reproduced figure."""
     records = list(records)
-    series = records_to_series(records, x_key=x_key, variant_key=variant_key, value_key=value_key)
+    series = records_to_series(records, x_key=x_key, variant_key=variant_key)
     lines = ["=" * 72, title, "=" * 72]
-    lines.append(format_series_table(series, x_label=x_key, value_label=value_key))
+    lines.append(format_series_table(series, x_label=x_key, value_label="wall_time"))
     if extra_lines:
         lines.append("")
         lines.extend(extra_lines)

@@ -55,7 +55,6 @@ class SweepRecord:
 def run_backend_sweep(
     workloads: Sequence[BenchmarkWorkload],
     backends: Iterable[str],
-    base_config: Optional[ReconstructionConfig] = None,
     config_overrides: Optional[Dict[str, Dict]] = None,
     repeats: int = 1,
 ) -> List[SweepRecord]:
@@ -66,11 +65,8 @@ def run_backend_sweep(
     workloads:
         The generated benchmark workloads.
     backends:
-        Backend names to run.
-    base_config:
-        Configuration template; the workload's own grid replaces
-        ``base_config.grid`` for each run.  When omitted, a default
-        configuration is built from each workload's grid.
+        Backend names to run.  Each run uses the default configuration on
+        the workload's own grid, plus that backend's *config_overrides*.
     config_overrides:
         Optional per-backend configuration overrides, e.g.
         ``{"gpusim": {"layout": "pointer3d"}}``.
@@ -86,10 +82,7 @@ def run_backend_sweep(
     for workload in workloads:
         for backend_name in backends:
             overrides = dict(config_overrides.get(backend_name, {}))
-            if base_config is None:
-                config = ReconstructionConfig(grid=workload.grid, backend=backend_name, **overrides)
-            else:
-                config = base_config.with_overrides(grid=workload.grid, backend=backend_name, **overrides)
+            config = ReconstructionConfig(grid=workload.grid, backend=backend_name, **overrides)
 
             backend = get_backend(backend_name)
             best_wall = float("inf")

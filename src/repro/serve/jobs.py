@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.config import ReconstructionConfig
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, ensure_positive
 
 __all__ = ["JobState", "Job", "parse_submission"]
 
@@ -213,9 +213,7 @@ def parse_submission(body: Dict) -> Job:
 
     timeout_s = body.get("timeout_s")
     if timeout_s is not None:
-        timeout_s = float(timeout_s)
-        if timeout_s <= 0:
-            raise ValidationError("timeout_s must be positive when given")
+        timeout_s = ensure_positive(timeout_s, "timeout_s")
 
     return Job(
         client=client,

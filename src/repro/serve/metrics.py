@@ -98,22 +98,22 @@ class ServeMetrics:
         "completed", "failed", "cancelled", "timeouts",
     )
 
-    def __init__(self, window: int = DEFAULT_WINDOW):
+    def __init__(self):
         self.started_unix = time.time()
         # guards ``counts`` — bumps arrive from pool-side done-callbacks
         # while the loop thread snapshots, and `+=` is not atomic
         self._lock = threading.Lock()
         self.counts: Dict[str, int] = {name: 0 for name in self.COUNTERS}
         self.latency = {
-            "queue_wait": LatencySeries(window),
-            "run": LatencySeries(window),
-            "total": LatencySeries(window),
+            "queue_wait": LatencySeries(),
+            "run": LatencySeries(),
+            "total": LatencySeries(),
         }
 
     # ------------------------------------------------------------------ #
-    def inc(self, name: str, by: int = 1) -> None:
+    def inc(self, name: str) -> None:
         with self._lock:
-            self.counts[name] += by
+            self.counts[name] += 1
 
     def record_latency(self, stage: str, seconds: Optional[float]) -> None:
         if seconds is not None:

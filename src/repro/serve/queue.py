@@ -72,10 +72,6 @@ class FairPriorityQueue:
         """Live (non-cancelled) queued jobs."""
         return self._live
 
-    @property
-    def full(self) -> bool:
-        return self._live >= self.depth
-
     def put_nowait(self, job: Job) -> None:
         """Enqueue *job* or raise :class:`QueueFull` (the 429 path)."""
         if self._live >= self.depth:

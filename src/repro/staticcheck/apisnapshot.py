@@ -113,9 +113,10 @@ def load_snapshot(path: str) -> Optional[Dict]:
         return json.load(handle)
 
 
-def write_snapshot(path: str, surface: Optional[Dict] = None) -> Dict:
-    """Write (or refresh) the snapshot file; returns the written document."""
-    surface = surface or build_api_surface()
+def write_snapshot(path: str) -> Dict:
+    """Write (or refresh) the snapshot file from the live package; returns
+    the written document."""
+    surface = build_api_surface()
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(surface, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -56,7 +56,6 @@ __all__ = [
     "instrument_class",
     "install",
     "drain",
-    "recorder",
 ]
 
 #: Environment flag that turns the sanitizer lane on.
@@ -148,11 +147,6 @@ class RaceRecorder:
 
 
 _RECORDER = RaceRecorder()
-
-
-def recorder() -> RaceRecorder:
-    """The process-global recorder (one ledger per interpreter)."""
-    return _RECORDER
 
 
 def drain() -> List[RaceViolation]:

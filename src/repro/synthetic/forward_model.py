@@ -29,6 +29,10 @@ from repro.utils.validation import ValidationError
 
 __all__ = ["visibility_matrix", "simulate_wire_scan", "design_scan_for_depth_range"]
 
+#: wire travel (micrometres) a designed scan adds before the first and after
+#: the last critical wire position
+_SCAN_MARGIN = 25.0
+
 
 def visibility_matrix(
     scan: WireScan,
@@ -43,7 +47,7 @@ def visibility_matrix(
     scan:
         Wire scan (positions + wire radius).
     detector:
-        Canonical detector (all pixels of a row share the occlusion geometry).
+        Detector (all pixels of a row share the occlusion geometry).
     depth_samples:
         Depth positions of the source samples, shape ``(n_depths,)``.
     subpixel:
@@ -57,8 +61,6 @@ def visibility_matrix(
         Array of shape ``(n_positions, n_rows, n_depths)`` with values in
         [0, 1]: the fraction of the pixel row that sees the given depth.
     """
-    if not detector.is_canonical:
-        raise ValidationError("visibility_matrix requires an untilted detector")
     if subpixel < 1:
         raise ValidationError("subpixel must be >= 1")
     depth_samples = np.asarray(depth_samples, dtype=np.float64)
@@ -104,7 +106,6 @@ def simulate_wire_scan(
     scan: WireScan,
     detector: Detector,
     beam: Optional[Beam] = None,
-    subpixel: int = 1,
     pixel_mask: Optional[np.ndarray] = None,
     metadata: Optional[dict] = None,
 ) -> WireScanStack:
@@ -115,9 +116,9 @@ def simulate_wire_scan(
     source:
         The emitting sample.
     scan, detector, beam:
-        Experiment geometry (the beam must be canonical).
-    subpixel:
-        Sub-row sampling of the visibility (see :func:`visibility_matrix`).
+        Experiment geometry (the beam must be canonical).  Each pixel row
+        sees the source through its centre (:func:`visibility_matrix` with
+        one sample per row).
     pixel_mask:
         Optional mask stored with the stack (does not affect the simulation).
     metadata:
@@ -131,7 +132,7 @@ def simulate_wire_scan(
             f"source field shape {(source.n_rows, source.n_cols)} does not match detector {detector.shape}"
         )
 
-    visibility = visibility_matrix(scan, detector, source.depth_samples, subpixel=subpixel)
+    visibility = visibility_matrix(scan, detector, source.depth_samples)
     # images[p, r, c] = sum_d visibility[p, r, d] * source[d, r, c]
     images = np.einsum("prd,drc->prc", visibility, source.source, optimize=True)
 
@@ -151,7 +152,6 @@ def design_scan_for_depth_range(
     wire: Optional[Wire] = None,
     wire_height: float = 1_500.0,
     n_points: int = 121,
-    margin: float = 25.0,
 ) -> WireScan:
     """Choose a linear wire scan that depth-resolves *depth_range* on the whole detector.
 
@@ -167,7 +167,8 @@ def design_scan_for_depth_range(
     Returns
     -------
     WireScan
-        A linear scan at ``wire_height`` covering the required z range.
+        A linear scan at ``wire_height`` covering the required z range plus
+        :data:`_SCAN_MARGIN` at each end.
     """
     depth_lo, depth_hi = float(depth_range[0]), float(depth_range[1])
     if depth_hi <= depth_lo:
@@ -184,8 +185,8 @@ def design_scan_for_depth_range(
             critical_wire_z_for_depth(depth, pixel_y, pixel_z, wire_height, wire.radius, edge=+1)
         )
     corner_values = np.concatenate(corners)
-    z_start = float(np.min(corner_values)) - margin
-    z_stop = float(np.max(corner_values)) + margin
+    z_start = float(np.min(corner_values)) - _SCAN_MARGIN
+    z_stop = float(np.max(corner_values)) + _SCAN_MARGIN
     travel = z_stop - z_start
 
     # Single-edge regime requires the wire diameter to exceed the travel.
@@ -198,8 +199,8 @@ def design_scan_for_depth_range(
                 critical_wire_z_for_depth(depth, pixel_y, pixel_z, wire_height, wire.radius, edge=+1)
             )
         corner_values = np.concatenate(corners)
-        z_start = float(np.min(corner_values)) - margin
-        z_stop = float(np.max(corner_values)) + margin
+        z_start = float(np.min(corner_values)) - _SCAN_MARGIN
+        z_stop = float(np.max(corner_values)) + _SCAN_MARGIN
 
     return WireScan.linear(
         wire=wire,

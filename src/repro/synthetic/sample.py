@@ -14,7 +14,7 @@ Two levels of description are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -26,6 +26,17 @@ from repro.geometry.detector import Detector
 from repro.utils.validation import ValidationError
 
 __all__ = ["DepthSourceField", "Grain", "GrainSample"]
+
+#: mean emission of a random column's grains; each grain draws 0.5 to 1.5
+#: times it
+_COLUMN_EMISSION = 1000.0
+
+#: largest misorientation (degrees) of a random column's grains from the
+#: column's base orientation
+_MOSAIC_SPREAD_DEG = 5.0
+
+#: Gaussian width (pixels) of a rendered Laue spot
+_SPOT_SIGMA_PIXELS = 1.5
 
 
 @dataclass
@@ -76,11 +87,6 @@ class DepthSourceField:
         """Detector columns."""
         return self.source.shape[2]
 
-    @property
-    def depth_range(self) -> tuple:
-        """``(min, max)`` of the depth samples."""
-        return (float(self.depth_samples[0]), float(self.depth_samples[-1]))
-
     def total_image(self) -> np.ndarray:
         """Wire-free detector image (depth integral of the source)."""
         return self.source.sum(axis=0)
@@ -100,18 +106,11 @@ class DepthSourceField:
         depth: float,
         depth_samples: np.ndarray,
         intensity: float = 1000.0,
-        rows: Optional[Sequence[int]] = None,
-        cols: Optional[Sequence[int]] = None,
     ) -> "DepthSourceField":
-        """A delta-like emitter at one depth illuminating selected pixels."""
+        """A delta-like emitter at one depth illuminating every pixel."""
         depth_samples = np.asarray(depth_samples, dtype=np.float64)
         source = np.zeros((depth_samples.size, detector.n_rows, detector.n_cols))
-        depth_index = int(np.argmin(np.abs(depth_samples - depth)))
-        rows = range(detector.n_rows) if rows is None else rows
-        cols = range(detector.n_cols) if cols is None else cols
-        for r in rows:
-            for c in cols:
-                source[depth_index, int(r), int(c)] = intensity
+        source[int(np.argmin(np.abs(depth_samples - depth)))] = intensity
         return cls(depth_samples=depth_samples, source=source)
 
 
@@ -165,10 +164,13 @@ class GrainSample:
         n_grains: int,
         depth_range: tuple,
         rng: np.random.Generator,
-        emission: float = 1000.0,
-        mosaic_spread_deg: float = 5.0,
     ) -> "GrainSample":
-        """Random columnar grain structure filling *depth_range*."""
+        """Random columnar grain structure filling *depth_range*.
+
+        The grains share a random base orientation, each misoriented from it
+        by up to :data:`_MOSAIC_SPREAD_DEG`, and emit 0.5 to 1.5 times
+        :data:`_COLUMN_EMISSION`.
+        """
         if n_grains < 1:
             raise ValidationError("n_grains must be >= 1")
         lo, hi = float(depth_range[0]), float(depth_range[1])
@@ -180,14 +182,14 @@ class GrainSample:
         grains = []
         for grain_index in range(n_grains):
             tilt_axis = rng.normal(size=3)
-            tilt_angle = np.radians(mosaic_spread_deg) * rng.random()
+            tilt_angle = np.radians(_MOSAIC_SPREAD_DEG) * rng.random()
             orientation = base.perturbed(tilt_axis, tilt_angle)
             grains.append(
                 Grain(
                     depth_start=float(edges[grain_index]),
                     depth_stop=float(edges[grain_index + 1]),
                     orientation=orientation,
-                    emission=emission * (0.5 + rng.random()),
+                    emission=_COLUMN_EMISSION * (0.5 + rng.random()),
                 )
             )
         return cls(material=material, grains=grains)
@@ -198,14 +200,14 @@ class GrainSample:
         detector: Detector,
         beam: Beam,
         depth_samples: np.ndarray,
-        spot_sigma_pixels: float = 1.5,
         max_hkl: int = 5,
         background: float = 0.0,
     ) -> DepthSourceField:
         """Render the grains into a :class:`DepthSourceField`.
 
-        Each grain's Laue spots are painted as Gaussian blobs on the detector;
-        every blob emits uniformly from the grain's depth interval.  An
+        Each grain's Laue spots are painted as Gaussian blobs of width
+        :data:`_SPOT_SIGMA_PIXELS` on the detector; every blob emits
+        uniformly from the grain's depth interval.  An
         optional flat background emits uniformly from all depths.
         """
         depth_samples = np.asarray(depth_samples, dtype=np.float64)
@@ -237,7 +239,7 @@ class GrainSample:
                     * (
                         (row_coords - spot.row) ** 2 + (col_coords - spot.col) ** 2
                     )
-                    / spot_sigma_pixels**2
+                    / _SPOT_SIGMA_PIXELS**2
                 )
                 footprint += spot.intensity * blob
             source += grain.emission * depth_weight[:, None, None] * footprint[None, :, :]

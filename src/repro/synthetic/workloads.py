@@ -51,6 +51,19 @@ PAPER_DATASET_SIZES_GB: Dict[str, float] = {
 #: seconds — large enough to show the scaling trends, small enough to sweep.
 DEFAULT_BENCH_SCALE = 1.0 / 8192.0
 
+#: Wire positions, depth range and depth bins of every benchmark workload.
+_BENCH_N_POSITIONS = 49
+_BENCH_DEPTH_RANGE = (0.0, 100.0)
+_BENCH_N_DEPTH_BINS = 40
+
+#: Diffraction spots per MB of benchmark cube: keeps the sparsity roughly
+#: constant across data-set sizes.
+_BENCH_SPOTS_PER_MB = 12.0
+
+#: Peak intensity and Gaussian width (pixels) of a benchmark spot.
+_BLOB_PEAK_INTENSITY = 2000.0
+_BLOB_SIGMA_PIXELS = 1.5
+
 
 @dataclass
 class BenchmarkWorkload:
@@ -84,19 +97,14 @@ class BenchmarkWorkload:
 
 
 # --------------------------------------------------------------------------- #
-def _choose_cube_shape(
-    target_bytes: float,
-    n_positions: int,
-    col_row_ratio: float = 2.0,
-    min_rows: int = 4,
-    min_cols: int = 8,
-) -> Tuple[int, int]:
-    """Pick (n_rows, n_cols) so the cube is close to *target_bytes*."""
+def _choose_cube_shape(target_bytes: float, n_positions: int) -> Tuple[int, int]:
+    """Pick (n_rows, n_cols) so the cube is close to *target_bytes*: twice
+    as many columns as rows, and at least 4 rows and 8 columns."""
     target_elements = max(1.0, target_bytes / 8.0)
     per_image = target_elements / n_positions
-    rows = int(round(np.sqrt(per_image / col_row_ratio)))
-    rows = max(min_rows, rows)
-    cols = max(min_cols, int(round(per_image / rows)))
+    rows = int(round(np.sqrt(per_image / 2.0)))
+    rows = max(4, rows)
+    cols = max(8, int(round(per_image / rows)))
     return rows, cols
 
 
@@ -105,8 +113,6 @@ def _random_blob_source(
     depth_samples: np.ndarray,
     rng: np.random.Generator,
     n_spots: int,
-    peak_intensity: float = 2000.0,
-    spot_sigma_pixels: float = 1.5,
 ) -> DepthSourceField:
     """Laue-like source field: Gaussian spots, each emitting from one depth band."""
     n_rows, n_cols = detector.shape
@@ -123,9 +129,9 @@ def _random_blob_source(
         weights = np.exp(-0.5 * ((depth_samples - center_depth) / max(half_width, 1e-6)) ** 2)
         weights /= weights.sum()
         blob = np.exp(
-            -0.5 * ((row_coords - spot_row) ** 2 + (col_coords - spot_col) ** 2) / spot_sigma_pixels**2
+            -0.5 * ((row_coords - spot_row) ** 2 + (col_coords - spot_col) ** 2) / _BLOB_SIGMA_PIXELS**2
         )
-        source += peak_intensity * rng.uniform(0.3, 1.0) * weights[:, None, None] * blob[None, :, :]
+        source += _BLOB_PEAK_INTENSITY * rng.uniform(0.3, 1.0) * weights[:, None, None] * blob[None, :, :]
     return DepthSourceField(depth_samples=depth_samples, source=source)
 
 
@@ -150,14 +156,15 @@ def make_benchmark_workload(
     size_label: str = "2.1G",
     pixel_fraction: float = 1.0,
     scale: float = DEFAULT_BENCH_SCALE,
-    n_positions: int = 49,
-    depth_range: Tuple[float, float] = (0.0, 100.0),
-    n_depth_bins: int = 40,
-    n_spots_per_mb: float = 12.0,
     noise: bool = False,
     seed: int = 0,
 ) -> BenchmarkWorkload:
     """Generate a scaled stand-in for one of the paper's benchmark data sets.
+
+    Every workload scans :data:`_BENCH_N_POSITIONS` wire positions and
+    reconstructs :data:`_BENCH_DEPTH_RANGE` in :data:`_BENCH_N_DEPTH_BINS`
+    bins (also the ground truth's range), with
+    :data:`_BENCH_SPOTS_PER_MB` diffraction spots per MB of cube.
 
     Parameters
     ----------
@@ -168,13 +175,6 @@ def make_benchmark_workload(
         Fraction of detector pixels enabled (the Fig. 4 / Fig. 9 knob).
     scale:
         Byte scale factor (> 0) from the paper's sizes to the generated cube.
-    n_positions:
-        Number of wire positions in the scan.
-    depth_range, n_depth_bins:
-        Reconstructed depth range and binning (also used for the ground truth).
-    n_spots_per_mb:
-        Diffraction-spot density; keeps the sparsity roughly constant across
-        data-set sizes.
     noise:
         Apply Poisson noise to the generated images.
     seed:
@@ -193,19 +193,19 @@ def make_benchmark_workload(
     # a stable digest of the label, not hash(): str hashes are salted per
     # process, which would make the "same" workload differ between runs
     rng = np.random.default_rng(seed + zlib.crc32(size_label.encode("utf-8")) % 10_000)
-    n_rows, n_cols = _choose_cube_shape(target_bytes, n_positions)
+    n_rows, n_cols = _choose_cube_shape(target_bytes, _BENCH_N_POSITIONS)
     detector = Detector(n_rows=n_rows, n_cols=n_cols, pixel_size=200.0, distance=510_000.0)
     beam = Beam()
-    grid = DepthGrid.from_range(depth_range[0], depth_range[1], n_depth_bins)
+    grid = DepthGrid.from_range(*_BENCH_DEPTH_RANGE, _BENCH_N_DEPTH_BINS)
 
-    depth_samples = np.linspace(depth_range[0], depth_range[1], max(2 * n_depth_bins, 32), endpoint=False)
+    depth_samples = np.linspace(*_BENCH_DEPTH_RANGE, 2 * _BENCH_N_DEPTH_BINS, endpoint=False)
     depth_samples += (depth_samples[1] - depth_samples[0]) / 2.0
 
-    n_spots = max(3, int(round(n_spots_per_mb * target_bytes / 1e6)))
+    n_spots = max(3, int(round(_BENCH_SPOTS_PER_MB * target_bytes / 1e6)))
     source = _random_blob_source(detector, depth_samples, rng, n_spots)
 
     scan = design_scan_for_depth_range(
-        detector, depth_range, wire=Wire(radius=26.0), n_points=n_positions
+        detector, _BENCH_DEPTH_RANGE, wire=Wire(radius=26.0), n_points=_BENCH_N_POSITIONS
     )
     mask = _pixel_fraction_mask(detector.shape, pixel_fraction, rng)
     stack = simulate_wire_scan(
@@ -239,16 +239,17 @@ def make_point_source_stack(
     n_rows: int = 8,
     n_cols: int = 8,
     n_positions: int = 81,
-    depth_range: Tuple[float, float] = (0.0, 100.0),
-    intensity: float = 1000.0,
-    n_depth_samples: int = 64,
 ) -> Tuple[WireScanStack, DepthSourceField]:
-    """Small single-depth test stack (used heavily by the test-suite)."""
+    """Small single-depth test stack (used heavily by the test-suite).
+
+    An emitter of intensity 1000 at *depth*, sampled at 64 depths over
+    ``(0, 100)`` µm, under a scan designed for that range.
+    """
     detector = Detector(n_rows=n_rows, n_cols=n_cols, pixel_size=200.0, distance=510_000.0)
-    depth_samples = np.linspace(depth_range[0], depth_range[1], n_depth_samples, endpoint=False)
+    depth_samples = np.linspace(0.0, 100.0, 64, endpoint=False)
     depth_samples += (depth_samples[1] - depth_samples[0]) / 2.0
-    source = DepthSourceField.point_source(detector, depth, depth_samples, intensity=intensity)
-    scan = design_scan_for_depth_range(detector, depth_range, n_points=n_positions)
+    source = DepthSourceField.point_source(detector, depth, depth_samples)
+    scan = design_scan_for_depth_range(detector, (0.0, 100.0), n_points=n_positions)
     stack = simulate_wire_scan(source, scan, detector, Beam())
     return stack, source
 
@@ -262,20 +263,18 @@ def make_grain_sample_stack(
     depth_range: Tuple[float, float] = (0.0, 120.0),
     seed: int = 7,
     noise: bool = False,
-    detector_span: float = 410_000.0,
-    wire_height: float = 500.0,
 ) -> Tuple[WireScanStack, DepthSourceField, GrainSample]:
     """Full physics path: random grain column → Laue spots → wire scan stack.
 
-    The detector covers *detector_span* micrometres (the real 34-ID area
-    detector is ~410 mm across) regardless of the pixel count, so the Laue
-    patterns of randomly oriented grains reliably intersect it; the wire sits
-    *wire_height* above the sample so the wire step — not the wire diameter —
+    The detector covers 410,000 micrometres (the real 34-ID area detector is
+    ~410 mm across) regardless of the pixel count, so the Laue patterns of
+    randomly oriented grains reliably intersect it; the wire sits 500
+    micrometres above the sample so the wire step — not the wire diameter —
     sets the depth resolution.  If a randomly drawn grain column happens to
     diffract entirely outside the detector, the next seed is tried (bounded).
     """
     detector = Detector(
-        n_rows=n_rows, n_cols=n_cols, pixel_size=detector_span / max(n_rows, n_cols), distance=510_000.0
+        n_rows=n_rows, n_cols=n_cols, pixel_size=410_000.0 / max(n_rows, n_cols), distance=510_000.0
     )
     beam = Beam()
     depth_samples = np.linspace(depth_range[0], depth_range[1], 96, endpoint=False)
@@ -295,7 +294,7 @@ def make_grain_sample_stack(
         )
 
     scan = design_scan_for_depth_range(
-        detector, depth_range, n_points=n_positions, wire_height=wire_height
+        detector, depth_range, n_points=n_positions, wire_height=500.0
     )
     stack = simulate_wire_scan(source, scan, detector, beam)
     if noise:

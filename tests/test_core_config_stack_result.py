@@ -45,16 +45,32 @@ class TestReconstructionConfig:
             ReconstructionConfig(grid=grid, layout="2d")
 
     def test_invalid_cutoff(self, grid):
-        with pytest.raises(ValidationError):
-            ReconstructionConfig(grid=grid, intensity_cutoff=-1.0)
+        for cutoff in (-1.0, "x", None, True):
+            with pytest.raises(ValidationError):
+                ReconstructionConfig(grid=grid, intensity_cutoff=cutoff)
 
     def test_invalid_rows_per_chunk(self, grid):
-        with pytest.raises(ValidationError):
-            ReconstructionConfig(grid=grid, rows_per_chunk=0)
+        for value in (0, "x", 2.5, True):
+            with pytest.raises(ValidationError):
+                ReconstructionConfig(grid=grid, rows_per_chunk=value)
+        # the other optional count: None or an integer >= 1, never a bool
+        for value in ("x", 2.5, True):
+            with pytest.raises(ValidationError):
+                ReconstructionConfig(grid=grid, device_memory_limit=value)
 
     def test_invalid_workers(self, grid):
-        with pytest.raises(ValidationError):
-            ReconstructionConfig(grid=grid, n_workers=0)
+        for workers in (0, None, 2.5, True):
+            with pytest.raises(ValidationError):
+                ReconstructionConfig(grid=grid, n_workers=workers)
+        # NumPy integers are counts too, stored as plain ints
+        config = ReconstructionConfig(
+            grid=grid, rows_per_chunk=np.int64(4), device_memory_limit=np.int64(10**6),
+            n_workers=np.int32(3),
+        )
+        assert [type(value) for value in (
+            config.rows_per_chunk, config.device_memory_limit, config.n_workers
+        )] == [int, int, int]
+        assert (config.rows_per_chunk, config.device_memory_limit, config.n_workers) == (4, 10**6, 3)
 
     def test_grid_type_checked(self):
         with pytest.raises(ValidationError):

@@ -8,13 +8,9 @@ import pytest
 from repro.core.depth_grid import DepthGrid
 from repro.core.depth_mapping import (
     critical_wire_z_for_depth,
-    depth_to_index,
-    index_to_beam_depth,
-    pixel_xyz_to_depth,
     pixel_yz_to_depth,
     pixel_yz_to_depth_scalar,
 )
-from repro.geometry.beam import Beam
 from repro.geometry.wire import WireEdge
 from repro.utils.validation import ValidationError
 
@@ -38,10 +34,10 @@ class TestDepthGrid:
             assert grid.depth_to_index(depth) == index
 
     def test_index_to_depth_matches_kernel_formula(self):
+        # device_index_to_beam_depth: start + (index + 0.5) * step
         grid = DepthGrid(start=-5.0, step=0.5, n_bins=30)
         np.testing.assert_allclose(
-            grid.index_to_depth(np.arange(5)),
-            index_to_beam_depth(np.arange(5), -5.0, 0.5),
+            grid.index_to_depth(np.arange(5)), [-4.75, -4.25, -3.75, -3.25, -2.75]
         )
 
     def test_contains(self):
@@ -65,9 +61,23 @@ class TestDepthGrid:
             DepthGrid(0.0, 1.0, 0)
         with pytest.raises(ValidationError):
             DepthGrid.from_range(10.0, 0.0, 5)
+        # a start is a finite number; a count is an integer, never
+        # truncated and never a bool
+        for start in (float("nan"), float("inf"), "0.0", True):
+            with pytest.raises(ValidationError):
+                DepthGrid(start, 10.0, 10)
+        for n_bins in (2.5, True, "2", None):
+            with pytest.raises(ValidationError):
+                DepthGrid(0.0, 1.0, n_bins)
+        with pytest.raises(ValidationError):
+            DepthGrid.from_range(0.0, 1.0, 2.5)
+        with pytest.raises(ValidationError):
+            DepthGrid(0.0, "1.0", 5)
+        assert type(DepthGrid(0.0, 1.0, np.int64(3)).n_bins) is int
 
     def test_depth_to_index_helper(self):
-        np.testing.assert_array_equal(depth_to_index([0.1, 3.9], 0.0, 1.0), [0, 3])
+        grid = DepthGrid(start=0.0, step=1.0, n_bins=5)
+        np.testing.assert_array_equal(grid.depth_to_index([0.1, 3.9]), [0, 3])
 
 
 class TestPixelToDepth:
@@ -125,24 +135,6 @@ class TestPixelToDepth:
     def test_invalid_radius_rejected(self):
         with pytest.raises(ValidationError):
             pixel_yz_to_depth(self.PIXEL_Y, 0.0, self.WIRE_Y, 0.0, -1.0)
-
-    def test_xyz_wrapper_ignores_x(self):
-        pixel_a = np.array([0.0, self.PIXEL_Y, 10_000.0])
-        pixel_b = np.array([123_456.0, self.PIXEL_Y, 10_000.0])
-        wire = np.array([self.WIRE_Y, 50.0])
-        d_a = pixel_xyz_to_depth(pixel_a, wire, self.RADIUS, WireEdge.LEADING)
-        d_b = pixel_xyz_to_depth(pixel_b, wire, self.RADIUS, WireEdge.LEADING)
-        assert np.isclose(float(d_a), float(d_b))
-
-    def test_xyz_wrapper_rejects_noncanonical_beam(self):
-        with pytest.raises(ValidationError):
-            pixel_xyz_to_depth(
-                np.array([0.0, self.PIXEL_Y, 0.0]),
-                np.array([self.WIRE_Y, 0.0]),
-                self.RADIUS,
-                WireEdge.LEADING,
-                beam=Beam(direction=(0.0, 1.0, 0.0)),
-            )
 
     def test_inverse_mapping_roundtrip(self):
         # pixel_yz_to_depth and critical_wire_z_for_depth are mutual inverses

@@ -81,19 +81,12 @@ class TestPerformanceModel:
         t = model.kernel_time(1_000_000, flops_per_thread=1, bytes_per_thread=1000)
         assert t >= 1.0
 
-    def test_total_time_components(self):
-        model = PerformanceModel()
-        total = model.total_time(1e6, 1e5, 1000, 100, 50, n_launches=2)
-        assert total > 0
-
     def test_invalid_arguments(self):
         model = PerformanceModel()
         with pytest.raises(ValueError):
             model.transfer_time(-1)
         with pytest.raises(ValueError):
             model.kernel_time(-1, 1, 1)
-        with pytest.raises(ValueError):
-            model.total_time(1, 1, 1, 1, 1, n_launches=0)
 
     def test_host_model_scaling(self):
         host = HostPerformanceModel(time_per_element=1e-6)

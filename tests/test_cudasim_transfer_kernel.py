@@ -6,12 +6,7 @@ import pytest
 from repro.cudasim.device import Device, GENERIC_LAPTOP_GPU
 from repro.cudasim.errors import LaunchConfigError, TransferError
 from repro.cudasim.kernel import Kernel, LaunchConfig, launch
-from repro.cudasim.transfer import (
-    MemcpyKind,
-    memcpy,
-    memcpy_device_to_host,
-    memcpy_host_to_device,
-)
+from repro.cudasim.transfer import memcpy_device_to_host, memcpy_host_to_device
 
 
 @pytest.fixture()
@@ -56,14 +51,6 @@ class TestTransfers:
         strided = np.zeros(8, dtype=np.float64)[::2]
         with pytest.raises(TransferError):
             memcpy_device_to_host(device, strided, buf)
-
-    def test_dispatching_memcpy(self, device):
-        data = np.arange(8, dtype=np.float64)
-        buf = device.memory.allocate(data.shape, data.dtype)
-        memcpy(device, buf, data, MemcpyKind.HOST_TO_DEVICE)
-        out = np.zeros_like(data)
-        memcpy(device, out, buf, MemcpyKind.DEVICE_TO_HOST)
-        np.testing.assert_array_equal(out, data)
 
     def test_profiler_kinds_recorded(self, device):
         data = np.arange(8, dtype=np.float64)

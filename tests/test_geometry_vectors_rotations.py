@@ -5,7 +5,6 @@ import pytest
 
 from repro.geometry.rotations import (
     is_rotation_matrix,
-    matrix_to_quaternion,
     quaternion_to_matrix,
     random_rotation,
     rotation_about_axis,
@@ -32,11 +31,16 @@ class TestRotations:
             assert is_rotation_matrix(random_rotation(rng))
 
     def test_quaternion_roundtrip(self):
+        # a turn by angle about the unit axis n is the quaternion
+        # (n sin(angle / 2), cos(angle / 2))
         rng = np.random.default_rng(5)
         for _ in range(10):
-            rot = random_rotation(rng)
-            q = matrix_to_quaternion(rot)
-            np.testing.assert_allclose(quaternion_to_matrix(q), rot, atol=1e-10)
+            axis = rng.normal(size=3)
+            angle = rng.uniform(-np.pi, np.pi)
+            q = np.append(axis / np.linalg.norm(axis) * np.sin(angle / 2), np.cos(angle / 2))
+            np.testing.assert_allclose(
+                quaternion_to_matrix(q), rotation_about_axis(axis, angle), atol=1e-10
+            )
 
     def test_quaternion_identity(self):
         np.testing.assert_allclose(quaternion_to_matrix([0, 0, 0, 1]), np.eye(3), atol=1e-15)

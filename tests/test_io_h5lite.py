@@ -191,7 +191,7 @@ class TestErrors:
             assert set(fh.root.keys()) == {"a", "b"}
             names = [obj.name for obj in fh.root.visit()]
             assert "/a/x" in names and "/a/y" in names and "/b" in names
-            assert set(fh["a"].datasets()) == {"x", "y"}
+            assert set(fh["a"].keys()) == {"x", "y"}
 
 
 class TestWindowedReads:

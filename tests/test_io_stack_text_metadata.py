@@ -1,4 +1,4 @@
-"""Unit tests for image-stack IO, text output and experiment metadata."""
+"""Unit tests for image-stack IO and text output."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.io.image_stack import (
     save_depth_resolved,
     save_wire_scan,
 )
-from repro.io.metadata import ExperimentMetadata
 from repro.io.text_output import read_depth_profiles, write_depth_profiles
 
 from tests.helpers import make_tiny_stack
@@ -114,29 +113,3 @@ class TestTextOutput:
         text = path.read_text()
         assert text.startswith("# repro depth profiles")
         assert "depth_um" in text
-
-
-class TestExperimentMetadata:
-    def test_defaults(self):
-        meta = ExperimentMetadata()
-        assert "34-ID" in meta.beamline
-
-    def test_dict_roundtrip(self):
-        meta = ExperimentMetadata(
-            sample_name="Cu indent",
-            scan_id="scan_0042",
-            exposure_seconds=0.5,
-            extra={"detector_gain": 2},
-        )
-        rebuilt = ExperimentMetadata.from_dict(meta.to_dict())
-        assert rebuilt.sample_name == "Cu indent"
-        assert rebuilt.scan_id == "scan_0042"
-        assert rebuilt.exposure_seconds == 0.5
-        assert rebuilt.extra == {"detector_gain": 2}
-        assert rebuilt.incident_energy_band_kev == meta.incident_energy_band_kev
-
-    def test_to_dict_is_json_friendly(self):
-        import json
-
-        meta = ExperimentMetadata(extra={"note": "x"})
-        json.dumps(meta.to_dict())

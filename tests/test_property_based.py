@@ -20,7 +20,7 @@ from repro.core.trapezoid import (
 )
 from repro.cudasim.atomic import atomic_add
 from repro.cudasim.kernel import LaunchConfig
-from repro.geometry.rotations import is_rotation_matrix, matrix_to_quaternion, quaternion_to_matrix
+from repro.geometry.rotations import is_rotation_matrix, quaternion_to_matrix, rotation_about_axis
 from repro.geometry.wire import Wire
 from repro.io.h5lite import H5LiteFile
 
@@ -180,9 +180,13 @@ def test_occlusion_consistent_with_critical_depths(pixel_z, wire_z, offset):
 def test_random_rotation_roundtrip(seed):
     from repro.geometry.rotations import random_rotation
 
-    rot = random_rotation(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    rot = random_rotation(rng)
     assert is_rotation_matrix(rot)
-    np.testing.assert_allclose(quaternion_to_matrix(matrix_to_quaternion(rot)), rot, atol=1e-9)
+    axis = rng.normal(size=3)
+    angle = rng.uniform(-np.pi, np.pi)
+    q = np.append(axis / np.linalg.norm(axis) * np.sin(angle / 2), np.cos(angle / 2))
+    np.testing.assert_allclose(quaternion_to_matrix(q), rotation_about_axis(axis, angle), atol=1e-9)
 
 
 # --------------------------------------------------------------------------- #

@@ -227,22 +227,27 @@ class TestLoadDirSkipsLegacyFiles:
         loaded = BatchRunResult.load_dir(out_dir)
         assert loaded.n_ok == 1 and loaded.n_failed == 0
 
-    def test_corrupt_run_file_is_a_failed_item(self, tmp_path, point_source_stack, depth_grid):
+    @pytest.mark.parametrize("corrupt", [
+        lambda record: record.pop("config"),
+        lambda record: record["config"]["grid"].pop("n_bins"),
+    ], ids=["no-config-block", "grid-without-n_bins"])
+    def test_corrupt_run_file_is_a_failed_item(
+        self, tmp_path, point_source_stack, depth_grid, corrupt
+    ):
         stack, _ = point_source_stack
         run = session(grid=depth_grid).run(stack)
         out_dir = tmp_path / "corrupt"
         os.makedirs(out_dir)
         run.save(out_dir / "ok.h5lite")
-        # a run file whose record lost its config block: captured, not raised
+        # a run file whose record lost a config entry: captured, not raised
         from repro.io.h5lite import H5LiteFile
-        from repro.io.image_stack import RUN_RECORD_ATTR
 
         bad_path = out_dir / "bad.h5lite"
         run.save(bad_path)
         with H5LiteFile(bad_path, "r") as fh:
             pass  # ensure readable before corrupting
         record = run._run_record()
-        record.pop("config")
+        corrupt(record)
         save_depth_resolved(bad_path, run.result, run_record=record)
         loaded = BatchRunResult.load_dir(out_dir)
         assert loaded.n_ok == 1 and loaded.n_failed == 1

