@@ -2,12 +2,14 @@
 
 The paper streams the image cube through a memory-limited *device*; the
 engine extends the same plan → execute → reduce access pattern to *host*
-memory (``Session.stream()``) and to many files at once
-(``Session.run_many()``).  This benchmark measures what those modes cost and
-buy:
+memory (every file run reads its scan one window of detector rows at a
+time, one fused-kernel row block unless ``rows_per_chunk`` says otherwise)
+and to many files at once (``Session.run_many()``).  This benchmark
+measures what those modes cost and buy:
 
-* streamed reconstruction must be within a modest factor of the in-memory
-  path on data that fits in RAM (the streaming tax is windowed file reads);
+* small windows (4 rows, as ``Session.stream(rows_per_chunk=4)`` sets)
+  must stay within a modest factor of the default windows (the tax is more
+  windowed file reads and kernel calls);
 * a batch scheduled on several workers must beat the same batch on one
   worker (per-file isolation must not serialise the pool);
 * the fluent ``Session`` front door must add no measurable overhead over
@@ -49,24 +51,24 @@ def _config(workload, **overrides):
     return ReconstructionConfig(grid=workload.grid, backend="vectorized", **overrides)
 
 
-def test_in_memory_file(benchmark, scan_files):
+def test_default_windows_file(benchmark, scan_files):
     workload, paths = scan_files
     sess = session(config=_config(workload))
     benchmark.pedantic(
         lambda: sess.run(paths[0]), rounds=1, iterations=1, warmup_rounds=0
     )
-    _times["in-memory"] = benchmark.stats.stats.mean
-    collector.add("file (in-memory)", "vectorized", _times["in-memory"])
+    _times["default windows"] = benchmark.stats.stats.mean
+    collector.add("file (default windows)", "vectorized", _times["default windows"])
 
 
-def test_streamed_file(benchmark, scan_files):
+def test_four_row_windows_file(benchmark, scan_files):
     workload, paths = scan_files
     sess = session(config=_config(workload)).stream(rows_per_chunk=4)
     benchmark.pedantic(
         lambda: sess.run(paths[0]), rounds=1, iterations=1, warmup_rounds=0
     )
-    _times["streamed"] = benchmark.stats.stats.mean
-    collector.add("file (streamed)", "vectorized", _times["streamed"])
+    _times["4-row windows"] = benchmark.stats.stats.mean
+    collector.add("file (4-row windows)", "vectorized", _times["4-row windows"])
 
 
 def test_save_load_roundtrip_budget(benchmark, scan_files, tmp_path):
@@ -135,7 +137,7 @@ def test_batch_throughput(benchmark, scan_files, max_workers):
 
 
 def test_fluent_layer_overhead(benchmark, scan_files):
-    """The Session front door vs the raw engine on identical streamed runs.
+    """The Session front door vs the raw engine on identical file runs.
 
     Both paths resolve the same backend and execute the same plan; the
     session only adds source normalization and RunResult assembly.  Compare
@@ -146,7 +148,7 @@ def test_fluent_layer_overhead(benchmark, scan_files):
     from repro.io.streaming import StreamingWireScanSource
 
     workload, paths = scan_files
-    config = _config(workload, streaming=True, rows_per_chunk=4)
+    config = _config(workload, rows_per_chunk=4)
     sess = session(config=config)
 
     def direct():
@@ -186,11 +188,12 @@ def test_fluent_layer_overhead(benchmark, scan_files):
 
 def test_streaming_batch_report(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    if "in-memory" not in _times or "streamed" not in _times:
+    if "default windows" not in _times or "4-row windows" not in _times:
         pytest.skip("file benchmarks did not run (run the whole file)")
     extra = [
         "",
-        f"streaming tax: {_times['streamed'] / _times['in-memory']:.2f}x the in-memory wall time",
+        f"4-row windows: {_times['4-row windows'] / _times['default windows']:.2f}x "
+        "the default-window wall time",
     ]
     if f"batch x{N_BATCH_FILES}" in _times and "batch x1" in _times:
         extra.append(

@@ -10,8 +10,9 @@ What it does
 2. opens the *same data* four different ways — in-memory stack, single
    file, glob of files, bare ndarray + geometry — and shows that one
    session API reconstructs them all;
-3. forks an immutable session fluently (backend, layout, streaming) and
-   proves the streamed file run is bit-identical to the in-memory run;
+3. forks an immutable session fluently (backend, layout, window rows) and
+   proves the file run, which always streams its scan from disk, is
+   bit-identical to the in-memory run at any window size;
 4. runs the glob as a batch through ``run_many`` and prints the aggregated
    report;
 5. prints the run's JSON provenance record (config snapshot, plan,
@@ -48,7 +49,7 @@ def main() -> None:
     streamed = gpu.stream(rows_per_chunk=4)
     print(f"base session backend:     {base.backend_name}")
     print(f"forked session backend:   {gpu.backend_name} "
-          f"(layout={gpu.config.layout}, streaming={streamed.config.streaming})")
+          f"(layout={gpu.config.layout}, rows per window={streamed.config.rows_per_chunk})")
 
     # 2. source polymorphism: the same session runs anything repro.open() takes
     from_stack = gpu.run(repro.open(stack))
@@ -59,9 +60,9 @@ def main() -> None:
     from_stream = streamed.run(paths[0])
     print("\nsame data, four sources, one API:")
     for label, run in [("stack", from_stack), ("file", from_file),
-                       ("ndarray", from_array), ("file (streamed)", from_stream)]:
+                       ("ndarray", from_array), ("file (4-row windows)", from_stream)]:
         identical = np.array_equal(run.result.data, from_stack.result.data)
-        print(f"  {label:<16s} kind={run.source['kind']:<6s} "
+        print(f"  {label:<20s} kind={run.source['kind']:<6s} "
               f"wall={run.report.wall_time:.4f}s bit-identical={identical}")
 
     # 3. a glob is a batch: run_many schedules it on a worker pool
@@ -72,7 +73,7 @@ def main() -> None:
           f"on {batch.max_workers} workers")
 
     # 4. every run carries its provenance — reproducible from the snapshot
-    print("\nprovenance record of the streamed run:")
+    print("\nprovenance record of the 4-row-window run:")
     print(from_stream.to_json())
 
     snapshot = from_stream.config.to_dict()
@@ -83,8 +84,7 @@ def main() -> None:
     # 5. the pluggable registry behind .on(...)
     print("\nregistered backends:")
     for info in repro.backends():
-        flags = "+streaming" if info.supports_streaming else "-streaming"
-        print(f"  {info.name:<14s} {flags:<11s} {info.description}")
+        print(f"  {info.name:<14s} {info.description}")
 
 
 if __name__ == "__main__":

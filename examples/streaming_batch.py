@@ -7,9 +7,9 @@ Run with::
 What it does
 ------------
 1. generates a few synthetic wire-scan files on disk;
-2. reconstructs one of them twice — cube fully in memory, then streamed
-   from disk a few detector rows at a time — and shows the results are
-   bit-identical while the streamed run never held the full cube;
+2. reconstructs one scan twice — its stack in memory, then its file, which
+   is streamed from disk a few detector rows at a time — and shows the
+   results are bit-identical while the file run never held the full cube;
 3. schedules the whole directory as a batch on a worker pool (one file is
    deliberately corrupt to show per-file error isolation) and prints the
    aggregated batch report.
@@ -34,17 +34,18 @@ def main() -> None:
     grid = DepthGrid.from_range(0.0, 100.0, 40)
 
     # 1. a few scan files with emitters at different depths
-    paths = []
+    paths, stacks = [], []
     for index, depth in enumerate((25.0, 40.0, 60.0)):
         stack, _source = make_point_source_stack(depth=depth, n_rows=12, n_cols=8, n_positions=81)
         path = os.path.join(workdir, f"scan_{index}.h5lite")
         save_wire_scan(path, stack)
         paths.append(path)
+        stacks.append(stack)
     print(f"wrote {len(paths)} scan files to {workdir}")
 
-    # 2. in-memory vs streamed: identical results, bounded memory
+    # 2. in-memory stack vs streamed file: identical results, bounded memory
     config = ReconstructionConfig(grid=grid, backend="vectorized", rows_per_chunk=3)
-    in_memory = session(config=config).run(paths[0])
+    in_memory = session(config=config).run(stacks[0])
 
     source = StreamingWireScanSource(paths[0])
     streamed_result, streamed_report = execute_backend(source, config)
@@ -60,7 +61,7 @@ def main() -> None:
     broken = os.path.join(workdir, "broken.h5lite")
     with open(broken, "wb") as fh:
         fh.write(b"this is not a wire scan")
-    batch = session(grid=grid, backend="vectorized").stream().run_many(
+    batch = session(grid=grid, backend="vectorized").run_many(
         paths + [broken],
         max_workers=3,
         output_dir=os.path.join(workdir, "depth"),

@@ -7,15 +7,16 @@ Nine small tools mirror the original workflow:
     truth — the stand-in for acquiring data at the beamline.
 ``repro-reconstruct``
     Run the depth reconstruction on a wire-scan file and write the
-    depth-resolved output (the original program's job).  ``--streaming``
-    selects the out-of-core mode that never loads the full cube;
+    depth-resolved output (the original program's job).  The scan is read
+    one window of detector rows at a time, never as a whole cube
+    (``--rows-per-chunk`` sets the window);
     ``--executor threads`` runs the vectorized kernel on the thread pool;
     ``--provenance`` writes the run's JSON provenance record.
 ``repro-batch``
     Schedule many wire-scan files (or globs/directories) across a worker
     pool and print the aggregated batch report.
 ``repro-backends``
-    Introspect the pluggable backend registry: names, capability flags and
+    Introspect the pluggable backend registry: names, descriptions and
     where each backend is defined.
 ``repro-analyze``
     Apply named analysis ops (``repro.analysis`` pipelines) to saved
@@ -53,11 +54,17 @@ import functools
 import json
 import os
 import sys
+import warnings
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import _RETIRED_NAMES, DifferenceMode, ReconstructionConfig
+from repro.core.config import (
+    _RETIRED_NAMES,
+    DifferenceMode,
+    ReconstructionConfig,
+    _caller_stacklevel,
+)
 from repro.core.depth_grid import DepthGrid
 from repro.core.registry import available_backends, backends
 from repro.core.session import session
@@ -95,8 +102,8 @@ def _add_reconstruction_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--edge", default="leading", choices=["leading", "trailing"])
     parser.add_argument("--difference-mode", default="signed", choices=["signed", "rectified"])
     parser.add_argument("--cutoff", type=float, default=0.0)
-    parser.add_argument("--streaming", action="store_true",
-                        help="stream row chunks from disk instead of loading the cube")
+    # retired: every file run streams; still parses, warns and is ignored
+    parser.add_argument("--streaming", action="store_true", help=argparse.SUPPRESS)
     # two flags, not one optional-argument flag: `--cache ROOT` with nargs="?"
     # would greedily swallow a following positional input file as the root
     parser.add_argument("--cache", action="store_true",
@@ -115,6 +122,12 @@ def _cache_from_args(args: argparse.Namespace):
 
 def _config_from_args(args: argparse.Namespace) -> ReconstructionConfig:
     """Build a :class:`ReconstructionConfig` from the shared CLI flags."""
+    if args.streaming:
+        warnings.warn(
+            "--streaming is retired and ignored: every file run streams",
+            DeprecationWarning,
+            stacklevel=_caller_stacklevel(),
+        )
     return ReconstructionConfig(
         grid=DepthGrid.from_range(args.depth_start, args.depth_stop, args.depth_bins),
         backend=args.backend,
@@ -124,7 +137,6 @@ def _config_from_args(args: argparse.Namespace) -> ReconstructionConfig:
         wire_edge=WireEdge.LEADING if args.edge == "leading" else WireEdge.TRAILING,
         difference_mode=DifferenceMode(args.difference_mode),
         intensity_cutoff=args.cutoff,
-        streaming=args.streaming,
     )
 
 

@@ -39,11 +39,11 @@ class Backend(abc.ABC):
     def chunk_rows(
         self, n_positions: int, n_rows: int, n_cols: int, config: ReconstructionConfig
     ) -> int:
-        """Rows of a streamed window this backend's executors plan for a
+        """Rows of a file run's window this backend's executors plan for a
         ``(n_positions, n_rows, n_cols)`` scan under *config*: the host
         plan's out-of-core rule, :func:`~repro.core.engine.host_chunk_rows`,
         unless the backend plans by another.  The batch scheduler sizes a
-        streamed item's window with it."""
+        file item's window with it."""
         return host_chunk_rows(n_positions, n_rows, n_cols, config.rows_per_chunk, True)
 
     def reconstruct(

@@ -43,7 +43,6 @@ class CpuReferenceExecutor(ChunkExecutor):
 
 @register_backend(
     "cpu_reference",
-    supports_streaming=True,
     description="scalar per-element loop (the paper's original CPU program)",
 )
 class CpuReferenceBackend(Backend):

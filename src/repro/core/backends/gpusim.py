@@ -243,7 +243,6 @@ class GpuSimExecutor(ChunkExecutor):
 
 @register_backend(
     "gpusim",
-    supports_streaming=True,
     description="the paper's CUDA design on the simulated device (Fig. 4 layouts)",
 )
 class GpuSimBackend(Backend):

@@ -90,7 +90,6 @@ class VectorizedExecutor(ChunkExecutor):
 
 @register_backend(
     "vectorized",
-    supports_streaming=True,
     description="NumPy data-parallel execution on the host (default)",
 )
 class VectorizedBackend(Backend):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import InitVar, dataclass, fields, replace
 from typing import Dict, Optional
 
 from repro.core.depth_grid import DepthGrid
@@ -118,10 +118,10 @@ class ReconstructionConfig:
         once per run over the full stack, so every chunking subtracts the
         same background.
     streaming:
-        If true, :meth:`repro.core.session.Session.run` streams a file
-        source's row chunks straight from disk through the engine instead
-        of loading the image cube into host memory first — the out-of-core
-        mode for data sets larger than RAM.
+        Retired: every file run streams its scan from disk, one window of
+        rows at a time.  The name is still accepted, so scripts and saved
+        records that set it keep working, and ignored with a
+        :class:`DeprecationWarning`; it is not a field.
     """
 
     grid: DepthGrid
@@ -135,9 +135,15 @@ class ReconstructionConfig:
     n_workers: int = 2
     executor: str = "serial"
     subtract_background: bool = False
-    streaming: bool = False
+    streaming: InitVar[Optional[bool]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, streaming):
+        if streaming is not None:
+            warnings.warn(
+                f"streaming={streaming!r} is retired and ignored: every file run streams",
+                DeprecationWarning,
+                stacklevel=_caller_stacklevel(),
+            )
         for name, renames in _RETIRED_NAMES.items():
             old = getattr(self, name)
             if isinstance(old, str) and old in renames:
@@ -175,12 +181,7 @@ class ReconstructionConfig:
         # source of truth for what names exist
         from repro.core.registry import backend_info
 
-        info = backend_info(self.backend)
-        if self.streaming and not info.supports_streaming:
-            raise ValidationError(
-                f"backend {self.backend!r} does not support streaming "
-                "(supports_streaming=False in its registration)"
-            )
+        backend_info(self.backend)
 
     # ------------------------------------------------------------------ #
     def with_backend(self, backend: str, **overrides) -> "ReconstructionConfig":
@@ -216,7 +217,6 @@ class ReconstructionConfig:
             "n_workers": int(self.n_workers),
             "executor": self.executor,
             "subtract_background": bool(self.subtract_background),
-            "streaming": bool(self.streaming),
         }
 
     @classmethod
@@ -226,6 +226,8 @@ class ReconstructionConfig:
         Unknown keys are rejected (a provenance file from a newer version
         should fail loudly, not half-apply), and the full constructor
         validation — including the registry backend check — runs as usual.
+        A record that names the retired ``streaming`` loads with a
+        :class:`DeprecationWarning`, into the config it names without it.
         """
         data = dict(data)
         _reject_unknown_fields(data)
@@ -262,8 +264,9 @@ class ReconstructionConfig:
 
 def _reject_unknown_fields(names) -> None:
     """Raise :class:`ValidationError` naming every entry of *names* that is
-    not a :class:`ReconstructionConfig` field."""
+    not a :class:`ReconstructionConfig` field (the retired ``streaming``
+    passes: the constructor ignores it with a warning)."""
     known = {f.name for f in fields(ReconstructionConfig)}
-    unknown = sorted(set(names) - known)
+    unknown = sorted(set(names) - known - {"streaming"})
     if unknown:
         raise ValidationError(f"unknown config field(s): {unknown}; known: {sorted(known)}")

@@ -1,10 +1,12 @@
 """The depth grid: discretisation of the beam path into depth bins.
 
-Depth is measured along the incident beam from the beam origin (DESIGN.md
-§5).  ``DepthGrid`` owns the ``[start, stop)`` range and bin width and
-provides the index conversions: :meth:`DepthGrid.index_to_depth` (bin index
-→ depth at the bin centre, the paper's ``device_index_to_beam_depth``) and
-its inverse :meth:`DepthGrid.depth_to_index`.
+Depth is measured along the incident beam from the beam origin: with the
+canonical beam, along +z from the lab origin (the frame convention stated
+in :mod:`repro.geometry`).  ``DepthGrid`` owns the ``[start, stop)`` range
+and bin width and provides the index conversions:
+:meth:`DepthGrid.index_to_depth` (bin index → depth at the bin centre, the
+paper's ``device_index_to_beam_depth``) and its inverse
+:meth:`DepthGrid.depth_to_index`.
 """
 
 from __future__ import annotations

@@ -17,18 +17,18 @@ run the per-chunk compute.  This module extracts that loop into one place:
     agree on: the per-image background levels, the pixel-edge tables of
     every detector row and the trapezoid table of every (wire-step, row)
     pair, each computed once over the *whole* detector — so every backend,
-    chunking and streaming mode subtracts the same background and
-    distributes with the same geometry — the zeroed
+    chunking and source subtracts the same background and distributes
+    with the same geometry — the zeroed
     ``(n_bins, n_rows, n_cols)`` output cube of the run, the chunking
     strategy note, and the range of wire positions each chunk reads.  A
     host plan takes its rows per chunk from the caller or the config, else
-    every row, or on an out-of-core source as many rows as fit one
-    :data:`STREAMING_CHUNK_BYTES` slab; the simulated device sizes its
-    chunks to its own memory and passes the rows on.  For an executor whose
-    kernel skips unusable steps (the ``vectorized`` backend, on either
-    executor) the position range holds only the positions the chunk's
-    usable steps difference, and a chunk with none reads nothing; the other
-    executors read every position.
+    every row, or on an out-of-core source the rows of one fused-kernel row
+    block (:func:`~repro.core.kernels._fused_row_block`); the simulated
+    device sizes its chunks to its own memory and passes the rows on.  For
+    an executor whose kernel skips unusable steps (the ``vectorized``
+    backend, on either executor) the position range holds only the
+    positions the chunk's usable steps difference, and a chunk with none
+    reads nothing; the other executors read every position.
 
 ``ChunkExecutor``
     What a backend actually contributes: how to plan its chunks, optional
@@ -63,7 +63,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import ReconstructionConfig
-from repro.core.kernels import KernelContext, _step_span, _trapezoid_table
+from repro.core.kernels import KernelContext, _fused_row_block, _step_span, _trapezoid_table
 from repro.core.registry import get_backend
 from repro.core.result import DepthResolvedStack, ReconstructionReport
 from repro.core.stack import WireScanStack
@@ -75,7 +75,6 @@ __all__ = [
     "StackChunkSource",
     "ExecutionPlan",
     "ChunkExecutor",
-    "STREAMING_CHUNK_BYTES",
     "build_chunk_context",
     "build_execution_plan",
     "compute_stack_background",
@@ -84,12 +83,6 @@ __all__ = [
 ]
 
 _LOG = get_logger(__name__)
-
-#: Slab budget of a host plan over an *out-of-core* source with no
-#: ``rows_per_chunk``: a single chunk would pull the whole cube into RAM,
-#: defeating streaming, so a window holds the most rows whose float64
-#: ``(n_positions, rows, n_cols)`` slab fits this many bytes, and at least one.
-STREAMING_CHUNK_BYTES = 256 * 1024 * 1024
 
 
 # --------------------------------------------------------------------------- #
@@ -163,10 +156,21 @@ class ChunkSource(abc.ABC):
         return f"{type(self).__name__}({self.n_positions}x{self.n_rows}x{self.n_cols})"
 
 
+def _require_canonical_beam(beam) -> None:
+    """Refuse a beam the depth mapping cannot use: depth is measured along
+    +z from the lab origin, so any other beam would be reconstructed as if
+    it were that one."""
+    if not beam.is_canonical():
+        raise ValidationError(
+            f"the depth reconstruction needs the canonical +z beam through the origin, got {beam}"
+        )
+
+
 class StackChunkSource(ChunkSource):
     """Serves chunks from an in-memory :class:`WireScanStack`."""
 
     def __init__(self, stack: WireScanStack):
+        _require_canonical_beam(stack.beam)
         self.stack = stack
         self.n_positions = stack.n_positions
         self.n_rows = stack.n_rows
@@ -245,13 +249,12 @@ def host_chunk_rows(
 ) -> int:
     """Rows per chunk of a host plan over a ``(n_positions, n_rows, n_cols)``
     scan: *rows_per_chunk*, else every row — except out of core, where a
-    chunk holds the most rows whose float64 ``(n_positions, rows, n_cols)``
-    slab fits :data:`STREAMING_CHUNK_BYTES`, and at least one.  Never more
-    than *n_rows*.
+    chunk holds the rows of one fused-kernel row block
+    (:func:`~repro.core.kernels._fused_row_block` of the scan's steps), the
+    rows the kernel differences at a time anyway.  Never more than *n_rows*.
     """
     if rows_per_chunk is None and out_of_core:
-        row_bytes = n_positions * n_cols * np.dtype(np.float64).itemsize
-        rows_per_chunk = max(1, STREAMING_CHUNK_BYTES // row_bytes)
+        rows_per_chunk = _fused_row_block(n_positions - 1, n_cols)
     rows = n_rows if rows_per_chunk is None else min(int(rows_per_chunk), n_rows)
     if rows < 1:
         raise ValidationError(f"rows_per_chunk must be >= 1, got {rows_per_chunk!r}")
@@ -269,9 +272,8 @@ def build_execution_plan(
 
     Rows per chunk follow :func:`host_chunk_rows` from ``rows_per_chunk``,
     else ``config.rows_per_chunk``: every row when neither is set, except
-    on an out-of-core source, whose windows fit
-    :data:`STREAMING_CHUNK_BYTES`, so streaming never pulls the whole cube
-    into RAM.
+    on an out-of-core source, whose windows hold one fused-kernel row
+    block, so a file run never pulls the whole cube into RAM.
 
     The per-run state is computed here, once: the background levels, the
     source's edge tables for every detector row, the trapezoid table, whose

@@ -4,9 +4,9 @@ Two things live here:
 
 * the **batch scheduler** the session's ``run_many`` delegates to:
   :func:`plan_batch_concurrency` gates how many *whole reconstructions* may
-  overlap by the same memory-budget logic the streaming engine applies to
-  row chunks (a batch of huge in-memory cubes is serialised, a batch of
-  streamed files overlaps freely because each holds only one chunk slab),
+  overlap by the same memory-budget logic the engine applies to row chunks
+  (a batch of huge in-memory cubes is serialised, a batch of files overlaps
+  freely because each reads only one window at a time),
   and :func:`run_batch_jobs` runs the items on a thread pool with order
   preserved.  Threads suffice on the host side because NumPy kernels and
   file I/O release the GIL, and the ``threads`` executor's row bands run on
@@ -39,10 +39,11 @@ __all__ = [
 
 _LOG = get_logger(__name__)
 
-#: Default host-memory budget for concurrently resident batch items.  Four
-#: streaming chunk slabs: a streamed batch overlaps up to four files, while
+#: Default host-memory budget for concurrently resident batch items, 1 GiB.
+#: A file item is charged one window and its output cube, so file batches
+#: overlap up to the worker count unless their outputs are huge, while
 #: in-memory cubes large enough to matter get their concurrency clamped.
-BATCH_MEMORY_BUDGET_BYTES = 4 * 256 * 1024 * 1024
+BATCH_MEMORY_BUDGET_BYTES = 1024 * 1024 * 1024
 
 
 # --------------------------------------------------------------------------- #
@@ -50,25 +51,23 @@ BATCH_MEMORY_BUDGET_BYTES = 4 * 256 * 1024 * 1024
 def estimate_source_resident_bytes(source, config: ReconstructionConfig) -> Optional[int]:
     """Peak host bytes one batch item keeps resident while reconstructing.
 
-    For a file source this is a header-only probe (geometry, never images):
-    the input term is the full cube when the item will be loaded in memory,
-    or one window slab of every wire position when ``config.streaming`` is
-    set, its rows chosen by the rule the item's own backend plans with
-    (:meth:`~repro.core.backends.base.Backend.chunk_rows`: on the host,
-    ``config.rows_per_chunk``, else as many rows as fit
-    :data:`~repro.core.engine.STREAMING_CHUNK_BYTES`; on ``gpusim``, the
-    rows that fit the simulated device); the output term is the full
-    depth-resolved cube, which exists either way; background subtraction
-    briefly doubles the input slab.
+    The input term of an in-memory stack is its whole cube.  For a file
+    source it is a header-only probe (geometry, never images): one window
+    slab of every wire position, its rows chosen by the rule the item's own
+    backend plans with (:meth:`~repro.core.backends.base.Backend.chunk_rows`:
+    on the host, ``config.rows_per_chunk``, else one fused-kernel row block;
+    on ``gpusim``, the rows that fit the simulated device).  The output term
+    is the full depth-resolved cube; background subtraction briefly doubles
+    the input slab.
     Returns ``None`` when the item's dimensions cannot be probed cheaply —
     an unreadable file, or a window no chunk plan admits, surfaces as that
     *item's* failure at run time, never as a scheduling error.
     """
     from repro.core.source import FileSource, StackSource
 
-    streaming_input = False
     if isinstance(source, StackSource):
         n_positions, n_rows, n_cols = source.stack.shape
+        rows = n_rows
     elif isinstance(source, FileSource):
         try:
             from repro.io.image_stack import read_wire_scan_geometry
@@ -78,21 +77,16 @@ def estimate_source_resident_bytes(source, config: ReconstructionConfig) -> Opti
             return None
         n_rows, n_cols = detector.shape
         n_positions = scan.n_points
-        streaming_input = bool(config.streaming)
+        from repro.core.registry import get_backend
+
+        try:
+            rows = get_backend(config.backend).chunk_rows(n_positions, n_rows, n_cols, config)
+        except ValidationError:
+            return None
     else:
         return None
 
     float_bytes = 8
-    if streaming_input:
-        from repro.core.registry import get_backend
-
-        backend = get_backend(config.backend)
-        try:
-            rows = backend.chunk_rows(n_positions, n_rows, n_cols, config)
-        except ValidationError:
-            return None
-    else:
-        rows = n_rows
     input_bytes = n_positions * rows * n_cols * float_bytes
     if config.subtract_background:
         input_bytes *= 2  # the background-subtracted slab copy
@@ -181,7 +175,6 @@ class BatchReport:
     wall_time: float = 0.0
     max_workers: int = 1
     backend: str = ""
-    streaming: bool = False
 
     # ------------------------------------------------------------------ #
     @property
@@ -233,9 +226,8 @@ class BatchReport:
 
     def summary(self) -> str:
         """Human-readable multi-line batch summary."""
-        mode = "streaming" if self.streaming else "in-memory"
         header = (
-            f"batch: {self.n_ok}/{self.n_files} file(s) ok, backend={self.backend} ({mode}), "
+            f"batch: {self.n_ok}/{self.n_files} file(s) ok, backend={self.backend}, "
             f"{self.max_workers} worker(s)"
         )
         if self.n_cached:

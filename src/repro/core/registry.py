@@ -2,13 +2,12 @@
 
 Backends used to be a hard-coded string table inside ``backends/base.py``;
 this module turns them into plugins.  A backend registers itself under a
-name with a set of capability flags::
+name::
 
     from repro.core.registry import register_backend
     from repro.core.backends.base import Backend
 
-    @register_backend("mybackend", supports_streaming=True,
-                      description="my out-of-tree executor")
+    @register_backend("mybackend", description="my out-of-tree executor")
     class MyBackend(Backend):
         def make_executor(self, config):
             ...
@@ -17,7 +16,8 @@ and from that point on it is indistinguishable from a built-in: it resolves
 through :func:`get_backend` (and therefore through
 :class:`~repro.core.config.ReconstructionConfig` validation, the
 :class:`~repro.core.session.Session` front door and the ``repro-backends``
-CLI), and its capabilities are introspectable via :func:`backends`.
+CLI), and its entry is introspectable via :func:`backends`.  Every backend
+runs in-memory stacks and streamed files alike, through the shared engine.
 
 The registry is the single source of truth for backend names:
 ``ReconstructionConfig`` validates ``backend=`` against it at construction
@@ -32,6 +32,7 @@ registered lazily on first lookup, which keeps this module import-cycle-free
 from __future__ import annotations
 
 import difflib
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -54,7 +55,7 @@ _BUILTINS_LOADED = False
 
 @dataclass(frozen=True)
 class BackendInfo:
-    """Registry entry: a backend factory plus its declared capabilities.
+    """Registry entry: a backend factory and its description.
 
     Parameters
     ----------
@@ -64,17 +65,12 @@ class BackendInfo:
         Zero-argument callable returning a ready
         :class:`~repro.core.backends.base.Backend` instance (usually the
         backend class itself).
-    supports_streaming:
-        The backend can execute chunks pulled from an out-of-core
-        :class:`~repro.core.engine.ChunkSource` (all built-ins can — they
-        route through the shared engine).
     description:
         One-line human description for the ``repro-backends`` CLI.
     """
 
     name: str
     factory: Callable[[], object]
-    supports_streaming: bool = True
     description: str = ""
 
     @property
@@ -82,18 +78,9 @@ class BackendInfo:
         """Module the backend factory is defined in (provenance/CLI)."""
         return getattr(self.factory, "__module__", "?")
 
-    def capabilities(self) -> Dict[str, bool]:
-        """The capability flags as a plain dict."""
-        return {"supports_streaming": self.supports_streaming}
-
     def to_dict(self) -> Dict:
         """JSON-safe summary (the ``repro-backends --json`` payload)."""
-        return {
-            "name": self.name,
-            "module": self.module,
-            "description": self.description,
-            **self.capabilities(),
-        }
+        return {"name": self.name, "module": self.module, "description": self.description}
 
 
 def _ensure_builtin_backends() -> None:
@@ -131,7 +118,7 @@ def register_backend_info(info: BackendInfo, replace: bool = False) -> BackendIn
 def register_backend(
     name=None,
     *,
-    supports_streaming: bool = True,
+    supports_streaming: Optional[bool] = None,
     description: str = "",
     replace: bool = False,
 ):
@@ -139,7 +126,7 @@ def register_backend(
 
     Two forms are accepted::
 
-        @register_backend("mybackend", supports_streaming=True)
+        @register_backend("mybackend", description="...")
         class MyBackend(Backend): ...
 
         @register_backend          # legacy: the class's own ``name`` is used
@@ -147,8 +134,17 @@ def register_backend(
             name = "mybackend"
 
     The decorator also sets ``cls.name`` when the named form is used, so the
-    class and the registry can never disagree about the name.
+    class and the registry can never disagree about the name.  The retired
+    ``supports_streaming`` is accepted and ignored with a
+    :class:`DeprecationWarning`: every backend runs streamed files.
     """
+    if supports_streaming is not None:
+        warnings.warn(
+            f"register_backend(supports_streaming={supports_streaming!r}) is retired and "
+            "ignored: every backend runs streamed files through the shared engine",
+            DeprecationWarning,
+            stacklevel=2,
+        )
 
     def decorate(cls, backend_name):
         if not backend_name:
@@ -163,12 +159,7 @@ def register_backend(
         if not about and cls.__doc__:
             about = cls.__doc__.strip().splitlines()[0]
         register_backend_info(
-            BackendInfo(
-                name=backend_name,
-                factory=cls,
-                supports_streaming=supports_streaming,
-                description=about,
-            ),
+            BackendInfo(name=backend_name, factory=cls, description=about),
             replace=replace,
         )
         return cls

@@ -1,7 +1,7 @@
 """The fluent front door: ``repro.session(...)`` → :class:`Session` → :class:`RunResult`.
 
-The one way to run a reconstruction — in memory, from a file, streamed or
-as a batch::
+The one way to run a reconstruction — of an in-memory stack, of a file
+(always streamed from disk) or of a batch::
 
     import repro
 
@@ -36,11 +36,12 @@ from __future__ import annotations
 import json
 import os
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import CacheStats, ResultCache, compute_cache_key, resolve_cache
-from repro.core.config import ReconstructionConfig
+from repro.core.config import ReconstructionConfig, _caller_stacklevel
 from repro.core.depth_grid import DepthGrid
 from repro.core.engine import execute_backend
 from repro.core.pipeline import BatchItem, BatchReport
@@ -332,7 +333,6 @@ class BatchRunResult(BatchReport):
         return {
             "repro_version": package_version(),
             "backend": self.backend,
-            "streaming": self.streaming,
             "config": None if self.config is None else self.config.to_dict(),
             "source": dict(self.source),
             "max_workers": self.max_workers,
@@ -447,7 +447,6 @@ class BatchRunResult(BatchReport):
             wall_time=0.0,
             max_workers=0,
             backend=backends[0] if backends and all(b == backends[0] for b in backends) else "",
-            streaming=shared_config.streaming if shared_config is not None else False,
             config=shared_config,
             source={"kind": "batch-dir", "directory": directory, "n_items": len(items)},
         )
@@ -528,15 +527,31 @@ class Session:
         return self._with_config(self.config.with_backend(backend, **overrides))
 
     def stream(self, rows_per_chunk: Optional[int] = None) -> "Session":
-        """A session streaming file sources from disk (out-of-core mode)."""
-        overrides: Dict = {"streaming": True}
-        if rows_per_chunk is not None:
-            overrides["rows_per_chunk"] = rows_per_chunk
-        return self._with_config(self.config.with_overrides(**overrides))
+        """A session reading file sources in windows of *rows_per_chunk* rows.
+
+        Every file run streams its scan from disk; without *rows_per_chunk*
+        there is nothing to set, and the session comes back unchanged with a
+        :class:`DeprecationWarning`.
+        """
+        if rows_per_chunk is None:
+            warnings.warn(
+                "Session.stream() without rows_per_chunk is retired: every file run "
+                "streams; the session is unchanged",
+                DeprecationWarning,
+                stacklevel=_caller_stacklevel(),
+            )
+            return self
+        return self._with_config(self.config.with_overrides(rows_per_chunk=rows_per_chunk))
 
     def in_memory(self) -> "Session":
-        """A session loading file sources fully into host memory."""
-        return self._with_config(self.config.with_overrides(streaming=False))
+        """Retired: every file run streams its scan from disk.  Returns this
+        session unchanged, with a :class:`DeprecationWarning`."""
+        warnings.warn(
+            "Session.in_memory() is retired: every file run streams; the session is unchanged",
+            DeprecationWarning,
+            stacklevel=_caller_stacklevel(),
+        )
+        return self
 
     def configure(self, **overrides) -> "Session":
         """A session with arbitrary config fields replaced.
@@ -686,8 +701,8 @@ class Session:
         host-memory budget: concurrency is clamped so the concurrently
         resident working sets (probed per item from file headers — see
         :func:`~repro.core.pipeline.plan_batch_concurrency`) fit
-        *memory_budget*, the batch-level twin of the engine's streaming
-        chunk budget.  A failure in one item is isolated: it is recorded on
+        *memory_budget*, the batch-level twin of the engine's bounded
+        windows.  A failure in one item is isolated: it is recorded on
         that item's :class:`~repro.core.pipeline.BatchItem` and the rest of
         the batch continues.
 
@@ -748,8 +763,7 @@ class Session:
         if not sources:
             empty = BatchRunResult(
                 items=[], wall_time=0.0, max_workers=0,
-                backend=self.config.backend, streaming=self.config.streaming,
-                config=self.config, source=identity,
+                backend=self.config.backend, config=self.config, source=identity,
             )
             return _analyze_batch(empty, analyze)
         from repro.core.pipeline import plan_batch_concurrency, run_batch_jobs
@@ -845,7 +859,6 @@ class Session:
             wall_time=wall,
             max_workers=max_workers,
             backend=self.config.backend,
-            streaming=self.config.streaming,
             config=self.config,
             source=identity,
         )

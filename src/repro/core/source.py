@@ -14,10 +14,11 @@ A :class:`Source` knows three things:
 * its **identity** (:meth:`Source.identity`) — a JSON-safe description used
   for run provenance;
 * how to produce an **engine-ready chunk source**
-  (:meth:`Source.chunk_source`) for a given configuration, which is where
-  the in-memory / out-of-core split is absorbed: a file source serves a
-  streamed :class:`~repro.io.streaming.StreamingWireScanSource` when
-  ``config.streaming`` is set and a fully-loaded stack otherwise;
+  (:meth:`Source.chunk_source`), which is where the in-memory / out-of-core
+  split is absorbed: a file source always serves a streamed
+  :class:`~repro.io.streaming.StreamingWireScanSource` (the image cube is
+  never loaded whole), an in-memory stack a
+  :class:`~repro.core.engine.StackChunkSource`;
 * its **items** (:meth:`Source.items`) — one entry per reconstructable unit,
   which is what the batch scheduler iterates;
 * its **fingerprint** (:meth:`Source.fingerprint`) — a JSON-safe digest of
@@ -67,7 +68,7 @@ class Source(abc.ABC):
 
     @abc.abstractmethod
     def chunk_source(self, config) -> ChunkSource:
-        """Engine-ready chunk source honouring ``config.streaming``."""
+        """Engine-ready chunk source for a run under *config*."""
 
     def items(self) -> List["Source"]:
         """The individual reconstructable units (itself, unless a batch)."""
@@ -170,13 +171,9 @@ class FileSource(Source):
         return os.path.splitext(os.path.basename(self.path))[0]
 
     def chunk_source(self, config) -> ChunkSource:
-        if config.streaming:
-            from repro.io.streaming import StreamingWireScanSource
+        from repro.io.streaming import StreamingWireScanSource
 
-            return StreamingWireScanSource(self.path)
-        from repro.io.image_stack import load_wire_scan
-
-        return StackChunkSource(load_wire_scan(self.path))
+        return StreamingWireScanSource(self.path)
 
     def fingerprint(self) -> Optional[Dict]:
         """Path + size + mtime + h5lite-header digest, never the image cube.

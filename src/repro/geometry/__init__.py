@@ -1,6 +1,6 @@
 """Experimental geometry for the wire-scan (DAXM) depth reconstruction.
 
-Laboratory frame convention (see DESIGN.md §5):
+Laboratory frame convention, used throughout the package:
 
 * the incident X-ray beam travels along **+z**; depth ``d`` along the beam is
   measured from the lab origin, so the illuminated line inside the sample is

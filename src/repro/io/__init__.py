@@ -6,8 +6,8 @@ available in this offline environment, so ``h5lite`` implements a small,
 self-contained hierarchical container with the features the pipeline needs:
 groups, n-dimensional datasets, attributes and chunked storage along the
 leading axis.  ``image_stack`` maps the experiment objects to/from that
-container, ``streaming`` reads a scan's detector-row windows for the
-out-of-core engine (``Dataset.read_window``, never the whole cube), and
+container, ``streaming`` reads a scan's detector-row windows for every
+file run (``Dataset.read_window``, never the whole cube), and
 ``text_output`` reproduces the per-pixel depth-profile text files the CPU
 side of the original program produces.  Experiment metadata has no schema of
 its own: a stack's free-form ``metadata`` dict is stored as ``meta_*``

@@ -2,14 +2,17 @@
 
 ``StreamingWireScanSource`` implements the engine's
 :class:`~repro.core.engine.ChunkSource` protocol against a wire-scan file on
-disk.  Geometry, mask and metadata are read from the header once; the image
+disk; it is how every file run reads its scan.  Geometry, mask and metadata
+are read from the header once, and checked as a loaded
+:class:`~repro.core.stack.WireScanStack` checks them; the image
 cube itself is never materialised — each engine chunk triggers one windowed
 read (:meth:`repro.io.h5lite.Dataset.read_window`) of the rows that chunk
 processes, restricted to the range of wire positions its plan gives it: every
 position, or on a trimmed plan only the positions the chunk's usable steps
 difference (a chunk with no usable step is not read at all).  So the peak
 resident image memory is one chunk slab (plus one full detector image during
-the optional background pass).
+the optional background pass); a host plan's default chunk is one
+fused-kernel row block.
 
 The source keeps simple accounting (``max_resident_rows``,
 ``n_window_reads``, ``bytes_read``) that the streaming tests and the batch
@@ -22,8 +25,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.engine import ChunkSource
-from repro.io.h5lite import H5LiteFile
+from repro.core.engine import ChunkSource, _require_canonical_beam
+from repro.io.h5lite import H5LiteError, H5LiteFile
 from repro.io.image_stack import _read_entry_geometry, _wire_scan_entry
 
 __all__ = ["StreamingWireScanSource"]
@@ -38,7 +41,10 @@ class StreamingWireScanSource(ChunkSource):
     row bands of earlier windows in flight, and each band views its
     window's slab.  A file shorter than its header says raises
     :class:`~repro.io.h5lite.H5LiteError` from the read that reaches the
-    missing bytes.
+    missing bytes; a header whose images are not 3-D, or whose wire
+    positions or pixel mask disagree with them, raises it on opening, and a
+    beam the depth mapping cannot use raises
+    :class:`~repro.utils.validation.ValidationError`.
     """
 
     out_of_core = True
@@ -48,13 +54,22 @@ class StreamingWireScanSource(ChunkSource):
         self._file = H5LiteFile(path, "r")
         entry = _wire_scan_entry(self._file, path)
         self.scan, self.detector, self.beam, self.metadata = _read_entry_geometry(entry)
+        _require_canonical_beam(self.beam)
         self._images = entry["data/images"]
+        if len(self._images.shape) != 3:
+            raise H5LiteError(
+                f"{path}: images must have shape (n_positions, n_rows, n_cols), "
+                f"got {self._images.shape}"
+            )
         n_positions, n_rows, n_cols = self._images.shape
         if (n_rows, n_cols) != self.detector.shape:
-            from repro.io.h5lite import H5LiteError
-
             raise H5LiteError(
-                f"image shape {(n_rows, n_cols)} does not match detector shape {self.detector.shape}"
+                f"{path}: image shape {(n_rows, n_cols)} does not match detector shape "
+                f"{self.detector.shape}"
+            )
+        if n_positions != self.scan.n_points:
+            raise H5LiteError(
+                f"{path}: {n_positions} images but {self.scan.n_points} wire positions"
             )
         self.n_positions = int(n_positions)
         self.n_rows = int(n_rows)
@@ -66,6 +81,11 @@ class StreamingWireScanSource(ChunkSource):
         if "data/pixel_mask" in entry:
             # the mask is (n_rows, n_cols) uint8 — header-sized, keep resident
             self._mask = entry["data/pixel_mask"][...].astype(bool)
+            if self._mask.shape != self.detector.shape:
+                raise H5LiteError(
+                    f"{path}: pixel_mask shape {self._mask.shape} does not match detector "
+                    f"shape {self.detector.shape}"
+                )
 
         #: largest number of detector rows resident from any single read
         self.max_resident_rows = 0

@@ -3,8 +3,8 @@
 Each of the paper's figures is a grouped bar chart: an x-axis category
 (data-set size or pixel percentage) with one bar per variant (CPU vs GPU, or
 1-D vs 3-D layout).  ``format_series_table`` prints the same information as a
-fixed-width text table, which is what the benchmark harness and
-``EXPERIMENTS.md`` use.
+fixed-width text table, which is what the ``repro-benchmark`` CLI and the
+figure benchmarks under ``benchmarks/`` print.
 """
 
 from __future__ import annotations
@@ -101,19 +101,15 @@ def format_batch_table(batch) -> str:
 
 
 def format_backend_table(infos) -> str:
-    """Fixed-width capability table for the ``repro-backends`` CLI.
+    """Fixed-width backend table for the ``repro-backends`` CLI.
 
-    One row per :class:`~repro.core.registry.BackendInfo` with its capability
-    flags, defining module and description.
+    One row per :class:`~repro.core.registry.BackendInfo` with its defining
+    module and description.
     """
-    header = f"{'backend':<16s}{'streaming':>10s}  {'module':<36s}description"
+    header = f"{'backend':<16s}{'module':<36s}description"
     lines = [header, "-" * max(len(header), 72)]
     for info in infos:
-        lines.append(
-            f"{info.name:<16s}"
-            f"{'yes' if info.supports_streaming else 'no':>10s}"
-            f"  {info.module:<36s}{info.description}"
-        )
+        lines.append(f"{info.name:<16s}{info.module:<36s}{info.description}")
     lines.append("-" * max(len(header), 72))
     lines.append(f"{len(infos)} backend(s) registered")
     return "\n".join(lines)

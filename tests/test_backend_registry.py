@@ -49,7 +49,7 @@ class _ToyExecutor(VectorizedExecutor):
 def toy_backend():
     """Register a toy out-of-tree backend for the duration of one test."""
 
-    @register_backend("toy", supports_streaming=True, description="out-of-tree test backend")
+    @register_backend("toy", description="out-of-tree test backend")
     class ToyBackend(Backend):
         def make_executor(self, config):
             return _ToyExecutor()
@@ -66,10 +66,10 @@ class TestRegistry:
         for name in ALL_BACKENDS:
             assert name in names
             info = backend_info(name)
-            assert info.supports_streaming is True
             assert info.module.startswith("repro.core.backends.")
             assert info.description
-            assert info.capabilities() == {"supports_streaming": True}
+            # no capability flags: every backend runs stacks and files alike
+            assert set(info.to_dict()) == {"name", "module", "description"}
         assert available_backends() == sorted(ALL_BACKENDS)
 
     def test_backends_listing_sorted(self):
@@ -154,16 +154,27 @@ class TestConfigRegistryValidation:
         with pytest.raises(ValidationError, match="unknown backend"):
             config.with_backend("quantum")
 
-    def test_streaming_capability_enforced(self, depth_grid):
-        @register_backend("no-stream", supports_streaming=False)
-        class NoStream(Backend):
-            def make_executor(self, config):  # pragma: no cover - never built
-                raise NotImplementedError
+    @pytest.mark.parametrize("supports_streaming", [False, True])
+    def test_supports_streaming_warns_and_registers(self, depth_grid, tmp_path, supports_streaming):
+        """The retired capability flag warns once and changes nothing: the
+        backend registers, and runs a streamed file like any other."""
+        with pytest.warns(DeprecationWarning, match="supports_streaming") as caught:
+            @register_backend("no-stream", supports_streaming=supports_streaming)
+            class NoStream(Backend):
+                def make_executor(self, config):
+                    return _ToyExecutor()
 
         try:
-            ReconstructionConfig(grid=depth_grid, backend="no-stream")  # fine
-            with pytest.raises(ValidationError, match="does not support streaming"):
-                ReconstructionConfig(grid=depth_grid, backend="no-stream", streaming=True)
+            assert len(caught) == 1
+            assert set(backend_info("no-stream").to_dict()) == {"name", "module", "description"}
+            from repro.io.image_stack import save_wire_scan
+
+            stack = make_tiny_stack(n_rows=5, n_cols=3, n_positions=11)
+            path = str(tmp_path / "scan.h5lite")
+            save_wire_scan(path, stack)
+            run = session(grid=depth_grid, backend="no-stream").run(path)
+            reference = session(grid=depth_grid).run(stack)
+            assert run.result.data.tobytes() == reference.result.data.tobytes()
         finally:
             unregister_backend("no-stream")
 
@@ -182,12 +193,39 @@ class TestConfigRoundTrip:
             n_workers=5,
             executor="threads",
             subtract_background=True,
-            streaming=True,
         )
         data = config.to_dict()
         assert json.loads(json.dumps(data)) == data  # JSON-safe snapshot
         restored = ReconstructionConfig.from_dict(data)
         assert restored == config
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_snapshot_naming_streaming_loads(self, depth_grid, streaming):
+        """A snapshot written before ``streaming`` was retired loads with
+        one warning, into the config it names without it."""
+        config = ReconstructionConfig(grid=depth_grid, rows_per_chunk=3)
+        data = dict(config.to_dict(), streaming=streaming)
+        with pytest.warns(DeprecationWarning, match="streaming") as caught:
+            restored = ReconstructionConfig.from_dict(data)
+        assert len(caught) == 1
+        assert restored == config and restored.to_dict() == config.to_dict()
+        assert "streaming" not in restored.to_dict()
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_front_doors_accept_and_ignore_streaming(self, depth_grid, streaming):
+        """The constructor, ``with_overrides``, ``configure`` and
+        ``repro.session(...)`` each warn once and build the same config."""
+        config = ReconstructionConfig(grid=depth_grid)
+        built = {
+            "constructor": lambda: ReconstructionConfig(grid=depth_grid, streaming=streaming),
+            "with_overrides": lambda: config.with_overrides(streaming=streaming),
+            "configure": lambda: session(config=config).configure(streaming=streaming).config,
+            "session": lambda: session(grid=depth_grid, streaming=streaming).config,
+        }
+        for door, build in built.items():
+            with pytest.warns(DeprecationWarning, match="streaming") as caught:
+                assert build() == config, door
+            assert len(caught) == 1, door
 
     def test_round_trip_defaults(self, depth_grid):
         config = ReconstructionConfig(grid=depth_grid)
@@ -316,6 +354,9 @@ class TestRetiredNames:
         "repro.session(grid=grid).configure(executor='processes')",
         "data = dict(ReconstructionConfig(grid=grid).to_dict(), executor='processes')",
         "ReconstructionConfig.from_dict(data)",
+        "repro.session(grid=grid, streaming=True)",
+        "repro.session(grid=grid).stream()",
+        "repro.session(grid=grid).in_memory()",
     ])
 
     @pytest.mark.parametrize("form", ["file", "-c"])
@@ -335,7 +376,7 @@ class TestRetiredNames:
         warned = [line for line in done.stderr.splitlines() if "DeprecationWarning" in line]
         caller = str(script) if form == "file" else "<string>"
         assert [line.split(":")[:2] for line in warned] == [
-            [caller, str(line)] for line in (4, 5, 6, 8)
+            [caller, str(line)] for line in (4, 5, 6, 8, 9, 10, 11)
         ], done.stderr
 
     def test_session_on_old_name_is_bitwise_threaded(self, depth_grid, pool_bands):
@@ -376,8 +417,9 @@ class TestToyBackendEndToEnd:
         assert main_backends(["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         (entry,) = [item for item in payload if item["name"] == "toy"]
-        assert entry["supports_streaming"] is True
-        assert entry["module"] == __name__
+        assert entry == {
+            "name": "toy", "module": __name__, "description": "out-of-tree test backend"
+        }
 
     def test_compare_backends_includes_toy(self, toy_backend, depth_grid):
         stack = make_tiny_stack(n_rows=4, n_cols=3, n_positions=11)
@@ -394,7 +436,7 @@ class TestToyBackendEndToEnd:
         path = tmp_path / "scan.h5lite"
         save_wire_scan(path, stack)
         sess = session(grid=depth_grid).on("toy")
-        in_memory = sess.run(str(path))
+        in_memory = sess.run(stack)
         streamed = sess.stream(rows_per_chunk=2).run(str(path))
         np.testing.assert_array_equal(streamed.result.data, in_memory.result.data)
         assert any("streamed from disk" in note for note in streamed.report.notes)

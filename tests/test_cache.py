@@ -89,7 +89,8 @@ class TestHitIdentity:
     def test_hit_for_file_source_matches_streamed_and_in_memory_separately(
         self, cache_root, tmp_path, grid
     ):
-        """Streaming is a config field, so each mode has its own key."""
+        """Every file run streams; the window rows are a config field, so
+        default windows and 2-row windows each have their own key."""
         path = str(tmp_path / "scan.h5lite")
         _save_scan(path)
         sess = repro.session(grid=grid).cached(cache_root)
@@ -197,9 +198,11 @@ class TestKeyInvalidation:
         {"rows_per_chunk": 2},
         {"intensity_cutoff": 0.5},
         {"subtract_background": True},
-        {"streaming": True},
+        {"device_memory_limit": 1 << 20},
         {"n_workers": 3},
         {"difference_mode": repro.core.DifferenceMode.RECTIFIED},
+        {"executor": "threads"},
+        {"wire_edge": repro.geometry.wire.WireEdge.TRAILING},
     ])
     def test_every_config_field_participates_in_the_key(self, overrides, grid, small_stack):
         base = ReconstructionConfig(grid=grid, backend="vectorized")

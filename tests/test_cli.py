@@ -80,17 +80,26 @@ class TestReconstruct:
         assert "wrote provenance record" in capsys.readouterr().out
 
     def test_streaming_flag_matches_in_memory(self, tmp_path, capsys):
+        """Every file run streams: the retired ``--streaming`` still parses,
+        warns once and changes nothing, and 2-row windows give the same
+        output as the default windows."""
         scan_path = tmp_path / "scan.h5lite"
         main_generate([str(scan_path), "--kind", "benchmark", "--size-label", "0.05MB"])
-        mem_path = tmp_path / "mem.h5lite"
-        stream_path = tmp_path / "stream.h5lite"
-        assert main_reconstruct([str(scan_path), "-o", str(mem_path)]) == 0
+        default_path = tmp_path / "default.h5lite"
+        retired_path = tmp_path / "retired.h5lite"
+        windows_path = tmp_path / "windows.h5lite"
+        assert main_reconstruct([str(scan_path), "-o", str(default_path)]) == 0
+        with pytest.warns(DeprecationWarning, match="--streaming") as caught:
+            assert main_reconstruct([str(scan_path), "-o", str(retired_path), "--streaming"]) == 0
+        assert len(caught) == 1
         assert main_reconstruct(
-            [str(scan_path), "-o", str(stream_path), "--streaming", "--rows-per-chunk", "2"]
+            [str(scan_path), "-o", str(windows_path), "--rows-per-chunk", "2"]
         ) == 0
-        mem = load_depth_resolved(mem_path)
-        streamed = load_depth_resolved(stream_path)
-        np.testing.assert_array_equal(streamed.data, mem.data)
+        default = load(str(default_path))
+        assert load(str(retired_path)).config == default.config
+        assert any("streamed from disk" in note for note in default.report.notes)
+        for path in (retired_path, windows_path):
+            np.testing.assert_array_equal(load_depth_resolved(path).data, default.result.data)
 
     def test_executor_flag_and_retired_backend_match_serial(self, tmp_path, capsys, pool_bands):
         """``--executor threads`` and the retired ``--backend threaded``, which
@@ -149,7 +158,7 @@ class TestBackendsCli:
         for name in ("cpu_reference", "vectorized", "gpusim"):
             assert name in out
         assert "threaded" not in out and "workers" not in out
-        assert "streaming" in out
+        assert "streaming" not in out  # no capability column: all run files
         assert "3 backend(s) registered" in out
 
     def test_json_payload(self, capsys):
@@ -157,9 +166,8 @@ class TestBackendsCli:
         payload = json.loads(capsys.readouterr().out)
         by_name = {entry["name"]: entry for entry in payload}
         assert sorted(by_name) == ["cpu_reference", "gpusim", "vectorized"]
-        for entry in payload:  # one capability flag, no worker column
-            assert set(entry) == {"name", "module", "description", "supports_streaming"}
-        assert by_name["gpusim"]["supports_streaming"] is True
+        for entry in payload:  # no capability flag, no worker column
+            assert set(entry) == {"name", "module", "description"}
         assert by_name["vectorized"]["module"] == "repro.core.backends.vectorized"
 
 
@@ -173,9 +181,10 @@ class TestBatchCli:
             paths.append(str(path))
         capsys.readouterr()
         out_dir = tmp_path / "depth"
-        code = main_batch(paths + ["-d", str(out_dir), "-j", "3", "--depth-bins", "20",
-                                   "--streaming"])
-        assert code == 0
+        with pytest.warns(DeprecationWarning, match="--streaming") as caught:
+            code = main_batch(paths + ["-d", str(out_dir), "-j", "3", "--depth-bins", "20",
+                                       "--streaming"])
+        assert code == 0 and len(caught) == 1
         out = capsys.readouterr().out
         assert "3/3 ok" in out
         for index in range(3):
@@ -408,8 +417,7 @@ class TestOneLineErrors:
         "entry, argv",
         [
             ("main_reconstruct", ["scan.h5lite", "-o", "out.h5lite"]),
-            ("main_reconstruct", ["scan.h5lite", "-o", "out.h5lite", "--streaming",
-                                  "--rows-per-chunk", "4"]),
+            ("main_reconstruct", ["scan.h5lite", "-o", "out.h5lite", "--rows-per-chunk", "4"]),
             ("main_analyze", ["run.h5lite", "peaks"]),
         ],
         ids=["reconstruct", "reconstruct-streaming", "analyze"],

@@ -1,9 +1,10 @@
 """Engine, out-of-core streaming and batch-scheduler tests.
 
-The load-bearing guarantee of the engine refactor: a streamed reconstruction
-(any ``rows_per_chunk``, any backend, with or without background subtraction
-and pixel masks) is **bitwise identical** to the in-memory reconstruction,
-and never materialises the full image cube.
+The load-bearing guarantee of the engine refactor: a file run, which always
+streams its scan (any ``rows_per_chunk``, any backend, with or without
+background subtraction and pixel masks), is **bitwise identical** to the
+reconstruction of the same stack in memory, and never materialises the full
+image cube.
 """
 
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import engine
+from repro.core import kernels
 from repro.core.backends import get_backend
 from repro.core.backends.threaded import ThreadedExecutor
 from repro.core.backends.vectorized import VectorizedExecutor
@@ -36,6 +37,7 @@ from repro.geometry.detector import Detector
 from repro.io.h5lite import H5LiteError
 from repro.io.image_stack import (
     load_depth_resolved,
+    load_wire_scan,
     read_wire_scan_geometry,
     save_wire_scan,
 )
@@ -95,8 +97,8 @@ class TestStreamedEqualsInMemory:
             subtract_background=True,
             **RUNS[run],
         )
-        in_memory = session(config=config).run(str(path))
-        streamed = session(config=config.with_overrides(streaming=True)).run(str(path))
+        in_memory = session(config=config).run(stack)
+        streamed = session(config=config).run(str(path))
         np.testing.assert_array_equal(streamed.result.data, in_memory.result.data)
         assert streamed.report.n_chunks == in_memory.report.n_chunks
         assert sent_bands_to_the_pool(pool_bands) == (run == "threaded" and rows_per_chunk != 1)
@@ -124,7 +126,6 @@ class TestStreamedEqualsInMemory:
             backend=backend,
             rows_per_chunk=rows_per_chunk,
             subtract_background=subtract_background,
-            streaming=True,
         )
         streamed = session(config=config).run(str(path))
         np.testing.assert_array_equal(streamed.result.data, reference.data)
@@ -137,8 +138,7 @@ class TestStreamedEqualsInMemory:
         results = {}
         for run in RUNS:
             config = ReconstructionConfig(
-                grid=grid, rows_per_chunk=2, subtract_background=True, streaming=True,
-                **RUNS[run],
+                grid=grid, rows_per_chunk=2, subtract_background=True, **RUNS[run],
             )
             results[run] = session(config=config).run(path).result.data
         for run in RUNS:
@@ -191,37 +191,60 @@ class TestOutOfCore:
         assert not result.data[:, 6:].any()
 
     def test_default_streaming_plan_is_bounded(self, scan_file, monkeypatch, pool_bands):
-        """Without rows_per_chunk, an out-of-core run must still chunk once the
-        cube exceeds the streaming slab budget (never one full-cube read)."""
-        import repro.core.engine as engine_module
-
+        """Without rows_per_chunk, an out-of-core run must still chunk once a
+        fused-kernel row block holds fewer rows than the scan (never one
+        full-cube read)."""
         path, stack = scan_file
-        monkeypatch.setattr(engine_module, "STREAMING_CHUNK_BYTES", 4_000)
+        monkeypatch.setattr(kernels, "FUSED_ROW_BLOCK_BYTES", 4_000)
         config = ReconstructionConfig(grid=DepthGrid.from_range(0.0, 100.0, 20))
         for run in ("vectorized", "threaded"):
             source = StreamingWireScanSource(path)
             result, report = execute_backend(source, config.with_overrides(**RUNS[run]))
             assert report.n_chunks > 1
             assert source.accounting()["max_resident_rows"] < stack.n_rows
-            reference = session(config=config.with_overrides(**RUNS[run])).run(path)
+            reference = session(config=config.with_overrides(**RUNS[run])).run(stack)
+            assert reference.report.n_chunks == 1
             np.testing.assert_array_equal(result.data, reference.result.data)
         assert sent_bands_to_the_pool(pool_bands)
+
+    def test_default_file_run_holds_one_kernel_row_block(self, tmp_path):
+        """Without rows_per_chunk a file run's window is one fused-kernel row
+        block, the rows the kernel differences at a time, never the whole
+        cube, and its report notes the window reads."""
+        stack = make_tiny_stack(n_rows=12, n_cols=3000, n_positions=11)
+        path = str(tmp_path / "wide.h5lite")
+        save_wire_scan(path, stack)
+        block = kernels._fused_row_block(stack.n_positions - 1, stack.n_cols)
+        assert block == 8 < stack.n_rows
+        config = ReconstructionConfig(grid=DepthGrid.from_range(0.0, 100.0, 10))
+        for run in ("vectorized", "threaded"):
+            run_config = config.with_overrides(**RUNS[run])
+            source = StreamingWireScanSource(path)
+            result, report = execute_backend(source, run_config)
+            assert source.max_resident_rows == block, run
+            assert report.n_chunks == source.n_window_reads == 2, run
+            from_file = session(config=run_config).run(path)
+            (note,) = [n for n in from_file.report.notes if n.startswith("streamed from disk")]
+            assert note.startswith(f"streamed from disk: 2 window read(s), peak {block} row(s)")
+            in_memory = session(config=run_config).run(stack)
+            assert in_memory.report.n_chunks == 1
+            assert result.data.tobytes() == from_file.result.data.tobytes()
+            assert result.data.tobytes() == in_memory.result.data.tobytes(), run
 
     @pytest.mark.parametrize("layout", ["flat1d", "pointer3d"])
     @pytest.mark.parametrize("device_memory_limit", [None, 1 << 20])
     def test_default_window_is_the_slab_budget(
         self, tmp_path, monkeypatch, layout, device_memory_limit, pool_bands
     ):
-        """A host plan sizes a default streamed window by its input slab
-        alone: the most rows whose float64 ``(n_positions, rows, n_cols)``
-        slab fits the budget, whatever the device layout or memory."""
-        import repro.core.engine as engine_module
-
-        monkeypatch.setattr(engine_module, "STREAMING_CHUNK_BYTES", 1_000_000)
+        """A host plan sizes a default streamed window by the fused kernel's
+        row block alone: the most rows whose float64 ``(n_steps, rows,
+        n_cols)`` difference block fits ``FUSED_ROW_BLOCK_BYTES``, whatever
+        the device layout or memory."""
+        monkeypatch.setattr(kernels, "FUSED_ROW_BLOCK_BYTES", 1_000_000)
         stack = _noisy_stack(n_rows=64, n_cols=64, n_positions=61)
         path = str(tmp_path / "scan.h5lite")
         save_wire_scan(path, stack)
-        rows = 1_000_000 // (61 * 64 * 8)
+        rows = 1_000_000 // (60 * 64 * 8)
         assert rows == 32
         for run in ("vectorized", "threaded"):
             config = ReconstructionConfig(
@@ -252,9 +275,7 @@ class TestOutOfCore:
 
     def test_streaming_report_notes_mention_streaming(self, scan_file):
         path, _stack = scan_file
-        config = ReconstructionConfig(
-            grid=DepthGrid.from_range(0.0, 100.0, 10), rows_per_chunk=3, streaming=True
-        )
+        config = ReconstructionConfig(grid=DepthGrid.from_range(0.0, 100.0, 10), rows_per_chunk=3)
         outcome = session(config=config).run(path)
         assert any("streamed from disk" in note for note in outcome.report.notes)
         assert any(note.startswith("plan[") for note in outcome.report.notes)
@@ -336,17 +357,15 @@ class TestTrimmedWindows:
 class TestTruncatedScan:
     """A scan file shorter than its header says fails with one typed error."""
 
-    @pytest.mark.parametrize("streaming", [False, True], ids=["in-memory", "streamed"])
-    def test_session_run_raises_typed_error(self, scan_file, streaming):
+    @pytest.mark.parametrize("mode", ["in-memory", "streamed"])
+    def test_session_run_raises_typed_error(self, scan_file, mode):
         path, _stack = scan_file
         # the image cube is the file's first block, so a tail cut loses the
-        # wire trajectory: the in-memory load and the streamed open read it
+        # wire trajectory: the whole-file load and the streamed open read it
         os.truncate(path, os.path.getsize(path) - 100)
-        config = ReconstructionConfig(
-            grid=DepthGrid.from_range(0.0, 100.0, 10), rows_per_chunk=3, streaming=streaming
-        )
+        config = ReconstructionConfig(grid=DepthGrid.from_range(0.0, 100.0, 10), rows_per_chunk=3)
         with pytest.raises(H5LiteError, match="truncated h5lite file"):
-            session(config=config).run(path)
+            session(config=config).run(load_wire_scan(path) if mode == "in-memory" else path)
 
     @pytest.mark.parametrize("run", ["vectorized", "threaded"])
     @pytest.mark.parametrize("subtract_background", [False, True])
@@ -509,23 +528,22 @@ class TestThreadedParallel:
         reference = session(config=self._config(executor="serial")).run(stack)
         np.testing.assert_array_equal(recovered.data, reference.result.data)
 
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_batched_threaded_matches_reference(self, tmp_path, streaming, pool_bands):
-        """Bitwise identity holds through run_many too (both in-memory and
-        streamed), not just single runs."""
-        paths = []
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_batched_threaded_matches_reference(self, tmp_path, chunked, pool_bands):
+        """Bitwise identity holds through run_many too (default windows and
+        2-row windows), not just single runs."""
+        paths, stacks = [], []
         for index in range(2):
             stack = _noisy_stack(seed=30 + index)
             path = tmp_path / f"scan_{index}.h5lite"
             save_wire_scan(path, stack)
             paths.append(str(path))
-        config = self._config(streaming=streaming, rows_per_chunk=2)
+            stacks.append(stack)
+        config = self._config(rows_per_chunk=2 if chunked else None)
         batch = session(config=config).run_many(paths, max_workers=2)
         assert batch.n_ok == 2
-        for path, item in zip(paths, batch.items):
-            reference = session(
-                config=config.with_overrides(executor="serial", streaming=False)
-            ).run(path)
+        for stack, item in zip(stacks, batch.items):
+            reference = session(config=config.with_overrides(executor="serial")).run(stack)
             np.testing.assert_array_equal(item.result.data, reference.result.data)
         assert len(pool_bands) == 2 and sent_bands_to_the_pool(pool_bands)
 
@@ -556,11 +574,12 @@ class TestBatch:
             np.testing.assert_array_equal(a.result.data, b.result.data)
 
     def test_admission_estimate_covers_the_largest_window(self, tmp_path, monkeypatch):
-        """A streamed item is charged the window the engine reads, on every
-        backend: a fixed ``rows_per_chunk`` wider than the slab budget, else
-        the rows its backend's plan fits — the host slab budget, or for
-        ``gpusim`` the simulated device memory, which holds every row here."""
-        monkeypatch.setattr(engine, "STREAMING_CHUNK_BYTES", 1_000_000)
+        """A file item is charged the window the engine reads, on every
+        backend: a fixed ``rows_per_chunk`` wider than a kernel row block,
+        else the rows its backend's plan fits — one kernel row block on the
+        host, or for ``gpusim`` the simulated device memory, which holds
+        every row here."""
+        monkeypatch.setattr(kernels, "FUSED_ROW_BLOCK_BYTES", 1_000_000)
         path = str(tmp_path / "scan.h5lite")
         save_wire_scan(path, make_tiny_stack(n_rows=64, n_cols=64, n_positions=61))
         grid = DepthGrid.from_range(0.0, 100.0, 14)
@@ -574,10 +593,10 @@ class TestBatch:
                 return slab
 
         for backend in ("vectorized", "cpu_reference", "gpusim"):
-            fitted_rows = 64 if backend == "gpusim" else 1_000_000 // (61 * 64 * 8)
+            fitted_rows = 64 if backend == "gpusim" else 1_000_000 // (60 * 64 * 8)
             for rows_per_chunk, rows in ((64, 64), (None, fitted_rows)):
                 config = ReconstructionConfig(
-                    grid=grid, backend=backend, streaming=True, rows_per_chunk=rows_per_chunk
+                    grid=grid, backend=backend, rows_per_chunk=rows_per_chunk
                 )
                 source = RecordingSource(path)
                 windows.clear()
@@ -589,7 +608,7 @@ class TestBatch:
                 assert input_bytes == 61 * rows * 64 * 8, backend
 
     def test_item_no_device_plan_admits_fails_on_its_own(self, tmp_path):
-        """A streamed gpusim item whose fixed chunk does not fit the device
+        """A gpusim file item whose fixed chunk does not fit the device
         gets no estimate: the batch still schedules at full width and only
         that item fails, when it runs."""
         grid = DepthGrid.from_range(0.0, 100.0, 12)
@@ -599,8 +618,7 @@ class TestBatch:
         # room for the narrow file's 2-row chunk, not for 64 rows
         limit = 2 * estimate_chunk_device_bytes(2, 5, 17, grid.n_bins, "flat1d")
         config = ReconstructionConfig(
-            grid=grid, backend="gpusim", streaming=True, rows_per_chunk=64,
-            device_memory_limit=limit,
+            grid=grid, backend="gpusim", rows_per_chunk=64, device_memory_limit=limit,
         )
         assert estimate_source_resident_bytes(FileSource(str(narrow)), config) > 0
         assert estimate_source_resident_bytes(FileSource(str(wide)), config) is None
@@ -611,7 +629,7 @@ class TestBatch:
 
     def test_batch_processes_files_concurrently(self, tmp_path):
         paths = self._make_files(tmp_path, n=3)
-        config = ReconstructionConfig(grid=DepthGrid.from_range(0.0, 100.0, 12), streaming=True)
+        config = ReconstructionConfig(grid=DepthGrid.from_range(0.0, 100.0, 12))
         batch = session(config=config).run_many(paths, max_workers=3)
         assert batch.n_files == 3 and batch.n_ok == 3 and batch.n_failed == 0
         assert batch.max_workers == 3

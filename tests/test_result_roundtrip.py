@@ -58,6 +58,25 @@ class TestSaveLoadRoundTrip:
         assert loaded.report.to_dict() == run.report.to_dict()
         assert loaded.config == run.config
 
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_run_file_naming_streaming_loads(
+        self, streaming, tmp_path, point_source_stack, depth_grid
+    ):
+        """A run file whose record names the retired ``streaming`` loads
+        with one warning, into the config without it, bit for bit."""
+        stack, _ = point_source_stack
+        run = session(grid=depth_grid).run(stack)
+        record = run._run_record()
+        record["config"]["streaming"] = streaming
+        path = str(tmp_path / "old.h5lite")
+        save_depth_resolved(path, run.result, run_record=record)
+        with pytest.warns(DeprecationWarning, match="streaming") as caught:
+            loaded = load(path)
+        assert len(caught) == 1
+        assert loaded.config == run.config
+        assert "streaming" not in loaded.provenance()["config"]
+        assert loaded.result.data.tobytes() == run.result.data.tobytes()
+
     def test_output_and_text_paths_survive(self, tmp_path, point_source_stack, depth_grid):
         stack, _ = point_source_stack
         text_path = tmp_path / "profiles.txt"
@@ -123,6 +142,27 @@ class TestBatchPersistence:
         for item, original in zip(loaded.succeeded, batch.succeeded):
             assert item.result.data.tobytes() == original.result.data.tobytes()
             assert item.run is not None and item.run.config == batch.config
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_load_dir_of_files_naming_streaming(
+        self, streaming, tmp_path, point_source_stack, depth_grid
+    ):
+        """A directory of run files whose records name the retired
+        ``streaming`` loads with one warning per file, into the shared
+        config without it."""
+        stack, _ = point_source_stack
+        batch = session(grid=depth_grid).run_many([stack, stack])
+        out_dir = tmp_path / "runs"
+        out_dir.mkdir()
+        for index, item in enumerate(batch.succeeded):
+            record = item.run._run_record()
+            record["config"]["streaming"] = streaming
+            save_depth_resolved(str(out_dir / f"old_{index}.h5lite"), item.result, run_record=record)
+        with pytest.warns(DeprecationWarning, match="streaming") as caught:
+            loaded = BatchRunResult.load_dir(out_dir)
+        assert len(caught) == loaded.n_ok == 2
+        assert loaded.config == batch.config
+        assert "streaming" not in loaded.to_dict() and "streaming" not in loaded.to_dict()["config"]
 
     def test_save_all_requires_kept_results(self, tmp_path, point_source_stack, depth_grid):
         stack, _ = point_source_stack

@@ -197,6 +197,18 @@ class TestParseSubmission:
         assert job.timeout_s == 12.5
         assert job.pipeline is not None
 
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_submission_naming_streaming_is_accepted(self, source_file, config_dict, streaming):
+        """A client that still sends the retired ``streaming`` is admitted:
+        one warning, and the job runs the config without it."""
+        with pytest.warns(DeprecationWarning, match="streaming") as caught:
+            job = parse_submission({
+                "source": {"path": source_file},
+                "config": dict(config_dict, streaming=streaming),
+            })
+        assert len(caught) == 1
+        assert job.config == ReconstructionConfig.from_dict(config_dict)
+
     @pytest.mark.parametrize("body", [
         None,
         [],

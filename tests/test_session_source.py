@@ -17,9 +17,12 @@ from repro.core.config import ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
 from repro.core.session import BatchRunResult, RunResult, Session, session
 from repro.core.source import BatchSource, FileSource, StackSource, open as open_source
+from repro.geometry.beam import Beam
+from repro.geometry.scan import WireScan
 from repro.io.h5lite import H5LiteError
 from repro.io.image_stack import load_depth_resolved, save_wire_scan
 from repro.io.text_output import read_depth_profiles
+from repro.synthetic.workloads import make_point_source_stack
 from repro.utils.validation import ValidationError
 from tests.helpers import RUNS, make_tiny_stack, sent_bands_to_the_pool
 
@@ -170,10 +173,20 @@ class TestSessionFluency:
         streamed = gpu.stream(rows_per_chunk=4)
         assert base.config.backend == "vectorized"
         assert gpu.config.backend == "gpusim" and gpu.config.layout == "pointer3d"
-        assert not gpu.config.streaming
-        assert streamed.config.streaming and streamed.config.rows_per_chunk == 4
-        assert streamed.in_memory().config.streaming is False
+        assert gpu.config.rows_per_chunk is None
+        assert streamed.config.rows_per_chunk == 4
+        assert streamed.config == gpu.config.with_overrides(rows_per_chunk=4)
         assert isinstance(streamed, Session)
+
+    def test_retired_stream_forms_return_the_session_unchanged(self, grid):
+        """Every file run streams: ``stream()`` without rows and
+        ``in_memory()`` have nothing to set, so each warns once and returns
+        the very session it was called on."""
+        sess = session(grid=grid).stream(rows_per_chunk=4)
+        for retired in (sess.stream, sess.in_memory):
+            with pytest.warns(DeprecationWarning, match="every file run streams") as caught:
+                assert retired() is sess
+            assert len(caught) == 1
 
     def test_configure_overrides(self, grid):
         sess = session(grid=grid).configure(intensity_cutoff=2.0, n_workers=3)
@@ -376,22 +389,86 @@ class TestFileRuns:
             session(grid=grid).run(str(tmp_path / "nope.h5lite"))
 
     @pytest.mark.parametrize("run", RUNS)
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_file_run_equals_in_memory_run(self, run, streaming, grid, tmp_path, pool_bands):
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_file_run_equals_in_memory_run(self, run, chunked, grid, tmp_path, pool_bands):
+        """A file run streams in default windows (one fused-kernel row
+        block, every row of this scan) or in 2-row windows, and matches the
+        stack run under the same config bit for bit."""
         stack = _noisy_stack(masked=True)
         path = tmp_path / "scan.h5lite"
         save_wire_scan(path, stack)
         config = ReconstructionConfig(
-            grid=grid, rows_per_chunk=2, subtract_background=True, **RUNS[run],
+            grid=grid, rows_per_chunk=2 if chunked else None, subtract_background=True,
+            **RUNS[run],
         )
         in_memory = session(config=config).run(stack)
-        from_file = session(config=config.with_overrides(streaming=streaming)).run(str(path))
+        from_file = session(config=config).run(str(path))
         np.testing.assert_array_equal(from_file.result.data, in_memory.result.data)
-        assert from_file.report.n_chunks == in_memory.report.n_chunks
+        assert from_file.report.n_chunks == in_memory.report.n_chunks == (3 if chunked else 1)
         assert from_file.report.n_active_pixels == in_memory.report.n_active_pixels
-        streamed = any("streamed from disk" in note for note in from_file.report.notes)
-        assert streamed == streaming
+        assert any("streamed from disk" in note for note in from_file.report.notes)
+        assert not any("streamed from disk" in note for note in in_memory.report.notes)
         assert sent_bands_to_the_pool(pool_bands) == (run == "threaded")
+
+    @staticmethod
+    def _broken(stack, field):
+        """*stack* with one field broken the way only a hand-edited or
+        foreign file can break it (a stack validates itself when built)."""
+        positions = stack.scan.positions
+        if field == "mask-one-column":
+            stack.pixel_mask = np.ones((8, 1), dtype=bool)
+        elif field == "mask-half-rows":
+            stack.pixel_mask = np.ones((4, 8), dtype=bool)
+        elif field == "42-positions":
+            extended = np.vstack([positions, positions[-1:] + 1.0])
+            stack.scan = WireScan(wire=stack.scan.wire, positions_yz=extended)
+        elif field == "38-positions":
+            stack.scan = WireScan(wire=stack.scan.wire, positions_yz=positions[:38])
+        else:
+            stack.images = stack.images[0]
+        return stack
+
+    @pytest.mark.parametrize(
+        "field, match",
+        [
+            pytest.param(field, match, id=field)
+            for field, match in (
+                ("mask-one-column", r"pixel_mask shape \(8, 1\) does not match detector shape"),
+                ("mask-half-rows", r"pixel_mask shape \(4, 8\) does not match detector shape"),
+                ("42-positions", "41 images but 42 wire positions"),
+                ("38-positions", "41 images but 38 wire positions"),
+                ("2d-images", r"images must have shape .*got \(8, 8\)"),
+            )
+        ],
+    )
+    def test_a_broken_header_is_refused(self, grid, tmp_path, field, match):
+        """The streamed reader checks what a loaded stack checks, and names
+        the file: a mask or a wire trajectory that does not fit the images,
+        or images that are not a cube, never run."""
+        stack, _ = make_point_source_stack(depth=40.0, n_rows=8, n_cols=8, n_positions=41)
+        path = str(tmp_path / f"{field}.h5lite")
+        save_wire_scan(path, self._broken(stack, field))
+        with pytest.raises(H5LiteError, match=match) as raised:
+            session(grid=grid).stream(rows_per_chunk=4).run(path)
+        assert path in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "beam", [Beam(direction=(0.0, 1.0, 0.0)), Beam(origin=(0.0, 0.0, 5.0))],
+        ids=["direction", "origin"],
+    )
+    @pytest.mark.parametrize("kind", ["stack", "file"])
+    def test_a_beam_the_depth_mapping_cannot_use_is_refused(self, grid, tmp_path, beam, kind):
+        """Depth is measured along the canonical +z beam through the origin;
+        any other beam is refused, never reconstructed as if it were that one."""
+        stack, _ = make_point_source_stack(depth=40.0, n_rows=8, n_cols=8, n_positions=41)
+        stack.beam = beam
+        src = stack
+        if kind == "file":
+            src = str(tmp_path / "scan.h5lite")
+            save_wire_scan(src, stack)
+        with pytest.raises(ValidationError, match=r"canonical \+z beam") as raised:
+            session(grid=grid).run(src)
+        assert repr(beam) in str(raised.value)
 
     def test_new_api_emits_no_warnings(self, grid, tmp_path):
         path = tmp_path / "scan.h5lite"

@@ -42,6 +42,9 @@ ALLOWLIST = {
     "repro.geometry.detector.Detector.pixel_positions": (
         "reference form: test_row_yz_matches_pixel_positions compares row_yz with it"
     ),
+    "repro.io.image_stack.load_wire_scan": (
+        "reads back what save_wire_scan writes; tests round-trip scans through it"
+    ),
     "repro.io.text_output.read_depth_profiles": (
         "reads back what write_depth_profiles writes; tests check the round trip"
     ),
